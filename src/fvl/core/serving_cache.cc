@@ -9,8 +9,11 @@ namespace {
 // Decoded labels are the expensive entries (two PortLabel paths, heap
 // vectors), so the label cache stops growing at 8k slots; memo entries are
 // tens of bytes, so the memo covers a multiple of the snapshot before its
-// own (larger) cap. Both caps keep a per-snapshot cache comfortably under a
-// few MB even for the largest indexes the benches build.
+// own (larger) cap. Both caps keep a fully used per-snapshot cache under
+// ~2 MB even for the largest indexes the benches build. These are ceilings,
+// not costs: ShardedCache allocates a shard's slots on its first insert, so
+// a snapshot nobody queries holds no slots, and one queried for a few hot
+// items holds only the shards those items hash into.
 constexpr int kMaxLabelSlots = 8192;
 constexpr int kMaxReachSlots = 1 << 15;
 constexpr int kMinReachSlots = 64;

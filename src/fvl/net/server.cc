@@ -70,6 +70,11 @@ class ProvenanceServer::Impl {
 
   int port() const { return port_; }
 
+  int connection_slots() const FVL_EXCLUDES(conns_mu_) {
+    MutexLock lock(&conns_mu_);
+    return static_cast<int>(connections_.size());
+  }
+
   ServerStats stats() const FVL_EXCLUDES(state_mu_) {
     ServerStats stats;
     stats.point_queries = point_queries_.load(std::memory_order_relaxed);
@@ -130,6 +135,9 @@ class ProvenanceServer::Impl {
   struct Connection {
     Socket socket;
     std::thread thread;
+    // Set by the connection thread as its last act; the acceptor then joins
+    // the thread and frees the slot (closing the fd) under conns_mu_.
+    std::atomic<bool> done{false};
   };
 
   struct SessionEntry {
@@ -152,12 +160,23 @@ class ProvenanceServer::Impl {
       Connection* raw = conn.get();
       MutexLock lock(&conns_mu_);
       if (stopping_.load()) return;  // raced Stop; drop the connection
-      // Connection slots live until Stop joins them — bounded by the
-      // process's connection churn, which is fine for a benchmark/test
-      // server; a reaper is the upgrade if churn ever matters.
+      ReapDoneConnections();
       connections_.push_back(std::move(conn));
       raw->thread = std::thread([this, raw] { ServeConnection(raw); });
     }
+  }
+
+  // Joins and frees the slots of connections whose threads have finished,
+  // so live slots track open connections rather than connection churn. A
+  // done thread has returned or is returning and never takes conns_mu_, so
+  // the join is short and cannot deadlock. Stop's ShutdownRead sweep also
+  // runs under conns_mu_, so it never sees a freed socket.
+  void ReapDoneConnections() FVL_REQUIRES(conns_mu_) {
+    std::erase_if(connections_, [](std::unique_ptr<Connection>& conn) {
+      if (!conn->done.load(std::memory_order_acquire)) return false;
+      conn->thread.join();
+      return true;
+    });
   }
 
   // --- Connection loop ----------------------------------------------------
@@ -212,8 +231,10 @@ class ProvenanceServer::Impl {
     // ShutdownRead() on this socket, and close() here would free the fd
     // number out from under it (racing the read, and worse, the number can
     // be reused by an unrelated descriptor). The fd is released when the
-    // Connection slot is destroyed, after Stop has joined this thread.
+    // Connection slot is destroyed, after the acceptor's reap or Stop has
+    // joined this thread.
     conn->socket.ShutdownBoth();
+    conn->done.store(true, std::memory_order_release);
   }
 
   // Greedily drains the run of already-buffered point-query frames that
@@ -487,7 +508,7 @@ class ProvenanceServer::Impl {
     uint64_t id;
     {
       MutexLock lock(&state_mu_);
-      id = next_index_id_++;
+      id = next_artifact_id_++;
       indexes_[id] =
           std::make_shared<const ProvenanceIndex>(std::move(index));
     }
@@ -550,7 +571,7 @@ class ProvenanceServer::Impl {
     uint64_t id;
     {
       MutexLock lock(&state_mu_);
-      id = next_merged_id_++;
+      id = next_artifact_id_++;
       merged_[id] = std::make_shared<const MergedProvenanceIndex>(
           std::move(merged).value());
     }
@@ -575,7 +596,7 @@ class ProvenanceServer::Impl {
       uint64_t id;
       {
         MutexLock lock(&state_mu_);
-        id = next_merged_id_++;
+        id = next_artifact_id_++;
         merged_[id] = std::make_shared<const MergedProvenanceIndex>(
             std::move(merged).value());
       }
@@ -591,7 +612,7 @@ class ProvenanceServer::Impl {
     uint64_t id;
     {
       MutexLock lock(&state_mu_);
-      id = next_index_id_++;
+      id = next_artifact_id_++;
       indexes_[id] =
           std::make_shared<const ProvenanceIndex>(std::move(index).value());
     }
@@ -611,7 +632,7 @@ class ProvenanceServer::Impl {
     uint64_t id;
     {
       MutexLock lock(&state_mu_);
-      id = next_merged_id_++;
+      id = next_artifact_id_++;
       merged_[id] = std::make_shared<const MergedProvenanceIndex>(
           std::move(merged).value());
     }
@@ -678,7 +699,7 @@ class ProvenanceServer::Impl {
   std::atomic<bool> stopping_{false};
   Mutex stop_mu_;  // serializes concurrent Stop calls
 
-  Mutex conns_mu_;
+  mutable Mutex conns_mu_;  // mutable: connection_slots() reads under it
   std::vector<std::unique_ptr<Connection>> connections_
       FVL_GUARDED_BY(conns_mu_);
 
@@ -693,8 +714,10 @@ class ProvenanceServer::Impl {
   std::unordered_map<uint64_t, std::shared_ptr<const MergedProvenanceIndex>>
       merged_ FVL_GUARDED_BY(state_mu_);
   uint64_t next_session_id_ FVL_GUARDED_BY(state_mu_) = 1;
-  uint64_t next_index_id_ FVL_GUARDED_BY(state_mu_) = 1;
-  uint64_t next_merged_id_ FVL_GUARDED_BY(state_mu_) = 1;
+  // One counter for snapshots and merged indexes alike, so an id names one
+  // artifact: a single-run id sent to a merged op (or the reverse) is
+  // kNotFound instead of silently resolving to an unrelated index.
+  uint64_t next_artifact_id_ FVL_GUARDED_BY(state_mu_) = 1;
 
   // Coalescing queue.
   Mutex batch_mu_;
@@ -729,6 +752,10 @@ Result<std::unique_ptr<ProvenanceServer>> ProvenanceServer::Start(
 }
 
 int ProvenanceServer::port() const { return impl_->port(); }
+
+int ProvenanceServer::connection_slots() const {
+  return impl_->connection_slots();
+}
 
 void ProvenanceServer::Stop() { impl_->Stop(); }
 

@@ -31,6 +31,9 @@
 // Shutdown: Stop() drains — it stops accepting, lets every in-flight
 // request finish and its response reach the socket, then joins all
 // threads. Requests arriving after the drain began see connection EOF.
+// Connections that close earlier are reaped by the accept loop: their
+// threads are joined and their fds freed before the next connection is
+// added, so a long-running server holds slots for open connections only.
 
 #ifndef FVL_NET_SERVER_H_
 #define FVL_NET_SERVER_H_
@@ -102,6 +105,11 @@ class ProvenanceServer {
   void Stop();
 
   ServerStats stats() const;
+
+  // Connection slots currently held: open connections plus closed ones not
+  // yet reaped (reaping happens when the next connection is accepted). Not
+  // exposed on the wire; for tests and diagnostics.
+  int connection_slots() const;
 
  private:
   class Impl;

@@ -4,10 +4,14 @@
 //
 // Design constraints, in order:
 //
-//   1. Bounded memory. Capacity is fixed at construction; no entry is ever
-//      heap-chained. A cache sized for an index costs O(capacity) once and
-//      never grows, so giving every frozen snapshot its own cache keeps the
-//      O(delta) snapshot contract intact.
+//   1. Bounded memory, paid for on use. Capacity is fixed at construction;
+//      no entry is ever heap-chained. A shard allocates its slots on the
+//      first Insert that hashes into it and never grows after that, so a
+//      cache costs at most O(capacity), and one never inserted into costs
+//      only its shard headers. Every frozen snapshot owns a cache, so a
+//      server's memory follows the snapshots it queries, not the number it
+//      has frozen, and construction stays O(shards), keeping the O(delta)
+//      snapshot contract intact.
 //   2. Skew-friendly admission. Each slot carries a small frequency
 //      counter: hits increment it, and an insert that collides with a
 //      *different* resident key decrements the resident instead of evicting
@@ -22,8 +26,9 @@
 //      thread (docs/CONCURRENCY.md lock table).
 //
 // Lookup/Insert are wait-short (one shard lock, one slot probe) and safe
-// from any number of threads. A zero-capacity cache is valid and simply
-// never hits — callers need no special case.
+// from any number of threads. A Lookup on a shard that holds no slots yet is
+// a counted miss, exactly what an all-empty shard answers. A zero-capacity
+// cache is valid and simply never hits — callers need no special case.
 
 #ifndef FVL_UTIL_SHARDED_CACHE_H_
 #define FVL_UTIL_SHARDED_CACHE_H_
@@ -64,7 +69,7 @@ class ShardedCache {
         capacity <= 0 ? 0 : (capacity + shards - 1) / shards;
     shards_.reserve(shards);
     for (int s = 0; s < shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>(slots_per_shard_));
+      shards_.push_back(std::make_unique<Shard>());
     }
   }
 
@@ -75,17 +80,28 @@ class ShardedCache {
     return static_cast<int>(shards_.size()) * slots_per_shard_;
   }
 
+  // Slots currently backed by memory: capacity() once every shard has seen
+  // an Insert, 0 for a cache nothing was ever offered to.
+  int allocated_slots() const {
+    int total = 0;
+    for (const auto& shard : shards_) {
+      MutexLock lock(&shard->mu);
+      total += static_cast<int>(shard->slots.size());
+    }
+    return total;
+  }
+
   // Copies the resident value into *out and returns true on a hit; a hit
   // also bumps the slot's frequency (capped), which is what makes the
   // resident resistant to eviction by colliding cold keys.
   bool Lookup(const Key& key, Value* out) const {
-    if (slots_per_shard_ == 0) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
     const uint64_t h = Mix(static_cast<uint64_t>(Hash{}(key)));
     Shard& shard = *shards_[h % shards_.size()];
     MutexLock lock(&shard.mu);
+    if (shard.slots.empty()) {  // never inserted into (or zero capacity)
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
     Slot& slot = shard.slots[(h / shards_.size()) % slots_per_shard_];
     if (slot.occupied && slot.key == key) {
       *out = slot.value;
@@ -97,16 +113,18 @@ class ShardedCache {
     return false;
   }
 
-  // Offers (key, value) to the cache. An empty slot installs it; the same
-  // key refreshes it. A slot holding a *different* key applies second
-  // chance: the resident's frequency is decremented and the insert is
-  // rejected until the counter reaches zero — a key must collide repeatedly
-  // (i.e. actually be warm) to displace an established resident.
+  // Offers (key, value) to the cache, allocating the shard's slots if this
+  // is its first insert. An empty slot installs it; the same key refreshes
+  // it. A slot holding a *different* key applies second chance: the
+  // resident's frequency is decremented and the insert is rejected until
+  // the counter reaches zero — a key must collide repeatedly (i.e. actually
+  // be warm) to displace an established resident.
   void Insert(const Key& key, const Value& value) {
     if (slots_per_shard_ == 0) return;
     const uint64_t h = Mix(static_cast<uint64_t>(Hash{}(key)));
     Shard& shard = *shards_[h % shards_.size()];
     MutexLock lock(&shard.mu);
+    if (shard.slots.empty()) shard.slots.resize(slots_per_shard_);
     Slot& slot = shard.slots[(h / shards_.size()) % slots_per_shard_];
     if (slot.occupied && slot.key == key) {
       slot.value = value;
@@ -148,8 +166,8 @@ class ShardedCache {
   };
 
   struct Shard {
-    explicit Shard(int slots_count) : slots(slots_count) {}
     mutable Mutex mu;
+    // Empty until the first Insert into this shard, then slots_per_shard_.
     std::vector<Slot> slots FVL_GUARDED_BY(mu);
   };
 

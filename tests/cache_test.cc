@@ -58,6 +58,41 @@ TEST(ShardedCache, ZeroCapacityNeverHitsAndNeverCrashes) {
   EXPECT_EQ(cache.stats().insertions, 0u);
 }
 
+TEST(ShardedCache, FreshCacheHoldsNoSlotStorage) {
+  // 8192 slots over 16 shards, none of them backed until an insert.
+  ShardedCache<int, int> cache(8192);
+  EXPECT_EQ(cache.capacity(), 8192);
+  EXPECT_EQ(cache.allocated_slots(), 0);
+}
+
+TEST(ShardedCache, LookupBeforeAnyInsertIsACountedMiss) {
+  ShardedCache<int, int> cache(8192);
+  int out = -1;
+  for (int key = 0; key < 100; ++key) EXPECT_FALSE(cache.Lookup(key, &out));
+  EXPECT_EQ(out, -1);
+  EXPECT_EQ(cache.allocated_slots(), 0);  // lookups never allocate
+  const ShardedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 100u);
+  EXPECT_EQ(stats.insertions, 0u);
+}
+
+TEST(ShardedCache, FirstInsertAllocatesOnlyItsOwnShard) {
+  ShardedCache<int, int> cache(8192);  // 16 shards of 512 slots
+  const int shard_slots = cache.capacity() / 16;
+  cache.Insert(42, 420);
+  EXPECT_EQ(cache.allocated_slots(), shard_slots);
+  int out = 0;
+  ASSERT_TRUE(cache.Lookup(42, &out));
+  EXPECT_EQ(out, 420);
+  // Re-inserting into the same shard allocates nothing more.
+  cache.Insert(42, 421);
+  EXPECT_EQ(cache.allocated_slots(), shard_slots);
+  // Enough distinct keys reach every shard, and the total stops at capacity.
+  for (int key = 0; key < 1000; ++key) cache.Insert(key, key);
+  EXPECT_EQ(cache.allocated_slots(), cache.capacity());
+}
+
 TEST(ShardedCache, AdmissionProtectsHotResidents) {
   // Capacity 1: every key maps to the same slot, making the second-chance
   // policy directly observable.

@@ -29,6 +29,7 @@
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/histogram.h"
 #include "fvl/util/random.h"
+#include "fvl/util/sharded_cache.h"
 #include "fvl/util/thread_pool.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/view_generator.h"
@@ -278,6 +279,45 @@ TEST(ConcurrencyStress, ServingCacheShardsStayCoherentUnderQueryStorm) {
   // of them.
   EXPECT_GT(index.serving_cache()->stats().reach_hits, 0u);
   service->set_query_threads(1);
+}
+
+TEST(ConcurrencyStress, FreshCacheFirstInsertsRaceLookups) {
+  // Every shard of a fresh cache is allocated by whichever thread's insert
+  // reaches it first, while other threads look up into the same shard. A
+  // hit must return the value inserted for that exact key (a pure function
+  // of it), every lookup is counted exactly once, and allocation never
+  // exceeds capacity. Fresh caches each round, so the race is re-run.
+  constexpr int kRounds = 20;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 2000;
+  for (int round = 0; round < kRounds; ++round) {
+    ShardedCache<int, int> cache(4096);  // 16 shards
+    std::atomic<int> ready{0};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(static_cast<uint64_t>(round * kThreads + t));
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int i = 0; i < kOps; ++i) {
+          const int key = rng.NextInt(0, 9999);
+          int value = 0;
+          if (cache.Lookup(key, &value)) {
+            if (value != 3 * key + 1) failed.store(true);
+          } else {
+            cache.Insert(key, 3 * key + 1);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_FALSE(failed.load()) << "round " << round;
+    const ShardedCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<uint64_t>(kThreads) * kOps);
+    EXPECT_EQ(cache.allocated_slots(), cache.capacity());
+  }
 }
 
 // --- ParallelFor + shared histogram ----------------------------------------

@@ -345,5 +345,96 @@ TEST(ServerLifecycle, UnknownIdsAreNotFoundNotFatal) {
   EXPECT_EQ(client.Ping().value(), kProtocolVersion);
 }
 
+// Single-run and merged ids come from one counter, so neither kind of op
+// can resolve the other kind's id. Two snapshots and their merge make the
+// ids 1, 2 and 3; separate per-kind counters would have handed the merge
+// id 1 and answered these requests from the wrong artifact.
+struct MergedRig {
+  TestRig rig = TestRig::Make();
+  ProvenanceClient client =
+      ProvenanceClient::Connect(rig.server->port()).value();
+  uint64_t view_id = 0;
+  std::vector<uint64_t> index_ids;
+  MergeInfo merged;
+
+  MergedRig() {
+    view_id = client.RegisterView(rig.view).value();
+    for (int seed : {31, 32}) {
+      std::vector<std::pair<int, int>> ops =
+          RecordOpSequence(*rig.service, /*target_items=*/60, seed);
+      uint64_t session_id = client.BeginRun().value();
+      for (const auto& [instance, production] : ops) {
+        EXPECT_TRUE(client.Apply(session_id, instance, production).ok());
+      }
+      index_ids.push_back(client.Snapshot(session_id).value().index_id);
+    }
+    merged = client.MergeRuns(index_ids).value();
+  }
+};
+
+TEST(ServerIds, MergedIdIsNotFoundOnSingleRunOps) {
+  MergedRig m;
+  const uint64_t id = m.merged.merged_id;
+  for (uint64_t index_id : m.index_ids) EXPECT_NE(index_id, id);
+  const std::vector<std::pair<int, int>> pairs = {{0, 0}};
+  EXPECT_EQ(m.client.Depends(m.view_id, id, ViewLabelMode::kDefault, 0, 0)
+                .code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(
+      m.client.DependsMany(m.view_id, id, ViewLabelMode::kDefault, pairs)
+          .code(),
+      ErrorCode::kNotFound);
+  EXPECT_EQ(
+      m.client.VisibilitySweep(m.view_id, id, ViewLabelMode::kDefault).code(),
+      ErrorCode::kNotFound);
+  const std::vector<uint64_t> merge_input = {id};
+  EXPECT_EQ(m.client.MergeRuns(merge_input).code(), ErrorCode::kNotFound);
+  // The real single-run ids still answer.
+  EXPECT_TRUE(m.client
+                  .VisibilitySweep(m.view_id, m.index_ids[0],
+                                   ViewLabelMode::kDefault)
+                  .ok());
+}
+
+TEST(ServerIds, SingleRunIdIsNotFoundOnQueryAcrossRuns) {
+  MergedRig m;
+  const std::vector<std::pair<RunItem, RunItem>> queries = {
+      {RunItem{0, 0}, RunItem{1, 0}}};
+  for (uint64_t index_id : m.index_ids) {
+    EXPECT_EQ(m.client
+                  .QueryAcrossRuns(m.view_id, index_id,
+                                   ViewLabelMode::kDefault, queries)
+                  .code(),
+              ErrorCode::kNotFound);
+  }
+  // The merged id itself still answers.
+  EXPECT_TRUE(m.client
+                  .QueryAcrossRuns(m.view_id, m.merged.merged_id,
+                                   ViewLabelMode::kDefault, queries)
+                  .ok());
+}
+
+TEST(ServerLifecycle, ClosedConnectionSlotsAreReaped) {
+  // Without reaping, every closed connection would keep its slot, thread
+  // and fd until Stop: 200 after this loop. The accept loop frees finished
+  // slots before adding a new one, so only connections whose threads have
+  // not yet seen EOF may remain.
+  TestRig rig = TestRig::Make();
+  constexpr int kCycles = 200;
+  for (int i = 0; i < kCycles; ++i) {
+    ProvenanceClient client =
+        ProvenanceClient::Connect(rig.server->port()).value();
+    ASSERT_EQ(client.Ping().value(), kProtocolVersion);
+  }  // each client closes its socket as it goes out of scope
+  EXPECT_LE(rig.server->connection_slots(), 16);
+  EXPECT_EQ(rig.server->stats().connections, static_cast<uint64_t>(kCycles));
+  // A fresh connection still gets served, and Stop still drains cleanly
+  // over the reaped slot table.
+  ProvenanceClient last =
+      ProvenanceClient::Connect(rig.server->port()).value();
+  EXPECT_EQ(last.Ping().value(), kProtocolVersion);
+  rig.server->Stop();
+}
+
 }  // namespace
 }  // namespace fvl::net
