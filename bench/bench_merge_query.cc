@@ -82,7 +82,7 @@ void Main(const BenchConfig& config) {
       snapshots.push_back(sessions.back()->Snapshot());
     }
 
-    MergedProvenanceIndex merged;
+    ProvenanceIndex merged;
     double merge_ms = TimeMs([&] {
       merged = ProvenanceIndex::Merge(snapshots).value();
     });
@@ -102,13 +102,12 @@ void Main(const BenchConfig& config) {
       for (const std::string& blob : blobs) {
         materialized.push_back(ProvenanceIndex::Deserialize(blob).value());
       }
-      MergedProvenanceIndex from_blobs =
-          ProvenanceIndex::Merge(materialized).value();
+      ProvenanceIndex from_blobs = ProvenanceIndex::Merge(materialized).value();
       benchmark_sink = benchmark_sink + from_blobs.total_items();
       mat_peak = internal::StoreCountProbe::peak() - base;
     });
     int stream_peak = 0;
-    MergedProvenanceIndex streamed;
+    ProvenanceIndex streamed;
     double stream_merge_ms = TimeMs([&] {
       const int base = internal::StoreCountProbe::live();
       internal::StoreCountProbe::ResetPeak();

@@ -84,7 +84,7 @@ void Main(const BenchConfig& config) {
     double compact_ms = TimeMs([&] {
       const int base = internal::StoreCountProbe::live();
       internal::StoreCountProbe::ResetPeak();
-      MergedProvenanceIndex compacted =
+      ProvenanceIndex compacted =
           service->CompactFiles(l0_paths, l1_path).value();
       benchmark_sink = benchmark_sink + compacted.total_items();
       compact_peak = internal::StoreCountProbe::peak() - base;
@@ -92,7 +92,7 @@ void Main(const BenchConfig& config) {
 
     // One fixed query pool over the merged flat-id space, reused by every
     // serving path.
-    MergedProvenanceIndex heap = MergedProvenanceIndex::Deserialize(
+    ProvenanceIndex heap = ProvenanceIndex::Deserialize(
         FileHandle::OpenRead(l1_path).value().ReadAll().value()).value();
     FVL_CHECK(!heap.store().arena_borrowed());
     Rng rng(13 * num_runs);
@@ -109,8 +109,7 @@ void Main(const BenchConfig& config) {
       heap_answers = service->DependsMany(view, heap, queries).value();
     });
 
-    MergedProvenanceIndex mapped =
-        service->OpenMergedIndexFile(l1_path).value();
+    ProvenanceIndex mapped = service->OpenIndexFile(l1_path).value();
     FVL_CHECK(mapped.store().arena_borrowed() ||
               mapped.store().total_items() == 0);
     std::vector<bool> cold_answers;

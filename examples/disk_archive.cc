@@ -103,7 +103,7 @@ int main() {
   // peak heap is O(largest input + output) however many inputs there are,
   // and input label arenas are read from their mappings, never copied.
   Stopwatch watch;
-  MergedProvenanceIndex l1a =
+  ProvenanceIndex l1a =
       service->CompactFiles(l0_paths, PathFor("l1a.fvlmrg")).value();
   std::printf("compaction: %zu L0 archives -> L1 (%d runs, %d items) in "
               "%.2f ms\n",
@@ -125,14 +125,13 @@ int main() {
   // indexes first.
   std::vector<std::string> l1_paths = {PathFor("l1a.fvlmrg"),
                                        PathFor("l1b.fvlmrg")};
-  MergedProvenanceIndex l2 =
+  ProvenanceIndex l2 =
       service->CompactFiles(l1_paths, PathFor("l2.fvlmrg")).value();
   std::printf("re-merge: 2 L1 archives -> L2 (%d runs, %d items)\n",
               l2.num_runs(), l2.total_items());
 
   // --- Serving: the L2 archive queried straight off its mapping. ---------
-  MergedProvenanceIndex served =
-      service->OpenMergedIndexFile(PathFor("l2.fvlmrg")).value();
+  ProvenanceIndex served = service->OpenIndexFile(PathFor("l2.fvlmrg")).value();
   std::printf("serving: arena_borrowed=%s (long labels point into the "
               "file's pages)\n",
               served.store().arena_borrowed() ? "true" : "false");

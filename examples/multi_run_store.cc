@@ -43,7 +43,7 @@ int main() {
   // Merge into one artifact: a contiguous relocated arena plus a per-run
   // offset table; items are now addressed as (run, item) pairs.
   Stopwatch watch;
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   double merge_ms = watch.ElapsedMillis();
   std::string blob = merged.Serialize();
   std::printf(
@@ -54,8 +54,7 @@ int main() {
 
   // The blob is self-describing: a consumer with no grammar at hand can
   // restore and hand it back to any service of the same specification.
-  MergedProvenanceIndex restored =
-      MergedProvenanceIndex::Deserialize(blob).value();
+  ProvenanceIndex restored = ProvenanceIndex::Deserialize(blob).value();
 
   // An auditor's view arrives later; the merged per-item index is never
   // touched (view labels are static and tiny).

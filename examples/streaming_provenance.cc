@@ -138,8 +138,7 @@ int main() {
   }
   std::vector<std::string_view> blob_views(run_blobs.begin(),
                                            run_blobs.end());
-  MergedProvenanceIndex archive =
-      service->MergeRunsStreamed(blob_views).value();
+  ProvenanceIndex archive = service->MergeRunsStreamed(blob_views).value();
   std::printf(
       "streamed merge of %d serialized runs: %d items, one deserialized "
       "input alive at a time\n",

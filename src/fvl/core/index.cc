@@ -10,36 +10,20 @@ namespace fvl {
 
 namespace {
 
-// Version 2 added the codec field widths to the header, making the blob
-// self-describing (version 1 required the caller to supply the codec).
-// Version 3 replaced the flat fixed-width offset table in the tail with
-// the block-compressed span stream (LabelStore::kTailFormatVersion 2:
-// delta-coded lengths + inlined short labels). The header layout is
-// unchanged between 2 and 3 — only the tail differs — and Deserialize
-// still accepts version-2 blobs.
+// The two headers in front of the shared store tail, picked by run count.
+// Exactly one run: item count and arena bits.
 constexpr char kMagic[8] = {'F', 'V', 'L', 'I', 'D', 'X', '3', '\0'};
-constexpr char kLegacyMagic[8] = {'F', 'V', 'L', 'I', 'D', 'X', '2', '\0'};
-// Multi-run variant (ProvenanceIndex::Merge): adds a per-run item-count
-// table between the scalar header and the shared store tail. FVLMRG2
-// carries the compressed tail; FVLMRG1 blobs still deserialize.
+// Any other count: run count, item count, arena bits, then one item count
+// per run.
 constexpr char kMergedMagic[8] = {'F', 'V', 'L', 'M', 'R', 'G', '2', '\0'};
-constexpr char kLegacyMergedMagic[8] = {'F', 'V', 'L', 'M', 'R', 'G', '1',
-                                        '\0'};
 
-// Tail-format version implied by an 8-byte magic, or 0 when unrecognized.
-int TailVersionForMagic(std::string_view blob, const char (&current)[8],
-                        const char (&legacy)[8]) {
-  if (blob.size() < 8) return 0;
-  if (std::memcmp(blob.data(), current, 8) == 0) {
-    return LabelStore::kTailFormatVersion;
-  }
-  if (std::memcmp(blob.data(), legacy, 8) == 0) return 1;
-  return 0;
+bool HasMagic(std::string_view blob, const char (&magic)[8]) {
+  return blob.size() >= 8 && std::memcmp(blob.data(), magic, 8) == 0;
 }
 
-// Shared validation vocabulary of the three combiners (Merge, FromDeltas,
-// MergeStream::Append) — one wording per failure mode, so the error
-// taxonomy docs/ERRORS.md promises stays uniform by construction.
+// Shared validation vocabulary of the combiners (FromDeltas and
+// CompactStream) — one wording per failure mode, so the error taxonomy
+// docs/ERRORS.md promises stays uniform by construction.
 Status MismatchedCodec(const char* noun, size_t index) {
   return Status::Error(
       ErrorCode::kInvalidArgument,
@@ -79,15 +63,26 @@ ProvenanceIndex ProvenanceIndexBuilder::FromLabeledRun(
 
 int64_t ProvenanceIndex::SizeBits() const {
   // Exact bits of the canonical span representation: every label's content
-  // plus the block-compressed length metadata (the v1 layout instead paid
-  // a fixed-width offset per label here).
-  return store_.SerializedSpanBits();
+  // plus the block-compressed length metadata, and the run base table the
+  // FVLMRG2 header carries.
+  const int64_t table =
+      num_runs() == 1 ? 0
+                      : static_cast<int64_t>(num_runs()) *
+                            BitWidthFor(static_cast<int64_t>(total_items()) + 1);
+  return store_.SerializedSpanBits() + table;
 }
 
 std::string ProvenanceIndex::Serialize() const {
-  std::string blob(kMagic, sizeof(kMagic));
-  LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_items()));
+  const bool single = num_runs() == 1;
+  std::string blob(single ? kMagic : kMergedMagic, sizeof(kMagic));
+  if (!single) LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_runs()));
+  LabelStore::AppendU64(&blob, static_cast<uint64_t>(total_items()));
   LabelStore::AppendU64(&blob, static_cast<uint64_t>(store_.arena_bits()));
+  if (!single) {
+    for (int run = 0; run < num_runs(); ++run) {
+      LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_items(run)));
+    }
+  }
   store_.AppendTail(&blob);
   return blob;
 }
@@ -113,27 +108,50 @@ Result<ProvenanceIndex> ProvenanceIndex::Parse(std::string_view blob,
   auto fail = [](const std::string& message) -> Status {
     return Status::Error(ErrorCode::kMalformedBlob, message);
   };
-  const int tail_version = TailVersionForMagic(blob, kMagic, kLegacyMagic);
-  if (tail_version == 0) return fail("bad magic");
+  const bool merged = HasMagic(blob, kMergedMagic);
+  if (!merged && !HasMagic(blob, kMagic)) return fail("bad magic");
   size_t pos = sizeof(kMagic);
-  uint64_t num_items = 0, arena_bits = 0;
-  if (!LabelStore::ReadU64(blob, &pos, &num_items) ||
+  uint64_t num_runs = 1, total_items = 0, arena_bits = 0;
+  if ((merged && !LabelStore::ReadU64(blob, &pos, &num_runs)) ||
+      !LabelStore::ReadU64(blob, &pos, &total_items) ||
       !LabelStore::ReadU64(blob, &pos, &arena_bits)) {
     return fail("truncated header");
   }
-  // Neither count can describe more bits than the blob itself carries;
-  // checking up front keeps the counts inside int64 range and bounds every
-  // allocation below by the blob size.
+  // No claimed count may describe more bytes than the blob carries, which
+  // caps every allocation below and keeps all arithmetic in int64 range;
+  // num_runs()/total_items() narrow the store's counts to int.
+  if (num_runs > blob.size() / 8) return fail("num_runs exceeds blob");
+  if (num_runs >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return fail("num_runs exceeds supported range");
+  }
   if (arena_bits / 8 > blob.size()) return fail("arena_bits exceeds blob");
-  if (num_items / 8 > blob.size()) return fail("num_items exceeds blob");
-  // num_items() narrows the store's item count to int.
-  if (num_items >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+  if (total_items / 8 > blob.size()) return fail("num_items exceeds blob");
+  if (total_items >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
     return fail("num_items exceeds supported range");
   }
 
-  Result<LabelStore> store =
-      LabelStore::ParseTail(blob, &pos, {0, static_cast<int64_t>(num_items)},
-                            arena_bits, tail_version, borrow_arena);
+  std::vector<int64_t> run_base = {0};
+  if (merged) {
+    run_base.reserve(num_runs + 1);
+    for (uint64_t run = 0; run < num_runs; ++run) {
+      uint64_t count = 0;
+      if (!LabelStore::ReadU64(blob, &pos, &count)) {
+        return fail("truncated run table");
+      }
+      if (count > total_items - static_cast<uint64_t>(run_base.back())) {
+        return fail("run item counts exceed total_items");
+      }
+      run_base.push_back(run_base.back() + static_cast<int64_t>(count));
+    }
+    if (run_base.back() != static_cast<int64_t>(total_items)) {
+      return fail("run item counts do not sum to total_items");
+    }
+  } else {
+    run_base.push_back(static_cast<int64_t>(total_items));
+  }
+
+  Result<LabelStore> store = LabelStore::ParseTail(
+      blob, &pos, std::move(run_base), arena_bits, borrow_arena);
   if (!store.ok()) return store.status();
   return ProvenanceIndex(std::move(store).value());
 }
@@ -147,10 +165,15 @@ Result<ProvenanceIndex> ProvenanceIndex::FromDeltas(
   }
   const LabelCodec& codec = deltas[0].codec();
   int64_t total = 0;
-  for (size_t d = 1; d < deltas.size(); ++d) {
+  for (size_t d = 0; d < deltas.size(); ++d) {
+    if (deltas[d].num_runs() != 1) {
+      return Status::Error(ErrorCode::kInvalidArgument,
+                           "delta " + std::to_string(d) +
+                               " is not a single-run index");
+    }
     if (!(deltas[d].codec() == codec)) return MismatchedCodec("delta", d);
+    total += deltas[d].num_items();
   }
-  for (const ProvenanceIndex& delta : deltas) total += delta.num_items();
   if (!FitsItemCount(total)) return TooManyItems("reassembled index");
 
   // One group, filled by bulk item appends in freeze order: arenas of
@@ -166,146 +189,39 @@ Result<ProvenanceIndex> ProvenanceIndex::FromDeltas(
   return ProvenanceIndex(std::move(store));
 }
 
-Result<MergedProvenanceIndex> ProvenanceIndex::Merge(
+Result<ProvenanceIndex> ProvenanceIndex::Merge(
     std::span<const ProvenanceIndex> runs) {
-  if (runs.empty()) return MergedProvenanceIndex();
-
-  const LabelCodec& codec = runs[0].codec();
-  int64_t total = 0;
-  for (size_t r = 1; r < runs.size(); ++r) {
-    if (!(runs[r].codec() == codec)) return MismatchedCodec("run", r);
-  }
-  for (const ProvenanceIndex& run : runs) total += run.num_items();
-  if (!FitsItemCount(total)) return TooManyItems("merged index");
-
-  // Grouped append into one shared arena: per run, one bulk bit copy plus
-  // integer offset rebasing; item ids stay dense, so (run, item) maps to
-  // the run's group base + item.
-  LabelStore store(codec);
+  CompactStream stream;
   for (const ProvenanceIndex& run : runs) {
-    if (Status status = store.AppendGroups(run.store()); !status.ok()) {
-      return status;
-    }
+    if (Status status = stream.Append(run); !status.ok()) return status;
   }
-  return MergedProvenanceIndex(std::move(store));
-}
-
-// --- MergeStream -------------------------------------------------------------
-
-Status MergeStream::Append(std::string_view blob) {
-  // `run` is the only deserialized input ever alive in the stream; it is
-  // destroyed when Append returns, before the caller touches the next blob.
-  Result<ProvenanceIndex> run = ProvenanceIndex::Deserialize(blob);
-  if (!run.ok()) return run.status();
-  if (!have_codec_) {
-    store_ = LabelStore(run->codec());
-    have_codec_ = true;
-  } else if (!(run->codec() == store_.codec())) {
-    return MismatchedCodec("run", static_cast<size_t>(num_runs()));
-  }
-  if (!FitsItemCount(static_cast<int64_t>(store_.total_items()) +
-                     run->num_items())) {
-    return TooManyItems("merged index");
-  }
-  return store_.AppendGroups(run->store());
-}
-
-Result<MergedProvenanceIndex> MergeStream::Finish() && {
-  if (!have_codec_) return MergedProvenanceIndex();
-  return MergedProvenanceIndex(std::move(store_));
-}
-
-// --- MergedProvenanceIndex ---------------------------------------------------
-
-int64_t MergedProvenanceIndex::SizeBits() const {
-  // Canonical span representation plus the per-run base table.
-  return store_.SerializedSpanBits() +
-         static_cast<int64_t>(num_runs()) *
-             BitWidthFor(static_cast<int64_t>(total_items()) + 1);
-}
-
-std::string MergedProvenanceIndex::Serialize() const {
-  std::string blob(kMergedMagic, sizeof(kMergedMagic));
-  LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_runs()));
-  LabelStore::AppendU64(&blob, static_cast<uint64_t>(total_items()));
-  LabelStore::AppendU64(&blob, static_cast<uint64_t>(store_.arena_bits()));
-  for (int run = 0; run < num_runs(); ++run) {
-    LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_items(run)));
-  }
-  store_.AppendTail(&blob);
-  return blob;
-}
-
-Result<MergedProvenanceIndex> MergedProvenanceIndex::Deserialize(
-    std::string_view blob) {
-  return Parse(blob, /*borrow_arena=*/false);
-}
-
-Result<MergedProvenanceIndex> MergedProvenanceIndex::Map(
-    const std::string& path) {
-  Result<BlobSource> source = BlobSource::MapFile(path);
-  if (!source.ok()) return source.status();
-  source->AdviseSequential();
-  Result<MergedProvenanceIndex> index =
-      Parse(source->view(), /*borrow_arena=*/true);
-  if (!index.ok()) return index.status();
-  source->AdviseRandom();
-  index->backing_ = std::move(source).value();
-  return index;
-}
-
-Result<MergedProvenanceIndex> MergedProvenanceIndex::Parse(
-    std::string_view blob, bool borrow_arena) {
-  auto fail = [](const std::string& message) -> Status {
-    return Status::Error(ErrorCode::kMalformedBlob, message);
-  };
-  const int tail_version =
-      TailVersionForMagic(blob, kMergedMagic, kLegacyMergedMagic);
-  if (tail_version == 0) return fail("bad magic");
-  size_t pos = sizeof(kMergedMagic);
-  uint64_t num_runs = 0, total_items = 0, arena_bits = 0;
-  if (!LabelStore::ReadU64(blob, &pos, &num_runs) ||
-      !LabelStore::ReadU64(blob, &pos, &total_items) ||
-      !LabelStore::ReadU64(blob, &pos, &arena_bits)) {
-    return fail("truncated header");
-  }
-  // Same up-front bounding as the single-run format: no claimed count may
-  // describe more bytes than the blob carries, which caps every allocation
-  // below and keeps all arithmetic in int64 range.
-  if (num_runs > blob.size() / 8) return fail("num_runs exceeds blob");
-  // num_runs() narrows the store's group count to int.
-  if (num_runs >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return fail("num_runs exceeds supported range");
-  }
-  if (arena_bits / 8 > blob.size()) return fail("arena_bits exceeds blob");
-  if (total_items / 8 > blob.size()) return fail("total_items exceeds blob");
-  if (total_items >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return fail("total_items exceeds supported range");
-  }
-
-  std::vector<int64_t> run_base = {0};
-  run_base.reserve(num_runs + 1);
-  for (uint64_t run = 0; run < num_runs; ++run) {
-    uint64_t count = 0;
-    if (!LabelStore::ReadU64(blob, &pos, &count)) {
-      return fail("truncated run table");
-    }
-    if (count > total_items - static_cast<uint64_t>(run_base.back())) {
-      return fail("run item counts exceed total_items");
-    }
-    run_base.push_back(run_base.back() + static_cast<int64_t>(count));
-  }
-  if (run_base.back() != static_cast<int64_t>(total_items)) {
-    return fail("run item counts do not sum to total_items");
-  }
-
-  Result<LabelStore> store = LabelStore::ParseTail(
-      blob, &pos, std::move(run_base), arena_bits, tail_version, borrow_arena);
-  if (!store.ok()) return store.status();
-  return MergedProvenanceIndex(std::move(store).value());
+  return std::move(stream).Finish();
 }
 
 // --- CompactStream -----------------------------------------------------------
+
+Status CompactStream::Append(const ProvenanceIndex& index) {
+  const LabelStore& source = index.store();
+  if (source.num_groups() == 0) {
+    ++inputs_;
+    return Status::Ok();
+  }
+  if (!have_codec_) {
+    store_ = LabelStore(source.codec());
+    have_codec_ = true;
+  } else if (!(source.codec() == store_.codec())) {
+    return MismatchedCodec("input", inputs_);
+  }
+  if (!FitsItemCount(static_cast<int64_t>(store_.total_items()) +
+                     source.total_items())) {
+    return TooManyItems("merged index");
+  }
+  if (Status status = store_.AppendGroups(source); !status.ok()) {
+    return status;
+  }
+  ++inputs_;
+  return Status::Ok();
+}
 
 Status CompactStream::Append(std::string_view blob) {
   return AppendParsed(blob, /*borrow_arena=*/false);
@@ -325,47 +241,15 @@ Status CompactStream::Append(BlobReader* reader) {
 Status CompactStream::AppendParsed(std::string_view blob, bool borrow_arena) {
   // The parsed input is the only deserialized store alive in the stream; it
   // is destroyed when this returns, before the caller touches the next
-  // input (MergeStream's memory discipline, extended to merged inputs).
-  if (TailVersionForMagic(blob, kMergedMagic, kLegacyMergedMagic) != 0) {
-    Result<MergedProvenanceIndex> input =
-        MergedProvenanceIndex::Parse(blob, borrow_arena);
-    if (!input.ok()) return input.status();
-    return AppendStore(input->store());
-  }
+  // input.
   Result<ProvenanceIndex> input = ProvenanceIndex::Parse(blob, borrow_arena);
   if (!input.ok()) return input.status();
-  return AppendStore(input->store());
+  return Append(*input);
 }
 
-Status CompactStream::AppendStore(const LabelStore& source) {
-  if (!have_codec_) {
-    store_ = LabelStore(source.codec());
-    have_codec_ = true;
-  } else if (!(source.codec() == store_.codec())) {
-    return MismatchedCodec("input", inputs_);
-  }
-  if (!FitsItemCount(static_cast<int64_t>(store_.total_items()) +
-                     source.total_items())) {
-    return TooManyItems("compacted index");
-  }
-  if (Status status = store_.AppendGroups(source); !status.ok()) {
-    return status;
-  }
-  ++inputs_;
-  return Status::Ok();
-}
-
-Result<MergedProvenanceIndex> CompactStream::Finish() && {
-  if (!have_codec_) return MergedProvenanceIndex();
-  return MergedProvenanceIndex(std::move(store_));
-}
-
-Result<MergedProvenanceIndex> CompactMerged(std::span<BlobReader> inputs) {
-  CompactStream stream;
-  for (BlobReader& reader : inputs) {
-    if (Status status = stream.Append(&reader); !status.ok()) return status;
-  }
-  return std::move(stream).Finish();
+Result<ProvenanceIndex> CompactStream::Finish() && {
+  if (!have_codec_) return ProvenanceIndex();
+  return ProvenanceIndex(std::move(store_));
 }
 
 }  // namespace fvl

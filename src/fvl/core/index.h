@@ -1,9 +1,9 @@
 // Persistent provenance index: the downstream-adoption layer around the
 // labeling scheme.
 //
-// Both index classes are thin, immutable wrappers over a frozen
-// fvl::LabelStore (core/label_store.h) — one contiguous bit arena plus
-// grouped offsets. A ProvenanceIndexBuilder consumes a labeled run and
+// The index is a thin, immutable wrapper over a frozen fvl::LabelStore
+// (core/label_store.h) — one contiguous bit arena plus grouped offsets,
+// one group per run. A ProvenanceIndexBuilder consumes a labeled run and
 // packs every encoded data label into a single-group store; the resulting
 // ProvenanceIndex is a position-independent blob that can be serialized,
 // mapped back, and queried without the Run or the labeler:
@@ -26,13 +26,12 @@
 #define FVL_CORE_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include <memory>
 
 #include "fvl/core/label_store.h"
 #include "fvl/core/run_labeler.h"
@@ -44,7 +43,6 @@
 namespace fvl {
 
 class ProvenanceIndex;
-class MergedProvenanceIndex;
 
 class ProvenanceIndexBuilder {
  public:
@@ -64,74 +62,108 @@ class ProvenanceIndexBuilder {
   LabelStore store_;
 };
 
+// Provenance of N >= 0 runs of one specification, frozen into a single
+// position-independent artifact: a LabelStore with one group per run. A
+// snapshot is the one-run case (N = 1); Merge and CompactStream combine
+// indexes into many-run ones. Items are
+// addressed by flat id (the run's group base + local item, in arena order —
+// for one run the flat id *is* the item id) or as (run, item) pairs; the
+// grouped offset table maps between them, so cross-run batch sweeps walk
+// one contiguous arena. Copies share the frozen contents and one serving
+// cache.
 class ProvenanceIndex {
  public:
-  // Wraps a frozen single-group store (a builder's output, a session's
-  // live store copied at snapshot time, or a deserialized blob).
+  ProvenanceIndex() = default;  // zero runs, zero items
+  // Wraps a frozen store (a builder's output, a session's live store copied
+  // at snapshot time, a merge, or a deserialized blob).
   explicit ProvenanceIndex(LabelStore store)
       : store_(std::move(store)),
-        cache_(internal::MakeServingCache(store_.total_items())) {
-    FVL_CHECK(store_.num_groups() == 1);
-  }
+        cache_(internal::MakeServingCache(store_.total_items())) {}
 
-  int num_items() const { return store_.total_items(); }
-  // The codec the labels are encoded with; consumers can compare it against
-  // their grammar's codec before decoding (ProvenanceService does).
+  int num_runs() const { return store_.num_groups(); }
+  int num_items(int run) const { return store_.num_items(run); }
+  // Items across all runs; bounded to int range by every producer.
+  int total_items() const { return store_.total_items(); }
+  // Same count, the spelling single-run callers use.
+  int num_items() const { return total_items(); }
+  // The codec the labels are encoded with (all-zero widths for zero runs);
+  // consumers can compare it against their grammar's codec before decoding
+  // (ProvenanceService does).
   const LabelCodec& codec() const { return store_.codec(); }
   // The underlying frozen store (zero-copy span access for batch decode).
   const LabelStore& store() const { return store_; }
-  // Total index size in bits (arena + offset table at minimal width).
+  // Total index size in bits: the canonical span representation, plus a
+  // per-run base table at minimal width when there is more than one run.
   int64_t SizeBits() const;
 
-  // Decodes the label of one item.
-  DataLabel Label(int item) const { return store_.DecodeLabel(item); }
+  // Flat id of (run, item) in arena order.
+  int GlobalId(int run, int item) const { return store_.GlobalId(run, item); }
+  // Inverse direction: the run a flat id belongs to. Queries use this to
+  // keep run boundaries meaningful — items of different runs never depend
+  // on each other (separate executions share no data flow), and the
+  // decoding predicate is only defined over labels of one parse tree.
+  int RunOf(int global) const { return store_.GroupOf(global); }
+
+  // Decodes the label of one item, by flat id or (run, item).
+  DataLabel Label(int global) const { return store_.DecodeLabel(global); }
+  DataLabel Label(int run, int item) const {
+    return Label(GlobalId(run, item));
+  }
   // Exact encoded size of one item's label.
-  int64_t LabelBits(int item) const { return store_.LabelBits(item); }
+  int64_t LabelBits(int global) const { return store_.LabelBits(global); }
+  int64_t LabelBits(int run, int item) const {
+    return LabelBits(GlobalId(run, item));
+  }
 
   // The snapshot-lifetime serving cache (core/serving_cache.h): decoded
-  // labels + reachability memo, shared by copies of this index and freed
-  // with the last one — invalidation is the destructor. Null only for an
-  // empty (zero-item) index. The store is frozen, so entries never go
-  // stale; ProvenanceService consults it on its batch paths.
+  // labels + reachability memo keyed by flat ids, shared by copies of this
+  // index and freed with the last one — invalidation is the destructor.
+  // Null only for an index without items. The store is frozen, so entries
+  // never go stale; ProvenanceService consults it on its batch paths.
   ServingCache* serving_cache() const { return cache_.get(); }
 
-  // Stable little-endian binary format (header incl. codec widths, offsets,
-  // arena). Self-describing: Deserialize needs only the blob.
+  // Stable little-endian binary format, self-describing (codec widths in
+  // the header), so Deserialize needs only the blob. The header follows
+  // the run count: exactly one run writes FVLIDX3 (item count, arena
+  // bits), any other count writes FVLMRG2 (run count, item count, arena
+  // bits, per-run item counts). Both share the store's tail.
   std::string Serialize() const;
-  // Fails with kMalformedBlob on any parse error, including blobs whose
-  // label spans do not decode exactly under the embedded codec — a
-  // returned index never aborts in its accessors. The blob is only read
-  // during the call (the index owns its storage), so borrowed buffers can
-  // be streamed through without copying (MergeStream relies on this).
+  // Parses either format. Fails with kMalformedBlob on any parse error,
+  // including blobs whose label spans do not decode exactly under the
+  // embedded codec — a returned index never aborts in its accessors. The
+  // blob is only read during the call (the index owns its storage), so
+  // borrowed buffers can be streamed through without copying.
   [[nodiscard]] static Result<ProvenanceIndex> Deserialize(std::string_view blob);
 
-  // Serves the index straight out of an archive file: opens and mmaps
-  // `path`, validates it exactly as Deserialize would, and returns an index
-  // whose long-label arena still lives in the mapping — zero arena copy
-  // (store().arena_borrowed() is true for any index with long labels). The
-  // index keeps the mapping alive (copies share it; the file unmaps with
-  // the last copy), so the returned value is self-contained. kIo/kMapFailed
-  // for file-level failures, kMalformedBlob for content ones.
+  // Serves the index straight out of an archive file of either format:
+  // opens and mmaps `path`, validates it exactly as Deserialize would, and
+  // returns an index whose long-label arena still lives in the mapping —
+  // zero arena copy (store().arena_borrowed() is true for any index with
+  // long labels). The index keeps the mapping alive (copies share it; the
+  // file unmaps with the last copy), so the returned value is
+  // self-contained. kIo/kMapFailed for file-level failures, kMalformedBlob
+  // for content ones.
   [[nodiscard]] static Result<ProvenanceIndex> Map(const std::string& path);
 
   // Reassembles incremental snapshots (ProvenanceSession::SnapshotDelta)
   // into the index one full Snapshot() would have produced at the same
   // point — bit-identical, serialization included (golden test in
-  // tests/merge_test.cc). Deltas must be passed in freeze order and share
-  // one codec; a codec mismatch, an empty span (no codec to infer), an
-  // item-count overflow, or an internally inconsistent delta store is
+  // tests/merge_test.cc). Deltas must be single-run indexes passed in
+  // freeze order and share one codec; a codec mismatch, a delta of any
+  // other run count, an empty span (no codec to infer), an item-count
+  // overflow, or an internally inconsistent delta store is
   // kInvalidArgument.
   [[nodiscard]] static Result<ProvenanceIndex> FromDeltas(
       std::span<const ProvenanceIndex> deltas);
 
-  // Combines per-run snapshots of the *same* specification into one
-  // queryable multi-run artifact: a grouped append into one shared arena —
-  // every run becomes a store group, items are addressed as
-  // (run, local_item) pairs, and no label is re-encoded. Runs whose codecs
-  // disagree (i.e. snapshots of structurally different grammars) are
-  // rejected with kInvalidArgument; an empty span yields an empty merged
-  // index rather than an error.
-  [[nodiscard]] static Result<MergedProvenanceIndex> Merge(
+  // Combines indexes of the *same* specification into one queryable
+  // artifact through a CompactStream: every run of every input, in order,
+  // becomes a run of the result — a grouped append into one shared arena,
+  // and no label is re-encoded. Inputs whose codecs disagree (i.e. indexes
+  // of structurally different grammars) are rejected with
+  // kInvalidArgument; an empty span yields an empty index rather than an
+  // error.
+  [[nodiscard]] static Result<ProvenanceIndex> Merge(
       std::span<const ProvenanceIndex> runs);
 
  private:
@@ -139,7 +171,7 @@ class ProvenanceIndex {
 
   // Deserialize/Map core; `borrow_arena` is ParseTail's flag (the returned
   // index then references `blob`, whose lifetime the caller manages —
-  // Map attaches the mapping as backing_, CompactStream drops the store
+  // Map attaches the mapping as backing_, CompactStream drops the index
   // before its reader).
   [[nodiscard]] static Result<ProvenanceIndex> Parse(std::string_view blob,
                                                      bool borrow_arena);
@@ -153,190 +185,73 @@ class ProvenanceIndex {
   BlobSource backing_;
 };
 
-// Many runs of one specification, frozen into a single position-independent
-// artifact (ProvenanceIndex::Merge): a LabelStore with one group per run.
-// Items are addressed as (run, item) pairs: the grouped offset table maps
-// each pair to a flat id into one contiguous shared label arena, so
-// cross-run batch sweeps walk memory linearly instead of chasing per-run
-// snapshots. Serialization follows the single-run format and hardening:
-// self-describing (codec widths in the header), and Deserialize
-// bounds-checks every field and verifies that every label span decodes
-// under the embedded codec before an index is returned — accessors on a
-// deserialized index never abort.
-class MergedProvenanceIndex {
- public:
-  MergedProvenanceIndex() = default;  // zero runs, zero items
-  explicit MergedProvenanceIndex(LabelStore store)
-      : store_(std::move(store)),
-        cache_(internal::MakeServingCache(store_.total_items())) {}
+// The name multi-run callers used before the index types were unified.
+using MergedProvenanceIndex = ProvenanceIndex;
 
-  int num_runs() const { return store_.num_groups(); }
-  int num_items(int run) const { return store_.num_items(run); }
-  // Items across all runs; bounded to int range by Merge/Deserialize.
-  int total_items() const { return store_.total_items(); }
-  // The shared codec of every merged run.
-  const LabelCodec& codec() const { return store_.codec(); }
-  // The underlying frozen store (zero-copy span access for batch decode).
-  const LabelStore& store() const { return store_; }
-
-  // Flat id of (run, item) in arena order.
-  int GlobalId(int run, int item) const { return store_.GlobalId(run, item); }
-  // Inverse direction: the run a flat id belongs to. Queries use this to
-  // keep run boundaries meaningful — items of different runs never depend
-  // on each other (separate executions share no data flow), and the
-  // decoding predicate is only defined over labels of one parse tree.
-  int RunOf(int global) const { return store_.GroupOf(global); }
-
-  // Decodes the label of one item, addressed either way.
-  DataLabel Label(int run, int item) const {
-    return LabelByGlobalId(GlobalId(run, item));
-  }
-  DataLabel LabelByGlobalId(int global) const {
-    return store_.DecodeLabel(global);
-  }
-  // Exact encoded size of one item's label.
-  int64_t LabelBits(int run, int item) const {
-    return store_.LabelBits(GlobalId(run, item));
-  }
-
-  // Snapshot-lifetime serving cache, as on ProvenanceIndex; memo/label
-  // entries are keyed by flat (global) ids. Null for an empty merge.
-  ServingCache* serving_cache() const { return cache_.get(); }
-
-  // Total index size in bits (arena + offset tables at minimal width).
-  int64_t SizeBits() const;
-
-  // Same contract as the single-run pair: stable little-endian format,
-  // kMalformedBlob on any parse or decode inconsistency.
-  std::string Serialize() const;
-  [[nodiscard]] static Result<MergedProvenanceIndex> Deserialize(std::string_view blob);
-
-  // File-served counterpart of Deserialize, with the same contract as
-  // ProvenanceIndex::Map: mmap, validate, borrow the arena from the
-  // mapping, keep the mapping alive alongside the index.
-  [[nodiscard]] static Result<MergedProvenanceIndex> Map(
-      const std::string& path);
-
- private:
-  friend class CompactStream;  // parses inputs with borrowed arenas
-
-  [[nodiscard]] static Result<MergedProvenanceIndex> Parse(
-      std::string_view blob, bool borrow_arena);
-
-  LabelStore store_;
-  std::shared_ptr<ServingCache> cache_;
-  // Keepalive for Map-served indexes (see ProvenanceIndex::backing_).
-  BlobSource backing_;
-};
-
-// Memory-bounded k-way merge: the streaming counterpart of
-// ProvenanceIndex::Merge for *serialized* runs. Each blob is deserialized
-// and appended on its own — the input store is destroyed before Append
-// returns, so merging N runs peaks at O(largest input + output) memory
-// instead of O(sum of inputs) (asserted against internal::StoreCountProbe
-// in tests/merge_test.cc). The finished artifact is bit-identical to
-// deserializing every blob up front and calling Merge (golden-blob test).
-//
-//   MergeStream stream;
-//   for (std::string_view blob : blobs) {
-//     if (Status status = stream.Append(blob); !status.ok()) return status;
-//   }
-//   MergedProvenanceIndex merged = std::move(stream).Finish().value();
-class MergeStream {
- public:
-  MergeStream() = default;
-
-  // Deserializes one single-run blob (FVLIDX3, or a legacy FVLIDX2) and
-  // appends it as the next
-  // run of the merge. kMalformedBlob if the blob does not parse or decode
-  // under its embedded codec; kInvalidArgument if its codec disagrees with
-  // the runs appended before it (a snapshot of a structurally different
-  // grammar) or the merge would exceed the supported item count. On error
-  // the stream is unchanged and may keep appending other blobs.
-  [[nodiscard]] Status Append(std::string_view blob);
-
-  // Runs / items appended so far.
-  int num_runs() const { return store_.num_groups(); }
-  int total_items() const { return store_.total_items(); }
-  // The shared codec every appended run is pinned to (run 0's); all-zero
-  // widths until the first Append succeeds. Lets callers vet the whole
-  // batch against their own grammar after one blob instead of after the
-  // full merge (ProvenanceService::MergeRunsStreamed fails fast on it).
-  const LabelCodec& codec() const { return store_.codec(); }
-
-  // Freezes the appended runs into the merged artifact (an empty stream
-  // yields an empty index, exactly like Merge over an empty span); the
-  // stream is consumed.
-  [[nodiscard]] Result<MergedProvenanceIndex> Finish() &&;
-
- private:
-  bool have_codec_ = false;
-  LabelStore store_;
-};
-
-// LSM-style re-merge: folds already-merged artifacts (FVLMRG2/FVLMRG1) and
-// stray single runs (FVLIDX3/FVLIDX2) into one compacted merged index —
-// the dLSM-shaped maintenance step of the on-disk tier, where L0 run files
-// and earlier compaction outputs collapse into a new archive. Unlike
-// MergeStream it accepts merged inputs directly: their runs are appended
-// in stored order with one bulk bit copy per input, never flattened back
-// into per-run blobs. MergeStream's memory discipline carries over — one
-// parsed input alive at a time, destroyed before the next is touched, so
-// compaction peaks at O(largest input + output) (asserted against
-// internal::StoreCountProbe in tests/disk_tier_test.cc) — and the
-// BlobReader overload parses with a borrowed arena, so a mapped input's
-// payload bits are never copied into the temporary at all. The output is
-// bit-identical to a from-scratch ProvenanceIndex::Merge of the flattened
-// run sequence (AppendTail is canonical whatever the grouping history).
+// Memory-bounded k-way merge, the one builder behind ProvenanceIndex::Merge,
+// ProvenanceService::MergeRunsStreamed and CompactFiles, and the server's
+// kMergeRuns: folds indexes of any run count — in memory, or serialized
+// as FVLIDX3/FVLMRG2 — into one, appending each input's runs in stored
+// order with one bulk bit copy per input, never flattening them back into
+// per-run blobs. This is the LSM-style maintenance step of the on-disk
+// tier too, where L0 run files and earlier compaction outputs collapse
+// into a new archive. A serialized input is parsed on its own and
+// destroyed before Append returns, so merging N blobs peaks at
+// O(largest input + output) memory instead of O(sum of inputs) (asserted
+// against internal::StoreCountProbe in tests/merge_test.cc and
+// tests/disk_tier_test.cc), and the BlobReader overload parses with a
+// borrowed arena, so a mapped input's payload bits are never copied into
+// the temporary at all. The output is bit-identical to a from-scratch
+// Merge of the flattened run sequence (AppendTail is canonical whatever
+// the grouping history).
 //
 //   CompactStream stream;
 //   for (BlobReader& reader : readers) {
 //     if (Status status = stream.Append(&reader); !status.ok()) return status;
 //   }
-//   MergedProvenanceIndex compacted = std::move(stream).Finish().value();
+//   ProvenanceIndex compacted = std::move(stream).Finish().value();
 class CompactStream {
  public:
   CompactStream() = default;
 
-  // Appends every run of one serialized artifact, single-run or merged, in
-  // its stored order. kMalformedBlob if the blob does not parse (an
-  // unrecognized magic included); kInvalidArgument on a codec mismatch with
-  // earlier inputs or item-count overflow. On error the stream is
-  // unchanged and may keep appending other inputs.
+  // Appends every run of one index in its stored order. An input without
+  // runs contributes nothing (and pins no codec). kInvalidArgument on a
+  // codec mismatch with earlier inputs or item-count overflow. On error
+  // the stream is unchanged and may keep appending other inputs.
+  [[nodiscard]] Status Append(const ProvenanceIndex& index);
+
+  // Same, for one serialized index of either format; kMalformedBlob if the
+  // blob does not parse (an unrecognized magic included).
   [[nodiscard]] Status Append(std::string_view blob);
 
   // Same, consuming the reader's remaining bytes. For a mapped source the
   // input's label arena is read in place (borrowed-arena parse) and its
-  // pages are released once appended — the streaming path CompactMerged
-  // and the service-level compaction use.
+  // pages are released once appended — the streaming path the
+  // service-level compaction uses.
   [[nodiscard]] Status Append(BlobReader* reader);
 
   // Runs / items appended so far, across all inputs.
   int num_runs() const { return store_.num_groups(); }
   int total_items() const { return store_.total_items(); }
-  // Pinned by the first input; all-zero widths before that (as on
-  // MergeStream).
+  // The shared codec every appended run is pinned to (the first input's
+  // with runs); all-zero widths before that. Lets callers vet a batch
+  // against their own grammar after its first input instead of after the
+  // full merge (ProvenanceService::MergeRunsStreamed fails fast on it).
   const LabelCodec& codec() const { return store_.codec(); }
 
   // Freezes the appended runs (an empty stream yields an empty index); the
   // stream is consumed.
-  [[nodiscard]] Result<MergedProvenanceIndex> Finish() &&;
+  [[nodiscard]] Result<ProvenanceIndex> Finish() &&;
 
  private:
-  // Shared core: magic-dispatch, parse one input (borrowing its arena from
-  // `blob` when asked — the parsed store never outlives this call), fold
-  // its runs into store_.
+  // Parses one serialized input (borrowing its arena from `blob` when
+  // asked — the parsed index never outlives this call) and appends it.
   [[nodiscard]] Status AppendParsed(std::string_view blob, bool borrow_arena);
-  [[nodiscard]] Status AppendStore(const LabelStore& source);
 
   bool have_codec_ = false;
-  size_t inputs_ = 0;  // artifacts appended (for error attribution)
+  size_t inputs_ = 0;  // inputs appended (for error attribution)
   LabelStore store_;
 };
-
-// Convenience one-shot: compacts `inputs` in order through a CompactStream.
-[[nodiscard]] Result<MergedProvenanceIndex> CompactMerged(
-    std::span<BlobReader> inputs);
 
 }  // namespace fvl
 

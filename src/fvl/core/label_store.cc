@@ -459,7 +459,6 @@ int64_t LabelStore::SerializedSpanBits() const {
 Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
                                          std::vector<int64_t> group_base,
                                          uint64_t arena_bits,
-                                         int tail_version,
                                          bool borrow_arena) {
   auto fail = [](const std::string& message) -> Status {
     return Status::Error(ErrorCode::kMalformedBlob, message);
@@ -482,168 +481,107 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
   }
   store.inline_threshold_ = InlineThresholdBits(store.codec_);
 
-  if (tail_version == kTailFormatVersion) {
-    // v2 tail: version byte, canonical span stream, long-label arena.
-    if (*pos >= blob.size()) return fail("truncated header");
-    const int version = static_cast<unsigned char>(blob[(*pos)++]);
-    if (version != kTailFormatVersion) {
-      return fail("unsupported tail-format version");
-    }
+  // Version byte, canonical span stream, long-label arena.
+  if (*pos >= blob.size()) return fail("truncated header");
+  const int version = static_cast<unsigned char>(blob[(*pos)++]);
+  if (version != kTailFormatVersion) {
+    return fail("unsupported tail-format version");
+  }
 
-    uint64_t span_bits = 0;
-    if (!ReadU64(blob, pos, &span_bits)) return fail("truncated span stream");
-    if (span_bits / 8 > blob.size()) return fail("span stream exceeds blob");
-    std::vector<uint64_t> span_words;
-    span_words.reserve((span_bits + 63) / 64);
-    for (uint64_t w = 0; w < (span_bits + 63) / 64; ++w) {
-      uint64_t word = 0;
-      if (!ReadU64(blob, pos, &word)) return fail("truncated span stream");
-      span_words.push_back(word);
-    }
+  uint64_t span_bits = 0;
+  if (!ReadU64(blob, pos, &span_bits)) return fail("truncated span stream");
+  if (span_bits / 8 > blob.size()) return fail("span stream exceeds blob");
+  std::vector<uint64_t> span_words;
+  span_words.reserve((span_bits + 63) / 64);
+  for (uint64_t w = 0; w < (span_bits + 63) / 64; ++w) {
+    uint64_t word = 0;
+    if (!ReadU64(blob, pos, &word)) return fail("truncated span stream");
+    span_words.push_back(word);
+  }
 
-    uint64_t payload_bits = 0;
-    if (!ReadU64(blob, pos, &payload_bits)) {
+  uint64_t payload_bits = 0;
+  if (!ReadU64(blob, pos, &payload_bits)) {
+    return fail("truncated label arena");
+  }
+  if (payload_bits / 8 > blob.size()) return fail("label arena exceeds blob");
+  const uint64_t payload_word_count = (payload_bits + 63) / 64;
+  // Borrowing only applies to a nonempty arena: an empty one has nothing
+  // to point at and stays in the plain owned state.
+  const bool borrow = borrow_arena && payload_word_count > 0;
+  std::vector<uint64_t> payload_words;
+  if (borrow) {
+    // Same bounds discipline as ReadU64, in word units: the blob must
+    // hold all payload words at *pos (subtraction form — no wraparound).
+    if (blob.size() / 8 < payload_word_count ||
+        *pos > blob.size() - 8 * payload_word_count) {
       return fail("truncated label arena");
     }
-    if (payload_bits / 8 > blob.size()) return fail("label arena exceeds blob");
-    const uint64_t payload_word_count = (payload_bits + 63) / 64;
-    // Borrowing only applies to a nonempty v2 arena (v1 re-splits payloads,
-    // so this whole branch is already version-gated); an empty arena has
-    // nothing to point at and stays in the plain owned state.
-    const bool borrow = borrow_arena && payload_word_count > 0;
-    std::vector<uint64_t> payload_words;
-    if (borrow) {
-      // Same bounds discipline as ReadU64, in word units: the blob must
-      // hold all payload words at *pos (subtraction form — no wraparound).
-      if (blob.size() / 8 < payload_word_count ||
-          *pos > blob.size() - 8 * payload_word_count) {
-        return fail("truncated label arena");
-      }
-      store.borrowed_arena_ =
-          reinterpret_cast<const uint8_t*>(blob.data()) + *pos;
-      store.borrowed_arena_bits_ = static_cast<int64_t>(payload_bits);
-      *pos += 8 * payload_word_count;
-    } else {
-      payload_words.reserve(payload_word_count);
-      for (uint64_t w = 0; w < payload_word_count; ++w) {
-        uint64_t word = 0;
-        if (!ReadU64(blob, pos, &word)) return fail("truncated label arena");
-        payload_words.push_back(word);
-      }
-    }
-
-    BitReader span(&span_words, 0, static_cast<int64_t>(span_bits));
-    span.set_permissive();
-    BitReader payload(&payload_words, 0,
-                      borrow ? 0 : static_cast<int64_t>(payload_bits));
-    payload.set_permissive();
-    uint64_t consumed = 0;       // label content bits accounted for so far
-    uint64_t long_consumed = 0;  // of those, bits living in the long arena
-    for (uint64_t first = 0; first < num_items; first += kBlockItems) {
-      const int count = static_cast<int>(
-          std::min<uint64_t>(kBlockItems, num_items - first));
-      const uint64_t base_len = span.ReadVByte();
-      const int delta_width = static_cast<int>(span.ReadFixed(6));
-      if (span.failed()) return fail("truncated span stream");
-      if (base_len > arena_bits) return fail("label lengths exceed the arena");
-      for (int i = 0; i < count; ++i) {
-        const uint64_t length = base_len + span.ReadFixed(delta_width);
-        if (span.failed()) return fail("truncated span stream");
-        if (length < 2) return fail("label shorter than its presence bits");
-        if (length > arena_bits - consumed) {
-          return fail("label lengths exceed the arena");
-        }
-        consumed += length;
-        const bool is_inline =
-            length <= static_cast<uint64_t>(store.inline_threshold_);
-        if (!is_inline && borrow) {
-          // The payload already sits in the borrowed bytes; account for it
-          // without copying. Bounds-checked against the declared arena size
-          // exactly as CheckRemaining would be.
-          if (length > payload_bits - long_consumed) {
-            return fail("truncated label arena");
-          }
-          long_consumed += length;
-          store.AppendSpanBorrowed(static_cast<int64_t>(length));
-          continue;
-        }
-        if (!is_inline) long_consumed += length;
-        BitReader* source = is_inline ? &span : &payload;
-        if (!source->CheckRemaining(length)) {
-          return fail(is_inline ? "truncated span stream"
-                                : "truncated label arena");
-        }
-        store.AppendSpan(source, static_cast<int64_t>(length));
-      }
-    }
-    // Also rejects 0-item blobs claiming a nonzero arena: AppendGroups
-    // rebases against the covered counters, so uncovered content would be
-    // grafted onto the next appended group's first span.
-    if (consumed != arena_bits) {
-      return fail("label lengths do not cover the arena");
-    }
-    if (!span.AtEnd()) return fail("span stream has trailing bits");
-    if (long_consumed != payload_bits) {
-      return fail("label arena has trailing bits");
-    }
+    store.borrowed_arena_ =
+        reinterpret_cast<const uint8_t*>(blob.data()) + *pos;
+    store.borrowed_arena_bits_ = static_cast<int64_t>(payload_bits);
+    *pos += 8 * payload_word_count;
   } else {
-    // v1 tail (FVLIDX2/FVLMRG1): flat offset table bit-packed at a fixed
-    // width, then one arena holding every payload. Parsed into the v2
-    // in-memory form — the offsets become per-item lengths, the payloads
-    // are re-split between the meta stream and the long-label arena.
-    if (*pos >= blob.size()) return fail("truncated header");
-    int offset_width = static_cast<unsigned char>(blob[(*pos)++]);
-    if (offset_width != BitWidthFor(static_cast<int64_t>(arena_bits) + 1)) {
-      return fail("inconsistent offset width");
-    }
-
-    uint64_t offset_words = 0;
-    if (!ReadU64(blob, pos, &offset_words)) return fail("truncated offsets");
-    if (offset_width > 0 &&
-        num_items > offset_words * 64 / static_cast<uint64_t>(offset_width)) {
-      return fail("offset table too small");
-    }
-    BitWriter packed;
-    for (uint64_t w = 0; w < offset_words; ++w) {
+    payload_words.reserve(payload_word_count);
+    for (uint64_t w = 0; w < payload_word_count; ++w) {
       uint64_t word = 0;
-      if (!ReadU64(blob, pos, &word)) return fail("truncated offsets");
-      packed.WriteFixed(word, 64);
+      if (!ReadU64(blob, pos, &word)) return fail("truncated label arena");
+      payload_words.push_back(word);
     }
-    BitReader reader(packed);
-    std::vector<int64_t> offsets = {0};
-    offsets.reserve(num_items + 1);
-    for (uint64_t item = 0; item < num_items; ++item) {
-      int64_t offset = static_cast<int64_t>(reader.ReadFixed(offset_width));
-      if (offset < offsets.back() ||
-          offset > static_cast<int64_t>(arena_bits)) {
-        return fail("non-monotone offsets");
-      }
-      offsets.push_back(offset);
-    }
-    if (offsets.back() != static_cast<int64_t>(arena_bits)) {
-      return fail("offsets do not cover the arena");
-    }
+  }
 
-    uint64_t arena_words = 0;
-    if (!ReadU64(blob, pos, &arena_words)) return fail("truncated arena");
-    if (arena_words < (arena_bits + 63) / 64) return fail("arena too small");
-    if (arena_words > blob.size() / 8) return fail("truncated arena");
-    std::vector<uint64_t> words;
-    words.reserve(arena_words);
-    for (uint64_t w = 0; w < arena_words; ++w) {
-      uint64_t word = 0;
-      if (!ReadU64(blob, pos, &word)) return fail("truncated arena");
-      words.push_back(word);
-    }
-
-    // Consecutive offsets partition the v1 arena, so one sequential pass
-    // re-homes every payload.
-    BitReader payload(&words, 0, static_cast<int64_t>(arena_bits));
-    for (uint64_t item = 0; item < num_items; ++item) {
-      const int64_t length = offsets[item + 1] - offsets[item];
+  BitReader span(&span_words, 0, static_cast<int64_t>(span_bits));
+  span.set_permissive();
+  BitReader payload(&payload_words, 0,
+                    borrow ? 0 : static_cast<int64_t>(payload_bits));
+  payload.set_permissive();
+  uint64_t consumed = 0;       // label content bits accounted for so far
+  uint64_t long_consumed = 0;  // of those, bits living in the long arena
+  for (uint64_t first = 0; first < num_items; first += kBlockItems) {
+    const int count = static_cast<int>(
+        std::min<uint64_t>(kBlockItems, num_items - first));
+    const uint64_t base_len = span.ReadVByte();
+    const int delta_width = static_cast<int>(span.ReadFixed(6));
+    if (span.failed()) return fail("truncated span stream");
+    if (base_len > arena_bits) return fail("label lengths exceed the arena");
+    for (int i = 0; i < count; ++i) {
+      const uint64_t length = base_len + span.ReadFixed(delta_width);
+      if (span.failed()) return fail("truncated span stream");
       if (length < 2) return fail("label shorter than its presence bits");
-      store.AppendSpan(&payload, length);
+      if (length > arena_bits - consumed) {
+        return fail("label lengths exceed the arena");
+      }
+      consumed += length;
+      const bool is_inline =
+          length <= static_cast<uint64_t>(store.inline_threshold_);
+      if (!is_inline && borrow) {
+        // The payload already sits in the borrowed bytes; account for it
+        // without copying. Bounds-checked against the declared arena size
+        // exactly as CheckRemaining would be.
+        if (length > payload_bits - long_consumed) {
+          return fail("truncated label arena");
+        }
+        long_consumed += length;
+        store.AppendSpanBorrowed(static_cast<int64_t>(length));
+        continue;
+      }
+      if (!is_inline) long_consumed += length;
+      BitReader* source = is_inline ? &span : &payload;
+      if (!source->CheckRemaining(length)) {
+        return fail(is_inline ? "truncated span stream"
+                              : "truncated label arena");
+      }
+      store.AppendSpan(source, static_cast<int64_t>(length));
     }
+  }
+  // Also rejects 0-item blobs claiming a nonzero arena: AppendGroups
+  // rebases against the covered counters, so uncovered content would be
+  // grafted onto the next appended group's first span.
+  if (consumed != arena_bits) {
+    return fail("label lengths do not cover the arena");
+  }
+  if (!span.AtEnd()) return fail("span stream has trailing bits");
+  if (long_consumed != payload_bits) {
+    return fail("label arena has trailing bits");
   }
 
   if (*pos != blob.size()) return fail("trailing bytes");

@@ -24,21 +24,18 @@
 //
 //   * live sessions append labels as items are created (RunLabeler);
 //   * snapshots freeze the store by copying it — no re-encode
-//     (ProvenanceIndex is a frozen single-group store); the streams are
-//     append-only, so the labels added since the last freeze are one
+//     (ProvenanceIndex is a frozen store of one group per run); the streams
+//     are append-only, so the labels added since the last freeze are one
 //     contiguous range of each stream and ExtractDelta freezes
 //     *incrementally* in O(delta) (the §2.3 mid-run checkpointing path);
 //   * multi-run merging appends whole stores group-by-group with two bulk
 //     bit copies and per-skip integer fixups — no label is re-encoded or
-//     even re-delimited (MergedProvenanceIndex is a frozen many-group
-//     store; MergeStream stays memory-bounded);
+//     even re-delimited (CompactStream stays memory-bounded);
 //   * both the FVLIDX3 and FVLMRG2 blob formats share the store's
-//     serialized tail and its hardened ParseTail, which is
-//     version-dispatched: pre-existing FVLIDX2/FVLMRG1 blobs (flat
-//     fixed-width offset tables) still deserialize, into the v2 in-memory
-//     form. Every parse bounds-checks every field and verifies that every
-//     span decodes under the embedded codec before a store is returned —
-//     accessors of a parsed store never abort.
+//     serialized tail and its hardened ParseTail. Every parse
+//     bounds-checks every field and verifies that every span decodes under
+//     the embedded codec before a store is returned — accessors of a
+//     parsed store never abort.
 //
 // Serialization is *canonical*: AppendTail re-chunks the length sequence
 // into fixed blocks of kBlockItems labels (vbyte block-minimum length +
@@ -73,7 +70,7 @@ namespace internal {
 
 // Process-wide census of live LabelStore instances (relaxed atomics; a
 // member of every store, so construction, copies, and destruction are all
-// counted — moved-from stores still exist and still count). MergeStream's
+// counted — moved-from stores still exist and still count). CompactStream's
 // memory-boundedness contract — at most one deserialized input store alive
 // at a time on top of the output — is asserted against this probe by
 // tests/merge_test.cc and reported by bench_merge_query as a peak-RSS
@@ -269,29 +266,25 @@ class LabelStore {
 
   // Parses and validates the tail starting at *pos; on success the blob is
   // fully consumed and every label span is known to decode exactly under
-  // the embedded codec. `tail_version` comes from the caller's magic
-  // dispatch: 1 parses the legacy flat-offset tail (FVLIDX2/FVLMRG1), 2
-  // the block-compressed tail (FVLIDX3/FVLMRG2); either way the returned
-  // store uses the v2 in-memory form. `group_base` and `arena_bits` (total
-  // label content bits) come from the caller's header and must already be
-  // bounded by the blob size (counts within int range, bases monotone).
-  // By default the blob is only read during the call — the returned store
-  // owns its words, so callers may stream borrowed buffers through without
-  // copying them into std::strings. With `borrow_arena` set (and a v2
-  // tail), the long-label arena — the dominant bit range of a large store —
+  // the embedded codec. A tail whose version byte is not
+  // kTailFormatVersion is kMalformedBlob. `group_base` and `arena_bits`
+  // (total label content bits) come from the caller's header and must
+  // already be bounded by the blob size (counts within int range, bases
+  // monotone). By default the blob is only read during the call — the
+  // returned store owns its words, so callers may stream borrowed buffers
+  // through without copying them into std::strings. With `borrow_arena`
+  // set, the long-label arena — the dominant bit range of a large store —
   // is NOT copied: the store keeps a pointer into `blob` and serves arena
   // reads from it, so the caller must keep the blob bytes alive and
   // unchanged for the store's lifetime (ProvenanceIndex::Map holds the
   // BlobSource alongside the store). The meta stream is re-encoded and
-  // owned either way, as is everything parsed from a v1 tail (whose arena
-  // must be re-split, so the flag is ignored). Any mutation of a borrowed
-  // store first thaws the arena into owned words (copy-on-thaw), after
-  // which the blob may be released.
+  // owned either way. Any mutation of a borrowed store first thaws the
+  // arena into owned words (copy-on-thaw), after which the blob may be
+  // released.
   [[nodiscard]] static Result<LabelStore> ParseTail(std::string_view blob,
                                                     size_t* pos,
                                                     std::vector<int64_t> group_base,
                                                     uint64_t arena_bits,
-                                                    int tail_version,
                                                     bool borrow_arena = false);
 
   // Little-endian u64 helpers shared with the format headers. ReadU64

@@ -9,8 +9,8 @@
 //     hot query pair skips decoding *and* the predicate entirely.
 //
 // Ownership is the whole invalidation story: the cache lives inside the
-// ProvenanceIndex / MergedProvenanceIndex it serves (shared by copies of
-// that index) and dies with the snapshot. The underlying store is frozen,
+// ProvenanceIndex it serves (shared by copies of that index) and dies
+// with the snapshot. The underlying store is frozen,
 // so entries can never go stale — there is no invalidate path at all.
 //
 // Correctness-by-construction rules (relied on by the differential tests):

@@ -55,8 +55,8 @@ struct MergeInfo {
   int total_items = 0;
 };
 
-// What OpenIndexFile hands back (single-run archives; merged archives come
-// back as a MergeInfo from OpenMergedIndexFile).
+// What OpenIndexFile hands back (OpenMergedIndexFile reports the same open
+// as a MergeInfo, with the run count).
 struct OpenInfo {
   uint64_t index_id = 0;
   int num_items = 0;
@@ -99,13 +99,13 @@ class ProvenanceClient {
   // writes) them; archive bytes never cross the wire. The returned ids
   // feed the same query calls as Snapshot/MergeRuns ids.
 
-  // Maps a serialized single-run archive server-side and registers it.
+  // Maps a serialized archive (either format) server-side and registers
+  // it; the two calls differ only in the reply they decode.
   [[nodiscard]] Result<OpenInfo> OpenIndexFile(const std::string& path);
-  // Maps a serialized merged archive server-side and registers it.
   [[nodiscard]] Result<MergeInfo> OpenMergedIndexFile(const std::string& path);
-  // LSM-style server-side re-merge: compacts the named archives (single-run
-  // or merged, any mix) into one FVLMRG2 file at output_path and registers
-  // the result.
+  // LSM-style server-side re-merge: compacts the named archives (any run
+  // counts, any mix) into one archive at output_path, replacing it
+  // atomically, and registers the result.
   [[nodiscard]] Result<MergeInfo> CompactFiles(
       std::span<const std::string> input_paths,
       const std::string& output_path);

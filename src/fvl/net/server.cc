@@ -81,8 +81,8 @@ class ProvenanceServer::Impl {
     stats.point_batches = point_batches_.load(std::memory_order_relaxed);
     stats.frames = frames_.load(std::memory_order_relaxed);
     stats.connections = connections_accepted_.load(std::memory_order_relaxed);
-    // Cache counters live on the snapshots, not the server: sum them over
-    // the registered indexes. state_mu_ only guards the map walk — the
+    // Cache counters live on the indexes, not the server: sum them over
+    // the registered artifacts. state_mu_ only guards the map walk — the
     // counters themselves are relaxed atomics, safe to read live.
     MutexLock lock(&state_mu_);
     auto add = [&stats](const ServingCache* cache) {
@@ -93,8 +93,7 @@ class ProvenanceServer::Impl {
       stats.reach_hits += s.reach_hits;
       stats.reach_misses += s.reach_misses;
     };
-    for (const auto& [id, index] : indexes_) add(index->serving_cache());
-    for (const auto& [id, index] : merged_) add(index->serving_cache());
+    for (const auto& [id, index] : artifacts_) add(index->serving_cache());
     return stats;
   }
 
@@ -368,7 +367,7 @@ class ProvenanceServer::Impl {
         continue;
       }
       std::shared_ptr<const ProvenanceIndex> index =
-          LookupIndex(std::get<1>(key));
+          LookupArtifact(std::get<1>(key));
       if (index == nullptr) {
         fail(NotFound("index", std::get<1>(key)));
         continue;
@@ -504,16 +503,9 @@ class ProvenanceServer::Impl {
                                 : entry->session->Snapshot();
     int frozen = entry->session->frozen_items();
     entry->mu.Unlock();
-    int num_items = index.num_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_artifact_id_++;
-      indexes_[id] =
-          std::make_shared<const ProvenanceIndex>(std::move(index));
-    }
+    const int num_items = index.num_items();
     std::string body;
-    AppendU64(&body, id);
+    AppendU64(&body, Register(std::move(index)));
     AppendU64(&body, static_cast<uint64_t>(num_items));
     AppendU64(&body, static_cast<uint64_t>(frozen));
     return OkResponse(body);
@@ -523,7 +515,7 @@ class ProvenanceServer::Impl {
     Result<ViewHandle> handle = LookupView(request.view_id);
     if (!handle.ok()) return ErrorResponse(handle.status());
     std::shared_ptr<const ProvenanceIndex> index =
-        LookupIndex(request.index_id);
+        LookupArtifact(request.index_id);
     if (index == nullptr) {
       return ErrorResponse(NotFound("index", request.index_id));
     }
@@ -539,7 +531,7 @@ class ProvenanceServer::Impl {
     Result<ViewHandle> handle = LookupView(request.view_id);
     if (!handle.ok()) return ErrorResponse(handle.status());
     std::shared_ptr<const ProvenanceIndex> index =
-        LookupIndex(request.index_id);
+        LookupArtifact(request.index_id);
     if (index == nullptr) {
       return ErrorResponse(NotFound("index", request.index_id));
     }
@@ -553,113 +545,90 @@ class ProvenanceServer::Impl {
 
   std::string HandleMergeRuns(const Request& request)
       FVL_EXCLUDES(state_mu_) {
-    // Serialize each snapshot and feed the memory-bounded streamed merge —
-    // the same path a file-backed archive would take, so the wire op
-    // inherits its O(largest run + output) bound and error taxonomy.
-    std::vector<std::string> blobs;
-    blobs.reserve(request.index_ids.size());
-    for (uint64_t id : request.index_ids) {
-      std::shared_ptr<const ProvenanceIndex> index = LookupIndex(id);
+    // Every registered artifact already passed this service's codec check
+    // (sessions label against its grammar; files and compactions are
+    // vetted on the way in), so the registered indexes feed the streaming
+    // builder directly — each input's runs are appended in stored order.
+    CompactStream stream;
+    for (size_t i = 0; i < request.index_ids.size(); ++i) {
+      const uint64_t id = request.index_ids[i];
+      std::shared_ptr<const ProvenanceIndex> index = LookupArtifact(id);
       if (index == nullptr) return ErrorResponse(NotFound("index", id));
-      blobs.push_back(index->Serialize());
+      if (Status status = stream.Append(*index); !status.ok()) {
+        return ErrorResponse(Status::Error(
+            status.code(),
+            "index " + std::to_string(i) + ": " + status.message()));
+      }
     }
-    std::vector<std::string_view> views(blobs.begin(), blobs.end());
-    Result<MergedProvenanceIndex> merged = service_->MergeRunsStreamed(views);
+    Result<ProvenanceIndex> merged = std::move(stream).Finish();
     if (!merged.ok()) return ErrorResponse(merged.status());
-    int num_runs = merged->num_runs();
-    int total_items = merged->total_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_artifact_id_++;
-      merged_[id] = std::make_shared<const MergedProvenanceIndex>(
-          std::move(merged).value());
-    }
-    std::string body;
-    AppendU64(&body, id);
-    AppendU64(&body, static_cast<uint64_t>(num_runs));
-    AppendU64(&body, static_cast<uint64_t>(total_items));
-    return OkResponse(body);
+    return MergeInfoResponse(std::move(merged).value());
   }
 
   std::string HandleOpenIndexFile(const Request& request)
       FVL_EXCLUDES(state_mu_) {
     // The mapped index holds its BlobSource keepalive, so registering it
     // serves queries straight off the archive's pages — a cold open is the
-    // whole point of the on-disk tier (bench/bench_mmap_serve.cc).
-    if (request.merged_file) {
-      Result<MergedProvenanceIndex> merged =
-          service_->OpenMergedIndexFile(request.path);
-      if (!merged.ok()) return ErrorResponse(merged.status());
-      int num_runs = merged->num_runs();
-      int total_items = merged->total_items();
-      uint64_t id;
-      {
-        MutexLock lock(&state_mu_);
-        id = next_artifact_id_++;
-        merged_[id] = std::make_shared<const MergedProvenanceIndex>(
-            std::move(merged).value());
-      }
-      std::string body;
-      AppendU64(&body, id);
-      AppendU64(&body, static_cast<uint64_t>(num_runs));
-      AppendU64(&body, static_cast<uint64_t>(total_items));
-      return OkResponse(body);
-    }
+    // whole point of the on-disk tier (bench/bench_mmap_serve.cc). Either
+    // format opens either way; the flag only picks the reply shape.
     Result<ProvenanceIndex> index = service_->OpenIndexFile(request.path);
     if (!index.ok()) return ErrorResponse(index.status());
-    int num_items = index->num_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_artifact_id_++;
-      indexes_[id] =
-          std::make_shared<const ProvenanceIndex>(std::move(index).value());
+    if (request.merged_file) {
+      return MergeInfoResponse(std::move(index).value());
     }
+    const int num_items = index->num_items();
     std::string body;
-    AppendU64(&body, id);
+    AppendU64(&body, Register(std::move(index).value()));
     AppendU64(&body, static_cast<uint64_t>(num_items));
     return OkResponse(body);
   }
 
   std::string HandleCompactFiles(const Request& request)
       FVL_EXCLUDES(state_mu_) {
-    Result<MergedProvenanceIndex> merged =
+    Result<ProvenanceIndex> merged =
         service_->CompactFiles(request.input_paths, request.path);
     if (!merged.ok()) return ErrorResponse(merged.status());
-    int num_runs = merged->num_runs();
-    int total_items = merged->total_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_artifact_id_++;
-      merged_[id] = std::make_shared<const MergedProvenanceIndex>(
-          std::move(merged).value());
-    }
-    std::string body;
-    AppendU64(&body, id);
-    AppendU64(&body, static_cast<uint64_t>(num_runs));
-    AppendU64(&body, static_cast<uint64_t>(total_items));
-    return OkResponse(body);
+    return MergeInfoResponse(std::move(merged).value());
   }
 
   std::string HandleQueryAcrossRuns(const Request& request) {
     Result<ViewHandle> handle = LookupView(request.view_id);
     if (!handle.ok()) return ErrorResponse(handle.status());
-    std::shared_ptr<const MergedProvenanceIndex> merged =
-        LookupMerged(request.index_id);
-    if (merged == nullptr) {
-      return ErrorResponse(NotFound("merged index", request.index_id));
+    std::shared_ptr<const ProvenanceIndex> index =
+        LookupArtifact(request.index_id);
+    if (index == nullptr) {
+      return ErrorResponse(NotFound("index", request.index_id));
     }
     Result<std::vector<bool>> answers = service_->QueryAcrossRuns(
-        *handle, *merged, request.run_pairs, request.mode);
+        *handle, *index, request.run_pairs, request.mode);
     if (!answers.ok()) return ErrorResponse(answers.status());
     std::string body;
     AppendBools(&body, *answers);
     return OkResponse(body);
   }
 
-  // --- Registry lookups ---------------------------------------------------
+  // Registers `index` and replies {id, num_runs, total_items}.
+  std::string MergeInfoResponse(ProvenanceIndex index)
+      FVL_EXCLUDES(state_mu_) {
+    const int num_runs = index.num_runs();
+    const int total_items = index.total_items();
+    std::string body;
+    AppendU64(&body, Register(std::move(index)));
+    AppendU64(&body, static_cast<uint64_t>(num_runs));
+    AppendU64(&body, static_cast<uint64_t>(total_items));
+    return OkResponse(body);
+  }
+
+  // --- Registry -----------------------------------------------------------
+
+  // Adds an index to the artifact registry under a fresh id.
+  uint64_t Register(ProvenanceIndex index) FVL_EXCLUDES(state_mu_) {
+    auto shared = std::make_shared<const ProvenanceIndex>(std::move(index));
+    MutexLock lock(&state_mu_);
+    const uint64_t id = next_artifact_id_++;
+    artifacts_[id] = std::move(shared);
+    return id;
+  }
 
   Result<ViewHandle> LookupView(uint64_t view_id) FVL_EXCLUDES(state_mu_) {
     MutexLock lock(&state_mu_);
@@ -674,18 +643,11 @@ class ProvenanceServer::Impl {
     return it == sessions_.end() ? nullptr : it->second;
   }
 
-  std::shared_ptr<const ProvenanceIndex> LookupIndex(uint64_t index_id)
+  std::shared_ptr<const ProvenanceIndex> LookupArtifact(uint64_t id)
       FVL_EXCLUDES(state_mu_) {
     MutexLock lock(&state_mu_);
-    auto it = indexes_.find(index_id);
-    return it == indexes_.end() ? nullptr : it->second;
-  }
-
-  std::shared_ptr<const MergedProvenanceIndex> LookupMerged(
-      uint64_t merged_id) FVL_EXCLUDES(state_mu_) {
-    MutexLock lock(&state_mu_);
-    auto it = merged_.find(merged_id);
-    return it == merged_.end() ? nullptr : it->second;
+    auto it = artifacts_.find(id);
+    return it == artifacts_.end() ? nullptr : it->second;
   }
 
   // --- State --------------------------------------------------------------
@@ -704,19 +666,17 @@ class ProvenanceServer::Impl {
       FVL_GUARDED_BY(conns_mu_);
 
   // Wire-visible registries. Mutable: the const stats() reader walks the
-  // index maps under it to aggregate cache counters.
+  // artifact map under it to aggregate cache counters.
   mutable Mutex state_mu_;
   std::vector<ViewHandle> views_ FVL_GUARDED_BY(state_mu_);
   std::unordered_map<uint64_t, std::shared_ptr<SessionEntry>> sessions_
       FVL_GUARDED_BY(state_mu_);
+  // Every index the wire can name — snapshots, deltas, merges, mapped
+  // files, compactions — under one id space; any id answers on every
+  // query op.
   std::unordered_map<uint64_t, std::shared_ptr<const ProvenanceIndex>>
-      indexes_ FVL_GUARDED_BY(state_mu_);
-  std::unordered_map<uint64_t, std::shared_ptr<const MergedProvenanceIndex>>
-      merged_ FVL_GUARDED_BY(state_mu_);
+      artifacts_ FVL_GUARDED_BY(state_mu_);
   uint64_t next_session_id_ FVL_GUARDED_BY(state_mu_) = 1;
-  // One counter for snapshots and merged indexes alike, so an id names one
-  // artifact: a single-run id sent to a merged op (or the reverse) is
-  // kNotFound instead of silently resolving to an unrelated index.
   uint64_t next_artifact_id_ FVL_GUARDED_BY(state_mu_) = 1;
 
   // Coalescing queue.

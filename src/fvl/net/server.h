@@ -4,9 +4,10 @@
 // One server wraps one ProvenanceService and exposes the full session
 // lifecycle over the wire protocol of net/wire.h: register-view /
 // begin-run / apply / snapshot / snapshot-delta / depends-many /
-// visibility-sweep / merge-runs / query-across-runs. Views, sessions,
-// snapshots and merged artifacts live server-side behind small integer
-// ids, so queries ship ids and answers — never labels or arenas.
+// visibility-sweep / merge-runs / query-across-runs. Views, sessions and
+// indexes live server-side behind small integer ids, so queries ship ids
+// and answers — never labels or arenas. Indexes of any run count share one
+// registry: every index id answers on every query op.
 //
 // Threading: one accept loop, one thread per connection, and one shared
 // *batcher* thread. Point dependency queries (MsgType::kDepends) are not
@@ -59,8 +60,8 @@ struct ServerStats {
   uint64_t frames = 0;         // request frames processed
   uint64_t connections = 0;    // connections accepted
 
-  // Serving-cache effectiveness, summed over every index and merged index
-  // currently registered with the server (each snapshot owns its caches —
+  // Serving-cache effectiveness, summed over every index currently
+  // registered with the server (each snapshot owns its caches —
   // core/serving_cache.h — so these reset when snapshots are replaced, not
   // when the server restarts).
   uint64_t label_hits = 0;   // decoded-label cache hits

@@ -10,7 +10,8 @@
 // FileHandle owns a descriptor; MmapRegion owns a read-only mapping of
 // one. Both are move-only. Higher layers should not use these directly —
 // BlobSource (util/blob_source.h) is the ownership abstraction indexes
-// actually hold.
+// actually hold, and WriteFileReplacing the one way archives are written
+// over files that may be mapped.
 
 #ifndef FVL_UTIL_FILE_H_
 #define FVL_UTIL_FILE_H_
@@ -20,7 +21,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -230,6 +233,30 @@ class MmapRegion {
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
 };
+
+// Replaces `path` with `bytes` by writing a temporary file beside it (in
+// the same directory, named uniquely per call) and renaming it over
+// `path`. A process that mapped the previous file keeps its inode, so its
+// pages stay valid — truncating in place would pull them out from under
+// it (SIGBUS on the next access). On any failure the temporary is removed
+// and the previous file, if any, is left intact. No fsync: this orders the
+// replacement against concurrent readers, not against power loss.
+[[nodiscard]] inline Status WriteFileReplacing(const std::string& path,
+                                               std::string_view bytes) {
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
+  Result<FileHandle> out = FileHandle::CreateTruncate(temp);
+  if (!out.ok()) return out.status();
+  Status status = out->WriteAll(bytes);
+  if (status.ok()) status = out->Close();
+  if (status.ok() && std::rename(temp.c_str(), path.c_str()) != 0) {
+    status = internal::IoError("rename", temp);
+  }
+  if (!status.ok()) ::unlink(temp.c_str());
+  return status;
+}
 
 }  // namespace fvl
 

@@ -193,7 +193,7 @@ TEST(ServingCache, LabelAndReachRoundTripWithExactKeys) {
 
 TEST(ServingCache, EmptySnapshotsCarryNoCache) {
   EXPECT_EQ(internal::MakeServingCache(0), nullptr);
-  MergedProvenanceIndex empty;
+  ProvenanceIndex empty;
   EXPECT_EQ(empty.serving_cache(), nullptr);
 }
 
@@ -298,8 +298,7 @@ TEST(CacheDifferential, RandomizedSyntheticSpecsSingleAndMerged) {
 
     // Merged differential: flat-id pairs, including cross-run pairs (false
     // by definition — must stay false with the memo engaged).
-    MergedProvenanceIndex merged =
-        ProvenanceIndex::Merge(snapshots).value();
+    ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
     ASSERT_NE(merged.serving_cache(), nullptr);
     const auto flat = RandomQueries(merged.total_items(), 200, 900 + s);
     for (ViewLabelMode mode : kAllModes) {
@@ -318,6 +317,33 @@ TEST(CacheDifferential, RandomizedSyntheticSpecsSingleAndMerged) {
     }
     EXPECT_GT(merged.serving_cache()->stats().reach_hits, 0u);
   }
+}
+
+// A pair across two runs is answered false before any decode: it touches
+// neither the label cache nor the memo, so a batch of only such pairs
+// leaves every cache counter where it was.
+TEST(CacheDifferential, CrossRunPairsNeverReachTheCache) {
+  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  std::vector<ProvenanceIndex> snapshots;
+  for (uint64_t seed : {1, 2}) {
+    snapshots.push_back(
+        service
+            ->GenerateLabeledRun(
+                RunGeneratorOptions{.target_items = 80, .seed = seed})
+            ->Snapshot());
+  }
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  const int first = merged.num_items(0);
+  std::vector<std::pair<int, int>> cross;
+  for (int i = 0; i < 50; ++i) {
+    cross.push_back({i % first, first + i % merged.num_items(1)});
+  }
+  const std::vector<bool> answers =
+      service->DependsMany(service->default_view(), merged, cross).value();
+  EXPECT_EQ(answers, std::vector<bool>(cross.size(), false));
+  const ServingCacheStats stats = merged.serving_cache()->stats();
+  EXPECT_EQ(stats.label_hits + stats.label_misses, 0u);
+  EXPECT_EQ(stats.reach_hits + stats.reach_misses, 0u);
 }
 
 TEST(CacheDifferential, LabelEntriesDoNotLeakAcrossServices) {

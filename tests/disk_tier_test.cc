@@ -6,9 +6,10 @@
 //     and merged;
 //   * compaction — CompactFiles output is byte-identical to a from-scratch
 //     Merge of the same snapshots, including when the inputs are themselves
-//     merged archives (re-merge without flattening), and its peak live-store
+//     merged archives (re-merge without flattening), its peak live-store
 //     count is independent of the input count (one parsed input alive at a
-//     time);
+//     time), and writing its output over a served archive neither disturbs
+//     that archive's mapping nor, when the write fails, its file;
 //   * crash recovery — a run checkpointed as delta files survives a torn
 //     final write: the surviving prefix reassembles via FromDeltas into
 //     exactly the snapshot at that watermark, and the torn tail is rejected
@@ -21,7 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -34,6 +39,7 @@
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/file.h"
 #include "fvl/util/random.h"
+#include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
 
 namespace fvl {
@@ -131,12 +137,12 @@ TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
                             .seed = 61 + static_cast<uint64_t>(r)}));
     snapshots.push_back(sessions.back()->Snapshot());
   }
-  MergedProvenanceIndex heap = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex heap = ProvenanceIndex::Merge(snapshots).value();
   const std::string blob = heap.Serialize();
   const std::string path = TempPath("merged.fvlmrg");
   WriteFileOrDie(path, blob);
 
-  MergedProvenanceIndex mapped = MergedProvenanceIndex::Map(path).value();
+  ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
   EXPECT_TRUE(mapped.store().arena_borrowed() ||
               mapped.store().arena_bits() == 0);
   EXPECT_EQ(mapped.Serialize(), blob);
@@ -195,7 +201,7 @@ TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
 
   // L0 -> L1: compacting the run files equals merging the snapshots.
   const std::string l1_path = TempPath("l1.fvlmrg");
-  MergedProvenanceIndex compacted =
+  ProvenanceIndex compacted =
       fx.service->CompactFiles(l0_paths, l1_path).value();
   EXPECT_EQ(compacted.num_runs(), 4);
   EXPECT_EQ(ReadFileOrDie(l1_path), expected);
@@ -213,7 +219,7 @@ TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
                              .Serialize());
   const std::string l2_path = TempPath("l2.fvlmrg");
   std::vector<std::string> level1 = {half_a, half_b};
-  MergedProvenanceIndex recompacted =
+  ProvenanceIndex recompacted =
       fx.service->CompactFiles(level1, l2_path).value();
   EXPECT_EQ(recompacted.num_runs(), 4);
   EXPECT_EQ(ReadFileOrDie(l2_path), expected);
@@ -222,7 +228,7 @@ TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
   // one folds into the same grouped shape.
   std::vector<std::string> mixed = {half_b, l0_paths[0]};
   const std::string mixed_path = TempPath("mixed.fvlmrg");
-  MergedProvenanceIndex from_mixed =
+  ProvenanceIndex from_mixed =
       fx.service->CompactFiles(mixed, mixed_path).value();
   EXPECT_EQ(from_mixed.num_runs(), 4);
 }
@@ -240,7 +246,7 @@ TEST(DiskTierCompaction, PeakLiveStoresIndependentOfInputCount) {
     }
     const int base = internal::StoreCountProbe::live();
     internal::StoreCountProbe::ResetPeak();
-    MergedProvenanceIndex compacted =
+    ProvenanceIndex compacted =
         fx.service->CompactFiles(paths, TempPath("peak_out.fvlmrg")).value();
     EXPECT_EQ(compacted.num_runs(), num_inputs);
     return internal::StoreCountProbe::peak() - base;
@@ -253,6 +259,91 @@ TEST(DiskTierCompaction, PeakLiveStoresIndependentOfInputCount) {
   const int peak_eight = peak_for(8);
   EXPECT_EQ(peak_two, peak_eight);
   EXPECT_LE(peak_eight, 6);
+}
+
+// A BioAid archive large enough that the compacted output written over it
+// is pages shorter: the served index's borrowed arena reaches far past the
+// new file's end.
+struct OverwriteFixture {
+  std::shared_ptr<ProvenanceService> service;
+  ViewHandle view;
+  std::string served_path = TempPath("overwrite_served.fvlidx");
+  std::vector<std::string> inputs;
+  ProvenanceIndex served_heap;  // what served_path held before
+
+  OverwriteFixture() {
+    service = ProvenanceService::Create(MakeBioAid(2012).spec).value();
+    service->set_serving_cache_enabled(false);
+    view = service->default_view();
+    served_heap =
+        service->GenerateLabeledRun(
+                   RunGeneratorOptions{.target_items = 16000, .seed = 3})
+            ->Snapshot();
+    WriteFileOrDie(served_path, served_heap.Serialize());
+    for (int r = 0; r < 2; ++r) {
+      inputs.push_back(TempPath("overwrite_in" + std::to_string(r) +
+                                ".fvlidx"));
+      WriteFileOrDie(inputs.back(),
+                     service
+                         ->GenerateLabeledRun(RunGeneratorOptions{
+                             .target_items = 300,
+                             .seed = 10 + static_cast<uint64_t>(r)})
+                         ->Snapshot()
+                         .Serialize());
+    }
+  }
+};
+
+// Compacting onto the path of an archive that is being served must not
+// pull its pages out from under it: the output replaces the file by
+// rename, so the mapping keeps the old inode and keeps answering — an
+// in-place truncate made the next sweep die with SIGBUS.
+TEST(DiskTierCompaction, OverwritingAServedArchiveKeepsItServing) {
+  OverwriteFixture fx;
+  ProvenanceIndex served = fx.service->OpenIndexFile(fx.served_path).value();
+  ASSERT_TRUE(served.store().arena_borrowed());
+  const std::vector<bool> before =
+      fx.service->VisibilitySweep(fx.view, fx.served_heap).value();
+
+  ProvenanceIndex compacted =
+      fx.service->CompactFiles(fx.inputs, fx.served_path).value();
+  ASSERT_LT(ReadFileOrDie(fx.served_path).size() + 4096,
+            fx.served_heap.Serialize().size());
+
+  EXPECT_EQ(fx.service->VisibilitySweep(fx.view, served).value(), before);
+  // The path itself now holds the compaction.
+  EXPECT_EQ(ReadFileOrDie(fx.served_path), compacted.Serialize());
+  EXPECT_EQ(fx.service->OpenIndexFile(fx.served_path).value().num_runs(), 2);
+}
+
+// A compaction whose write fails leaves the previous archive byte for byte
+// in place and no temporary beside it. The write is made to fail with a
+// file-size limit below the output's size.
+TEST(DiskTierCompaction, FailedWriteLeavesPreviousArchiveIntact) {
+  OverwriteFixture fx;
+  const std::string previous = ReadFileOrDie(fx.served_path);
+
+  struct rlimit saved;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit limited = saved;
+  limited.rlim_cur = 1024;
+  void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &limited), 0);
+  Result<ProvenanceIndex> compacted =
+      fx.service->CompactFiles(fx.inputs, fx.served_path);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  ASSERT_FALSE(compacted.ok());
+  EXPECT_EQ(compacted.code(), ErrorCode::kIo) << compacted.status().ToString();
+  EXPECT_EQ(ReadFileOrDie(fx.served_path), previous);
+  const std::string temp_prefix =
+      std::filesystem::path(fx.served_path).filename().string() + ".tmp.";
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(fx.served_path).parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
+        << "leftover " << entry.path();
+  }
 }
 
 // ----- Crash recovery: a torn final delta write. -----
@@ -334,22 +425,23 @@ TEST(DiskTierErrors, FileAndContentFailuresAreTyped) {
   ASSERT_FALSE(garbage.ok());
   EXPECT_EQ(garbage.status().code(), ErrorCode::kMalformedBlob);
 
-  // Wrong format for the endpoint: a single-run archive is not a merged
-  // one and vice versa.
+  // Either archive format opens through either entry point, to the run
+  // count its header records.
   auto session = fx.service->GenerateLabeledRun(
       RunGeneratorOptions{.target_items = 80, .seed = 5});
   ProvenanceIndex snapshot = session->Snapshot();
   const std::string single_path = TempPath("format_single.fvlidx");
   WriteFileOrDie(single_path, snapshot.Serialize());
-  EXPECT_FALSE(fx.service->OpenMergedIndexFile(single_path).ok());
+  EXPECT_EQ(fx.service->OpenMergedIndexFile(single_path).value().num_runs(), 1);
   const std::string merged_path = TempPath("format_merged.fvlmrg");
+  std::vector<ProvenanceIndex> twice = {snapshot, snapshot};
   WriteFileOrDie(merged_path,
-                 ProvenanceIndex::Merge({&snapshot, 1}).value().Serialize());
-  EXPECT_FALSE(fx.service->OpenIndexFile(merged_path).ok());
+                 ProvenanceIndex::Merge(twice).value().Serialize());
+  EXPECT_EQ(fx.service->OpenIndexFile(merged_path).value().num_runs(), 2);
 
   // Compaction attributes a bad input by position.
   std::vector<std::string> inputs = {single_path, garbage_path};
-  Result<MergedProvenanceIndex> compacted =
+  Result<ProvenanceIndex> compacted =
       fx.service->CompactFiles(inputs, TempPath("errors_out.fvlmrg"));
   ASSERT_FALSE(compacted.ok());
   EXPECT_NE(compacted.status().ToString().find("input 1"), std::string::npos)
@@ -410,8 +502,7 @@ TEST(DiskTierGolden, CommittedArchivesServeAndMatch) {
   // And the committed files actually serve through the mmap path.
   ProvenanceIndex run = fx.service->OpenIndexFile(run_path).value();
   EXPECT_GT(run.num_items(), 0);
-  MergedProvenanceIndex merged =
-      fx.service->OpenMergedIndexFile(merged_path).value();
+  ProvenanceIndex merged = fx.service->OpenMergedIndexFile(merged_path).value();
   EXPECT_EQ(merged.num_runs(), 2);
   Rng rng(3);
   std::vector<std::pair<int, int>> queries;

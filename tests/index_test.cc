@@ -103,37 +103,41 @@ TEST_F(IndexTest, DeserializeRejectsInconsistentBlobs) {
     }
   };
   // Hand-crafted empty-arena blob claiming items: num_items is not backed
-  // by any offset/arena content, so the (zero-bit) labels cannot decode.
+  // by any span or arena content, so the (zero-bit) labels cannot decode.
   auto crafted = [&](uint64_t num_items) {
-    std::string b("FVLIDX2", 8);  // includes the terminating NUL
+    std::string b("FVLIDX3", 8);  // includes the terminating NUL
     u64(&b, num_items);
     u64(&b, 0);                       // arena_bits
     b.append(5, '\0');                // codec widths
-    b.push_back('\0');                // offset width
-    u64(&b, 0);                       // offset words
-    u64(&b, 0);                       // arena words
+    b.push_back(2);                   // tail-format version
+    u64(&b, 0);                       // span_bits
+    u64(&b, 0);                       // payload_bits
     return b;
   };
-  EXPECT_EQ(ProvenanceIndex::Deserialize(crafted(10)).code(),
-            ErrorCode::kMalformedBlob);
+  Result<ProvenanceIndex> claimed = ProvenanceIndex::Deserialize(crafted(10));
+  EXPECT_EQ(claimed.code(), ErrorCode::kMalformedBlob);
+  EXPECT_EQ(claimed.status().message(), "truncated span stream");
   // A huge claimed item count must fail fast, not allocate terabytes.
-  EXPECT_EQ(ProvenanceIndex::Deserialize(crafted(uint64_t{1} << 40)).code(),
-            ErrorCode::kMalformedBlob);
+  Result<ProvenanceIndex> huge =
+      ProvenanceIndex::Deserialize(crafted(uint64_t{1} << 40));
+  EXPECT_EQ(huge.code(), ErrorCode::kMalformedBlob);
+  EXPECT_EQ(huge.status().message(), "num_items exceeds blob");
 
   // The converse confusion: zero items claiming a nonzero arena. The
-  // offsets (vacuously) fail to cover the arena, and accepting it would
+  // (empty) span stream fails to cover the arena, and accepting it would
   // let a later Merge graft the junk bits onto the next run's first label
-  // span (grouped-append rebases against the last offset).
-  std::string junk_arena("FVLIDX2", 8);
+  // span (grouped-append rebases against the covered counters).
+  std::string junk_arena("FVLIDX3", 8);
   u64(&junk_arena, 0);             // num_items
   u64(&junk_arena, 64);            // arena_bits
   junk_arena.append(5, '\0');      // codec widths
-  junk_arena.push_back(7);         // offset width = BitWidthFor(65)
-  u64(&junk_arena, 0);             // offset words
-  u64(&junk_arena, 1);             // arena words
+  junk_arena.push_back(2);         // tail-format version
+  u64(&junk_arena, 0);             // span_bits
+  u64(&junk_arena, 64);            // payload_bits
   u64(&junk_arena, 0xDEADBEEFULL); // uncovered arena bits
-  EXPECT_EQ(ProvenanceIndex::Deserialize(junk_arena).code(),
-            ErrorCode::kMalformedBlob);
+  Result<ProvenanceIndex> junk = ProvenanceIndex::Deserialize(junk_arena);
+  EXPECT_EQ(junk.code(), ErrorCode::kMalformedBlob);
+  EXPECT_EQ(junk.status().message(), "label lengths do not cover the arena");
 }
 
 // Targeted corruption of the v2 (FVLIDX3) compressed span tail: the block
@@ -304,22 +308,22 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusMerged) {
                                     .seed = 60 + static_cast<uint64_t>(r)})
             ->Snapshot());
   }
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   std::string blob = merged.Serialize();
 
   Rng rng(4096);
   int rejected = 0;
   for (int trial = 0; trial < 300; ++trial) {
     std::string corrupt = FlipBytes(blob, rng, 1 + trial % 3);
-    Result<MergedProvenanceIndex> parsed =
-        MergedProvenanceIndex::Deserialize(corrupt);
+    Result<ProvenanceIndex> parsed =
+        ProvenanceIndex::Deserialize(corrupt);
     if (!parsed.ok()) {
       EXPECT_EQ(parsed.code(), ErrorCode::kMalformedBlob);
       ++rejected;
       continue;
     }
     for (int global = 0; global < parsed->total_items(); global += 37) {
-      parsed->LabelByGlobalId(global);
+      parsed->Label(global);
     }
     if (parsed->num_runs() > 0 && parsed->num_items(0) > 1) {
       std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {0, 1}}};
@@ -334,18 +338,80 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusMerged) {
 
   for (int trial = 0; trial < 60; ++trial) {
     size_t cut = rng.NextBounded(blob.size());
-    EXPECT_EQ(MergedProvenanceIndex::Deserialize(blob.substr(0, cut)).code(),
+    EXPECT_EQ(ProvenanceIndex::Deserialize(blob.substr(0, cut)).code(),
               ErrorCode::kMalformedBlob)
         << "cut=" << cut;
   }
 
-  // Cross-format confusion: a single-run blob is not a merged blob and
-  // vice versa (distinct magics), rejected rather than misparsed.
-  EXPECT_EQ(MergedProvenanceIndex::Deserialize(snapshots[0].Serialize())
-                .code(),
-            ErrorCode::kMalformedBlob);
-  EXPECT_EQ(ProvenanceIndex::Deserialize(blob).code(),
-            ErrorCode::kMalformedBlob);
+  // Each magic parses to its own group layout and answers identically: the
+  // FVLIDX3 blob is one run, the FVLMRG2 blob is three, and per-run
+  // answers of the merged index equal those of the run's own snapshot.
+  Result<ProvenanceIndex> restored = ProvenanceIndex::Deserialize(blob);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->num_runs(), 3);
+  ViewHandle view = service->default_view();
+  for (int r = 0; r < 3; ++r) {
+    Result<ProvenanceIndex> single =
+        ProvenanceIndex::Deserialize(snapshots[r].Serialize());
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ASSERT_EQ(single->num_runs(), 1);
+    ASSERT_EQ(restored->num_items(r), single->num_items());
+    std::vector<std::pair<int, int>> local;
+    std::vector<std::pair<RunItem, RunItem>> addressed;
+    for (int q = 0; q < 60; ++q) {
+      const int d1 = rng.NextInt(0, single->num_items() - 1);
+      const int d2 = rng.NextInt(0, single->num_items() - 1);
+      local.push_back({d1, d2});
+      addressed.push_back({{r, d1}, {r, d2}});
+    }
+    EXPECT_EQ(service->QueryAcrossRuns(view, *restored, addressed).value(),
+              service->DependsMany(view, *single, local).value())
+        << "run " << r;
+  }
+}
+
+// The header follows the run count, not the producer: a one-run index is
+// written as FVLIDX3 however it was built, and a one-run FVLMRG2 blob (a
+// run table of one entry) parses to the same index.
+TEST(IndexFormats, OneRunIsFVLIDX3WhateverItsHeader) {
+  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  ProvenanceIndex snapshot =
+      service->GenerateLabeledRun(RunGeneratorOptions{.target_items = 150,
+                                                      .seed = 3})
+          ->Snapshot();
+  const std::string single = snapshot.Serialize();
+  ASSERT_EQ(single.compare(0, 7, "FVLIDX3"), 0);
+
+  std::vector<ProvenanceIndex> one = {snapshot};
+  EXPECT_EQ(ProvenanceIndex::Merge(one).value().Serialize(), single);
+
+  auto u64 = [](std::string* out, uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+    }
+  };
+  std::string framed("FVLMRG2", 8);  // includes the terminating NUL
+  u64(&framed, 1);                                       // num_runs
+  framed.append(single, 8, 16);                          // items, arena_bits
+  u64(&framed, static_cast<uint64_t>(snapshot.num_items()));  // run table
+  framed.append(single, 24, std::string::npos);          // shared tail
+  Result<ProvenanceIndex> parsed = ProvenanceIndex::Deserialize(framed);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->num_runs(), 1);
+  EXPECT_EQ(parsed->Serialize(), single);
+
+  Rng rng(5);
+  std::vector<std::pair<int, int>> queries;
+  for (int q = 0; q < 200; ++q) {
+    queries.push_back({rng.NextInt(0, snapshot.num_items() - 1),
+                       rng.NextInt(0, snapshot.num_items() - 1)});
+  }
+  ViewHandle view = service->default_view();
+  EXPECT_EQ(service->DependsMany(view, *parsed, queries).value(),
+            service->DependsMany(view, snapshot, queries).value());
+  EXPECT_EQ(service->VisibilitySweep(view, *parsed).value(),
+            service->VisibilitySweep(view, snapshot).value());
+  EXPECT_EQ(parsed->SizeBits(), snapshot.SizeBits());
 }
 
 TEST_F(IndexTest, RandomizedCorruptionCorpusUnifiedTail) {
@@ -363,7 +429,7 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusUnifiedTail) {
   std::vector<ProvenanceIndex> runs;
   runs.push_back(ProvenanceIndex::Deserialize(single).value());
   runs.push_back(ProvenanceIndex::Deserialize(single).value());
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
   std::string merged_blob = merged.Serialize();
   // magic + num_runs/total_items/arena_bits + run table
   const size_t merged_tail = 8 + 24 + 8 * runs.size();
@@ -387,15 +453,15 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusUnifiedTail) {
     corrupt = merged_blob;
     pos = merged_tail + rng.NextBounded(corrupt.size() - merged_tail);
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1u << rng.NextBounded(8)));
-    Result<MergedProvenanceIndex> parsed_merged =
-        MergedProvenanceIndex::Deserialize(corrupt);
+    Result<ProvenanceIndex> parsed_merged =
+        ProvenanceIndex::Deserialize(corrupt);
     if (!parsed_merged.ok()) {
       EXPECT_EQ(parsed_merged.code(), ErrorCode::kMalformedBlob);
       ++rejected_merged;
     } else {
       for (int global = 0; global < parsed_merged->total_items();
            global += 29) {
-        parsed_merged->LabelByGlobalId(global);
+        parsed_merged->Label(global);
       }
     }
   }

@@ -1,8 +1,7 @@
 // The shared-arena label store (core/label_store.h): group/span
 // bookkeeping, live append vs grouped bulk append, stream growth across
 // freezes, and the serialized-format stability that the FVLIDX3/FVLMRG2
-// blobs inherit from AppendTail/ParseTail — plus the legacy FVLIDX2 golden
-// blob that the version-dispatched parser must keep accepting.
+// blobs inherit from AppendTail/ParseTail.
 
 #include <gtest/gtest.h>
 
@@ -228,7 +227,7 @@ TEST_F(LabelStoreTest, AppendGroupsRebasesInlinedLabels) {
   std::vector<ProvenanceIndex> runs;
   runs.push_back(a->Snapshot());
   runs.push_back(b->Snapshot());
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
   EXPECT_EQ(merged.store().inline_items(), bulk.inline_items());
   std::string merged_tail;
   merged.store().AppendTail(&merged_tail);
@@ -244,8 +243,7 @@ TEST_F(LabelStoreTest, TailRoundTripsThroughParseTail) {
   size_t pos = 0;
   Result<LabelStore> parsed = LabelStore::ParseTail(
       tail, &pos, {0, store.total_items()},
-      static_cast<uint64_t>(store.arena_bits()),
-      LabelStore::kTailFormatVersion);
+      static_cast<uint64_t>(store.arena_bits()));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(pos, tail.size());
   ASSERT_EQ(parsed->total_items(), store.total_items());
@@ -262,8 +260,7 @@ TEST_F(LabelStoreTest, TailRoundTripsThroughParseTail) {
     size_t p = 0;
     EXPECT_EQ(LabelStore::ParseTail(tail.substr(0, cut), &p,
                                     {0, store.total_items()},
-                                    static_cast<uint64_t>(store.arena_bits()),
-                                    LabelStore::kTailFormatVersion)
+                                    static_cast<uint64_t>(store.arena_bits()))
                   .code(),
               ErrorCode::kMalformedBlob)
         << "cut=" << cut;
@@ -293,7 +290,7 @@ TEST_F(LabelStoreTest, ParseTailRejectsCraftedV2EdgeCases) {
                            int64_t items, const std::string& want) {
     size_t pos = 0;
     Result<LabelStore> parsed = LabelStore::ParseTail(
-        tail, &pos, {0, items}, arena_bits, LabelStore::kTailFormatVersion);
+        tail, &pos, {0, items}, arena_bits);
     ASSERT_FALSE(parsed.ok()) << want;
     EXPECT_EQ(parsed.code(), ErrorCode::kMalformedBlob);
     EXPECT_EQ(parsed.status().message(), want);
@@ -387,8 +384,7 @@ TEST_F(LabelStoreTest, ParseTailSeededByteFlipsNeverAbort) {
     size_t pos = 0;
     Result<LabelStore> parsed = LabelStore::ParseTail(
         mutant, &pos, {0, store.total_items()},
-        static_cast<uint64_t>(store.arena_bits()),
-        LabelStore::kTailFormatVersion);
+        static_cast<uint64_t>(store.arena_bits()));
     if (parsed.ok()) {
       ++accepted;
       for (int item = 0; item < parsed->total_items(); ++item) {
@@ -541,19 +537,6 @@ std::string ToHex(std::string_view bytes) {
   return hex;
 }
 
-std::string FromHex(std::string_view hex) {
-  auto nibble = [](char c) -> unsigned {
-    return c <= '9' ? static_cast<unsigned>(c - '0')
-                    : static_cast<unsigned>(c - 'a') + 10;
-  };
-  std::string bytes;
-  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
-    bytes.push_back(
-        static_cast<char>((nibble(hex[i]) << 4) | nibble(hex[i + 1])));
-  }
-  return bytes;
-}
-
 // The serialized layout is a compatibility contract: this FVLIDX3 blob was
 // pinned when the block-compressed span tail landed (tail-format version 2)
 // for a fixed 8-item paper-example run, and the pipeline must keep emitting
@@ -571,36 +554,6 @@ TEST_F(LabelStoreTest, SerializedFormatIsStable) {
 
   auto session = Session(8, 1);
   EXPECT_EQ(ToHex(session->Snapshot().Serialize()), kGoldenHex);
-}
-
-// Blobs written before the span-compressed tail (magic FVLIDX2, flat
-// fixed-width offsets) must keep deserializing: this golden was emitted by
-// the PR-3 serializer for the same fixed 8-item paper-example run pinned
-// above, and the version-dispatched ParseTail must decode it to the exact
-// labels the modern pipeline assigns that run. Re-serializing the parsed
-// index upgrades it to the current format.
-TEST_F(LabelStoreTest, LegacyV1GoldenBlobStillDeserializes) {
-  constexpr char kV1GoldenHex[] =
-      "46564c49445832001c00000000000000b00300000000000003030101020a0500000000"
-      "0000000528f0000519e070851c91c0b28c3901a5e4d564c8e5a7a2989a0aabaec4366b"
-      "5d38ec00000000000f00000000000000c695562f000625172083b20b8260dca044b06e"
-      "502620170c01bb6009ca0544d0362845409426a0a4088131db0494146316a19880926"
-      "2cc265413505284423826a0a40895704d414941c9813c4c414941c9913c2d981018b3"
-      "2d98318b502c98319b502d985008c7820995706d184a0ee461c35072244f0000";
-
-  Result<ProvenanceIndex> restored =
-      ProvenanceIndex::Deserialize(FromHex(kV1GoldenHex));
-  ASSERT_TRUE(restored.ok()) << restored.status().message();
-
-  auto session = Session(8, 1);
-  ASSERT_EQ(restored->num_items(), session->num_items());
-  for (int item = 0; item < restored->num_items(); ++item) {
-    EXPECT_EQ(restored->Label(item), session->Label(item)) << "item " << item;
-    EXPECT_EQ(restored->LabelBits(item), session->LabelBits(item));
-  }
-  // Round-tripping through the legacy parser loses nothing: re-serializing
-  // yields the same modern blob a fresh snapshot produces.
-  EXPECT_EQ(restored->Serialize(), session->Snapshot().Serialize());
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ constexpr ViewLabelMode kAllModes[] = {ViewLabelMode::kSpaceEfficient,
 struct MergedRuns {
   std::vector<std::shared_ptr<ProvenanceSession>> sessions;
   std::vector<ProvenanceIndex> snapshots;
-  MergedProvenanceIndex merged;
+  ProvenanceIndex merged;
 };
 
 MergedRuns MakeRuns(const std::shared_ptr<ProvenanceService>& service,
@@ -235,8 +235,8 @@ TEST(MergeSerialization, SelfDescribingRoundTrip) {
   MergedRuns runs = MakeRuns(service, 3, 100, 19);
 
   std::string blob = runs.merged.Serialize();
-  Result<MergedProvenanceIndex> restored =
-      MergedProvenanceIndex::Deserialize(blob);
+  Result<ProvenanceIndex> restored =
+      ProvenanceIndex::Deserialize(blob);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_EQ(restored->num_runs(), runs.merged.num_runs());
   ASSERT_EQ(restored->total_items(), runs.merged.total_items());
@@ -276,14 +276,13 @@ TEST(MergeErrors, MismatchedSpecificationsRejected) {
                       ->GenerateLabeledRun(
                           RunGeneratorOptions{.target_items = 50, .seed = 2})
                       ->Snapshot());
-  Result<MergedProvenanceIndex> merged = ProvenanceIndex::Merge(mixed);
+  Result<ProvenanceIndex> merged = ProvenanceIndex::Merge(mixed);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.code(), ErrorCode::kInvalidArgument);
 
   // A merged index of another specification is turned away by the service.
   std::vector<ProvenanceIndex> foreign(1, std::move(mixed[1]));
-  MergedProvenanceIndex foreign_merged =
-      ProvenanceIndex::Merge(foreign).value();
+  ProvenanceIndex foreign_merged = ProvenanceIndex::Merge(foreign).value();
   std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {0, 1}}};
   EXPECT_EQ(paper
                 ->QueryAcrossRuns(paper->default_view(), foreign_merged,
@@ -341,7 +340,7 @@ TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
 
   // Merging nothing yields an empty artifact, not an error.
   std::vector<ProvenanceIndex> none;
-  Result<MergedProvenanceIndex> empty = ProvenanceIndex::Merge(none);
+  Result<ProvenanceIndex> empty = ProvenanceIndex::Merge(none);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_EQ(empty->num_runs(), 0);
   EXPECT_EQ(empty->total_items(), 0);
@@ -362,8 +361,8 @@ TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
       service->DependsMany(view, runs.merged, no_flat).value().empty());
 
   // The empty artifact round-trips through serialization.
-  Result<MergedProvenanceIndex> restored =
-      MergedProvenanceIndex::Deserialize(empty->Serialize());
+  Result<ProvenanceIndex> restored =
+      ProvenanceIndex::Deserialize(empty->Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_runs(), 0);
 }
@@ -469,6 +468,16 @@ TEST(SnapshotDelta, DeltaErrorsAndEdgeCases) {
   EXPECT_EQ(ProvenanceIndex::FromDeltas(mixed).code(),
             ErrorCode::kInvalidArgument);
 
+  // A delta is one run: an index of any other run count is not.
+  std::vector<ProvenanceIndex> two_runs = {mixed[0], mixed[0]};
+  std::vector<ProvenanceIndex> many_run_delta = {
+      ProvenanceIndex::Merge(two_runs).value()};
+  EXPECT_EQ(ProvenanceIndex::FromDeltas(many_run_delta).code(),
+            ErrorCode::kInvalidArgument);
+  std::vector<ProvenanceIndex> zero_run_delta = {mixed[0], ProvenanceIndex()};
+  EXPECT_EQ(ProvenanceIndex::FromDeltas(zero_run_delta).code(),
+            ErrorCode::kInvalidArgument);
+
   // SnapshotDelta with nothing new yields an empty delta; reassembly
   // tolerates it (the empty arena range appends as a no-op).
   auto session = paper->GenerateLabeledRun(
@@ -533,9 +542,9 @@ TEST(SnapshotDelta, EmptyDeltaMidSequenceReassemblesBitIdentically) {
   EXPECT_EQ(from_blobs->Serialize(), golden);
 }
 
-// ----- Streamed k-way merge (MergeStream / MergeRunsStreamed). -----
+// ----- Streamed k-way merge (CompactStream / MergeRunsStreamed). -----
 
-TEST(MergeStreamTest, BitIdenticalToMaterializedMerge) {
+TEST(CompactStreamTest, BitIdenticalToMerge) {
   auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   MergedRuns runs = MakeRuns(service, 4, 110, 23);
 
@@ -544,21 +553,35 @@ TEST(MergeStreamTest, BitIdenticalToMaterializedMerge) {
     blobs.push_back(snapshot.Serialize());
   }
 
-  MergeStream stream;
-  for (const std::string& blob : blobs) {
-    ASSERT_TRUE(stream.Append(blob).ok());
+  CompactStream from_blobs;
+  CompactStream from_indexes;
+  for (size_t r = 0; r < blobs.size(); ++r) {
+    ASSERT_TRUE(from_blobs.Append(std::string_view(blobs[r])).ok());
+    ASSERT_TRUE(from_indexes.Append(runs.snapshots[r]).ok());
   }
-  EXPECT_EQ(stream.num_runs(), 4);
-  MergedProvenanceIndex streamed = std::move(stream).Finish().value();
+  EXPECT_EQ(from_blobs.num_runs(), 4);
+  ProvenanceIndex streamed = std::move(from_blobs).Finish().value();
 
-  // The streaming path and the materialized path are one artifact: byte
+  // Every streaming path and the materialized path are one artifact: byte
   // for byte equal blobs, equal addressing, equal answers.
   EXPECT_EQ(streamed.Serialize(), runs.merged.Serialize());
+  EXPECT_EQ(std::move(from_indexes).Finish().value().Serialize(),
+            runs.merged.Serialize());
 
   std::vector<std::string_view> views(blobs.begin(), blobs.end());
-  MergedProvenanceIndex via_service =
-      service->MergeRunsStreamed(views).value();
+  ProvenanceIndex via_service = service->MergeRunsStreamed(views).value();
   EXPECT_EQ(via_service.Serialize(), runs.merged.Serialize());
+
+  // Folding an already-merged input in appends its runs in stored order:
+  // {merge(0, 1), 2, 3} is the same artifact again.
+  std::vector<ProvenanceIndex> head(runs.snapshots.begin(),
+                                    runs.snapshots.begin() + 2);
+  CompactStream folded;
+  ASSERT_TRUE(folded.Append(ProvenanceIndex::Merge(head).value()).ok());
+  ASSERT_TRUE(folded.Append(std::string_view(blobs[2])).ok());
+  ASSERT_TRUE(folded.Append(runs.snapshots[3]).ok());
+  EXPECT_EQ(std::move(folded).Finish().value().Serialize(),
+            runs.merged.Serialize());
 
   Rng rng(77);
   std::vector<std::pair<RunItem, RunItem>> queries;
@@ -573,7 +596,7 @@ TEST(MergeStreamTest, BitIdenticalToMaterializedMerge) {
             service->QueryAcrossRuns(view, runs.merged, queries).value());
 }
 
-TEST(MergeStreamTest, HoldsAtMostOneInputStoreAtATime) {
+TEST(CompactStreamTest, HoldsAtMostOneInputStoreAtATime) {
   // The memory-boundedness contract, asserted via the store-count probe:
   // the stream's peak live-store count is a small constant — the output
   // plus the one input being appended (plus bounded move transients) —
@@ -597,13 +620,13 @@ TEST(MergeStreamTest, HoldsAtMostOneInputStoreAtATime) {
   auto streamed_peak = [&](const std::vector<std::string>& blobs) {
     const int base = internal::StoreCountProbe::live();
     internal::StoreCountProbe::ResetPeak();
-    MergeStream stream;
+    CompactStream stream;
     for (const std::string& blob : blobs) {
-      EXPECT_TRUE(stream.Append(blob).ok());
+      EXPECT_TRUE(stream.Append(std::string_view(blob)).ok());
       // Between appends, only the stream's own output store is alive.
       EXPECT_EQ(internal::StoreCountProbe::live(), base + 1);
     }
-    MergedProvenanceIndex merged = std::move(stream).Finish().value();
+    ProvenanceIndex merged = std::move(stream).Finish().value();
     EXPECT_GT(merged.total_items(), 0);
     return internal::StoreCountProbe::peak() - base;
   };
@@ -625,49 +648,54 @@ TEST(MergeStreamTest, HoldsAtMostOneInputStoreAtATime) {
     for (const std::string& blob : blobs16) {
       materialized.push_back(ProvenanceIndex::Deserialize(blob).value());
     }
-    MergedProvenanceIndex merged =
-        ProvenanceIndex::Merge(materialized).value();
+    ProvenanceIndex merged = ProvenanceIndex::Merge(materialized).value();
     EXPECT_GT(merged.total_items(), 0);
     EXPECT_GE(internal::StoreCountProbe::peak() - base, 16);
   }
 }
 
-TEST(MergeStreamTest, ErrorTaxonomyNeverAborts) {
+TEST(CompactStreamTest, ErrorTaxonomyNeverAborts) {
   auto paper = ProvenanceService::Create(MakePaperExample().spec).value();
   auto bioaid = ProvenanceService::Create(MakeBioAid(2012).spec).value();
-  std::string paper_blob =
-      paper
+  ProvenanceIndex paper_run = paper
           ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 60,
                                                    .seed = 5})
-          ->Snapshot()
-          .Serialize();
-  std::string bioaid_blob =
-      bioaid
+          ->Snapshot();
+  ProvenanceIndex bioaid_run = bioaid
           ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 60,
                                                    .seed = 6})
-          ->Snapshot()
-          .Serialize();
+          ->Snapshot();
+  std::string paper_blob = paper_run.Serialize();
+  std::string bioaid_blob = bioaid_run.Serialize();
 
   // Corrupt blob: kMalformedBlob, and the stream survives to accept more.
-  MergeStream stream;
+  CompactStream stream;
   std::string corrupt = paper_blob;
   corrupt[3] = 'X';
-  Status bad_magic = stream.Append(corrupt);
+  Status bad_magic = stream.Append(std::string_view(corrupt));
   EXPECT_EQ(bad_magic.code(), ErrorCode::kMalformedBlob);
   EXPECT_EQ(stream.num_runs(), 0);
-  ASSERT_TRUE(stream.Append(paper_blob).ok());
-  EXPECT_EQ(stream.Append(paper_blob.substr(0, paper_blob.size() / 2)).code(),
+  // An index without runs contributes nothing and pins no codec.
+  ASSERT_TRUE(stream.Append(ProvenanceIndex()).ok());
+  ASSERT_TRUE(stream.Append(std::string_view(paper_blob)).ok());
+  EXPECT_EQ(stream
+                .Append(std::string_view(paper_blob).substr(
+                    0, paper_blob.size() / 2))
+                .code(),
             ErrorCode::kMalformedBlob);
-  // Codec mismatch against the runs already appended: kInvalidArgument.
-  EXPECT_EQ(stream.Append(bioaid_blob).code(), ErrorCode::kInvalidArgument);
+  // Codec mismatch against the runs already appended: kInvalidArgument,
+  // serialized or in memory.
+  EXPECT_EQ(stream.Append(std::string_view(bioaid_blob)).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(stream.Append(bioaid_run).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(stream.num_runs(), 1);
-  MergedProvenanceIndex merged = std::move(stream).Finish().value();
+  ProvenanceIndex merged = std::move(stream).Finish().value();
   EXPECT_EQ(merged.num_runs(), 1);
 
   // Service entry point: same taxonomy, with the failing blob named; a
   // consistent batch of *foreign* blobs is rejected against the service.
   std::vector<std::string_view> mixed = {paper_blob, bioaid_blob};
-  Result<MergedProvenanceIndex> rejected = paper->MergeRunsStreamed(mixed);
+  Result<ProvenanceIndex> rejected = paper->MergeRunsStreamed(mixed);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.code(), ErrorCode::kInvalidArgument);
   EXPECT_NE(rejected.status().message().find("blob 1"), std::string::npos);
@@ -676,27 +704,22 @@ TEST(MergeStreamTest, ErrorTaxonomyNeverAborts) {
   EXPECT_EQ(paper->MergeRunsStreamed(with_corrupt).code(),
             ErrorCode::kMalformedBlob);
 
-  std::vector<std::string_view> foreign = {bioaid_blob, bioaid_blob};
+  // The foreign batch fails on its first blob, before the corrupt second
+  // one is even parsed.
+  std::vector<std::string_view> foreign = {bioaid_blob, corrupt};
   EXPECT_EQ(paper->MergeRunsStreamed(foreign).code(),
             ErrorCode::kInvalidArgument);
 
-  // Empty span: empty merged index, not an error (as Merge).
+  // Empty span: empty index, not an error (as Merge).
   std::vector<std::string_view> none;
-  Result<MergedProvenanceIndex> empty = paper->MergeRunsStreamed(none);
+  Result<ProvenanceIndex> empty = paper->MergeRunsStreamed(none);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_EQ(empty->num_runs(), 0);
-
-  // A merged (FVLMRG2) blob is not a single-run input: rejected cleanly.
-  MergedRuns runs = MakeRuns(paper, 2, 50, 31);
-  MergeStream wrong_format;
-  EXPECT_EQ(wrong_format.Append(runs.merged.Serialize()).code(),
-            ErrorCode::kMalformedBlob);
 }
 
 // The FVLMRG2 tail is the same compressed span stream as FVLIDX3, shifted
 // by the run table: targeted corruption of its version byte and block-0
-// vbyte must reject recoverably, and the legacy FVLMRG1 magic must still
-// dispatch into the v1 parser.
+// vbyte must reject recoverably.
 TEST(MergeSerialization, V2MergedTailCorruptionRejected) {
   auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   MergedRuns runs = MakeRuns(service, 2, 50, 37);
@@ -709,43 +732,22 @@ TEST(MergeSerialization, V2MergedTailCorruptionRejected) {
 
   std::string bad_version = blob;
   bad_version[version_at] = 7;
-  Result<MergedProvenanceIndex> rejected =
-      MergedProvenanceIndex::Deserialize(bad_version);
+  Result<ProvenanceIndex> rejected =
+      ProvenanceIndex::Deserialize(bad_version);
   EXPECT_EQ(rejected.code(), ErrorCode::kMalformedBlob);
   EXPECT_EQ(rejected.status().message(), "unsupported tail-format version");
 
   std::string bad_vbyte = blob;
   bad_vbyte[first_span_byte] =
       static_cast<char>(bad_vbyte[first_span_byte] | 0x80);
-  EXPECT_EQ(MergedProvenanceIndex::Deserialize(bad_vbyte).code(),
+  EXPECT_EQ(ProvenanceIndex::Deserialize(bad_vbyte).code(),
             ErrorCode::kMalformedBlob);
 
   // Truncation inside the span stream (block headers cut mid-word).
-  EXPECT_EQ(MergedProvenanceIndex::Deserialize(
+  EXPECT_EQ(ProvenanceIndex::Deserialize(
                 blob.substr(0, first_span_byte + 3))
                 .code(),
             ErrorCode::kMalformedBlob);
-
-  // Legacy FVLMRG1 dispatch survives the bump: a minimal (zero-run) v1
-  // blob still deserializes through the version-dispatched parser.
-  auto u64 = [](std::string* out, uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-    }
-  };
-  std::string legacy("FVLMRG1", 8);  // includes the terminating NUL
-  u64(&legacy, 0);             // num_runs
-  u64(&legacy, 0);             // total_items
-  u64(&legacy, 0);             // arena_bits
-  legacy.append(5, '\0');      // codec widths
-  legacy.push_back('\0');      // offset width = BitWidthFor(1) = 0
-  u64(&legacy, 0);             // offset words
-  u64(&legacy, 0);             // arena words
-  Result<MergedProvenanceIndex> parsed =
-      MergedProvenanceIndex::Deserialize(legacy);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->num_runs(), 0);
-  EXPECT_EQ(parsed->total_items(), 0);
 }
 
 TEST(MergeEdgeCases, ZeroItemRunsMergeCleanly) {
@@ -758,15 +760,15 @@ TEST(MergeEdgeCases, ZeroItemRunsMergeCleanly) {
   snapshots.push_back(
       ProvenanceIndexBuilder(service->production_graph()).Build());
   snapshots.push_back(session->Snapshot());
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   ASSERT_EQ(merged.num_runs(), 2);
   EXPECT_EQ(merged.num_items(0), 0);
   ASSERT_EQ(merged.num_items(1), session->num_items());
   for (int item = 0; item < merged.num_items(1); ++item) {
     ASSERT_EQ(merged.Label(1, item), snapshots[1].Label(item));
   }
-  Result<MergedProvenanceIndex> restored =
-      MergedProvenanceIndex::Deserialize(merged.Serialize());
+  Result<ProvenanceIndex> restored =
+      ProvenanceIndex::Deserialize(merged.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_items(0), 0);
   EXPECT_EQ(restored->num_items(1), merged.num_items(1));

@@ -6,8 +6,9 @@
 // Deterministic replay (same (instance, production) sequence → identical
 // item ids) is what makes the comparison exact. Also under test: the
 // cross-connection coalescing batcher (mean batch size > 1 under
-// concurrent pipelined load), abrupt disconnects mid-frame, and
-// drain-on-shutdown (no torn frames, only clean answers or kUnavailable).
+// concurrent pipelined load), abrupt disconnects mid-frame,
+// drain-on-shutdown (no torn frames, only clean answers or kUnavailable),
+// the single artifact id space, and compaction over a served archive.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "fvl/net/socket.h"
 #include "fvl/net/wire.h"
 #include "fvl/service/provenance_service.h"
+#include "fvl/util/file.h"
 #include "fvl/util/random.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/view_generator.h"
@@ -175,8 +178,7 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
   MergeInfo merged = client.MergeRuns(wire_index_ids).value();
   EXPECT_EQ(merged.num_runs, 2);
   std::vector<std::string_view> views(blobs.begin(), blobs.end());
-  MergedProvenanceIndex direct_merged =
-      rig.service->MergeRunsStreamed(views).value();
+  ProvenanceIndex direct_merged = rig.service->MergeRunsStreamed(views).value();
   ASSERT_EQ(merged.total_items, direct_merged.total_items());
 
   Rng rng(7);
@@ -345,73 +347,164 @@ TEST(ServerLifecycle, UnknownIdsAreNotFoundNotFatal) {
   EXPECT_EQ(client.Ping().value(), kProtocolVersion);
 }
 
-// Single-run and merged ids come from one counter, so neither kind of op
-// can resolve the other kind's id. Two snapshots and their merge make the
-// ids 1, 2 and 3; separate per-kind counters would have handed the merge
-// id 1 and answered these requests from the wrong artifact.
+// One artifact registry: snapshot ids and merged ids name indexes of one
+// type, so every id answers on every query op exactly as the service
+// answers the same index directly. Two snapshots and their merge make the
+// ids 1, 2 and 3, replayed alongside in-process.
 struct MergedRig {
   TestRig rig = TestRig::Make();
   ProvenanceClient client =
       ProvenanceClient::Connect(rig.server->port()).value();
   uint64_t view_id = 0;
+  ViewHandle direct_view;
   std::vector<uint64_t> index_ids;
+  std::vector<ProvenanceIndex> direct_snapshots;
   MergeInfo merged;
+  ProvenanceIndex direct_merged;
 
   MergedRig() {
     view_id = client.RegisterView(rig.view).value();
+    direct_view = rig.service->RegisterView(rig.view).value();
     for (int seed : {31, 32}) {
       std::vector<std::pair<int, int>> ops =
           RecordOpSequence(*rig.service, /*target_items=*/60, seed);
       uint64_t session_id = client.BeginRun().value();
+      auto direct_session = rig.service->BeginRun();
       for (const auto& [instance, production] : ops) {
         EXPECT_TRUE(client.Apply(session_id, instance, production).ok());
+        EXPECT_TRUE(direct_session->Apply(instance, production).ok());
       }
       index_ids.push_back(client.Snapshot(session_id).value().index_id);
+      direct_snapshots.push_back(direct_session->Snapshot());
     }
     merged = client.MergeRuns(index_ids).value();
+    direct_merged = ProvenanceIndex::Merge(direct_snapshots).value();
   }
 };
 
-TEST(ServerIds, MergedIdIsNotFoundOnSingleRunOps) {
+TEST(ServerIds, EveryArtifactIdAnswersEveryQueryOp) {
   MergedRig m;
-  const uint64_t id = m.merged.merged_id;
-  for (uint64_t index_id : m.index_ids) EXPECT_NE(index_id, id);
+  const std::vector<std::pair<uint64_t, const ProvenanceIndex*>> artifacts = {
+      {m.index_ids[0], &m.direct_snapshots[0]},
+      {m.index_ids[1], &m.direct_snapshots[1]},
+      {m.merged.merged_id, &m.direct_merged}};
+  for (const auto& [id, direct] : artifacts) {
+    SCOPED_TRACE("artifact id " + std::to_string(id));
+    const ViewLabelMode mode = ViewLabelMode::kDefault;
+    // Flat-id pairs span every run of the artifact (cross-run pairs of the
+    // merge included); (run, item) pairs address run 0, the only run of a
+    // snapshot.
+    std::vector<std::pair<int, int>> pairs =
+        RandomQueries(direct->total_items(), 200, 40 + id);
+    std::vector<std::pair<RunItem, RunItem>> run_pairs;
+    for (const auto& [a, b] : RandomQueries(direct->num_items(0), 100, id)) {
+      run_pairs.push_back({RunItem{0, a}, RunItem{0, b}});
+    }
+    std::vector<bool> want =
+        m.rig.service->DependsMany(m.direct_view, *direct, pairs, mode).value();
+
+    EXPECT_EQ(m.client.DependsMany(m.view_id, id, mode, pairs).value(), want);
+    for (int q = 0; q < 20; ++q) {
+      EXPECT_EQ(m.client
+                    .Depends(m.view_id, id, mode, pairs[q].first,
+                             pairs[q].second)
+                    .value(),
+                want[q])
+          << "q " << q;
+    }
+    EXPECT_EQ(m.client.VisibilitySweep(m.view_id, id, mode).value(),
+              m.rig.service->VisibilitySweep(m.direct_view, *direct, mode)
+                  .value());
+    EXPECT_EQ(
+        m.client.QueryAcrossRuns(m.view_id, id, mode, run_pairs).value(),
+        m.rig.service->QueryAcrossRuns(m.direct_view, *direct, run_pairs, mode)
+            .value());
+    const std::vector<uint64_t> merge_input = {id};
+    MergeInfo remerged = m.client.MergeRuns(merge_input).value();
+    EXPECT_EQ(remerged.num_runs, direct->num_runs());
+    EXPECT_EQ(remerged.total_items, direct->total_items());
+  }
+
+  // Merged and single-run ids mix in one merge: runs append in order.
+  const std::vector<uint64_t> mixed = {m.merged.merged_id, m.index_ids[0]};
+  MergeInfo three = m.client.MergeRuns(mixed).value();
+  EXPECT_EQ(three.num_runs, 3);
+  EXPECT_EQ(three.total_items, m.direct_merged.total_items() +
+                                   m.direct_snapshots[0].total_items());
+
+  // An id no artifact holds is still kNotFound on every op.
+  const uint64_t unknown = 999;
   const std::vector<std::pair<int, int>> pairs = {{0, 0}};
-  EXPECT_EQ(m.client.Depends(m.view_id, id, ViewLabelMode::kDefault, 0, 0)
+  const std::vector<std::pair<RunItem, RunItem>> run_pairs = {
+      {RunItem{0, 0}, RunItem{0, 0}}};
+  EXPECT_EQ(m.client.Depends(m.view_id, unknown, ViewLabelMode::kDefault, 0, 0)
                 .code(),
             ErrorCode::kNotFound);
-  EXPECT_EQ(
-      m.client.DependsMany(m.view_id, id, ViewLabelMode::kDefault, pairs)
-          .code(),
-      ErrorCode::kNotFound);
-  EXPECT_EQ(
-      m.client.VisibilitySweep(m.view_id, id, ViewLabelMode::kDefault).code(),
-      ErrorCode::kNotFound);
-  const std::vector<uint64_t> merge_input = {id};
-  EXPECT_EQ(m.client.MergeRuns(merge_input).code(), ErrorCode::kNotFound);
-  // The real single-run ids still answer.
-  EXPECT_TRUE(m.client
-                  .VisibilitySweep(m.view_id, m.index_ids[0],
-                                   ViewLabelMode::kDefault)
-                  .ok());
+  EXPECT_EQ(m.client
+                .DependsMany(m.view_id, unknown, ViewLabelMode::kDefault,
+                             pairs)
+                .code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(m.client
+                .VisibilitySweep(m.view_id, unknown, ViewLabelMode::kDefault)
+                .code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(m.client
+                .QueryAcrossRuns(m.view_id, unknown, ViewLabelMode::kDefault,
+                                 run_pairs)
+                .code(),
+            ErrorCode::kNotFound);
+  const std::vector<uint64_t> unknown_input = {unknown};
+  EXPECT_EQ(m.client.MergeRuns(unknown_input).code(), ErrorCode::kNotFound);
 }
 
-TEST(ServerIds, SingleRunIdIsNotFoundOnQueryAcrossRuns) {
-  MergedRig m;
-  const std::vector<std::pair<RunItem, RunItem>> queries = {
-      {RunItem{0, 0}, RunItem{1, 0}}};
-  for (uint64_t index_id : m.index_ids) {
-    EXPECT_EQ(m.client
-                  .QueryAcrossRuns(m.view_id, index_id,
-                                   ViewLabelMode::kDefault, queries)
-                  .code(),
-              ErrorCode::kNotFound);
+// kOpenIndexFile, then kCompactFiles writing over the served archive's
+// path, then a query on the served id: the compaction replaces the file by
+// rename, so the served mapping keeps answering from the old inode instead
+// of faulting on truncated pages.
+TEST(ServerDiskTier, CompactOverServedArchiveKeepsServing) {
+  TestRig rig = TestRig::Make();
+  ProvenanceClient client =
+      ProvenanceClient::Connect(rig.server->port()).value();
+  uint64_t view_id = client.RegisterView(rig.view).value();
+  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+  auto write_file = [](const std::string& path, std::string_view bytes) {
+    FileHandle out = FileHandle::CreateTruncate(path).value();
+    ASSERT_TRUE(out.WriteAll(bytes).ok());
+    ASSERT_TRUE(out.Close().ok());
+  };
+
+  const std::string served_path = "/tmp/fvl_server_test_served.fvlidx";
+  ProvenanceIndex served_heap = rig.service
+          ->GenerateLabeledRun(
+              RunGeneratorOptions{.target_items = 16000, .seed = 3})
+          ->Snapshot();
+  write_file(served_path, served_heap.Serialize());
+  std::vector<std::string> inputs;
+  for (int r = 0; r < 2; ++r) {
+    inputs.push_back("/tmp/fvl_server_test_in" + std::to_string(r) +
+                     ".fvlidx");
+    write_file(inputs.back(),
+               rig.service
+                   ->GenerateLabeledRun(RunGeneratorOptions{
+                       .target_items = 300,
+                       .seed = 10 + static_cast<uint64_t>(r)})
+                   ->Snapshot()
+                   .Serialize());
   }
-  // The merged id itself still answers.
-  EXPECT_TRUE(m.client
-                  .QueryAcrossRuns(m.view_id, m.merged.merged_id,
-                                   ViewLabelMode::kDefault, queries)
-                  .ok());
+
+  OpenInfo served = client.OpenIndexFile(served_path).value();
+  MergeInfo compacted = client.CompactFiles(inputs, served_path).value();
+  EXPECT_EQ(compacted.num_runs, 2);
+  for (ViewLabelMode mode : kAllModes) {
+    EXPECT_EQ(client.VisibilitySweep(view_id, served.index_id, mode).value(),
+              rig.service->VisibilitySweep(direct_view, served_heap, mode)
+                  .value())
+        << "mode " << static_cast<int>(mode);
+  }
+  // The server is still whole: the path now serves the compaction.
+  MergeInfo reopened = client.OpenMergedIndexFile(served_path).value();
+  EXPECT_EQ(reopened.total_items, compacted.total_items);
 }
 
 TEST(ServerLifecycle, ClosedConnectionSlotsAreReaped) {

@@ -486,7 +486,7 @@ TEST(ServiceThreads, ShardedBatchesMatchSerialAnswers) {
                 .target_items = 2500, .seed = 31 + static_cast<uint64_t>(r)})
             ->Snapshot());
   }
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   ASSERT_GE(static_cast<int64_t>(snapshots[0].num_items()),
             2 * kParallelForGrain)
       << "snapshot too small to produce a second ParallelFor shard";
@@ -531,8 +531,7 @@ TEST(ServiceThreads, NonPositiveQueryThreadsClampToOne) {
   auto service = ProvenanceService::Create(ex.spec).value();
   EXPECT_EQ(service->query_threads(), 1);  // the default
 
-  ProvenanceIndex snapshot =
-      service
+  ProvenanceIndex snapshot = service
           ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 200,
                                                    .seed = 9})
           ->Snapshot();
