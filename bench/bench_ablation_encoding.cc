@@ -63,7 +63,7 @@ int64_t FixedWidthIterationBits(const LabelCodec& codec,
 
 void Main(const BenchConfig& config) {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   TablePrinter table({"run_size", "factored_avg", "unfactored_avg",
                       "fixed_width_avg", "index_bits_per_item"});
@@ -71,13 +71,13 @@ void Main(const BenchConfig& config) {
     RunGeneratorOptions options;
     options.target_items = size;
     options.seed = size;
-    FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-    const LabelCodec& codec = labeled.labeler.codec();
+    auto session = service->GenerateLabeledRun(options);
+    const LabelCodec& codec = session->labeler().codec();
 
     // Provision the fixed iteration width for this run's deepest recursion.
     int max_iteration = 1;
-    for (int item = 0; item < labeled.run.num_items(); ++item) {
-      const DataLabel& label = labeled.labeler.Label(item);
+    for (int item = 0; item < session->num_items(); ++item) {
+      const DataLabel& label = session->Label(item);
       for (const auto& side : {label.producer, label.consumer}) {
         if (!side.has_value()) continue;
         for (const EdgeLabel& edge : side->path) {
@@ -90,15 +90,14 @@ void Main(const BenchConfig& config) {
     int iteration_bits = BitWidthFor(max_iteration + 1);
 
     int64_t factored = 0, unfactored = 0, fixed = 0;
-    for (int item = 0; item < labeled.run.num_items(); ++item) {
-      const DataLabel& label = labeled.labeler.Label(item);
+    for (int item = 0; item < session->num_items(); ++item) {
+      const DataLabel& label = session->Label(item);
       factored += codec.EncodedBits(label);
       unfactored += UnfactoredBits(codec, label);
       fixed += FixedWidthIterationBits(codec, label, iteration_bits);
     }
-    ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-        scheme.production_graph(), labeled.labeler);
-    double n = labeled.run.num_items();
+    ProvenanceIndex index = session->Snapshot();
+    double n = session->num_items();
     table.AddRow({std::to_string(size), TablePrinter::Num(factored / n, 1),
                   TablePrinter::Num(unfactored / n, 1),
                   TablePrinter::Num(fixed / n, 1),

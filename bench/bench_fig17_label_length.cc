@@ -32,15 +32,15 @@ namespace {
 
 // Fraction of encoded label bits shared with the previous item's encoding
 // as a bitwise prefix, over one labeled run (see the header comment).
-double PrefixDupeRatio(const FvlScheme::LabeledRun& labeled,
+double PrefixDupeRatio(const ProvenanceSession& session,
                        const LabelCodec& codec) {
   auto bit = [](const BitWriter& w, int64_t i) {
     return (w.words()[i / 64] >> (i % 64)) & 1;
   };
   int64_t shared = 0, total = 0;
   BitWriter prev;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    BitWriter cur = codec.Encode(labeled.labeler.Label(item));
+  for (int item = 0; item < session.num_items(); ++item) {
+    BitWriter cur = codec.Encode(session.Label(item));
     const int64_t overlap = std::min(prev.size_bits(), cur.size_bits());
     for (int64_t i = 0; i < overlap; ++i) {
       if (bit(prev, i) != bit(cur, i)) break;
@@ -56,7 +56,7 @@ void Main(const BenchConfig& config) {
   // Opened up front: a bad --json path must fail before the run, not after.
   JsonReport report(config, "fig17_label_length");
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   // DRL labels the default view of the run.
   View default_view = MakeDefaultView(workload.spec);
@@ -75,16 +75,15 @@ void Main(const BenchConfig& config) {
       RunGeneratorOptions options;
       options.target_items = size;
       options.seed = 1000 * sample + size;
-      FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-      LabelLengthStats fvl = FvlLabelLengths(labeled);
+      auto session = service->GenerateLabeledRun(options);
+      LabelLengthStats fvl = FvlLabelLengths(*session);
       fvl_avg += fvl.avg_bits;
       fvl_max = std::max(fvl_max, fvl.max_bits);
 
       // Freeze the labeled run and measure the serving artifact: v2 is the
       // store's exact serialized span cost, v1 is the flat-offset cost the
       // same arena paid before the compressed tail.
-      ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-          scheme.production_graph(), labeled.labeler);
+      ProvenanceIndex index = session->Snapshot();
       const double items = index.num_items();
       v2_bytes += static_cast<double>(index.SizeBits()) / 8.0 / items;
       const int64_t arena_bits = index.store().arena_bits();
@@ -94,11 +93,11 @@ void Main(const BenchConfig& config) {
                           BitWidthFor(arena_bits + 1)) /
                   8.0 / items;
       blob_bytes += static_cast<double>(index.Serialize().size());
-      prefix_dupe += PrefixDupeRatio(labeled, index.store().codec());
+      prefix_dupe += PrefixDupeRatio(*session, index.store().codec());
 
-      DrlRunLabeler drl = DrlLabelRun(labeled.run, drl_index);
+      DrlRunLabeler drl = DrlLabelRun(session->run(), drl_index);
       int64_t total = 0, max_bits = 0, count = 0;
-      for (int item = 0; item < labeled.run.num_items(); ++item) {
+      for (int item = 0; item < session->num_items(); ++item) {
         if (!drl.HasLabel(item)) continue;
         int64_t bits = drl.LabelBits(item);
         total += bits;
@@ -139,7 +138,7 @@ void Main(const BenchConfig& config) {
   compact_options.module_degree = 2;
   compact_options.nesting_depth = 1;
   Workload compact = MakeSynthetic(compact_options);
-  FvlScheme compact_scheme = FvlScheme::Create(&compact.spec).value();
+  auto compact_service = ProvenanceService::Create(compact.spec).value();
   TablePrinter compact_table({"run_size", "fvl_avg_bits", "fvl_max_bits",
                               "bytes_per_label", "v1_bytes_per_label",
                               "space_saving_pct", "index_bytes"});
@@ -150,13 +149,11 @@ void Main(const BenchConfig& config) {
       RunGeneratorOptions options;
       options.target_items = size;
       options.seed = 1000 * sample + size;
-      FvlScheme::LabeledRun labeled =
-          compact_scheme.GenerateLabeledRun(options);
-      LabelLengthStats fvl = FvlLabelLengths(labeled);
+      auto session = compact_service->GenerateLabeledRun(options);
+      LabelLengthStats fvl = FvlLabelLengths(*session);
       fvl_avg += fvl.avg_bits;
       fvl_max = std::max(fvl_max, fvl.max_bits);
-      ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-          compact_scheme.production_graph(), labeled.labeler);
+      ProvenanceIndex index = session->Snapshot();
       const double items = index.num_items();
       v2_bytes += static_cast<double>(index.SizeBits()) / 8.0 / items;
       const int64_t arena_bits = index.store().arena_bits();

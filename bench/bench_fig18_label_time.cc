@@ -16,7 +16,7 @@ namespace {
 
 void Main(const BenchConfig& config) {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   View default_view = MakeDefaultView(workload.spec);
   auto compiled =
@@ -33,7 +33,7 @@ void Main(const BenchConfig& config) {
       Run run = GenerateRandomRun(workload.spec.grammar, options);
 
       fvl_ms += TimeMs([&] {
-        RunLabeler labeler = LabelEntireRun(run, scheme.production_graph());
+        RunLabeler labeler = LabelEntireRun(run, service->production_graph());
         (void)labeler;
       });
       drl_ms += TimeMs([&] {

@@ -17,7 +17,7 @@ volatile long benchmark_sink = 0;
 
 void Main(const BenchConfig& config) {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   // The three views of §6.3, labeled in all three variants.
   std::vector<CompiledView> views;
@@ -34,30 +34,29 @@ void Main(const BenchConfig& config) {
     RunGeneratorOptions run_options;
     run_options.target_items = size;
     run_options.seed = size;
-    FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
+    auto session = service->GenerateLabeledRun(run_options);
 
     ViewLabelMode modes[3] = {ViewLabelMode::kSpaceEfficient,
                               ViewLabelMode::kDefault,
                               ViewLabelMode::kQueryEfficient};
     double ns[3] = {0, 0, 0};
     for (size_t v = 0; v < views.size(); ++v) {
-      ViewLabel labels[3] = {scheme.LabelView(views[v], modes[0]),
-                             scheme.LabelView(views[v], modes[1]),
-                             scheme.LabelView(views[v], modes[2])};
-      auto queries =
-          GenerateVisibleQueries(labeled.run, labeled.labeler, labels[1],
-                                 config.queries_per_point() / 3, 7 * size + v);
+      ViewHandle handle = service->RegisterView(views[v].view()).value();
+      auto queries = GenerateVisibleQueries(
+          session->run(), session->labeler(),
+          *service->LabelOf(handle, modes[1]).value(),
+          config.queries_per_point() / 3, 7 * size + v);
       for (int m = 0; m < 3; ++m) {
         // The space-efficient variant is orders of magnitude slower; cap its
         // sample count to keep the benchmark bounded.
         size_t count = m == 0 ? std::min<size_t>(queries.size(), 2000)
                               : queries.size();
-        Decoder pi(&labels[m]);
+        const Decoder& pi = *service->DecoderOf(handle, modes[m]).value();
         int hits = 0;
         Stopwatch watch;
         for (size_t q = 0; q < count; ++q) {
-          hits += pi.Depends(labeled.labeler.Label(queries[q].first),
-                             labeled.labeler.Label(queries[q].second))
+          hits += pi.Depends(session->Label(queries[q].first),
+                             session->Label(queries[q].second))
                       ? 1
                       : 0;
         }

@@ -22,13 +22,13 @@ void Main(const BenchConfig& config) {
   // Opened up front: a bad --json path must fail before the run, not after.
   JsonReport report(config, "fig21_multiview_space");
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   RunGeneratorOptions run_options;
   run_options.target_items = config.quick ? 2000 : 8000;
   run_options.seed = 21;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
-  double fvl_bits = FvlLabelLengths(labeled).avg_bits;
+  auto session = service->GenerateLabeledRun(run_options);
+  double fvl_bits = FvlLabelLengths(*session).avg_bits;
 
   // Ten medium-size black-box views.
   std::vector<DrlViewIndex> indices;
@@ -48,9 +48,9 @@ void Main(const BenchConfig& config) {
   TablePrinter table({"num_views", "fvl_bits", "drl_bits"});
   double drl_cumulative = 0;
   for (int v = 1; v <= 10; ++v) {
-    DrlRunLabeler drl = DrlLabelRun(labeled.run, indices[v - 1]);
+    DrlRunLabeler drl = DrlLabelRun(session->run(), indices[v - 1]);
     int64_t total = 0, count = 0;
-    for (int item = 0; item < labeled.run.num_items(); ++item) {
+    for (int item = 0; item < session->num_items(); ++item) {
       if (!drl.HasLabel(item)) continue;
       total += drl.LabelBits(item);
       ++count;
@@ -67,8 +67,7 @@ void Main(const BenchConfig& config) {
   // The single view-adaptive index behind the flat FVL line, frozen and
   // serialized: its per-item byte cost is what every additional view
   // amortizes against.
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme.production_graph(), labeled.labeler);
+  ProvenanceIndex index = session->Snapshot();
   const double items = index.num_items();
   const double v2_bytes =
       static_cast<double>(index.SizeBits()) / 8.0 / items;

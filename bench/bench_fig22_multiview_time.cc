@@ -16,7 +16,7 @@ namespace {
 
 void Main(const BenchConfig& config) {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   RunGeneratorOptions run_options;
   run_options.target_items = config.quick ? 2000 : 8000;
@@ -40,7 +40,7 @@ void Main(const BenchConfig& config) {
   double fvl_ms = 0;
   for (int rep = 0; rep < repetitions; ++rep) {
     fvl_ms += TimeMs([&] {
-      RunLabeler labeler = LabelEntireRun(run, scheme.production_graph());
+      RunLabeler labeler = LabelEntireRun(run, service->production_graph());
       (void)labeler;
     });
   }

@@ -16,12 +16,12 @@ volatile long benchmark_sink = 0;
 
 void Main(const BenchConfig& config) {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   RunGeneratorOptions run_options;
   run_options.target_items = config.quick ? 2000 : 8000;
   run_options.seed = 23;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
+  auto session = service->GenerateLabeledRun(run_options);
 
   TablePrinter table({"view", "FVL_ns", "MatrixFree_ns", "DRL_ns"});
   for (const NamedViewSize& view_size : PaperViewSizes()) {
@@ -31,20 +31,22 @@ void Main(const BenchConfig& config) {
     options.seed = view_size.num_expandable;
     CompiledView view = GenerateSafeView(workload, options);
 
-    ViewLabel label = scheme.LabelView(view, ViewLabelMode::kQueryEfficient);
+    ViewHandle handle = service->RegisterView(view.view()).value();
+    const ViewLabel& label =
+        *service->LabelOf(handle, ViewLabelMode::kQueryEfficient).value();
     Decoder pi(&label);
-    MatrixFreeDecoder matrix_free(&scheme.production_graph(), &label);
+    MatrixFreeDecoder matrix_free(&service->production_graph(), &label);
     DrlViewIndex drl_index(&workload.spec.grammar, &view);
-    DrlRunLabeler drl = DrlLabelRun(labeled.run, drl_index);
+    DrlRunLabeler drl = DrlLabelRun(session->run(), drl_index);
 
     auto queries = GenerateVisibleQueries(
-        labeled.run, labeled.labeler, label, config.queries_per_point(),
+        session->run(), session->labeler(), label, config.queries_per_point(),
         17 * view_size.num_expandable);
 
     int sink = 0;
     Stopwatch watch;
     for (const auto& [d1, d2] : queries) {
-      sink += pi.Depends(labeled.labeler.Label(d1), labeled.labeler.Label(d2))
+      sink += pi.Depends(session->Label(d1), session->Label(d2))
                   ? 1
                   : 0;
     }
@@ -52,8 +54,7 @@ void Main(const BenchConfig& config) {
 
     watch.Reset();
     for (const auto& [d1, d2] : queries) {
-      sink += matrix_free.Depends(labeled.labeler.Label(d1),
-                                  labeled.labeler.Label(d2))
+      sink += matrix_free.Depends(session->Label(d1), session->Label(d2))
                   ? 1
                   : 0;
     }

@@ -23,7 +23,7 @@ void Main(const BenchConfig& config) {
     options.recursion_length = 2;
     options.seed = 24;
     Workload workload = MakeSynthetic(options);
-    FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+    auto service = ProvenanceService::Create(workload.spec).value();
 
     double avg = 0, max_bits = 0;
     int samples = config.quick ? 2 : 5;
@@ -31,8 +31,8 @@ void Main(const BenchConfig& config) {
       RunGeneratorOptions run_options;
       run_options.target_items = config.quick ? 2000 : 8000;
       run_options.seed = 100 * depth + sample;
-      FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
-      LabelLengthStats stats = FvlLabelLengths(labeled);
+      auto session = service->GenerateLabeledRun(run_options);
+      LabelLengthStats stats = FvlLabelLengths(*session);
       avg += stats.avg_bits;
       max_bits = std::max(max_bits, stats.max_bits);
     }

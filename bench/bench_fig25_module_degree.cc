@@ -23,28 +23,30 @@ void Main(const BenchConfig& config) {
     options.recursion_length = 2;
     options.seed = 25;
     Workload workload = MakeSynthetic(options);
-    FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+    auto service = ProvenanceService::Create(workload.spec).value();
 
     RunGeneratorOptions run_options;
     run_options.target_items = config.quick ? 2000 : 8000;
     run_options.seed = degree;
-    FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
+    auto session = service->GenerateLabeledRun(run_options);
 
     ViewGeneratorOptions view_options;
     view_options.deps = PerceivedDeps::kGreyBox;
     view_options.num_expandable = -1;
     view_options.seed = degree;
     CompiledView view = GenerateSafeView(workload, view_options);
-    ViewLabel label = scheme.LabelView(view, ViewLabelMode::kQueryEfficient);
+    ViewHandle handle = service->RegisterView(view.view()).value();
+    const ViewLabel& label =
+        *service->LabelOf(handle, ViewLabelMode::kQueryEfficient).value();
     Decoder pi(&label);
 
     auto queries =
-        GenerateVisibleQueries(labeled.run, labeled.labeler, label,
+        GenerateVisibleQueries(session->run(), session->labeler(), label,
                                config.queries_per_point(), 31 * degree);
     int sink = 0;
     Stopwatch watch;
     for (const auto& [d1, d2] : queries) {
-      sink += pi.Depends(labeled.labeler.Label(d1), labeled.labeler.Label(d2))
+      sink += pi.Depends(session->Label(d1), session->Label(d2))
                   ? 1
                   : 0;
     }

@@ -50,12 +50,13 @@ struct BasicPathLabeler {
 void Main(const BenchConfig& config) {
   // Non-strict grammar (Fig. 10): basic-path labels.
   Specification fig10 = MakeFig10Example();
-  Result<FvlScheme> fig10_scheme = FvlScheme::Create(&fig10);
-  bool fvl_rejects = !fig10_scheme.has_value();
+  Result<std::shared_ptr<ProvenanceService>> fig10_service =
+      ProvenanceService::Create(fig10);
+  bool fvl_rejects = !fig10_service.has_value();
 
   // Strictly linear workload for the FVL comparison column.
   Workload bioaid = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&bioaid.spec).value();
+  auto service = ProvenanceService::Create(bioaid.spec).value();
 
   TablePrinter table(
       {"run_size", "Fig10_basic_avg_bits", "Fig10_basic_max_bits",
@@ -82,8 +83,8 @@ void Main(const BenchConfig& config) {
     double basic_avg = static_cast<double>(total) / run.num_items();
 
     options.seed = size + 1;
-    FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-    LabelLengthStats fvl = FvlLabelLengths(labeled);
+    auto session = service->GenerateLabeledRun(options);
+    LabelLengthStats fvl = FvlLabelLengths(*session);
 
     table.AddRow({std::to_string(size), TablePrinter::Num(basic_avg, 1),
                   TablePrinter::Num(static_cast<double>(max_bits), 0),
@@ -98,7 +99,7 @@ void Main(const BenchConfig& config) {
       "expected shape: Fig-10 basic labels grow linearly with run size; "
       "FVL labels grow logarithmically\n",
       fvl_rejects ? "yes" : "NO (bug!)",
-      fig10_scheme.status().ToString().c_str());
+      fig10_service.status().ToString().c_str());
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
 #include "fvl/drl/drl_scheme.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/util/random.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/query_generator.h"
@@ -57,8 +57,8 @@ BENCHMARK(BM_BoolMatrixPowerLog);
 struct QueryFixture {
   QueryFixture()
       : workload(MakeBioAid(2012)),
-        scheme(FvlScheme::Create(&workload.spec).value()),
-        labeled(scheme.GenerateLabeledRun([] {
+        service(ProvenanceService::Create(workload.spec).value()),
+        session(service->GenerateLabeledRun([] {
           RunGeneratorOptions options;
           options.target_items = 8000;
           options.seed = 5;
@@ -71,20 +71,25 @@ struct QueryFixture {
           options.seed = 9;
           return options;
         }())),
-        label_se(scheme.LabelView(view, ViewLabelMode::kSpaceEfficient)),
-        label_def(scheme.LabelView(view, ViewLabelMode::kDefault)),
-        label_qe(scheme.LabelView(view, ViewLabelMode::kQueryEfficient)),
-        queries(GenerateVisibleQueries(labeled.run, labeled.labeler, label_qe,
-                                       10000, 3)) {}
+        label_se(Label(ViewLabelMode::kSpaceEfficient)),
+        label_def(Label(ViewLabelMode::kDefault)),
+        label_qe(Label(ViewLabelMode::kQueryEfficient)),
+        queries(GenerateVisibleQueries(session->run(), session->labeler(),
+                                       label_qe, 10000, 3)) {}
 
   static QueryFixture& Get() {
     static QueryFixture* fixture = new QueryFixture();
     return *fixture;
   }
 
+  ViewLabel Label(ViewLabelMode mode) const {
+    return ViewLabeler(&service->grammar(), &service->production_graph())
+        .Label(view, mode);
+  }
+
   Workload workload;
-  FvlScheme scheme;
-  FvlScheme::LabeledRun labeled;
+  std::shared_ptr<ProvenanceService> service;
+  std::shared_ptr<ProvenanceSession> session;
   CompiledView view;
   ViewLabel label_se, label_def, label_qe;
   std::vector<std::pair<int, int>> queries;
@@ -96,8 +101,8 @@ void RunQueryBench(benchmark::State& state, const ViewLabel& label) {
   size_t q = 0;
   for (auto _ : state) {
     const auto& [d1, d2] = fixture.queries[q];
-    benchmark::DoNotOptimize(pi.Depends(fixture.labeled.labeler.Label(d1),
-                                        fixture.labeled.labeler.Label(d2)));
+    benchmark::DoNotOptimize(pi.Depends(fixture.session->Label(d1),
+                                        fixture.session->Label(d2)));
     q = (q + 1) % fixture.queries.size();
   }
 }
@@ -119,12 +124,11 @@ BENCHMARK(BM_DecoderSpaceEfficient);
 
 void BM_LabelEncode(benchmark::State& state) {
   QueryFixture& fixture = QueryFixture::Get();
-  const LabelCodec& codec = fixture.labeled.labeler.codec();
+  const LabelCodec& codec = fixture.session->labeler().codec();
   size_t item = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        codec.Encode(fixture.labeled.labeler.Label(
-            static_cast<int>(item % fixture.labeled.run.num_items()))));
+    benchmark::DoNotOptimize(codec.Encode(fixture.session->Label(
+        static_cast<int>(item % fixture.session->num_items()))));
     ++item;
   }
 }
@@ -132,8 +136,8 @@ BENCHMARK(BM_LabelEncode);
 
 void BM_LabelDecode(benchmark::State& state) {
   QueryFixture& fixture = QueryFixture::Get();
-  const LabelCodec& codec = fixture.labeled.labeler.codec();
-  BitWriter encoded = codec.Encode(fixture.labeled.labeler.Label(0));
+  const LabelCodec& codec = fixture.session->labeler().codec();
+  BitWriter encoded = codec.Encode(fixture.session->Label(0));
   for (auto _ : state) {
     BitReader reader(encoded);
     benchmark::DoNotOptimize(codec.Decode(&reader));

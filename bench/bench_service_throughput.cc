@@ -156,11 +156,10 @@ void Main(const BenchConfig& config) {
     RunGeneratorOptions run_options;
     run_options.target_items = size;
     run_options.seed = size;
-    ProvenanceService::LabeledRun labeled =
-        service->DeriveLabeledRun(run_options);
+    Run run = GenerateRandomRun(service->grammar(), run_options);
 
     RunLabeler labeler = service->MakeRunLabeler();
-    labeler.OnStart(labeled.run);
+    labeler.OnStart(run);
     std::vector<ProvenanceIndex> deltas;
     double full_ms = 0, delta_ms = 0;
     int checkpoints = 0;
@@ -174,8 +173,8 @@ void Main(const BenchConfig& config) {
       });
       ++checkpoints;
     };
-    for (int s = 0; s < labeled.run.num_steps(); ++s) {
-      labeler.OnApply(labeled.run, labeled.run.step(s));
+    for (int s = 0; s < run.num_steps(); ++s) {
+      labeler.OnApply(run, run.step(s));
       if (labeler.num_labels() >= (checkpoints + 1) * size / 10) freeze();
     }
     freeze();  // the tail past the last threshold

@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "fvl/service/legacy_facade.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/util/check.h"
 #include "fvl/util/stopwatch.h"
 #include "fvl/util/table_printer.h"
@@ -122,16 +122,16 @@ struct LabelLengthStats {
   double max_bits = 0;
 };
 
-inline LabelLengthStats FvlLabelLengths(const FvlScheme::LabeledRun& labeled) {
+inline LabelLengthStats FvlLabelLengths(const ProvenanceSession& session) {
   LabelLengthStats stats;
   int64_t total = 0;
   int64_t max_bits = 0;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    int64_t bits = labeled.labeler.LabelBits(item);
+  for (int item = 0; item < session.num_items(); ++item) {
+    int64_t bits = session.LabelBits(item);
     total += bits;
     max_bits = std::max(max_bits, bits);
   }
-  stats.avg_bits = static_cast<double>(total) / labeled.run.num_items();
+  stats.avg_bits = static_cast<double>(total) / session.num_items();
   stats.max_bits = static_cast<double>(max_bits);
   return stats;
 }

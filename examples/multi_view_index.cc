@@ -8,11 +8,11 @@
 //   $ ./multi_view_index
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
-#include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
 #include "fvl/drl/drl_scheme.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/util/stopwatch.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/view_generator.h"
@@ -21,10 +21,10 @@ using namespace fvl;
 
 int main() {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   // The provenance store: five executions, labeled once each.
-  std::vector<FvlScheme::LabeledRun> store;
+  std::vector<std::shared_ptr<ProvenanceSession>> store;
   Stopwatch watch;
   int64_t total_items = 0;
   int64_t fvl_index_bits = 0;
@@ -32,10 +32,10 @@ int main() {
     RunGeneratorOptions options;
     options.target_items = 4000;
     options.seed = 50 + r;
-    store.push_back(scheme.GenerateLabeledRun(options));
-    total_items += store.back().run.num_items();
-    for (int item = 0; item < store.back().run.num_items(); ++item) {
-      fvl_index_bits += store.back().labeler.LabelBits(item);
+    store.push_back(service->GenerateLabeledRun(options));
+    total_items += store.back()->num_items();
+    for (int item = 0; item < store.back()->num_items(); ++item) {
+      fvl_index_bits += store.back()->LabelBits(item);
     }
   }
   double fvl_build_ms = watch.ElapsedMillis();
@@ -56,16 +56,17 @@ int main() {
     CompiledView view = GenerateSafeView(workload, options);
 
     watch.Reset();
-    ViewLabel view_label =
-        scheme.LabelView(view, ViewLabelMode::kQueryEfficient);
+    ViewHandle handle = service->RegisterView(view.view()).value();
+    const ViewLabel& view_label =
+        *service->LabelOf(handle, ViewLabelMode::kQueryEfficient).value();
     double fvl_add_ms = watch.ElapsedMillis();
 
     watch.Reset();
     DrlViewIndex drl_index(&workload.spec.grammar, &view);
     int64_t drl_bits = 0;
-    for (const auto& labeled : store) {
-      DrlRunLabeler drl = DrlLabelRun(labeled.run, drl_index);
-      for (int item = 0; item < labeled.run.num_items(); ++item) {
+    for (const auto& session : store) {
+      DrlRunLabeler drl = DrlLabelRun(session->run(), drl_index);
+      for (int item = 0; item < session->num_items(); ++item) {
         if (drl.HasLabel(item)) drl_bits += drl.LabelBits(item);
       }
     }
@@ -73,14 +74,11 @@ int main() {
     drl_cumulative_ms += drl_add_ms;
 
     // Sanity: the new view answers queries from the *old* FVL labels.
-    Decoder pi(&view_label);
-    const FvlScheme::LabeledRun& labeled = store[v % store.size()];
+    ProvenanceSession& session = *store[v % store.size()];
     int yes = 0;
     for (int d1 = 0; d1 < 40; ++d1) {
       for (int d2 = 0; d2 < 40; ++d2) {
-        yes += pi.Depends(labeled.labeler.Label(d1), labeled.labeler.Label(d2))
-                   ? 1
-                   : 0;
+        yes += session.Depends(handle, d1, d2).value() ? 1 : 0;
       }
     }
     std::printf(

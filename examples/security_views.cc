@@ -12,9 +12,8 @@
 
 #include <cstdio>
 
-#include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
 #include "fvl/core/visibility.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/query_generator.h"
 #include "fvl/workload/view_generator.h"
@@ -23,22 +22,21 @@ using namespace fvl;
 
 int main() {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   // One shared execution of the workflow, labeled online.
   RunGeneratorOptions run_options;
   run_options.target_items = 4000;
   run_options.seed = 11;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
-  std::printf("execution: %d data items\n", labeled.run.num_items());
+  auto session = service->GenerateLabeledRun(run_options);
+  std::printf("execution: %d data items\n", session->num_items());
 
   // The owner's view: everything white-box.
   ViewGeneratorOptions owner_options;
   owner_options.deps = PerceivedDeps::kWhiteBox;
   owner_options.seed = 1;
   CompiledView owner_view = GenerateSafeView(workload, owner_options);
-  ViewLabel owner_label =
-      scheme.LabelView(owner_view, ViewLabelMode::kQueryEfficient);
+  ViewHandle owner = service->RegisterView(owner_view.view()).value();
 
   // The analysts' security view: only 6 composite modules stay expandable,
   // the rest are sealed with grey-box (overstated) dependencies.
@@ -48,28 +46,24 @@ int main() {
   analyst_options.add_probability = 0.6;
   analyst_options.seed = 2;
   CompiledView analyst_view = GenerateSafeView(workload, analyst_options);
-  ViewLabel analyst_label =
-      scheme.LabelView(analyst_view, ViewLabelMode::kQueryEfficient);
-
-  Decoder owner_pi(&owner_label);
-  Decoder analyst_pi(&analyst_label);
+  ViewHandle analyst = service->RegisterView(analyst_view.view()).value();
+  const ViewLabel& analyst_label =
+      *service->LabelOf(analyst, ViewLabelMode::kQueryEfficient).value();
 
   // Count how often the two views disagree on dependence, and how many
   // items the analyst cannot see at all.
   int invisible = 0;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    if (!IsItemVisible(labeled.labeler.Label(item), analyst_label)) {
+  for (int item = 0; item < session->num_items(); ++item) {
+    if (!IsItemVisible(session->Label(item), analyst_label)) {
       ++invisible;
     }
   }
-  auto queries = GenerateVisibleQueries(labeled.run, labeled.labeler,
+  auto queries = GenerateVisibleQueries(session->run(), session->labeler(),
                                         analyst_label, 20000, 3);
   int disagreements = 0, analyst_yes = 0, owner_yes = 0;
   for (const auto& [d1, d2] : queries) {
-    bool owner_answer = owner_pi.Depends(labeled.labeler.Label(d1),
-                                         labeled.labeler.Label(d2));
-    bool analyst_answer = analyst_pi.Depends(labeled.labeler.Label(d1),
-                                             labeled.labeler.Label(d2));
+    bool owner_answer = session->Depends(owner, d1, d2).value();
+    bool analyst_answer = session->Depends(analyst, d1, d2).value();
     owner_yes += owner_answer ? 1 : 0;
     analyst_yes += analyst_answer ? 1 : 0;
     disagreements += owner_answer != analyst_answer ? 1 : 0;
@@ -84,7 +78,7 @@ int main() {
       "items hidden from analysts: %d of %d\n"
       "sampled queries: %zu; owner says yes: %d; analysts see yes: %d; "
       "answers differ (falsified dependencies doing their job): %d\n",
-      invisible, labeled.run.num_items(), queries.size(), owner_yes,
+      invisible, session->num_items(), queries.size(), owner_yes,
       analyst_yes, disagreements);
 
   // The same data labels served both views — nothing was relabeled.

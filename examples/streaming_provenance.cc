@@ -17,8 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/random.h"
 #include "fvl/workload/bioaid.h"
@@ -27,19 +25,18 @@ using namespace fvl;
 
 int main() {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   // Static part, done once before the execution even starts: label the
   // abstraction view every user will query through.
-  View default_view = MakeDefaultView(workload.spec);
-  auto view =
-      *CompiledView::Compile(workload.spec.grammar, default_view);
-  ViewLabel view_label = scheme.LabelView(view, ViewLabelMode::kQueryEfficient);
-  Decoder pi(&view_label);
+  const Decoder& pi = *service
+                           ->DecoderOf(service->default_view(),
+                                       ViewLabelMode::kQueryEfficient)
+                           .value();
 
   // Dynamic part: the engine announces derivation steps; the labeler reacts.
-  Run run(&workload.spec.grammar);
-  RunLabeler labeler = scheme.MakeRunLabeler();
+  Run run(&service->grammar());
+  RunLabeler labeler = service->MakeRunLabeler();
   labeler.OnStart(run);
   std::vector<DataLabel> first_seen;
   auto snapshot = [&] {
@@ -92,7 +89,6 @@ int main() {
   // A long execution wants its labels on disk *while it runs*. SnapshotDelta
   // freezes only the labels appended since the previous freeze, so each
   // checkpoint costs O(delta) no matter how long the run has become.
-  auto service = ProvenanceService::Create(workload.spec).value();
   auto session = service->BeginRun();
   std::vector<ProvenanceIndex> checkpoints;
   Rng step_rng(7);

@@ -9,23 +9,22 @@
 
 #include <cstdio>
 
-#include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
 #include "fvl/core/visibility.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/workload/paper_example.h"
 
 using namespace fvl;
 
 int main() {
   PaperExample example = MakePaperExample();
-  FvlScheme scheme = FvlScheme::Create(&example.spec).value();
+  auto service = ProvenanceService::Create(example.spec).value();
 
   // A run labeled long before anyone defines the view below.
   RunGeneratorOptions run_options;
   run_options.target_items = 300;
   run_options.seed = 4;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
-  std::printf("run labeled: %d items\n", labeled.run.num_items());
+  auto session = service->GenerateLabeledRun(run_options);
+  std::printf("run labeled: %d items\n", session->num_items());
 
   // Example 18: group W5's members D and E into F with black-box perceived
   // dependencies.
@@ -57,12 +56,13 @@ int main() {
       boundary.internal_edges.size(), view->virtual_grammar().num_modules());
 
   // Label the view (static) and decode against the pre-existing data labels.
-  ViewLabel view_label = scheme.LabelView(*view, ViewLabelMode::kDefault);
-  Decoder pi(&view_label);
+  ViewHandle handle = service->RegisterGroupedView(base, {group}).value();
+  const ViewLabel& view_label =
+      *service->LabelOf(handle, ViewLabelMode::kDefault).value();
 
   int visible = 0, hidden = 0;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    if (IsItemVisible(labeled.labeler.Label(item), view_label)) {
+  for (int item = 0; item < session->num_items(); ++item) {
+    if (IsItemVisible(session->Label(item), view_label)) {
       ++visible;
     } else {
       ++hidden;
@@ -74,14 +74,15 @@ int main() {
   // Query across the group: an item feeding some C instance against an item
   // leaving it. With λ'(F) complete, everything entering C reaches
   // everything leaving it.
-  for (int inst = 0; inst < labeled.run.num_instances(); ++inst) {
-    if (labeled.run.instance(inst).type != example.C) continue;
-    int d_in = labeled.run.InputItems(inst)[0];
-    int d_out = labeled.run.OutputItems(inst)[0];
+  const Run& run = session->run();
+  for (int inst = 0; inst < run.num_instances(); ++inst) {
+    if (run.instance(inst).type != example.C) continue;
+    int d_in = run.InputItems(inst)[0];
+    int d_out = run.OutputItems(inst)[0];
     std::printf(
         "C instance %d: depends(in -> out) through the grouped view: %s\n",
         inst,
-        pi.Depends(labeled.labeler.Label(d_in), labeled.labeler.Label(d_out))
+        session->Depends(handle, d_in, d_out, ViewLabelMode::kDefault).value()
             ? "yes"
             : "no");
     break;

@@ -46,21 +46,6 @@ bool FitsItemCount(int64_t total) {
 
 }  // namespace
 
-ProvenanceIndexBuilder::ProvenanceIndexBuilder(const ProductionGraph& pg)
-    : store_(LabelCodec(pg)) {
-  store_.BeginGroup();
-}
-
-ProvenanceIndex ProvenanceIndexBuilder::Build() && {
-  return ProvenanceIndex(std::move(store_));
-}
-
-ProvenanceIndex ProvenanceIndexBuilder::FromLabeledRun(
-    const ProductionGraph& pg, const RunLabeler& labeler) {
-  FVL_CHECK(labeler.codec() == LabelCodec(pg));
-  return ProvenanceIndex(labeler.store());
-}
-
 int64_t ProvenanceIndex::SizeBits() const {
   // Exact bits of the canonical span representation: every label's content
   // plus the block-compressed length metadata, and the run base table the

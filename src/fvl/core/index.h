@@ -3,14 +3,12 @@
 //
 // The index is a thin, immutable wrapper over a frozen fvl::LabelStore
 // (core/label_store.h) — one contiguous bit arena plus grouped offsets,
-// one group per run. A ProvenanceIndexBuilder consumes a labeled run and
-// packs every encoded data label into a single-group store; the resulting
-// ProvenanceIndex is a position-independent blob that can be serialized,
-// mapped back, and queried without the Run or the labeler:
+// one group per run. A snapshot wraps a copy of a labeled run's live store
+// (ProvenanceSession::Snapshot, or ProvenanceIndex(labeler.store())); the
+// resulting ProvenanceIndex is a position-independent blob that can be
+// serialized, mapped back, and queried without the Run or the labeler:
 //
-//   ProvenanceIndexBuilder builder(service.production_graph());
-//   ... builder.Add(label) for every item (or FromLabeledRun) ...
-//   ProvenanceIndex index = std::move(builder).Build();
+//   ProvenanceIndex index = session->Snapshot();
 //   std::string blob = index.Serialize();
 //   ProvenanceIndex restored = ProvenanceIndex::Deserialize(blob).value();
 //   Decoder pi(&view_label);
@@ -34,33 +32,12 @@
 #include <vector>
 
 #include "fvl/core/label_store.h"
-#include "fvl/core/run_labeler.h"
 #include "fvl/core/serving_cache.h"
 #include "fvl/util/blob_source.h"
 #include "fvl/util/check.h"
 #include "fvl/util/status.h"
 
 namespace fvl {
-
-class ProvenanceIndex;
-
-class ProvenanceIndexBuilder {
- public:
-  explicit ProvenanceIndexBuilder(const ProductionGraph& pg);
-
-  // Items must be added in id order (0, 1, 2, ...).
-  void Add(const DataLabel& label) { store_.Append(label); }
-
-  ProvenanceIndex Build() &&;
-
-  // Freezes an already-labeled run: the labeler's live store is copied
-  // verbatim (no label is re-encoded).
-  static ProvenanceIndex FromLabeledRun(const ProductionGraph& pg,
-                                        const RunLabeler& labeler);
-
- private:
-  LabelStore store_;
-};
 
 // Provenance of N >= 0 runs of one specification, frozen into a single
 // position-independent artifact: a LabelStore with one group per run. A
@@ -74,8 +51,8 @@ class ProvenanceIndexBuilder {
 class ProvenanceIndex {
  public:
   ProvenanceIndex() = default;  // zero runs, zero items
-  // Wraps a frozen store (a builder's output, a session's live store copied
-  // at snapshot time, a merge, or a deserialized blob).
+  // Wraps a frozen store (a labeler's live store copied at snapshot time, a
+  // merge, or a deserialized blob).
   explicit ProvenanceIndex(LabelStore store)
       : store_(std::move(store)),
         cache_(internal::MakeServingCache(store_.total_items())) {}

@@ -6,8 +6,8 @@
 // Labels are stored encoded, in a live single-group LabelStore: each label
 // is appended to the shared bit arena when its item appears, so a labeled
 // run costs arena bits (tens of bits per item), not DataLabel structs, and
-// freezing a snapshot (ProvenanceIndexBuilder::FromLabeledRun) copies the
-// arena instead of re-encoding every label. Label(item) decodes on demand.
+// freezing a snapshot (ProvenanceIndex(labeler.store())) copies the arena
+// instead of re-encoding every label. Label(item) decodes on demand.
 
 #ifndef FVL_CORE_RUN_LABELER_H_
 #define FVL_CORE_RUN_LABELER_H_

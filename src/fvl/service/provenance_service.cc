@@ -24,19 +24,8 @@ ProvenanceService::ProvenanceService()
     : tag_(next_service_tag.fetch_add(1, std::memory_order_relaxed)) {}
 
 Result<std::shared_ptr<ProvenanceService>> ProvenanceService::Create(
-    Specification spec) {
-  return Finish(std::make_shared<const Specification>(std::move(spec)));
-}
-
-Result<std::shared_ptr<ProvenanceService>> ProvenanceService::CreateUnowned(
-    const Specification* spec) {
-  // Aliasing shared_ptr with no control block: the caller owns *spec.
-  return Finish(std::shared_ptr<const Specification>(
-      std::shared_ptr<const Specification>(), spec));
-}
-
-Result<std::shared_ptr<ProvenanceService>> ProvenanceService::Finish(
-    std::shared_ptr<const Specification> spec) {
+    Specification owned) {
+  auto spec = std::make_unique<const Specification>(std::move(owned));
   // Thm.-8 preconditions, each with its own error code.
   if (auto validation = spec->Validate()) {
     return Status::Error(ErrorCode::kInvalidSpecification, *validation);
@@ -190,14 +179,6 @@ std::shared_ptr<ProvenanceSession> ProvenanceService::BeginRun() {
 
 std::shared_ptr<ProvenanceSession> ProvenanceService::GenerateLabeledRun(
     const RunGeneratorOptions& options) {
-  LabeledRun labeled = DeriveLabeledRun(options);
-  return std::shared_ptr<ProvenanceSession>(
-      new ProvenanceSession(shared_from_this(), std::move(labeled.run),
-                            std::move(labeled.labeler)));
-}
-
-ProvenanceService::LabeledRun ProvenanceService::DeriveLabeledRun(
-    const RunGeneratorOptions& options) const {
   RunLabeler labeler = MakeRunLabeler();
   Run run = GenerateRandomRun(
       spec_->grammar, options,
@@ -208,7 +189,8 @@ ProvenanceService::LabeledRun ProvenanceService::DeriveLabeledRun(
           labeler.OnApply(current, *step);
         }
       });
-  return {std::move(run), std::move(labeler)};
+  return std::shared_ptr<ProvenanceSession>(new ProvenanceSession(
+      shared_from_this(), std::move(run), std::move(labeler)));
 }
 
 Result<bool> ProvenanceService::Depends(ViewHandle handle, const DataLabel& d1,

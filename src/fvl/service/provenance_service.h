@@ -104,11 +104,6 @@ class ProvenanceService
   // kIncompleteAssignment — one per rejected-specification class.
   [[nodiscard]] static Result<std::shared_ptr<ProvenanceService>> Create(Specification spec);
 
-  // Legacy adapter for callers that keep the specification elsewhere:
-  // *spec must outlive the service. Prefer Create.
-  [[nodiscard]] static Result<std::shared_ptr<ProvenanceService>> CreateUnowned(
-      const Specification* spec);
-
   ProvenanceService(const ProvenanceService&) = delete;
   ProvenanceService& operator=(const ProvenanceService&) = delete;
 
@@ -201,16 +196,8 @@ class ProvenanceService
   std::shared_ptr<ProvenanceSession> GenerateLabeledRun(
       const RunGeneratorOptions& options);
 
-  // The run/labeler pair behind GenerateLabeledRun, without the session
-  // (the legacy facade hands the pair straight to callers).
-  struct LabeledRun {
-    Run run;
-    RunLabeler labeler;
-  };
-  LabeledRun DeriveLabeledRun(const RunGeneratorOptions& options) const;
-
-  // A fresh labeler bound to this service's grammar (building block for the
-  // legacy facade; sessions are the primary interface).
+  // A fresh labeler bound to this service's grammar, for callers that drive
+  // OnStart/OnApply themselves (sessions are the primary interface).
   RunLabeler MakeRunLabeler() const {
     return RunLabeler(&spec_->grammar, pg_.get());
   }
@@ -319,10 +306,6 @@ class ProvenanceService
 
   ProvenanceService();
 
-  // Shared Thm.-8 validation + default-view registration.
-  [[nodiscard]] static Result<std::shared_ptr<ProvenanceService>> Finish(
-      std::shared_ptr<const Specification> spec);
-
   // Registry lookups; `mu_` must be held (every public entry point takes
   // it once, so internal code never locks twice) — machine-checked via
   // FVL_REQUIRES in the thread-safety CI lane.
@@ -382,7 +365,7 @@ class ProvenanceService
   const ViewLabel& BuildLabel(ViewEntry& entry, ViewLabelMode mode)
       FVL_REQUIRES(mu_);
 
-  std::shared_ptr<const Specification> spec_;
+  std::unique_ptr<const Specification> spec_;
   std::unique_ptr<ProductionGraph> pg_;  // refers into *spec_
   DependencyAssignment true_full_;
 

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -359,8 +360,11 @@ TEST(ConcurrencyStress, ExternallyLockedSessionWritersStayClean) {
   std::mutex session_mu;
   std::atomic<bool> done{false};
   std::atomic<int64_t> applied{0};
+  // The writers start only after the probe has observed once, so the probe
+  // polls while they run however the threads are scheduled.
+  std::latch probe_started(1);
 
-  std::thread probe_reader([&done] {
+  std::thread probe_reader([&done, &probe_started] {
     int64_t observations = 0;
     while (!done.load(std::memory_order_acquire)) {
       // Lock-free probe: must be readable at any time from any thread.
@@ -368,7 +372,7 @@ TEST(ConcurrencyStress, ExternallyLockedSessionWritersStayClean) {
       int peak = internal::StoreCountProbe::peak();
       EXPECT_GE(peak, 0);
       EXPECT_GE(live, 0);
-      ++observations;
+      if (++observations == 1) probe_started.count_down();
       std::this_thread::yield();
     }
     EXPECT_GT(observations, 0);
@@ -378,6 +382,7 @@ TEST(ConcurrencyStress, ExternallyLockedSessionWritersStayClean) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      probe_started.wait();
       // Each writer replays a strided slice; out-of-order ops may be
       // rejected with a Status (fine) but must never race or abort.
       for (size_t i = w; i < ops.size(); i += kWriters) {

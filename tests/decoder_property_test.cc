@@ -10,9 +10,9 @@
 #include <tuple>
 
 #include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
 #include "fvl/core/visibility.h"
 #include "fvl/run/provenance_oracle.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
 #include "fvl/workload/query_generator.h"
@@ -78,12 +78,12 @@ class DecoderSweep : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(DecoderSweep, PiAgreesWithOracle) {
   const SweepParam& param = GetParam();
   Workload workload = MakeWorkloadByName(param.workload);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   RunGeneratorOptions run_options;
   run_options.target_items = 600;
   run_options.seed = param.seed;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
+  auto session = service->GenerateLabeledRun(run_options);
 
   ViewGeneratorOptions view_options;
   view_options.deps = param.deps;
@@ -91,34 +91,37 @@ TEST_P(DecoderSweep, PiAgreesWithOracle) {
   view_options.seed = param.seed * 31 + 5;
   CompiledView view = GenerateSafeView(workload, view_options);
 
-  ProvenanceOracle oracle(labeled.run, view);
+  ProvenanceOracle oracle(session->run(), view);
 
-  ViewLabel labels[3] = {
-      scheme.LabelView(view, ViewLabelMode::kSpaceEfficient),
-      scheme.LabelView(view, ViewLabelMode::kDefault),
-      scheme.LabelView(view, ViewLabelMode::kQueryEfficient)};
-  Decoder decoders[3] = {Decoder(&labels[0]), Decoder(&labels[1]),
-                         Decoder(&labels[2])};
-
-  // Visibility must agree with the projection for every item.
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    ASSERT_EQ(IsItemVisible(labeled.labeler.Label(item), labels[1]),
-              oracle.ItemVisible(item))
-        << "item " << item << " label "
-        << labeled.labeler.Label(item).ToString();
+  ViewHandle handle = service->RegisterView(view.view()).value();
+  const ViewLabelMode modes[3] = {ViewLabelMode::kSpaceEfficient,
+                                  ViewLabelMode::kDefault,
+                                  ViewLabelMode::kQueryEfficient};
+  const ViewLabel* labels[3];
+  const Decoder* decoders[3];
+  for (int mode = 0; mode < 3; ++mode) {
+    labels[mode] = service->LabelOf(handle, modes[mode]).value();
+    decoders[mode] = service->DecoderOf(handle, modes[mode]).value();
   }
 
-  auto queries = GenerateVisibleQueries(labeled.run, labeled.labeler,
-                                        labels[1], 1500, param.seed * 7 + 1);
+  // Visibility must agree with the projection for every item.
+  for (int item = 0; item < session->num_items(); ++item) {
+    ASSERT_EQ(IsItemVisible(session->Label(item), *labels[1]),
+              oracle.ItemVisible(item))
+        << "item " << item << " label " << session->Label(item).ToString();
+  }
+
+  auto queries = GenerateVisibleQueries(session->run(), session->labeler(),
+                                        *labels[1], 1500, param.seed * 7 + 1);
   int positives = 0;
   for (const auto& [d1, d2] : queries) {
     bool expected = oracle.Depends(d1, d2);
     positives += expected ? 1 : 0;
-    const DataLabel& l1 = labeled.labeler.Label(d1);
-    const DataLabel& l2 = labeled.labeler.Label(d2);
+    const DataLabel& l1 = session->Label(d1);
+    const DataLabel& l2 = session->Label(d2);
     for (int mode = 0; mode < 3; ++mode) {
-      ASSERT_EQ(decoders[mode].Depends(l1, l2), expected)
-          << "mode=" << ToString(labels[mode].mode()) << " d1=" << d1
+      ASSERT_EQ(decoders[mode]->Depends(l1, l2), expected)
+          << "mode=" << ToString(labels[mode]->mode()) << " d1=" << d1
           << " d2=" << d2 << "\n l1=" << l1.ToString()
           << "\n l2=" << l2.ToString();
     }
@@ -130,10 +133,9 @@ TEST_P(DecoderSweep, PiAgreesWithOracle) {
   // Matrix-free decoding agrees on black-box views.
   if (param.deps == PerceivedDeps::kBlackBox) {
     ASSERT_TRUE(view.IsBlackBox());
-    MatrixFreeDecoder matrix_free(&scheme.production_graph(), &labels[2]);
+    MatrixFreeDecoder matrix_free(&service->production_graph(), labels[2]);
     for (const auto& [d1, d2] : queries) {
-      ASSERT_EQ(matrix_free.Depends(labeled.labeler.Label(d1),
-                                    labeled.labeler.Label(d2)),
+      ASSERT_EQ(matrix_free.Depends(session->Label(d1), session->Label(d2)),
                 oracle.Depends(d1, d2))
           << "matrix-free d1=" << d1 << " d2=" << d2;
     }

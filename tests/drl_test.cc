@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "fvl/service/legacy_facade.h"
 #include "fvl/util/random.h"
 #include "fvl/drl/drl_scheme.h"
 #include "fvl/run/provenance_oracle.h"
@@ -14,7 +13,7 @@ namespace {
 
 class DrlTest : public ::testing::Test {
  protected:
-  DrlTest() : workload_(MakeBioAid(2012)), scheme_(FvlScheme::Create(&workload_.spec).value()) {}
+  DrlTest() : workload_(MakeBioAid(2012)) {}
 
   CompiledView BlackBoxView(int num_expandable, uint64_t seed) {
     ViewGeneratorOptions options;
@@ -25,7 +24,6 @@ class DrlTest : public ::testing::Test {
   }
 
   Workload workload_;
-  FvlScheme scheme_;
 };
 
 TEST_F(DrlTest, RestrictedGrammarSharesModuleIds) {

@@ -2,7 +2,6 @@
 
 #include "fvl/core/decoder.h"
 #include "fvl/core/index.h"
-#include "fvl/service/legacy_facade.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/run/provenance_oracle.h"
 #include "fvl/util/random.h"
@@ -16,33 +15,29 @@ namespace {
 
 class IndexTest : public ::testing::Test {
  protected:
-  IndexTest() : ex_(MakePaperExample()), scheme_(FvlScheme::Create(&ex_.spec).value()) {
-    RunGeneratorOptions options;
-    options.target_items = 400;
-    options.seed = 8;
-    labeled_ = std::make_unique<FvlScheme::LabeledRun>(
-        scheme_.GenerateLabeledRun(options));
-  }
+  IndexTest()
+      : ex_(MakePaperExample()),
+        service_(ProvenanceService::Create(ex_.spec).value()),
+        session_(service_->GenerateLabeledRun(
+            RunGeneratorOptions{.target_items = 400, .seed = 8})) {}
 
   PaperExample ex_;
-  FvlScheme scheme_;
-  std::unique_ptr<FvlScheme::LabeledRun> labeled_;
+  std::shared_ptr<ProvenanceService> service_;
+  std::shared_ptr<ProvenanceSession> session_;
 };
 
 TEST_F(IndexTest, RoundTripsEveryLabel) {
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
-  ASSERT_EQ(index.num_items(), labeled_->run.num_items());
+  ProvenanceIndex index = session_->Snapshot();
+  ASSERT_EQ(index.num_items(), session_->num_items());
   for (int item = 0; item < index.num_items(); ++item) {
-    ASSERT_EQ(index.Label(item), labeled_->labeler.Label(item))
+    ASSERT_EQ(index.Label(item), session_->Label(item))
         << "item " << item;
-    ASSERT_EQ(index.LabelBits(item), labeled_->labeler.LabelBits(item));
+    ASSERT_EQ(index.LabelBits(item), session_->LabelBits(item));
   }
 }
 
 TEST_F(IndexTest, SerializeDeserializeRoundTrip) {
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   std::string blob = index.Serialize();
   Result<ProvenanceIndex> restored = ProvenanceIndex::Deserialize(blob);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -54,8 +49,7 @@ TEST_F(IndexTest, SerializeDeserializeRoundTrip) {
 }
 
 TEST_F(IndexTest, DeserializeRejectsCorruption) {
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   std::string blob = index.Serialize();
 
   // Bad magic.
@@ -79,8 +73,7 @@ TEST_F(IndexTest, DeserializeRejectsCorruption) {
 // own codec must be rejected at Deserialize time, recoverably — never by an
 // abort (or a silently wrong label) on first use of the returned index.
 TEST_F(IndexTest, DeserializeRejectsInconsistentBlobs) {
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   std::string blob = index.Serialize();
 
   // Flip the embedded production_bits codec width (header byte 24): every
@@ -145,8 +138,7 @@ TEST_F(IndexTest, DeserializeRejectsInconsistentBlobs) {
 // a lying length must surface as kMalformedBlob, never as an abort or an
 // accepted misparse.
 TEST_F(IndexTest, DeserializeRejectsV2TailCorruption) {
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   std::string blob = index.Serialize();
   // Tail layout after the 24-byte header: 5 codec width bytes, 1 tail
   // format version byte, u64 span_bits, then the span stream words — the
@@ -207,18 +199,18 @@ TEST_F(IndexTest, DeserializeRejectsV2TailCorruption) {
 }
 
 TEST_F(IndexTest, QueriesWorkFromDeserializedIndex) {
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   std::string blob = index.Serialize();
   ProvenanceIndex restored = ProvenanceIndex::Deserialize(blob).value();
 
   auto view = *CompiledView::Compile(ex_.spec.grammar, ex_.grey_view);
-  ViewLabel label = scheme_.LabelView(view, ViewLabelMode::kQueryEfficient);
-  Decoder pi(&label);
-  ProvenanceOracle oracle(labeled_->run, view);
+  ViewHandle handle = service_->RegisterView(ex_.grey_view).value();
+  const Decoder& pi =
+      *service_->DecoderOf(handle, ViewLabelMode::kQueryEfficient).value();
+  ProvenanceOracle oracle(session_->run(), view);
   int checked = 0;
-  for (int d1 = 0; d1 < labeled_->run.num_items(); d1 += 7) {
-    for (int d2 = 0; d2 < labeled_->run.num_items(); d2 += 11) {
+  for (int d1 = 0; d1 < session_->num_items(); d1 += 7) {
+    for (int d2 = 0; d2 < session_->num_items(); d2 += 11) {
       if (!oracle.ItemVisible(d1) || !oracle.ItemVisible(d2)) continue;
       ASSERT_EQ(pi.Depends(restored.Label(d1), restored.Label(d2)),
                 oracle.Depends(d1, d2))
@@ -232,8 +224,7 @@ TEST_F(IndexTest, QueriesWorkFromDeserializedIndex) {
 TEST_F(IndexTest, CompactnessVsRawStructs) {
   // The arena holds ~60 bits per item; in-memory DataLabel structs cost two
   // orders of magnitude more.
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   double bits_per_item =
       static_cast<double>(index.SizeBits()) / index.num_items();
   EXPECT_LT(bits_per_item, 120.0);
@@ -261,8 +252,7 @@ std::string FlipBytes(const std::string& blob, Rng& rng, int mutations) {
 }
 
 TEST_F(IndexTest, RandomizedCorruptionCorpusSingleRun) {
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   std::string blob = index.Serialize();
 
   Rng rng(2024);
@@ -421,8 +411,7 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusUnifiedTail) {
   // headers, so the corpus exercises the unified deserializer in both
   // framings: each mutant must be rejected with kMalformedBlob or yield an
   // index whose accessors are safe.
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme_.production_graph(), labeled_->labeler);
+  ProvenanceIndex index = session_->Snapshot();
   std::string single = index.Serialize();
   const size_t single_tail = 8 + 16;  // magic + num_items/arena_bits
 
@@ -502,8 +491,9 @@ TEST(IndexEdgeCases, ReadU64RefusesAdversarialPositions) {
 TEST(IndexEdgeCases, EmptyIndex) {
   PaperExample ex = MakePaperExample();
   ProductionGraph pg(&ex.spec.grammar);
-  ProvenanceIndexBuilder builder(pg);
-  ProvenanceIndex index = std::move(builder).Build();
+  LabelStore store{LabelCodec(pg)};
+  store.BeginGroup();
+  ProvenanceIndex index(std::move(store));
   EXPECT_EQ(index.num_items(), 0);
   std::string blob = index.Serialize();
   auto restored = ProvenanceIndex::Deserialize(blob);
@@ -513,17 +503,16 @@ TEST(IndexEdgeCases, EmptyIndex) {
 
 TEST(IndexBioAid, LargeRunRoundTrip) {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
   RunGeneratorOptions options;
   options.target_items = 4000;
   options.seed = 3;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-  ProvenanceIndex index = ProvenanceIndexBuilder::FromLabeledRun(
-      scheme.production_graph(), labeled.labeler);
+  auto session = service->GenerateLabeledRun(options);
+  ProvenanceIndex index = session->Snapshot();
   std::string blob = index.Serialize();
   auto restored = *ProvenanceIndex::Deserialize(blob);
   for (int item = 0; item < restored.num_items(); item += 13) {
-    ASSERT_EQ(restored.Label(item), labeled.labeler.Label(item));
+    ASSERT_EQ(restored.Label(item), session->Label(item));
   }
 }
 

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/core/visibility.h"
 #include "fvl/util/random.h"
 #include "fvl/run/provenance_oracle.h"
@@ -19,19 +19,21 @@
 namespace fvl {
 namespace {
 
+using ::fvl::testing::RegisteredLabel;
+
 TEST(Integration, OneRunManyViewsNoRelabeling) {
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   RunGeneratorOptions run_options;
   run_options.target_items = 700;
   run_options.seed = 42;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
+  auto session = service->GenerateLabeledRun(run_options);
 
   // Snapshot the labels: adding views below must never touch them.
   std::vector<DataLabel> snapshot;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    snapshot.push_back(labeled.labeler.Label(item));
+  for (int item = 0; item < session->num_items(); ++item) {
+    snapshot.push_back(session->Label(item));
   }
 
   std::vector<std::pair<PerceivedDeps, int>> view_specs = {
@@ -47,16 +49,17 @@ TEST(Integration, OneRunManyViewsNoRelabeling) {
     options.num_expandable = view_specs[v].second;
     options.seed = 1000 + v;
     CompiledView view = GenerateSafeView(workload, options);
-    ViewLabel label = scheme.LabelView(view, ViewLabelMode::kQueryEfficient);
+    const ViewLabel& label =
+        RegisteredLabel(*service, view, ViewLabelMode::kQueryEfficient);
     Decoder pi(&label);
-    ProvenanceOracle oracle(labeled.run, view);
+    ProvenanceOracle oracle(session->run(), view);
 
-    auto queries = GenerateVisibleQueries(labeled.run, labeled.labeler, label,
-                                          400, 99);
+    auto queries = GenerateVisibleQueries(session->run(), session->labeler(),
+                                          label, 400, 99);
     std::vector<bool> answers;
     for (const auto& [d1, d2] : queries) {
       bool answer =
-          pi.Depends(labeled.labeler.Label(d1), labeled.labeler.Label(d2));
+          pi.Depends(session->Label(d1), session->Label(d2));
       ASSERT_EQ(answer, oracle.Depends(d1, d2))
           << "view " << v << " d1=" << d1 << " d2=" << d2;
       answers.push_back(answer);
@@ -69,8 +72,8 @@ TEST(Integration, OneRunManyViewsNoRelabeling) {
     }
   }
   // Labels untouched by all the view additions.
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    ASSERT_EQ(labeled.labeler.Label(item), snapshot[item]);
+  for (int item = 0; item < session->num_items(); ++item) {
+    ASSERT_EQ(session->Label(item), snapshot[item]);
   }
   SUCCEED();
 }
@@ -79,13 +82,14 @@ TEST(Integration, StreamingPartialRunQueries) {
   // Scientific workflows run for a long time; users query partial
   // executions (§1). Labels must be usable the moment items appear.
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
   View default_view = MakeDefaultView(workload.spec);
   auto view = *CompiledView::Compile(workload.spec.grammar, default_view);
-  ViewLabel label = scheme.LabelView(view, ViewLabelMode::kQueryEfficient);
+  const ViewLabel& label =
+      RegisteredLabel(*service, view, ViewLabelMode::kQueryEfficient);
   Decoder pi(&label);
 
-  RunLabeler labeler = scheme.MakeRunLabeler();
+  RunLabeler labeler = service->MakeRunLabeler();
   ::fvl::Run run(&workload.spec.grammar);
   labeler.OnStart(run);
 
@@ -125,7 +129,7 @@ TEST(Integration, RecursionSeveringViewStillCorrect) {
   // everything else is.
   Workload workload = MakeBioAid(2012);
   const Grammar& g = workload.spec.grammar;
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   View view;
   view.expandable.assign(g.num_modules(), false);
@@ -134,7 +138,7 @@ TEST(Integration, RecursionSeveringViewStillCorrect) {
   ASSERT_NE(f1, kInvalidModule);
   view.expandable[f1] = false;
   view.perceived = workload.spec.deps;
-  view.perceived.Set(f1, scheme.true_full().Get(f1));
+  view.perceived.Set(f1, service->true_full().Get(f1));
 
   auto compiled = CompiledView::Compile(g, view);
   ASSERT_TRUE(compiled.has_value()) << compiled.status().ToString();
@@ -142,17 +146,16 @@ TEST(Integration, RecursionSeveringViewStillCorrect) {
   RunGeneratorOptions options;
   options.target_items = 500;
   options.seed = 9;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-  ProvenanceOracle oracle(labeled.run, *compiled);
+  auto session = service->GenerateLabeledRun(options);
+  ProvenanceOracle oracle(session->run(), *compiled);
   for (ViewLabelMode mode :
        {ViewLabelMode::kDefault, ViewLabelMode::kQueryEfficient}) {
-    ViewLabel label = scheme.LabelView(*compiled, mode);
+    const ViewLabel& label = RegisteredLabel(*service, *compiled, mode);
     Decoder pi(&label);
-    auto queries = GenerateVisibleQueries(labeled.run, labeled.labeler, label,
-                                          600, 5);
+    auto queries = GenerateVisibleQueries(session->run(), session->labeler(),
+                                          label, 600, 5);
     for (const auto& [d1, d2] : queries) {
-      ASSERT_EQ(pi.Depends(labeled.labeler.Label(d1),
-                           labeled.labeler.Label(d2)),
+      ASSERT_EQ(pi.Depends(session->Label(d1), session->Label(d2)),
                 oracle.Depends(d1, d2))
           << "d1=" << d1 << " d2=" << d2;
     }
@@ -167,7 +170,7 @@ TEST(Integration, PartiallySeveredTwoCycleView) {
   // invisible, and queries into iteration 2 must still decode correctly.
   Workload workload = MakeBioAid(2012);
   const Grammar& g = workload.spec.grammar;
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   View view;
   view.expandable.assign(g.num_modules(), false);
@@ -178,7 +181,7 @@ TEST(Integration, PartiallySeveredTwoCycleView) {
   view.perceived = workload.spec.deps;
   // Safety demands that the perceived deps of the severed cycle member equal
   // the cycle's fixed point; white-box works.
-  view.perceived.Set(l1b, scheme.true_full().Get(l1b));
+  view.perceived.Set(l1b, service->true_full().Get(l1b));
 
   auto compiled = CompiledView::Compile(g, view);
   ASSERT_TRUE(compiled.has_value()) << compiled.status().ToString();
@@ -186,27 +189,28 @@ TEST(Integration, PartiallySeveredTwoCycleView) {
   RunGeneratorOptions options;
   options.target_items = 2000;
   options.seed = 77;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-  ProvenanceOracle oracle(labeled.run, *compiled);
-  ViewLabel label = scheme.LabelView(*compiled, ViewLabelMode::kQueryEfficient);
+  auto session = service->GenerateLabeledRun(options);
+  ProvenanceOracle oracle(session->run(), *compiled);
+  const ViewLabel& label =
+      RegisteredLabel(*service, *compiled, ViewLabelMode::kQueryEfficient);
   Decoder pi(&label);
 
   // Visibility agrees everywhere (this exercises the severed-walk lookups).
   int visible = 0;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    ASSERT_EQ(IsItemVisible(labeled.labeler.Label(item), label),
+  for (int item = 0; item < session->num_items(); ++item) {
+    ASSERT_EQ(IsItemVisible(session->Label(item), label),
               oracle.ItemVisible(item))
-        << "item " << item << " " << labeled.labeler.Label(item).ToString();
+        << "item " << item << " " << session->Label(item).ToString();
     visible += oracle.ItemVisible(item) ? 1 : 0;
   }
   EXPECT_GT(visible, 0);
-  EXPECT_LT(visible, labeled.run.num_items());
+  EXPECT_LT(visible, session->num_items());
 
-  auto queries = GenerateVisibleQueries(labeled.run, labeled.labeler, label,
-                                        1000, 3);
+  auto queries = GenerateVisibleQueries(session->run(), session->labeler(),
+                                        label, 1000, 3);
   for (const auto& [d1, d2] : queries) {
     ASSERT_EQ(
-        pi.Depends(labeled.labeler.Label(d1), labeled.labeler.Label(d2)),
+        pi.Depends(session->Label(d1), session->Label(d2)),
         oracle.Depends(d1, d2))
         << "d1=" << d1 << " d2=" << d2;
   }

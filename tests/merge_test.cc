@@ -756,9 +756,10 @@ TEST(MergeEdgeCases, ZeroItemRunsMergeCleanly) {
   auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   auto session = service->GenerateLabeledRun(
       RunGeneratorOptions{.target_items = 60, .seed = 2});
+  LabelStore empty(LabelCodec(service->production_graph()));
+  empty.BeginGroup();
   std::vector<ProvenanceIndex> snapshots;
-  snapshots.push_back(
-      ProvenanceIndexBuilder(service->production_graph()).Build());
+  snapshots.push_back(ProvenanceIndex(std::move(empty)));
   snapshots.push_back(session->Snapshot());
   ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   ASSERT_EQ(merged.num_runs(), 2);

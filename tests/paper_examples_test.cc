@@ -8,7 +8,7 @@
 
 #include "fvl/core/decoder.h"
 #include "fvl/core/run_labeler.h"
-#include "fvl/service/legacy_facade.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/core/view_label.h"
 #include "fvl/core/visibility.h"
 #include "fvl/run/provenance_oracle.h"
@@ -23,10 +23,13 @@ namespace {
 
 using ::fvl::testing::CompleteRun;
 using ::fvl::testing::Mat;
+using ::fvl::testing::RegisteredLabel;
 
 class PaperExampleTest : public ::testing::Test {
  protected:
-  PaperExampleTest() : ex_(MakePaperExample()), scheme_(FvlScheme::Create(&ex_.spec).value()) {}
+  PaperExampleTest()
+      : ex_(MakePaperExample()),
+        service_(ProvenanceService::Create(ex_.spec).value()) {}
 
   // Derives the Figure-3 run prefix: p1, p2, p4, p2, p4, p3, then expands
   // C:4 (p5), its D-loop (p6, p6, p7) and E (p8); finally completes the
@@ -40,7 +43,7 @@ class PaperExampleTest : public ::testing::Test {
 
   Fig3Run DeriveFig3() {
     ::fvl::Run run(&ex_.spec.grammar);
-    RunLabeler labeler = scheme_.MakeRunLabeler();
+    RunLabeler labeler = service_->MakeRunLabeler();
     labeler.OnStart(run);
     auto apply = [&](int instance, ProductionId production) {
       const DerivationStep& step = run.Apply(instance, production);
@@ -95,7 +98,7 @@ class PaperExampleTest : public ::testing::Test {
   }
 
   PaperExample ex_;
-  FvlScheme scheme_;
+  std::shared_ptr<ProvenanceService> service_;
 };
 
 // ----- Grammar shape (Figure 2, Example 5). -----
@@ -128,7 +131,7 @@ TEST_F(PaperExampleTest, GrammarIsProper) {
 // ----- Production graph and cycle index (Example 12, Figure 12). -----
 
 TEST_F(PaperExampleTest, ProductionGraphEdgesAndCycles) {
-  const ProductionGraph& pg = scheme_.production_graph();
+  const ProductionGraph& pg = service_->production_graph();
   EXPECT_TRUE(pg.strictly_linear());
   ASSERT_EQ(pg.num_cycles(), 2);
   // C(1) = {(2,2), (4,2)} — paper is 1-based, we are 0-based.
@@ -163,7 +166,7 @@ TEST_F(PaperExampleTest, ProductionGraphEdgesAndCycles) {
 }
 
 TEST_F(PaperExampleTest, RecursionAnalysis) {
-  const ProductionGraph& pg = scheme_.production_graph();
+  const ProductionGraph& pg = service_->production_graph();
   EXPECT_TRUE(IsLinearRecursive(pg));
   EXPECT_TRUE(IsStrictlyLinearRecursive(pg));
   EXPECT_TRUE(IsStrictlyLinearRecursivePaperAlgorithm(pg));
@@ -193,8 +196,8 @@ TEST_F(PaperExampleTest, GreyViewCompilesAndDiffers) {
   auto u2 = CompiledView::Compile(ex_.spec.grammar, ex_.grey_view);
   ASSERT_TRUE(u2.has_value()) << u2.status().ToString();
 
-  EXPECT_TRUE(u1->IsWhiteBox(scheme_.true_full()));
-  EXPECT_FALSE(u2->IsWhiteBox(scheme_.true_full()));
+  EXPECT_TRUE(u1->IsWhiteBox(service_->true_full()));
+  EXPECT_FALSE(u2->IsWhiteBox(service_->true_full()));
   EXPECT_FALSE(u1->IsBlackBox());
 
   // In U2 the modules D, E, f are underivable (Example 7).
@@ -299,8 +302,8 @@ TEST_F(PaperExampleTest, Example15DataLabel) {
 TEST_F(PaperExampleTest, Example16ViewLabelMatrices) {
   auto u1 = *CompiledView::Compile(ex_.spec.grammar, ex_.default_view);
   auto u2 = *CompiledView::Compile(ex_.spec.grammar, ex_.grey_view);
-  ViewLabel v1 = scheme_.LabelView(u1, ViewLabelMode::kDefault);
-  ViewLabel v2 = scheme_.LabelView(u2, ViewLabelMode::kDefault);
+  const ViewLabel& v1 = RegisteredLabel(*service_, u1, ViewLabelMode::kDefault);
+  const ViewLabel& v2 = RegisteredLabel(*service_, u2, ViewLabelMode::kDefault);
 
   // I(1,5) — exactly the paper's matrices.
   EXPECT_EQ(*v1.I(ex_.p[0], 4), Mat({"11", "00"}));
@@ -330,8 +333,10 @@ TEST_F(PaperExampleTest, Example8QueryDivergesAcrossViews) {
 
   auto u1 = *CompiledView::Compile(ex_.spec.grammar, ex_.default_view);
   auto u2 = *CompiledView::Compile(ex_.spec.grammar, ex_.grey_view);
-  ViewLabel v1 = scheme_.LabelView(u1, ViewLabelMode::kQueryEfficient);
-  ViewLabel v2 = scheme_.LabelView(u2, ViewLabelMode::kQueryEfficient);
+  const ViewLabel& v1 =
+      RegisteredLabel(*service_, u1, ViewLabelMode::kQueryEfficient);
+  const ViewLabel& v2 =
+      RegisteredLabel(*service_, u2, ViewLabelMode::kQueryEfficient);
   Decoder pi1(&v1);
   Decoder pi2(&v2);
 
@@ -361,7 +366,7 @@ TEST_F(PaperExampleTest, DecoderMatchesOracleExhaustively) {
     for (ViewLabelMode mode :
          {ViewLabelMode::kSpaceEfficient, ViewLabelMode::kDefault,
           ViewLabelMode::kQueryEfficient}) {
-      ViewLabel vl = scheme_.LabelView(*view, mode);
+      const ViewLabel& vl = RegisteredLabel(*service_, *view, mode);
       Decoder pi(&vl);
       int checked = 0;
       for (int d1 = 0; d1 < fig3.run.num_items(); ++d1) {
@@ -388,7 +393,7 @@ TEST_F(PaperExampleTest, DecoderMatchesOracleExhaustively) {
 TEST_F(PaperExampleTest, VisibilityMatchesProjection) {
   Fig3Run fig3 = DeriveFig3();
   auto u2 = *CompiledView::Compile(ex_.spec.grammar, ex_.grey_view);
-  ViewLabel vl = scheme_.LabelView(u2, ViewLabelMode::kDefault);
+  const ViewLabel& vl = RegisteredLabel(*service_, u2, ViewLabelMode::kDefault);
   ProvenanceOracle oracle(fig3.run, u2);
   for (int item = 0; item < fig3.run.num_items(); ++item) {
     EXPECT_EQ(IsItemVisible(fig3.labeler.Label(item), vl),
@@ -406,7 +411,7 @@ TEST(PaperCounterExamples, UnsafeExampleRejected) {
   EXPECT_FALSE(safety.ok());
   EXPECT_EQ(safety.code(), ErrorCode::kUnsafeSpecification);
   EXPECT_NE(safety.status().message().find("inconsistent"), std::string::npos);
-  EXPECT_EQ(FvlScheme::Create(&unsafe).code(),
+  EXPECT_EQ(ProvenanceService::Create(unsafe).code(),
             ErrorCode::kUnsafeSpecification);
 }
 
@@ -417,13 +422,14 @@ TEST(PaperCounterExamples, Fig10IsLinearButNotStrict) {
   EXPECT_FALSE(IsStrictlyLinearRecursive(pg));
   EXPECT_FALSE(IsStrictlyLinearRecursivePaperAlgorithm(pg));
   // The Fig-10 assignment is safe; only compactness fails (Thm. 6), which
-  // manifests as FvlScheme rejecting the grammar.
+  // manifests as ProvenanceService rejecting the grammar.
   Result<DependencyAssignment> safety =
       CheckSafety(fig10.grammar, fig10.deps);
   EXPECT_TRUE(safety.ok()) << safety.status().ToString();
-  Result<FvlScheme> scheme = FvlScheme::Create(&fig10);
-  EXPECT_EQ(scheme.code(), ErrorCode::kNotStrictlyLinearRecursive);
-  EXPECT_NE(scheme.status().message().find("strictly linear"),
+  Result<std::shared_ptr<ProvenanceService>> service =
+      ProvenanceService::Create(fig10);
+  EXPECT_EQ(service.code(), ErrorCode::kNotStrictlyLinearRecursive);
+  EXPECT_NE(service.status().message().find("strictly linear"),
             std::string::npos);
 }
 

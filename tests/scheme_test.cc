@@ -1,65 +1,55 @@
+// Construction and labeling contracts of the service path: checked creation
+// owns its specification, generated runs are labeled completely, the
+// default-view session query is the Thm.-8 basic dynamic labeling scheme,
+// and data labels are O(log n) and immutable once assigned.
+
 #include <gtest/gtest.h>
 
-#include "fvl/service/legacy_facade.h"
 #include "fvl/run/provenance_oracle.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/workload/paper_example.h"
 #include "test_util.h"
 
 namespace fvl {
 namespace {
 
-TEST(FvlScheme, CreateSucceedsOnPaperExample) {
+TEST(ServiceCreate, SucceedsOnPaperExampleAndOwnsTheSpecification) {
   PaperExample ex = MakePaperExample();
-  Result<FvlScheme> scheme = FvlScheme::Create(&ex.spec);
-  ASSERT_TRUE(scheme.has_value()) << scheme.status().ToString();
-  EXPECT_EQ(&scheme->grammar(), &ex.spec.grammar);
-  EXPECT_TRUE(scheme->true_full().IsDefined(ex.S));
+  Result<std::shared_ptr<ProvenanceService>> service =
+      ProvenanceService::Create(ex.spec);
+  ASSERT_TRUE(service.has_value()) << service.status().ToString();
+  EXPECT_NE(&(*service)->grammar(), &ex.spec.grammar);
+  EXPECT_EQ((*service)->grammar().num_modules(), ex.spec.grammar.num_modules());
+  EXPECT_TRUE((*service)->true_full().IsDefined(ex.S));
 }
 
-TEST(FvlScheme, CreateRejectsUnsafe) {
-  Specification unsafe = MakeUnsafeExample();
-  Result<FvlScheme> scheme = FvlScheme::Create(&unsafe);
-  EXPECT_FALSE(scheme.has_value());
-  EXPECT_EQ(scheme.code(), ErrorCode::kUnsafeSpecification);
-}
-
-TEST(FvlScheme, CreateRejectsNonStrictlyLinear) {
-  Specification fig10 = MakeFig10Example();
-  Result<FvlScheme> scheme = FvlScheme::Create(&fig10);
-  EXPECT_FALSE(scheme.has_value());
-  EXPECT_EQ(scheme.code(), ErrorCode::kNotStrictlyLinearRecursive);
-  EXPECT_NE(scheme.status().message().find("strictly linear"),
-            std::string::npos);
-}
-
-TEST(FvlScheme, GenerateLabeledRunLabelsEverything) {
-  PaperExample ex = MakePaperExample();
-  FvlScheme scheme = FvlScheme::Create(&ex.spec).value();
+TEST(ServiceCreate, GenerateLabeledRunLabelsEverything) {
+  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   RunGeneratorOptions options;
   options.target_items = 300;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-  EXPECT_TRUE(labeled.run.IsComplete());
-  EXPECT_EQ(labeled.labeler.num_labels(), labeled.run.num_items());
+  auto session = service->GenerateLabeledRun(options);
+  EXPECT_TRUE(session->complete());
+  EXPECT_EQ(session->labeler().num_labels(), session->num_items());
 }
 
-TEST(BasicDynamicLabeling, Theorem8Adapter) {
+TEST(DefaultViewAdapter, Theorem8) {
   // Thm. 8: the view-adaptive scheme yields a basic dynamic labeling scheme
-  // for the default view: π'(φ'(d1), φ'(d2)) answers white-box reachability.
+  // for the default view: φ'(d) = (φr(d), φv(U_default)), so a session's
+  // Depends on default_view() answers white-box reachability.
   PaperExample ex = MakePaperExample();
-  FvlScheme scheme = FvlScheme::Create(&ex.spec).value();
-  BasicDynamicLabeling basic(&scheme);
+  auto service = ProvenanceService::Create(ex.spec).value();
+  auto session = service->BeginRun();
 
-  ::fvl::Run run(&ex.spec.grammar);
-  basic.OnStart(run);
   // Terminate every frontier instance along its cheapest completion.
-  std::vector<int64_t> cost = MinCompletionItems(scheme.grammar());
-  while (!run.IsComplete()) {
-    int inst = run.Frontier().front();
-    ModuleId type = run.instance(inst).type;
+  const Grammar& g = service->grammar();
+  std::vector<int64_t> cost = MinCompletionItems(g);
+  while (!session->complete()) {
+    int inst = session->run().Frontier().front();
+    ModuleId type = session->run().instance(inst).type;
     ProductionId best = -1;
     int64_t best_cost = -1;
-    for (ProductionId k : scheme.grammar().ProductionsOf(type)) {
-      const Production& p = scheme.grammar().production(k);
+    for (ProductionId k : g.ProductionsOf(type)) {
+      const Production& p = g.production(k);
       int64_t total = static_cast<int64_t>(p.rhs.edges.size());
       for (ModuleId member : p.rhs.members) total += cost[member];
       if (best == -1 || total < best_cost) {
@@ -67,16 +57,16 @@ TEST(BasicDynamicLabeling, Theorem8Adapter) {
         best_cost = total;
       }
     }
-    const DerivationStep& step = run.Apply(inst, best);
-    basic.OnApply(run, step);
+    ASSERT_TRUE(session->Apply(inst, best).ok());
   }
 
   auto default_view =
       *CompiledView::Compile(ex.spec.grammar, ex.default_view);
-  ProvenanceOracle oracle(run, default_view);
-  for (int d1 = 0; d1 < run.num_items(); ++d1) {
-    for (int d2 = 0; d2 < run.num_items(); ++d2) {
-      ASSERT_EQ(basic.Depends(d1, d2), oracle.Depends(d1, d2))
+  ProvenanceOracle oracle(session->run(), default_view);
+  for (int d1 = 0; d1 < session->num_items(); ++d1) {
+    for (int d2 = 0; d2 < session->num_items(); ++d2) {
+      ASSERT_EQ(session->Depends(service->default_view(), d1, d2).value(),
+                oracle.Depends(d1, d2))
           << "d1=" << d1 << " d2=" << d2;
     }
   }
@@ -85,17 +75,16 @@ TEST(BasicDynamicLabeling, Theorem8Adapter) {
 TEST(LabelLength, LogarithmicGrowth) {
   // Thm. 10 part 1: data labels are O(log n) bits. Doubling the run size
   // must increase the maximum label length by only a constant.
-  PaperExample ex = MakePaperExample();
-  FvlScheme scheme = FvlScheme::Create(&ex.spec).value();
+  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   std::vector<double> max_bits;
   for (int target : {1000, 2000, 4000, 8000}) {
     RunGeneratorOptions options;
     options.target_items = target;
     options.seed = 3;
-    FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
+    auto session = service->GenerateLabeledRun(options);
     int64_t run_max = 0;
-    for (int item = 0; item < labeled.run.num_items(); ++item) {
-      run_max = std::max(run_max, labeled.labeler.LabelBits(item));
+    for (int item = 0; item < session->num_items(); ++item) {
+      run_max = std::max(run_max, session->LabelBits(item));
     }
     max_bits.push_back(static_cast<double>(run_max));
   }
@@ -113,14 +102,14 @@ TEST(LabelImmutability, LabelsNeverChangeAfterAssignment) {
   // Snapshot every label right after its creation step and compare at the
   // end of the derivation.
   PaperExample ex = MakePaperExample();
-  FvlScheme scheme = FvlScheme::Create(&ex.spec).value();
-  RunLabeler labeler = scheme.MakeRunLabeler();
+  auto service = ProvenanceService::Create(ex.spec).value();
+  RunLabeler labeler = service->MakeRunLabeler();
   std::vector<DataLabel> snapshots;
 
   RunGeneratorOptions options;
   options.target_items = 400;
   ::fvl::Run run = GenerateRandomRun(
-      ex.spec.grammar, options,
+      service->grammar(), options,
       [&](const ::fvl::Run& current, const DerivationStep* step) {
         if (step == nullptr) {
           labeler.OnStart(current);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -58,6 +59,8 @@ TEST(ServiceErrors, NotStrictlyLinearRecursiveRejected) {
       ProvenanceService::Create(MakeFig10Example());
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.code(), ErrorCode::kNotStrictlyLinearRecursive);
+  EXPECT_NE(service.status().message().find("strictly linear"),
+            std::string::npos);
 }
 
 TEST(ServiceErrors, UnsafeSpecificationRejected) {
@@ -405,11 +408,12 @@ TEST(ServiceHardening, PerModulePortBoundsEnforced) {
   }
   ASSERT_GE(victim, 0) << "no item from a below-max-arity module found";
 
-  ProvenanceIndexBuilder builder(service->production_graph());
+  LabelStore store(LabelCodec(service->production_graph()));
+  store.BeginGroup();
   for (int item = 0; item < session->num_items(); ++item) {
-    builder.Add(item == victim ? tampered : session->Label(item));
+    store.Append(item == victim ? tampered : session->Label(item));
   }
-  ProvenanceIndex index = std::move(builder).Build();
+  ProvenanceIndex index(std::move(store));
 
   std::vector<std::pair<int, int>> queries = {{victim, victim}};
   EXPECT_EQ(
@@ -457,11 +461,12 @@ TEST(ServiceHardening, InconsistentPathsRejected) {
   }
   ASSERT_GE(victim, 0);
 
-  ProvenanceIndexBuilder builder(service->production_graph());
+  LabelStore store(LabelCodec(service->production_graph()));
+  store.BeginGroup();
   for (int item = 0; item < session->num_items(); ++item) {
-    builder.Add(item == victim ? tampered : session->Label(item));
+    store.Append(item == victim ? tampered : session->Label(item));
   }
-  ProvenanceIndex index = std::move(builder).Build();
+  ProvenanceIndex index(std::move(store));
   std::vector<std::pair<int, int>> queries = {{victim, victim}};
   EXPECT_EQ(
       service->DependsMany(service->default_view(), index, queries).code(),

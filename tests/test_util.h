@@ -8,6 +8,7 @@
 
 #include "fvl/run/run.h"
 #include "fvl/run/run_generator.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/util/boolean_matrix.h"
 #include "fvl/util/check.h"
 
@@ -48,6 +49,27 @@ inline void CompleteRun(Run& run) {
     }
     run.Apply(inst, best);
   }
+}
+
+// φv(U) through the service's registry: registers the view (a regular view
+// that is already registered keeps its handle; grouped views are not
+// deduplicated) and returns the cached label for `mode`.
+inline const ViewLabel& RegisteredLabel(ProvenanceService& service,
+                                        const CompiledView& view,
+                                        ViewLabelMode mode) {
+  return *service.LabelOf(service.RegisterView(view.view()).value(), mode)
+              .value();
+}
+inline const ViewLabel& RegisteredLabel(ProvenanceService& service,
+                                        const GroupedView& view,
+                                        ViewLabelMode mode) {
+  return *service
+              .LabelOf(service
+                           .RegisterGroupedView(view.base().view(),
+                                                view.groups())
+                           .value(),
+                       mode)
+              .value();
 }
 
 }  // namespace fvl::testing

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fvl/core/decoder.h"
-#include "fvl/service/legacy_facade.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/core/visibility.h"
 #include "fvl/run/provenance_oracle.h"
 #include "fvl/util/random.h"
@@ -18,10 +18,13 @@ namespace {
 
 using ::fvl::testing::CompleteRun;
 using ::fvl::testing::Mat;
+using ::fvl::testing::RegisteredLabel;
 
 class GroupedViewTest : public ::testing::Test {
  protected:
-  GroupedViewTest() : ex_(MakePaperExample()), scheme_(FvlScheme::Create(&ex_.spec).value()) {}
+  GroupedViewTest()
+      : ex_(MakePaperExample()),
+        service_(ProvenanceService::Create(ex_.spec).value()) {}
 
   // Example 18: over the default Δ (all composite modules expandable except
   // that grouped members must not be expandable, so we take
@@ -47,7 +50,7 @@ class GroupedViewTest : public ::testing::Test {
   }
 
   PaperExample ex_;
-  FvlScheme scheme_;
+  std::shared_ptr<ProvenanceService> service_;
 };
 
 TEST_F(GroupedViewTest, BoundaryComputation) {
@@ -107,7 +110,8 @@ TEST_F(GroupedViewTest, Example19ViewLabelMatrices) {
   // λ'(F) complete: like Example 19, the view label is computed over the
   // original production graph with F's perceived dependencies substituted.
   GroupedView view = MakeExample18(BoolMatrix::Full(2, 2));
-  ViewLabel label = scheme_.LabelView(view, ViewLabelMode::kDefault);
+  const ViewLabel& label =
+      RegisteredLabel(*service_, view, ViewLabelMode::kDefault);
 
   // I(5,2): from C's inputs to D's inputs — both of D's inputs are boundary
   // ports and reachable (C.in1 -> D.in0 initial; C.in0 -> b -> D.in1).
@@ -129,7 +133,7 @@ TEST_F(GroupedViewTest, Example19ViewLabelMatrices) {
 TEST_F(GroupedViewTest, DecoderMatchesGroupedOracle) {
   ::fvl::Run run(&ex_.spec.grammar);
   CompleteRun(run);
-  RunLabeler labeler = LabelEntireRun(run, scheme_.production_graph());
+  RunLabeler labeler = LabelEntireRun(run, service_->production_graph());
 
   for (bool complete : {true, false}) {
     BoolMatrix f_deps =
@@ -143,7 +147,7 @@ TEST_F(GroupedViewTest, DecoderMatchesGroupedOracle) {
     for (ViewLabelMode mode :
          {ViewLabelMode::kSpaceEfficient, ViewLabelMode::kDefault,
           ViewLabelMode::kQueryEfficient}) {
-      ViewLabel label = scheme_.LabelView(view, mode);
+      const ViewLabel& label = RegisteredLabel(*service_, view, mode);
       Decoder pi(&label);
       // Visibility agrees with the projection.
       for (int item = 0; item < run.num_items(); ++item) {
@@ -195,7 +199,7 @@ TEST(GroupedViewBioAid, GroupingAStageDiamond) {
   // the oracle.
   Workload workload = MakeBioAid(2012);
   const Grammar& g = workload.spec.grammar;
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
 
   // Find P3's production and the member positions of its diamond.
   ModuleId p3 = g.FindModule("P3");
@@ -228,14 +232,15 @@ TEST(GroupedViewBioAid, GroupingAStageDiamond) {
   RunGeneratorOptions options;
   options.target_items = 1500;
   options.seed = 5;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(options);
-  ProvenanceOracle oracle(labeled.run, *view);
-  ViewLabel label = scheme.LabelView(*view, ViewLabelMode::kQueryEfficient);
+  auto session = service->GenerateLabeledRun(options);
+  ProvenanceOracle oracle(session->run(), *view);
+  const ViewLabel& label =
+      RegisteredLabel(*service, *view, ViewLabelMode::kQueryEfficient);
   Decoder pi(&label);
 
   int hidden = 0;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
-    bool item_visible = IsItemVisible(labeled.labeler.Label(item), label);
+  for (int item = 0; item < session->num_items(); ++item) {
+    bool item_visible = IsItemVisible(session->Label(item), label);
     ASSERT_EQ(item_visible, oracle.ItemVisible(item)) << "item " << item;
     hidden += item_visible ? 0 : 1;
   }
@@ -243,13 +248,13 @@ TEST(GroupedViewBioAid, GroupingAStageDiamond) {
 
   Rng rng(9);
   std::vector<int> visible_items;
-  for (int item = 0; item < labeled.run.num_items(); ++item) {
+  for (int item = 0; item < session->num_items(); ++item) {
     if (oracle.ItemVisible(item)) visible_items.push_back(item);
   }
   for (int q = 0; q < 1500; ++q) {
     int d1 = visible_items[rng.NextBounded(visible_items.size())];
     int d2 = visible_items[rng.NextBounded(visible_items.size())];
-    ASSERT_EQ(pi.Depends(labeled.labeler.Label(d1), labeled.labeler.Label(d2)),
+    ASSERT_EQ(pi.Depends(session->Label(d1), session->Label(d2)),
               oracle.Depends(d1, d2))
         << "d1=" << d1 << " d2=" << d2;
   }

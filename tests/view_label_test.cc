@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "fvl/service/legacy_facade.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/core/view_label.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
@@ -10,25 +10,30 @@
 namespace fvl {
 namespace {
 
+using ::fvl::testing::RegisteredLabel;
+
 class ViewLabelTest : public ::testing::Test {
  protected:
   ViewLabelTest()
       : ex_(MakePaperExample()),
-        scheme_(FvlScheme::Create(&ex_.spec).value()),
+        service_(ProvenanceService::Create(ex_.spec).value()),
         u1_(CompiledView::Compile(ex_.spec.grammar, ex_.default_view)
                 .value()),
         u2_(CompiledView::Compile(ex_.spec.grammar, ex_.grey_view).value()) {}
 
   PaperExample ex_;
-  FvlScheme scheme_;
+  std::shared_ptr<ProvenanceService> service_;
   CompiledView u1_, u2_;
 };
 
 TEST_F(ViewLabelTest, VariantsAgreeOnAllFunctions) {
   for (const auto* view : {&u1_, &u2_}) {
-    ViewLabel se = scheme_.LabelView(*view, ViewLabelMode::kSpaceEfficient);
-    ViewLabel def = scheme_.LabelView(*view, ViewLabelMode::kDefault);
-    ViewLabel qe = scheme_.LabelView(*view, ViewLabelMode::kQueryEfficient);
+    const ViewLabel& se =
+        RegisteredLabel(*service_, *view, ViewLabelMode::kSpaceEfficient);
+    const ViewLabel& def =
+        RegisteredLabel(*service_, *view, ViewLabelMode::kDefault);
+    const ViewLabel& qe =
+        RegisteredLabel(*service_, *view, ViewLabelMode::kQueryEfficient);
     const Grammar& g = ex_.spec.grammar;
     for (ProductionId k = 0; k < g.num_productions(); ++k) {
       int members = g.production(k).rhs.num_members();
@@ -58,10 +63,13 @@ TEST_F(ViewLabelTest, VariantsAgreeOnAllFunctions) {
 }
 
 TEST_F(ViewLabelTest, WalksAgreeAcrossVariantsAndIterations) {
-  ViewLabel se = scheme_.LabelView(u1_, ViewLabelMode::kSpaceEfficient);
-  ViewLabel def = scheme_.LabelView(u1_, ViewLabelMode::kDefault);
-  ViewLabel qe = scheme_.LabelView(u1_, ViewLabelMode::kQueryEfficient);
-  const ProductionGraph& pg = scheme_.production_graph();
+  const ViewLabel& se =
+      RegisteredLabel(*service_, u1_, ViewLabelMode::kSpaceEfficient);
+  const ViewLabel& def =
+      RegisteredLabel(*service_, u1_, ViewLabelMode::kDefault);
+  const ViewLabel& qe =
+      RegisteredLabel(*service_, u1_, ViewLabelMode::kQueryEfficient);
+  const ProductionGraph& pg = service_->production_graph();
   for (int s = 0; s < pg.num_cycles(); ++s) {
     for (int t = 0; t < pg.cycle(s).length(); ++t) {
       for (int iteration : {1, 2, 3, 5, 9, 40, 1000}) {
@@ -82,15 +90,19 @@ TEST_F(ViewLabelTest, WalksAgreeAcrossVariantsAndIterations) {
 }
 
 TEST_F(ViewLabelTest, SizeOrderingAcrossVariants) {
-  ViewLabel se = scheme_.LabelView(u1_, ViewLabelMode::kSpaceEfficient);
-  ViewLabel def = scheme_.LabelView(u1_, ViewLabelMode::kDefault);
-  ViewLabel qe = scheme_.LabelView(u1_, ViewLabelMode::kQueryEfficient);
+  const ViewLabel& se =
+      RegisteredLabel(*service_, u1_, ViewLabelMode::kSpaceEfficient);
+  const ViewLabel& def =
+      RegisteredLabel(*service_, u1_, ViewLabelMode::kDefault);
+  const ViewLabel& qe =
+      RegisteredLabel(*service_, u1_, ViewLabelMode::kQueryEfficient);
   EXPECT_LT(se.SizeBits(), def.SizeBits());
   EXPECT_LT(def.SizeBits(), qe.SizeBits());
 }
 
 TEST_F(ViewLabelTest, InactiveProductionsUndefined) {
-  ViewLabel label = scheme_.LabelView(u2_, ViewLabelMode::kDefault);
+  const ViewLabel& label =
+      RegisteredLabel(*service_, u2_, ViewLabelMode::kDefault);
   // p5..p8 are inactive in U2.
   for (int k = 4; k < 8; ++k) {
     EXPECT_FALSE(label.ProductionActive(ex_.p[k]));
@@ -106,7 +118,8 @@ TEST_F(ViewLabelTest, InactiveProductionsUndefined) {
 }
 
 TEST_F(ViewLabelTest, ZIsEmptyForNonAscendingPairs) {
-  ViewLabel label = scheme_.LabelView(u1_, ViewLabelMode::kDefault);
+  const ViewLabel& label =
+      RegisteredLabel(*service_, u1_, ViewLabelMode::kDefault);
   auto z = label.Z(ex_.p[0], 3, 1);  // C before b? no: i=3 >= j=1
   ASSERT_TRUE(z.has_value());
   EXPECT_TRUE(z->IsZero());
@@ -119,7 +132,7 @@ TEST(ViewLabelSizes, PaperFig19ShapeOnBioAid) {
   // Fig. 19's qualitative shape: SE ≪ Default ≤ QE, and label size grows
   // with the view size.
   Workload workload = MakeBioAid(2012);
-  FvlScheme scheme = FvlScheme::Create(&workload.spec).value();
+  auto service = ProvenanceService::Create(workload.spec).value();
   int64_t previous_default = 0;
   for (int size : {2, 8, 16}) {
     ViewGeneratorOptions options;
@@ -127,10 +140,13 @@ TEST(ViewLabelSizes, PaperFig19ShapeOnBioAid) {
     options.seed = size;
     CompiledView view = GenerateSafeView(workload, options);
     int64_t se =
-        scheme.LabelView(view, ViewLabelMode::kSpaceEfficient).SizeBits();
-    int64_t def = scheme.LabelView(view, ViewLabelMode::kDefault).SizeBits();
+        RegisteredLabel(*service, view, ViewLabelMode::kSpaceEfficient)
+            .SizeBits();
+    int64_t def =
+        RegisteredLabel(*service, view, ViewLabelMode::kDefault).SizeBits();
     int64_t qe =
-        scheme.LabelView(view, ViewLabelMode::kQueryEfficient).SizeBits();
+        RegisteredLabel(*service, view, ViewLabelMode::kQueryEfficient)
+            .SizeBits();
     EXPECT_LT(se, def);
     EXPECT_LE(def, qe);
     EXPECT_GT(def, previous_default);

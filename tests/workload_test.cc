@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "fvl/service/legacy_facade.h"
+#include "fvl/service/provenance_service.h"
 #include "fvl/workflow/recursion_analysis.h"
 #include "fvl/workflow/safety.h"
 #include "fvl/workload/bioaid.h"
@@ -12,6 +12,8 @@
 
 namespace fvl {
 namespace {
+
+using ::fvl::testing::RegisteredLabel;
 
 TEST(BioAid, MatchesPublishedShape) {
   Workload workload = MakeBioAid(2012);
@@ -53,7 +55,7 @@ TEST(BioAid, StrictlyLinearAndSafe) {
   EXPECT_TRUE(pg.IsRecursiveGrammar());
   // Cycles: one 2-ring and five self-loops... (L1-L1b plus L2, F1..F4).
   EXPECT_EQ(pg.num_cycles(), 6);
-  EXPECT_TRUE(FvlScheme::Create(&workload.spec).has_value());
+  EXPECT_TRUE(ProvenanceService::Create(workload.spec).has_value());
 }
 
 TEST(BioAid, SafeForAnyUnconstrainedAssignmentSample) {
@@ -90,7 +92,7 @@ TEST(Synthetic, DefaultsBuildSafely) {
   ProductionGraph pg(&workload.spec.grammar);
   EXPECT_TRUE(IsStrictlyLinearRecursive(pg));
   EXPECT_EQ(pg.num_cycles(), 4);  // one ring per nesting level
-  EXPECT_TRUE(FvlScheme::Create(&workload.spec).has_value());
+  EXPECT_TRUE(ProvenanceService::Create(workload.spec).has_value());
 }
 
 TEST(Synthetic, ParametersShapeTheGrammar) {
@@ -131,7 +133,7 @@ TEST(Synthetic, SweepIsSafeAndStrictlyLinear) {
           options.recursion_length = r;
           options.seed = 11;
           Workload workload = MakeSynthetic(options);
-          EXPECT_TRUE(FvlScheme::Create(&workload.spec).has_value())
+          EXPECT_TRUE(ProvenanceService::Create(workload.spec).has_value())
               << workload.name;
         }
       }
@@ -207,24 +209,25 @@ TEST(ViewGenerator, DeterministicPerSeed) {
 
 TEST(QueryGenerator, BoundsAndDeterminism) {
   PaperExample ex = MakePaperExample();
-  FvlScheme scheme = FvlScheme::Create(&ex.spec).value();
+  auto service = ProvenanceService::Create(ex.spec).value();
   RunGeneratorOptions run_options;
   run_options.target_items = 200;
-  FvlScheme::LabeledRun labeled = scheme.GenerateLabeledRun(run_options);
-  auto queries = GenerateQueries(labeled.run, 500, 13);
+  auto session = service->GenerateLabeledRun(run_options);
+  auto queries = GenerateQueries(session->run(), 500, 13);
   EXPECT_EQ(queries.size(), 500u);
   for (const auto& [d1, d2] : queries) {
     EXPECT_GE(d1, 0);
-    EXPECT_LT(d1, labeled.run.num_items());
+    EXPECT_LT(d1, session->num_items());
     EXPECT_GE(d2, 0);
-    EXPECT_LT(d2, labeled.run.num_items());
+    EXPECT_LT(d2, session->num_items());
   }
-  EXPECT_EQ(GenerateQueries(labeled.run, 500, 13), queries);
+  EXPECT_EQ(GenerateQueries(session->run(), 500, 13), queries);
 
   auto view = *CompiledView::Compile(ex.spec.grammar, ex.grey_view);
-  ViewLabel label = scheme.LabelView(view, ViewLabelMode::kDefault);
-  auto visible = GenerateVisibleQueries(labeled.run, labeled.labeler, label,
-                                        300, 13);
+  const ViewLabel& label =
+      RegisteredLabel(*service, view, ViewLabelMode::kDefault);
+  auto visible = GenerateVisibleQueries(session->run(), session->labeler(),
+                                        label, 300, 13);
   EXPECT_EQ(visible.size(), 300u);
 }
 
