@@ -16,10 +16,7 @@
 // one_at_a_time by the usual 2-4x decode-amortization factor and stay close
 // to the per-run batch path (it pays a RunOf partition and a larger decode
 // table for the single-call, single-artifact interface). bytes_per_label is the
-// merged store's bytes per item (shared arena + grouped offsets); the
-// merged_t2/t4 columns shard the decode loop across the service's
-// fork-join query workers (set_query_threads) — identical answers,
-// parallel decode.
+// merged store's bytes per item (shared arena + grouped offsets).
 //
 // The second table compares the two paths from *serialized* runs:
 // materializing every blob and calling Merge versus MergeRunsStreamed,
@@ -69,8 +66,7 @@ void Main(const BenchConfig& config) {
                              "stream_peak_stores"});
   TablePrinter table({"runs", "total_items", "merge_ms", "bytes_per_label",
                       "queries", "one_at_a_time_qps", "per_run_batched_qps",
-                      "merged_qps", "merged_t2_qps", "merged_t4_qps",
-                      "speedup_vs_loop"});
+                      "merged_qps", "speedup_vs_loop"});
   for (int num_runs : run_counts) {
     std::vector<std::shared_ptr<ProvenanceSession>> sessions;
     std::vector<ProvenanceIndex> snapshots;
@@ -159,20 +155,13 @@ void Main(const BenchConfig& config) {
     });
     FVL_CHECK(hits_batched == hits_single);
 
-    double merged_ms[3] = {0, 0, 0};
-    const int thread_points[3] = {1, 2, 4};
-    for (int t = 0; t < 3; ++t) {
-      service->set_query_threads(thread_points[t]);
-      std::vector<bool> merged_answers;
-      merged_ms[t] = TimeMs([&] {
-        merged_answers =
-            service->QueryAcrossRuns(view, merged, across).value();
-      });
-      int hits_merged = 0;
-      for (bool answer : merged_answers) hits_merged += answer;
-      FVL_CHECK(hits_merged == hits_single);
-    }
-    service->set_query_threads(1);
+    std::vector<bool> merged_answers;
+    double merged_ms = TimeMs([&] {
+      merged_answers = service->QueryAcrossRuns(view, merged, across).value();
+    });
+    int hits_merged = 0;
+    for (bool answer : merged_answers) hits_merged += answer;
+    FVL_CHECK(hits_merged == hits_single);
 
     double bytes_per_label =
         static_cast<double>(merged.SizeBits()) / 8.0 / merged.total_items();
@@ -184,10 +173,8 @@ void Main(const BenchConfig& config) {
                   std::to_string(total_queries),
                   TablePrinter::Num(qps(single_ms), 0),
                   TablePrinter::Num(qps(batched_ms), 0),
-                  TablePrinter::Num(qps(merged_ms[0]), 0),
-                  TablePrinter::Num(qps(merged_ms[1]), 0),
-                  TablePrinter::Num(qps(merged_ms[2]), 0),
-                  TablePrinter::Num(single_ms / merged_ms[0], 2)});
+                  TablePrinter::Num(qps(merged_ms), 0),
+                  TablePrinter::Num(single_ms / merged_ms, 2)});
   }
   table.Print(
       "multi-run merge + cross-run query throughput: one QueryAcrossRuns "

@@ -15,9 +15,8 @@
 //   * locked_qps — service->Depends one at a time, which takes the view
 //     registry's internal mutex on every call: its gap to one_at_a_time_qps
 //     is the whole cost of the lock (uncontended) on the worst-case path;
-//   * batched_qps at 1/2/4 query threads — DependsMany's decode loop
-//     sharded across the pool (set_query_threads); answers are identical,
-//     only the decode stage parallelizes;
+//   * batched_qps — one DependsMany call over the whole query set, on the
+//     calling thread with the serving cache off (the raw batch-decode path);
 //   * cached_qps / hit_rate — the same batch replayed with the snapshot's
 //     serving cache enabled and warm (one priming pass): repeated pairs hit
 //     the reachability memo and skip decode + predicate entirely. hit_rate
@@ -61,8 +60,7 @@ void Main(const BenchConfig& config) {
 
   TablePrinter table({"run_size", "queries", "bytes_per_label",
                       "one_at_a_time_qps", "locked_qps", "batched_qps",
-                      "batched_t2_qps", "batched_t4_qps", "cached_qps",
-                      "hit_rate", "speedup"});
+                      "cached_qps", "hit_rate", "speedup"});
   for (int size : config.run_sizes()) {
     RunGeneratorOptions run_options;
     run_options.target_items = size;
@@ -96,22 +94,17 @@ void Main(const BenchConfig& config) {
     });
     FVL_CHECK(hits_locked == hits_single);
 
-    // Batched: one DependsMany call per run, at 1/2/4 decode threads.
-    // Serving caches stay off here so these columns keep measuring the raw
-    // batch-decode path, comparable across releases.
+    // Batched: one DependsMany call per run. Serving caches stay off here
+    // so this column keeps measuring the raw batch-decode path, comparable
+    // across releases.
     service->set_serving_cache_enabled(false);
-    double batched_ms[3] = {0, 0, 0};
-    const int thread_points[3] = {1, 2, 4};
-    for (int t = 0; t < 3; ++t) {
-      service->set_query_threads(thread_points[t]);
-      std::vector<bool> answers;
-      batched_ms[t] = TimeMs([&] {
-        answers = service->DependsMany(view, index, queries).value();
-      });
-      int hits_batched = 0;
-      for (bool answer : answers) hits_batched += answer;
-      FVL_CHECK(hits_batched == hits_single);
-    }
+    std::vector<bool> answers;
+    double batched_ms = TimeMs([&] {
+      answers = service->DependsMany(view, index, queries).value();
+    });
+    int hits_batched = 0;
+    for (bool answer : answers) hits_batched += answer;
+    FVL_CHECK(hits_batched == hits_single);
 
     // Cached: same batch replayed against the snapshot's serving cache,
     // warmed by one prior pass — the steady-state skewed-serving number.
@@ -126,7 +119,6 @@ void Main(const BenchConfig& config) {
     FVL_CHECK(hits_cached == hits_single);
     ServingCacheStats cache_stats = index.serving_cache()->stats();
     double hit_rate = cache_stats.ReachHitRate();
-    service->set_query_threads(1);
 
     double bytes_per_label =
         static_cast<double>(index.SizeBits()) / 8.0 / index.num_items();
@@ -135,17 +127,15 @@ void Main(const BenchConfig& config) {
                   TablePrinter::Num(bytes_per_label, 2),
                   TablePrinter::Num(qps(single_ms), 0),
                   TablePrinter::Num(qps(locked_ms), 0),
-                  TablePrinter::Num(qps(batched_ms[0]), 0),
-                  TablePrinter::Num(qps(batched_ms[1]), 0),
-                  TablePrinter::Num(qps(batched_ms[2]), 0),
+                  TablePrinter::Num(qps(batched_ms), 0),
                   TablePrinter::Num(qps(cached_ms), 0),
                   TablePrinter::Num(hit_rate, 3),
-                  TablePrinter::Num(single_ms / batched_ms[0], 2)});
+                  TablePrinter::Num(single_ms / batched_ms, 2)});
   }
   table.Print(
-      "service query throughput: batched DependsMany (1/2/4 decode threads) "
-      "vs one-at-a-time decode+query loops, raw and through the locked "
-      "registry (BioAID, medium grey-box view, query-efficient labels)");
+      "service query throughput: batched DependsMany vs one-at-a-time "
+      "decode+query loops, raw and through the locked registry (BioAID, "
+      "medium grey-box view, query-efficient labels)");
 
   // Incremental checkpointing: replay each run step by step, freezing at
   // ~10 evenly spaced checkpoints through both snapshot paths.

@@ -242,22 +242,6 @@ DataLabel LabelStore::SpanCursor::DecodeAt(int global) {
   return label;
 }
 
-int64_t LabelStore::SpanCursor::LabelBitsAt(int global) {
-  FVL_CHECK(global >= 0 && global < store_->total_items());
-  SeekTo(global);
-  BitReader meta(&store_->meta_.words(), meta_pos_,
-                 store_->meta_covered_bits_);
-  const int64_t length = static_cast<int64_t>(meta.ReadGamma());
-  ++item_;
-  if (length <= store_->inline_threshold_) {
-    meta_pos_ = meta.position() + length;
-  } else {
-    meta_pos_ = meta.position();
-    arena_pos_ += length;
-  }
-  return length;
-}
-
 // --- Bulk appends ------------------------------------------------------------
 
 Status LabelStore::AppendArena(const LabelStore& other) {

@@ -129,7 +129,6 @@ class LabelStore {
         inline_threshold_(InlineThresholdBits(codec_)) {}
 
   const LabelCodec& codec() const { return codec_; }
-  int inline_threshold_bits() const { return inline_threshold_; }
 
   int num_groups() const { return static_cast<int>(group_base_.size()) - 1; }
   int num_items(int group) const {
@@ -234,7 +233,6 @@ class LabelStore {
     // Reader over exactly item `global`'s span.
     BitReader SpanAt(int global);
     DataLabel DecodeAt(int global);
-    int64_t LabelBitsAt(int global);
 
    private:
     // Positions the cursor at the start of item `global`'s meta record.

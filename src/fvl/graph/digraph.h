@@ -30,9 +30,8 @@ class Digraph {
   };
   const Edge& edge(int edge_id) const { return edges_[edge_id]; }
 
-  // Ids of edges leaving / entering a node, in insertion order.
+  // Ids of edges leaving a node, in insertion order.
   const std::vector<int>& OutEdges(int node) const { return out_edges_[node]; }
-  const std::vector<int>& InEdges(int node) const { return in_edges_[node]; }
 
   int OutDegree(int node) const {
     return static_cast<int>(out_edges_[node].size());

@@ -1,5 +1,6 @@
 #include "fvl/net/client.h"
 
+#include <string>
 #include <utility>
 
 namespace fvl::net {
@@ -60,12 +61,7 @@ Result<std::string> ProvenanceClient::ReadResponseFrame() {
 }
 
 Result<std::string> ProvenanceClient::Call(std::string_view request_payload) {
-  internal::SingleWriterScope caller(&call_guard_);
-  std::string out;
-  AppendFrame(&out, request_payload);
-  Status written = WriteAll(socket_, out);
-  if (!written.ok()) return written;
-  Result<std::string> frame = ReadResponseFrame();
+  Result<std::string> frame = RoundTripRaw(request_payload);
   if (!frame.ok()) return frame.status();
   Result<std::string_view> body = ParseResponse(*frame);
   if (!body.ok()) return body.status();
@@ -317,6 +313,14 @@ Result<bool> ProvenanceClient::NextDependsAnswer() {
 
 Result<std::string> ProvenanceClient::RoundTripRaw(std::string_view payload) {
   internal::SingleWriterScope caller(&call_guard_);
+  // Responses arrive in request order; while pipelined answers are owed,
+  // a synchronous exchange could read one of them as its own.
+  if (pending_ > 0) {
+    return Status::Error(ErrorCode::kInvalidArgument,
+                         std::to_string(pending_) +
+                             " pipelined queries pending; read their "
+                             "answers before a synchronous call");
+  }
   std::string out;
   AppendFrame(&out, payload);
   Status written = WriteAll(socket_, out);

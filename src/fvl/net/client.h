@@ -11,6 +11,12 @@
 // passes. A strictly request/response client would cap the server's batch
 // size at 1 and pay a full RTT per point query.
 //
+// The two paths share one connection and one in-order response stream, so
+// they do not interleave: while pending() > 0 (queued or flushed answers
+// not yet read by NextDependsAnswer), every synchronous call and
+// RoundTripRaw fails with kInvalidArgument and sends nothing. Drain the
+// window first; the pipelined stream stays aligned either way.
+//
 // Errors: transport failures are kUnavailable; server-reported errors
 // arrive as the original Status (code + message) reconstructed from the
 // error frame. A client is single-threaded by contract — share a
@@ -71,6 +77,8 @@ class ProvenanceClient {
   ProvenanceClient& operator=(ProvenanceClient&&) = default;
 
   // --- Synchronous calls (one request, one response) ---
+  //
+  // Each fails with kInvalidArgument, sending nothing, while pending() > 0.
 
   [[nodiscard]] Result<uint64_t> Ping();  // returns the protocol version
   [[nodiscard]] Result<uint64_t> RegisterView(const View& view);
@@ -128,12 +136,14 @@ class ProvenanceClient {
 
   // Ships raw bytes as one frame payload and returns the raw response
   // payload — the fuzz harness's hook for sending what no encoder would.
+  // Refused like the synchronous calls while pending() > 0.
   [[nodiscard]] Result<std::string> RoundTripRaw(std::string_view payload);
 
  private:
   explicit ProvenanceClient(Socket socket) : socket_(std::move(socket)) {}
 
-  // One framed request, one framed response, parsed to its body.
+  // One framed request, one framed response (RoundTripRaw), parsed to its
+  // body.
   [[nodiscard]] Result<std::string> Call(std::string_view request_payload);
   // Reads exactly one frame payload (blocking).
   [[nodiscard]] Result<std::string> ReadResponseFrame();

@@ -11,13 +11,20 @@
 #include "fvl/util/blob_source.h"
 #include "fvl/util/check.h"
 #include "fvl/util/file.h"
-#include "fvl/util/thread_pool.h"
 #include "fvl/workflow/properness.h"
 
 namespace fvl {
 
 namespace {
 std::atomic<uint64_t> next_service_tag{1};
+
+// The one error both batch cores return when a decoded label fails
+// vetting.
+Status OutOfGrammarLabels() {
+  return Status::Error(ErrorCode::kInvalidArgument,
+                       "index label fields are out of range for this "
+                       "service's grammar");
+}
 }  // namespace
 
 ProvenanceService::ProvenanceService()
@@ -218,9 +225,8 @@ Result<std::vector<bool>> ProvenanceService::BatchDepends(
     }
   }
 
-  const int threads = query_threads();
   const int view_id = handle.id();
-  std::vector<char> answers(queries.size(), 0);
+  std::vector<bool> answers(queries.size(), false);
 
   // Memo pass: a pair across two groups (runs) is false by definition and
   // a hot (view, src, dst) pair replays its answer — neither touches labels
@@ -243,7 +249,7 @@ Result<std::vector<bool>> ProvenanceService::BatchDepends(
             ReachMemoKey{tag_, view_id, static_cast<int32_t>(mode),
                          queries[q].first, queries[q].second},
             &memoized)) {
-      answers[q] = memoized ? 1 : 0;
+      answers[q] = memoized;
     } else {
       pending.push_back(q);
     }
@@ -253,80 +259,61 @@ Result<std::vector<bool>> ProvenanceService::BatchDepends(
   // batch — through the snapshot's label cache when present, so a hot item
   // is decoded once per *snapshot*, not once per batch. Scratch is sized by
   // the batch (hash map, node-stable references) unless the batch covers a
-  // good fraction of the snapshot, where the flat table's O(1) lookups win
-  // — and where the decode loop can shard across fork-join workers
-  // (util/thread_pool.h; the table is per-call and read-only once filled).
+  // good fraction of the snapshot, where the flat table's O(1) lookups and
+  // one ascending walk of the store win.
   const bool dense = pending.size() * 4 >= static_cast<size_t>(num_items);
   std::vector<DataLabel> decoded(dense ? num_items : 0);
   std::vector<char> needed(dense ? num_items : 0, 0);
   std::unordered_map<int, DataLabel> sparse;
-  std::atomic<bool> in_bounds{true};
-  // Cache-aware decode of one item, walking the store's span streams
-  // through the caller's cursor (per shard, so sequential ids amortize the
-  // span scan to O(1)). Labels enter the cache only after LabelInBounds,
-  // keyed by this service's tag (vetting is grammar-specific, so another
-  // service's entries are misses here) — a hit is exactly a label this
-  // service's uncached path would have decoded and accepted, and hits skip
-  // re-vetting.
-  auto fetch = [&](LabelStore::SpanCursor* cursor, int item, DataLabel* out) {
-    if (cache != nullptr && cache->LookupLabel(tag_, item, out)) return;
-    *out = cursor->DecodeAt(item);
-    if (!LabelInBounds(*out)) {
-      in_bounds.store(false, std::memory_order_relaxed);
-      return;
-    }
+  LabelStore::SpanCursor cursor(store);
+  // Cache-aware decode of one item through the batch's one cursor, so
+  // sequential ids amortize the span scan to O(1). Labels enter the cache
+  // only after LabelInBounds, keyed by this service's tag (vetting is
+  // grammar-specific, so another service's entries are misses here) — a
+  // hit is exactly a label this service's uncached path would have decoded
+  // and accepted, and hits skip re-vetting. False on a label that fails
+  // vetting.
+  auto fetch = [&](int item, DataLabel* out) {
+    if (cache != nullptr && cache->LookupLabel(tag_, item, out)) return true;
+    *out = cursor.DecodeAt(item);
+    if (!LabelInBounds(*out)) return false;
     if (cache != nullptr) cache->InsertLabel(tag_, item, *out);
+    return true;
   };
   if (dense) {
     for (size_t q : pending) {
       needed[queries[q].first] = needed[queries[q].second] = 1;
     }
-    ParallelFor(num_items, threads, [&](int64_t begin, int64_t end) {
-      LabelStore::SpanCursor cursor(store);
-      for (int64_t item = begin; item < end; ++item) {
-        if (!needed[item]) continue;
-        fetch(&cursor, static_cast<int>(item), &decoded[item]);
+    for (int item = 0; item < num_items; ++item) {
+      if (needed[item] && !fetch(item, &decoded[item])) {
+        return OutOfGrammarLabels();
       }
-    });
+    }
   } else {
-    LabelStore::SpanCursor cursor(store);
     for (size_t q : pending) {
       for (int item : {queries[q].first, queries[q].second}) {
         auto [it, inserted] = sparse.try_emplace(item);
-        if (inserted) fetch(&cursor, item, &it->second);
+        if (inserted && !fetch(item, &it->second)) {
+          return OutOfGrammarLabels();
+        }
       }
     }
   }
-  if (!in_bounds.load(std::memory_order_relaxed)) {
-    return Status::Error(ErrorCode::kInvalidArgument,
-                         "index label fields are out of range for this "
-                         "service's grammar");
-  }
 
-  // Predicate/answer loop, sharded like the decode loop (shards write
-  // disjoint answer bytes; the decoder and decode tables are read-only
-  // here) — a fully label-cached batch still scales with query_threads()
-  // even though no decode work is left.
   auto label_at = [&](int item) -> const DataLabel& {
     return dense ? decoded[item] : sparse.find(item)->second;
   };
-  ParallelFor(static_cast<int64_t>(pending.size()), threads,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  const size_t q = pending[i];
-                  const auto [d1, d2] = queries[q];
-                  const bool answer =
-                      (*decoder)->Depends(label_at(d1), label_at(d2));
-                  answers[q] = answer ? 1 : 0;
-                  if (cache != nullptr) {
-                    cache->InsertReach(
-                        ReachMemoKey{tag_, view_id,
-                                     static_cast<int32_t>(mode), d1, d2},
-                        answer);
-                  }
-                }
-              });
-  return std::vector<bool>(answers.begin(), answers.end());
+  for (size_t q : pending) {
+    const auto [d1, d2] = queries[q];
+    const bool answer = (*decoder)->Depends(label_at(d1), label_at(d2));
+    answers[q] = answer;
+    if (cache != nullptr) {
+      cache->InsertReach(
+          ReachMemoKey{tag_, view_id, static_cast<int32_t>(mode), d1, d2},
+          answer);
+    }
+  }
+  return answers;
 }
 
 Result<std::vector<bool>> ProvenanceService::DependsMany(
@@ -460,40 +447,23 @@ Result<std::vector<bool>> ProvenanceService::SweepVisibility(
   Result<const ViewLabel*> label = LabelOf(handle, mode);
   if (!label.ok()) return label.status();
   const int num_items = store.total_items();
-  // Decode + bounds-check + visibility per item, sharded across fork-join
-  // workers (the view label is read-only; shards write disjoint bytes) and
-  // walking each shard's contiguous item range through its own span cursor.
-  // Items resident in the snapshot's label cache skip decode and re-vetting
-  // (cached labels passed *this* service's LabelInBounds when they entered —
-  // the cache key carries the vetting service's tag).
-  std::vector<char> per_item(num_items, 0);
-  std::atomic<bool> in_bounds{true};
-  ParallelFor(num_items, query_threads(), [&](int64_t begin, int64_t end) {
-    bool shard_ok = true;
-    LabelStore::SpanCursor cursor(store);
-    for (int64_t item = begin; item < end; ++item) {
-      DataLabel item_label;
-      if (cache == nullptr ||
-          !cache->LookupLabel(tag_, static_cast<int>(item), &item_label)) {
-        item_label = cursor.DecodeAt(static_cast<int>(item));
-        if (!LabelInBounds(item_label)) {
-          shard_ok = false;
-          break;
-        }
-        if (cache != nullptr) {
-          cache->InsertLabel(tag_, static_cast<int>(item), item_label);
-        }
-      }
-      per_item[item] = IsItemVisible(item_label, **label) ? 1 : 0;
+  // Decode + bounds-check + visibility per item, walking the store in
+  // flat-id order through one span cursor. Items resident in the
+  // snapshot's label cache skip decode and re-vetting (cached labels passed
+  // *this* service's LabelInBounds when they entered — the cache key
+  // carries the vetting service's tag).
+  std::vector<bool> visible(num_items, false);
+  LabelStore::SpanCursor cursor(store);
+  for (int item = 0; item < num_items; ++item) {
+    DataLabel item_label;
+    if (cache == nullptr || !cache->LookupLabel(tag_, item, &item_label)) {
+      item_label = cursor.DecodeAt(item);
+      if (!LabelInBounds(item_label)) return OutOfGrammarLabels();
+      if (cache != nullptr) cache->InsertLabel(tag_, item, item_label);
     }
-    if (!shard_ok) in_bounds.store(false, std::memory_order_relaxed);
-  });
-  if (!in_bounds.load(std::memory_order_relaxed)) {
-    return Status::Error(ErrorCode::kInvalidArgument,
-                         "index label fields are out of range for this "
-                         "service's grammar");
+    visible[item] = IsItemVisible(item_label, **label);
   }
-  return std::vector<bool>(per_item.begin(), per_item.end());
+  return visible;
 }
 
 Result<std::vector<bool>> ProvenanceService::VisibilitySweep(

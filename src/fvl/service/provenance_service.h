@@ -32,10 +32,8 @@
 // (bench_service_throughput measures the lock's overhead on the
 // one-at-a-time path). Individual *sessions* are still single-writer:
 // concurrent Apply calls on one session require external synchronization,
-// but distinct sessions are independent. Batch queries can additionally
-// shard their decode loops across fork-join workers — spawned per call,
-// amortized by a ~1k-item grain (util/thread_pool.h) — via
-// set_query_threads; answers are identical at any thread count.
+// but distinct sessions are independent. Every query, batch ones included,
+// runs on the calling thread; the service starts no threads of its own.
 
 #ifndef FVL_SERVICE_PROVENANCE_SERVICE_H_
 #define FVL_SERVICE_PROVENANCE_SERVICE_H_
@@ -149,27 +147,6 @@ class ProvenanceService
   int64_t view_labelings_performed() const FVL_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return view_labelings_performed_;
-  }
-
-  // Number of worker threads batch queries (DependsMany, VisibilitySweep,
-  // QueryAcrossRuns) may shard their decode loops across. 1 (the default)
-  // keeps batches on the calling thread; higher values parallelize only
-  // batches large enough to amortize the fork-join (decode tables are
-  // per-call and read-only, so answers are identical at any setting).
-  //
-  // Contract: non-positive values are clamped to 1 — a batch always runs
-  // on at least the calling thread, so `set_query_threads(0)` (e.g. a
-  // miscomputed hardware_concurrency() derivation) can never wedge or
-  // reject queries, and query_threads() is always >= 1. Values above the
-  // machine's core count are accepted and merely oversubscribe; the
-  // per-shard grain (util/thread_pool.h) bounds the workers actually
-  // spawned.
-  void set_query_threads(int threads) {
-    query_threads_.store(threads < 1 ? 1 : threads,
-                         std::memory_order_relaxed);
-  }
-  int query_threads() const {
-    return query_threads_.load(std::memory_order_relaxed);
   }
 
   // Whether batch queries consult the snapshot-lifetime serving caches
@@ -336,13 +313,11 @@ class ProvenanceService
   // the visibility sweep, walking the frozen store's span streams directly
   // in its flat-id space (ids are validated against store.total_items();
   // BatchDepends answers pairs across groups false without decoding them).
-  // Each decode shard keeps its own LabelStore::SpanCursor, so sequential
+  // Each call decodes through one LabelStore::SpanCursor, so sequential
   // walks pay amortized O(1) per item against the compact v2 layout.
   // `cache` is the owning index's serving cache, or nullptr to run
   // uncached (empty index, or set_serving_cache_enabled(false)); answers
-  // are identical either way. Both cores shard across query_threads():
-  // BatchDepends parallelizes the decode *and* the predicate/answer loop,
-  // so hot-in-cache batches (no decode work left) still scale.
+  // are identical either way.
   [[nodiscard]] Result<std::vector<bool>> BatchDepends(
       ViewHandle handle, const LabelStore& store,
       std::span<const std::pair<int, int>> queries, ViewLabelMode mode,
@@ -382,7 +357,6 @@ class ProvenanceService
   ViewHandle default_view_;
   int64_t view_labelings_performed_ FVL_GUARDED_BY(mu_) = 0;
   uint64_t tag_;  // process-unique issuer tag stamped into handles
-  std::atomic<int> query_threads_{1};
   std::atomic<bool> serving_cache_enabled_{true};
 };
 

@@ -29,16 +29,6 @@ void BitWriter::WriteFixed(uint64_t value, int width) {
   size_bits_ += width;
 }
 
-BitWriter BitWriter::FromWords(std::vector<uint64_t> words,
-                               int64_t size_bits) {
-  FVL_CHECK(size_bits >= 0 &&
-            (size_bits + 63) / 64 <= static_cast<int64_t>(words.size()));
-  BitWriter writer;
-  writer.words_ = std::move(words);
-  writer.size_bits_ = size_bits;
-  return writer;
-}
-
 void BitWriter::WriteGamma(uint64_t value) {
   FVL_CHECK(value >= 1);
   int bits = 64 - std::countl_zero(value);  // position of the highest set bit

@@ -33,16 +33,6 @@ class BitWriter {
 
   int64_t size_bits() const { return size_bits_; }
   const std::vector<uint64_t>& words() const { return words_; }
-  // Moves the backing words out without a copy (large arenas); the writer
-  // is left empty, as after default construction.
-  std::vector<uint64_t> TakeWords() {
-    size_bits_ = 0;
-    return std::move(words_);
-  }
-  // Reconstitutes a writer over previously taken/parsed words (arena
-  // adoption in LabelStore::ParseTail); requires size_bits to fit in the
-  // words, and any bits of the last counted word above size_bits to be 0.
-  static BitWriter FromWords(std::vector<uint64_t> words, int64_t size_bits);
 
  private:
   void WriteBit(bool bit);

@@ -4,57 +4,28 @@
 
 namespace fvl {
 
-// Exactly one of the members is meaningful; which one is implied by how
-// the source was built. Borrowed sources have a null rep_ altogether.
-struct BlobSource::Rep {
-  std::string owned;
-  MmapRegion mapping;
-};
-
-BlobSource BlobSource::FromString(std::string blob) {
-  auto rep = std::make_shared<Rep>();
-  rep->owned = std::move(blob);
-  BlobSource source;
-  source.view_ = rep->owned;
-  source.rep_ = std::move(rep);
-  return source;
-}
-
-BlobSource BlobSource::Borrowed(std::string_view blob) {
-  BlobSource source;
-  source.view_ = blob;
-  return source;
-}
-
 Result<BlobSource> BlobSource::MapFile(const std::string& path) {
   Result<FileHandle> file = FileHandle::OpenRead(path);
   if (!file.ok()) return file.status();
   Result<MmapRegion> region = MmapRegion::Map(*file);
   if (!region.ok()) return region.status();
-  auto rep = std::make_shared<Rep>();
-  rep->mapping = std::move(region).value();
   BlobSource source;
-  source.view_ = rep->mapping.view();
-  source.rep_ = std::move(rep);
+  source.mapping_ =
+      std::make_shared<const MmapRegion>(std::move(region).value());
+  source.view_ = source.mapping_->view();
   return source;
 }
 
-std::string_view BlobSource::view() const { return view_; }
-
-bool BlobSource::mapped() const {
-  return rep_ != nullptr && rep_->mapping.data() != nullptr;
-}
-
 void BlobSource::AdviseSequential() const {
-  if (rep_ != nullptr) rep_->mapping.Advise(MmapRegion::Advice::kSequential);
+  if (mapping_ != nullptr) mapping_->Advise(MmapRegion::Advice::kSequential);
 }
 
 void BlobSource::AdviseRandom() const {
-  if (rep_ != nullptr) rep_->mapping.Advise(MmapRegion::Advice::kRandom);
+  if (mapping_ != nullptr) mapping_->Advise(MmapRegion::Advice::kRandom);
 }
 
 void BlobSource::AdviseDontNeed() const {
-  if (rep_ != nullptr) rep_->mapping.Advise(MmapRegion::Advice::kDontNeed);
+  if (mapping_ != nullptr) mapping_->Advise(MmapRegion::Advice::kDontNeed);
 }
 
 }  // namespace fvl

@@ -1,21 +1,13 @@
-// BlobSource — the one abstraction over how a serialized index artifact is
-// owned, so the index classes reference storage instead of owning heap
-// strings.
-//
-// Three ownership modes, one read interface (`view()`):
-//
-//   owned     the source holds the bytes in a std::string (the classic
-//             Serialize()/Deserialize() round trip);
-//   borrowed  the caller guarantees the bytes outlive the source (a test
-//             fixture, a wire frame still in its connection buffer);
-//   mapped    the source owns an MmapRegion over an archive file — the
-//             pages are the kernel's, shared across processes, and the
-//             LabelStore borrowed-arena mode points straight into them.
+// BlobSource — a serialized index artifact served from one shared,
+// read-only mapping of its archive file, so the index classes reference
+// storage instead of owning heap strings. The pages are the kernel's,
+// shared across processes, and the LabelStore borrowed-arena mode points
+// straight into them.
 //
 // A BlobSource is cheaply copyable: copies share one reference-counted
-// representation, which is exactly the keepalive an mmap-served
-// ProvenanceIndex needs — every copy of the index copies the source, and
-// the mapping unmaps with the last copy.
+// mapping, which is exactly the keepalive an mmap-served ProvenanceIndex
+// needs — every copy of the index copies the source, and the mapping
+// unmaps with the last copy.
 //
 // BlobReader is the incremental cursor CompactStream consumes inputs
 // through: sequential access advice up front, chunked Take() so even the
@@ -34,46 +26,33 @@
 
 namespace fvl {
 
+class MmapRegion;
+
 class BlobSource {
  public:
   BlobSource() = default;  // empty view, no backing
-
-  // Takes ownership of `blob`.
-  [[nodiscard]] static BlobSource FromString(std::string blob);
-
-  // Wraps caller-owned bytes; the caller keeps them alive for the life of
-  // every copy of the returned source.
-  [[nodiscard]] static BlobSource Borrowed(std::string_view blob);
 
   // Opens and memory-maps `path` read-only: kIo if the file cannot be
   // opened or statted, kMapFailed if it cannot be mapped.
   [[nodiscard]] static Result<BlobSource> MapFile(const std::string& path);
 
-  // The blob bytes, whatever the ownership mode.
-  std::string_view view() const;
+  // The mapped bytes.
+  std::string_view view() const { return view_; }
 
-  bool empty() const { return view().empty(); }
-  size_t size() const { return view().size(); }
+  bool empty() const { return view_.empty(); }
+  size_t size() const { return view_.size(); }
 
-  // True for mmap-backed sources (observability: benches and stats report
-  // whether an index is file-served).
-  bool mapped() const;
-
-  // Access-pattern hints, forwarded to madvise on mapped sources and
-  // no-ops otherwise. Sequential is what a one-pass compaction read wants;
-  // Random fits point-query serving; DontNeed releases page-cache claim on
-  // a region the caller is done streaming.
+  // Access-pattern hints, forwarded to madvise (no-ops on the empty
+  // source). Sequential is what a one-pass compaction read wants; Random
+  // fits point-query serving; DontNeed releases page-cache claim on a
+  // region the caller is done streaming.
   void AdviseSequential() const;
   void AdviseRandom() const;
   void AdviseDontNeed() const;
 
  private:
-  struct Rep;  // owned string, or mapping, or nothing (borrowed)
-
-  std::shared_ptr<const Rep> rep_;
-  // Resolved once at construction; for owned/mapped modes it points into
-  // rep_, which copies share.
-  std::string_view view_;
+  std::shared_ptr<const MmapRegion> mapping_;  // null for the empty source
+  std::string_view view_;                      // into *mapping_
 };
 
 // Incremental sequential reader over one BlobSource. Construction advises

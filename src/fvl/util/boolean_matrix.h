@@ -62,7 +62,6 @@ class BoolMatrix {
   int64_t SizeBits() const { return int64_t{1} * rows_ * cols_; }
 
  private:
-  int WordsPerRow() const { return words_per_row_; }
   const uint64_t* Row(int r) const { return bits_.data() + r * words_per_row_; }
   uint64_t* Row(int r) { return bits_.data() + r * words_per_row_; }
 

@@ -9,21 +9,13 @@
 // noise (the HdrHistogram idiom, sized down).
 //
 // A LatencyHistogram is single-writer; per-thread instances are combined
-// with Merge() after the measured phase (bench/ycsb_driver.cc) — that is
-// the fast path and should stay the default. When per-thread instances are
-// impractical (callers that live longer than any one measurement phase, or
-// record from transient threads), SharedLatencyHistogram wraps one
-// histogram behind an annotated mutex: Record() costs one uncontended lock,
-// and Snapshot() hands back a plain value to read percentiles from without
-// holding anything.
+// with Merge() after the measured phase (bench/ycsb_driver.cc).
 
 #ifndef FVL_UTIL_HISTOGRAM_H_
 #define FVL_UTIL_HISTOGRAM_H_
 
 #include <array>
 #include <cstdint>
-
-#include "fvl/util/thread_annotations.h"
 
 namespace fvl {
 
@@ -61,34 +53,6 @@ class LatencyHistogram {
   int64_t sum_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;
-};
-
-// Thread-safe wrapper: any number of threads may Record/Merge/Snapshot
-// concurrently. tests/concurrency_stress_test.cc hammers it from ParallelFor
-// shards; tests/util_test.cc pins the no-lost-samples contract.
-class SharedLatencyHistogram {
- public:
-  void Record(int64_t value) FVL_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    histogram_.Record(value);
-  }
-
-  // Adds a (single-writer) histogram in one critical section — the cheap
-  // way to fold a finished per-thread histogram into a shared one.
-  void Merge(const LatencyHistogram& other) FVL_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    histogram_.Merge(other);
-  }
-
-  // Consistent copy to read counts/percentiles from, lock already dropped.
-  LatencyHistogram Snapshot() const FVL_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return histogram_;
-  }
-
- private:
-  mutable Mutex mu_;
-  LatencyHistogram histogram_ FVL_GUARDED_BY(mu_);
 };
 
 }  // namespace fvl

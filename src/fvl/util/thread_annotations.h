@@ -53,8 +53,6 @@
   FVL_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define FVL_RELEASE(...) \
   FVL_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define FVL_TRY_ACQUIRE(...) \
-  FVL_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 // A function returning a reference to the capability guarding its result.
 #define FVL_RETURN_CAPABILITY(mu) FVL_THREAD_ANNOTATION(lock_returned(mu))
@@ -77,7 +75,6 @@ class FVL_LOCKABLE Mutex {
 
   void Lock() FVL_ACQUIRE() { raw_.lock(); }
   void Unlock() FVL_RELEASE() { raw_.unlock(); }
-  bool TryLock() FVL_TRY_ACQUIRE(true) { return raw_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -398,30 +398,6 @@ TEST(CacheDifferential, LabelEntriesDoNotLeakAcrossServices) {
   EXPECT_GT(index.serving_cache()->stats().label_hits, after_b.label_hits);
 }
 
-TEST(CacheDifferential, AnswersIdenticalAcrossThreadCounts) {
-  // The sharded predicate/answer loop must not depend on the shard count.
-  PaperExample ex = MakePaperExample();
-  auto service = ProvenanceService::Create(ex.spec).value();
-  RunGeneratorOptions options;
-  options.target_items = 200;
-  options.seed = 5;
-  auto session = service->GenerateLabeledRun(options);
-  ProvenanceIndex index = session->Snapshot();
-  const auto queries = RandomQueries(index.num_items(), 400, 99);
-
-  service->set_query_threads(1);
-  const std::vector<bool> expected =
-      service->DependsMany(service->default_view(), index, queries).value();
-  for (int threads : {2, 4, 8}) {
-    service->set_query_threads(threads);
-    EXPECT_EQ(
-        service->DependsMany(service->default_view(), index, queries).value(),
-        expected)
-        << "threads=" << threads;
-  }
-  service->set_query_threads(1);
-}
-
 TEST(CacheDifferential, ErrorBehaviorMatchesUncached) {
   PaperExample ex = MakePaperExample();
   auto service = ProvenanceService::Create(ex.spec).value();

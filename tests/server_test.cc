@@ -147,6 +147,59 @@ TEST(ServerDifferential, WireAnswersBitEqualToDirectCalls) {
   }
 }
 
+TEST(ServerDifferential, SyncCallRefusedWhilePipelinedAnswersUnread) {
+  // A synchronous call reads the next response frame as its own, so with
+  // flushed pipelined answers still unread it would consume the oldest one
+  // and misalign every later NextDependsAnswer. The client refuses the call
+  // instead and sends nothing.
+  TestRig rig = TestRig::Make();
+  std::vector<std::pair<int, int>> ops =
+      RecordOpSequence(*rig.service, /*target_items=*/200, /*seed=*/5);
+  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+  auto direct_session = rig.service->BeginRun();
+  for (const auto& [instance, production] : ops) {
+    ASSERT_TRUE(direct_session->Apply(instance, production).ok());
+  }
+  ProvenanceIndex direct_index = direct_session->Snapshot();
+
+  ProvenanceClient client =
+      ProvenanceClient::Connect(rig.server->port()).value();
+  uint64_t view_id = client.RegisterView(rig.view).value();
+  uint64_t session_id = client.BeginRun().value();
+  for (const auto& [instance, production] : ops) {
+    ASSERT_TRUE(client.Apply(session_id, instance, production).ok());
+  }
+  SnapshotInfo snapshot = client.Snapshot(session_id).value();
+
+  std::vector<std::pair<int, int>> queries =
+      RandomQueries(direct_index.num_items(), 3, 7);
+  std::vector<bool> want =
+      rig.service->DependsMany(direct_view, direct_index, queries).value();
+  for (const auto& [d1, d2] : queries) {
+    client.QueueDepends(view_id, snapshot.index_id,
+                        ViewLabelMode::kQueryEfficient, d1, d2);
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  ASSERT_EQ(client.pending(), queries.size());
+
+  Result<uint64_t> ping = client.Ping();
+  ASSERT_FALSE(ping.ok());
+  EXPECT_EQ(ping.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(client.RoundTripRaw(EncodePingRequest()).code(),
+            ErrorCode::kInvalidArgument);
+  ASSERT_EQ(client.pending(), queries.size());
+
+  for (size_t q = 0; q < queries.size(); ++q) {
+    Result<bool> answer = client.NextDependsAnswer();
+    ASSERT_TRUE(answer.ok()) << "query " << q << ": "
+                             << answer.status().message();
+    EXPECT_EQ(*answer, want[q]) << "query " << q;
+  }
+  EXPECT_EQ(client.Ping().value(), kProtocolVersion);
+  // Had a refused call sent its frame, its stale reply would be read here.
+  EXPECT_EQ(client.Stats().value().point_queries, queries.size());
+}
+
 TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
   TestRig rig = TestRig::Make();
   ProvenanceClient client =

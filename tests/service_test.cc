@@ -6,17 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "fvl/core/visibility.h"
 #include "fvl/run/provenance_oracle.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/random.h"
-#include "fvl/util/thread_pool.h"
 #include "fvl/workflow/grammar_builder.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
@@ -473,96 +473,96 @@ TEST(ServiceHardening, InconsistentPathsRejected) {
       ErrorCode::kInvalidArgument);
 }
 
-TEST(ServiceThreads, ShardedBatchesMatchSerialAnswers) {
-  // set_query_threads only shards the decode loops; answers are identical
-  // at every thread count, for both batch entry points and both index
-  // shapes. Runs are sized well past kParallelForGrain (1024) so the
-  // multi-shard path genuinely executes at 2+ threads — both per snapshot
-  // (2500 items) and merged (~7500 items).
+TEST(ServiceBatch, SparseThresholdAndDenseBatchesMatchSingleQueries) {
+  // BatchDepends decodes through a per-batch hash map when pending*4 < N
+  // (the branch every served batch takes) and through a flat table
+  // otherwise. Both branches, and the exact threshold between them, must
+  // answer like one-at-a-time Decoder::Depends on the same labels — on a
+  // single snapshot and on a merged index, with the serving cache off and
+  // on. Pairs are distinct across an index's batches, so no batch is
+  // answered from the reach memo and pending is exactly the batch's
+  // same-run pairs.
   PaperExample ex = MakePaperExample();
   auto service = ProvenanceService::Create(ex.spec).value();
   ViewHandle grey = service->RegisterView(ex.grey_view).value();
+  const Decoder& decoder = *service->DecoderOf(
+      grey, ViewLabelMode::kQueryEfficient).value();
+  const ViewLabel& grey_label =
+      *service->LabelOf(grey, ViewLabelMode::kQueryEfficient).value();
 
+  // Run 2 repeats run 0 (same seed, so the same labels), which makes the
+  // cross-run rule observable: a true pair of run 0 with one side moved to
+  // its twin in run 2 has labels that alone would answer true.
   std::vector<ProvenanceIndex> snapshots;
-  for (int r = 0; r < 3; ++r) {
+  for (uint64_t seed : {31, 32, 31}) {
     snapshots.push_back(
         service
-            ->GenerateLabeledRun(RunGeneratorOptions{
-                .target_items = 2500, .seed = 31 + static_cast<uint64_t>(r)})
+            ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 2500,
+                                                     .seed = seed})
             ->Snapshot());
   }
   ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
-  ASSERT_GE(static_cast<int64_t>(snapshots[0].num_items()),
-            2 * kParallelForGrain)
-      << "snapshot too small to produce a second ParallelFor shard";
 
-  Rng rng(5);
-  std::vector<std::pair<int, int>> queries;
-  for (int q = 0; q < 4000; ++q) {
-    queries.push_back({rng.NextInt(0, snapshots[0].num_items() - 1),
-                       rng.NextInt(0, snapshots[0].num_items() - 1)});
-  }
-  std::vector<std::pair<int, int>> flat;
-  for (int q = 0; q < 4000; ++q) {
-    flat.push_back({rng.NextInt(0, merged.total_items() - 1),
-                    rng.NextInt(0, merged.total_items() - 1)});
-  }
+  for (const ProvenanceIndex* index : {&snapshots[0], &merged}) {
+    const int n = index->total_items();
+    ASSERT_EQ(n % 4, 0) << "the exact threshold needs 4 | N";
+    Rng rng(static_cast<uint64_t>(n));
+    std::set<std::pair<int, int>> used;
+    auto depends = [&](int a, int b) {
+      return index->RunOf(a) == index->RunOf(b) &&
+             decoder.Depends(index->Label(a), index->Label(b));
+    };
+    // `pending` distinct same-run pairs plus, on the merged index, their
+    // true run-0 pairs moved across to run 2, which must answer false
+    // without ever becoming pending.
+    auto make_batch = [&](int pending) {
+      std::vector<std::pair<int, int>> batch;
+      while (static_cast<int>(batch.size()) < pending) {
+        const int a = rng.NextInt(0, n - 1);
+        const int run = index->RunOf(a);
+        const int b = index->GlobalId(
+            run, rng.NextInt(0, index->num_items(run) - 1));
+        if (used.insert({a, b}).second) batch.push_back({a, b});
+      }
+      for (int i = 0; i < pending && index->num_runs() > 1; ++i) {
+        const auto [a, b] = batch[i];
+        if (index->RunOf(a) == 0 && depends(a, b)) {
+          batch.push_back({a, b + index->GlobalId(2, 0)});
+        }
+      }
+      return batch;
+    };
+    const std::vector<std::vector<std::pair<int, int>>> batches = {
+        make_batch(n / 4 - 1),  // sparse: pending*4 < N
+        make_batch(n / 4),      // exact threshold: pending*4 == N, dense
+        make_batch(n),          // dense
+    };
+    std::vector<std::vector<bool>> want;
+    for (const auto& batch : batches) {
+      std::vector<bool> answers;
+      for (const auto& [a, b] : batch) answers.push_back(depends(a, b));
+      want.push_back(std::move(answers));
+    }
 
-  std::vector<bool> serial_single =
-      service->DependsMany(grey, snapshots[0], queries).value();
-  std::vector<bool> serial_merged =
-      service->DependsMany(grey, merged, flat).value();
-  std::vector<bool> serial_sweep =
-      service->VisibilitySweep(grey, merged).value();
-  for (int threads : {2, 4, 8}) {
-    service->set_query_threads(threads);
-    EXPECT_EQ(service->DependsMany(grey, snapshots[0], queries).value(),
-              serial_single)
-        << threads << " threads";
-    EXPECT_EQ(service->DependsMany(grey, merged, flat).value(),
-              serial_merged)
-        << threads << " threads";
-    EXPECT_EQ(service->VisibilitySweep(grey, merged).value(), serial_sweep)
-        << threads << " threads";
-  }
-  service->set_query_threads(1);
-}
+    std::vector<bool> want_visible;
+    for (int item = 0; item < n; ++item) {
+      want_visible.push_back(IsItemVisible(index->Label(item), grey_label));
+    }
 
-TEST(ServiceThreads, NonPositiveQueryThreadsClampToOne) {
-  // Contract (provenance_service.h): set_query_threads clamps n < 1 to 1 —
-  // a batch always runs on at least the calling thread — so a miscomputed
-  // thread count can neither wedge batch queries nor corrupt their answers.
-  PaperExample ex = MakePaperExample();
-  auto service = ProvenanceService::Create(ex.spec).value();
-  EXPECT_EQ(service->query_threads(), 1);  // the default
-
-  ProvenanceIndex snapshot = service
-          ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 200,
-                                                   .seed = 9})
-          ->Snapshot();
-  std::vector<std::pair<int, int>> queries;
-  Rng rng(17);
-  for (int q = 0; q < 200; ++q) {
-    queries.push_back({rng.NextInt(0, snapshot.num_items() - 1),
-                       rng.NextInt(0, snapshot.num_items() - 1)});
+    // Off first: an uncached pass leaves no memo entries behind.
+    for (bool cached : {false, true}) {
+      service->set_serving_cache_enabled(cached);
+      for (size_t b = 0; b < batches.size(); ++b) {
+        EXPECT_EQ(service->DependsMany(grey, *index, batches[b]).value(),
+                  want[b])
+            << "runs=" << index->num_runs() << " batch=" << b
+            << " cached=" << cached;
+      }
+      EXPECT_EQ(service->VisibilitySweep(grey, *index).value(), want_visible)
+          << "runs=" << index->num_runs() << " cached=" << cached;
+    }
   }
-  std::vector<bool> baseline =
-      service->DependsMany(service->default_view(), snapshot, queries)
-          .value();
-
-  for (int bad : {0, -1, -64, std::numeric_limits<int>::min()}) {
-    service->set_query_threads(bad);
-    EXPECT_EQ(service->query_threads(), 1) << "requested " << bad;
-    EXPECT_EQ(
-        service->DependsMany(service->default_view(), snapshot, queries)
-            .value(),
-        baseline)
-        << "requested " << bad;
-  }
-  // Positive values pass through unchanged.
-  service->set_query_threads(6);
-  EXPECT_EQ(service->query_threads(), 6);
-  service->set_query_threads(1);
+  service->set_serving_cache_enabled(true);
 }
 
 TEST(ServiceThreads, RegistryIsInternallySynchronized) {

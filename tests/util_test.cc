@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "fvl/util/bitstream.h"
@@ -12,7 +9,6 @@
 #include "fvl/util/random.h"
 #include "fvl/util/single_writer.h"
 #include "fvl/util/table_printer.h"
-#include "fvl/util/thread_pool.h"
 #include "fvl/workload/key_generator.h"
 #include "test_util.h"
 
@@ -417,86 +413,6 @@ TEST(KeyGenerator, ZipfianRankRatioIsTwoToTheTheta) {
     EXPECT_NEAR(ratio, std::pow(2.0, theta), 0.15 * std::pow(2.0, theta))
         << "theta=" << theta;
   }
-}
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  std::atomic<int> ran{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
-  }
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 100);
-  EXPECT_EQ(pool.tasks_completed(), 100);
-}
-
-TEST(ThreadPool, ZeroThreadCountClampsToOne) {
-  // A miscomputed hardware_concurrency() derivation must still make
-  // progress, not construct a pool nothing ever drains.
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<bool> ran{false};
-  EXPECT_TRUE(pool.Submit([&ran] { ran.store(true); }));
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, SubmitAfterStopIsRefused) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
-  pool.Stop();
-  EXPECT_EQ(ran.load(), 1);  // Stop drains accepted work first
-  EXPECT_FALSE(pool.Submit([&ran] { ran.fetch_add(1); }));
-  pool.Stop();  // idempotent
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, ExceptionInTaskIsContained) {
-  ThreadPool pool(2);
-  std::atomic<int> ran_after{0};
-  EXPECT_TRUE(pool.Submit([] { throw std::runtime_error("task bug"); }));
-  pool.Wait();
-  // The pool survives: later tasks still run on the worker that threw.
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(pool.Submit([&ran_after] { ran_after.fetch_add(1); }));
-  }
-  pool.Stop();
-  EXPECT_EQ(ran_after.load(), 8);
-  EXPECT_EQ(pool.exceptions_swallowed(), 1);
-  EXPECT_EQ(pool.tasks_completed(), 9);
-}
-
-TEST(SharedLatencyHistogram, ConcurrentRecordLosesNothing) {
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  SharedLatencyHistogram shared;
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&shared, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        shared.Record(t * kPerThread + i);
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-  LatencyHistogram snapshot = shared.Snapshot();
-  EXPECT_EQ(snapshot.count(), kThreads * kPerThread);
-  EXPECT_EQ(snapshot.min(), 0);
-  EXPECT_EQ(snapshot.max(), kThreads * kPerThread - 1);
-}
-
-TEST(SharedLatencyHistogram, MergeFoldsPerThreadHistograms) {
-  LatencyHistogram local;
-  for (int i = 1; i <= 10; ++i) local.Record(i);
-  SharedLatencyHistogram shared;
-  shared.Record(100);
-  shared.Merge(local);
-  LatencyHistogram snapshot = shared.Snapshot();
-  EXPECT_EQ(snapshot.count(), 11);
-  EXPECT_EQ(snapshot.max(), 100);
-  EXPECT_EQ(snapshot.min(), 1);
 }
 
 TEST(SingleWriterGuardDeathTest, OverlappingWritersAreDetected) {

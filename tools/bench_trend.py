@@ -70,10 +70,9 @@ ID_COLUMNS = {"runs", "total_items", "run_size", "checkpoints", "queries",
 # tools/fvl_lint.py cross-checks the bench sources against this union, so
 # adding a bench column without deciding its gating status fails CI.
 KNOWN_UNTRACKED = {
-    "one_at_a_time_qps", "locked_qps", "batched_qps", "batched_t2_qps",
-    "batched_t4_qps", "speedup", "snapshot_total_ms", "delta_speedup",
-    "reassemble_ms", "mat_merge_ms", "mat_peak_stores", "stream_merge_ms",
-    "merge_ms", "per_run_batched_qps", "merged_t2_qps", "merged_t4_qps",
+    "one_at_a_time_qps", "locked_qps", "batched_qps", "speedup",
+    "snapshot_total_ms", "delta_speedup", "reassemble_ms", "mat_merge_ms",
+    "mat_peak_stores", "stream_merge_ms", "merge_ms", "per_run_batched_qps",
     "speedup_vs_loop", "point_ops", "qps", "p50_us", "p95_us", "mean_batch",
     "net_pct_of_locked", "cached_qps", "hit_rate",
     # Figure-bench label-length curves and the v1-tail comparison columns:
