@@ -73,7 +73,7 @@ std::string ProvenanceIndex::Serialize() const {
 }
 
 Result<ProvenanceIndex> ProvenanceIndex::Deserialize(std::string_view blob) {
-  return Parse(blob, /*borrow_arena=*/false);
+  return Parse(blob, /*source=*/nullptr);
 }
 
 Result<ProvenanceIndex> ProvenanceIndex::Map(const std::string& path) {
@@ -81,15 +81,13 @@ Result<ProvenanceIndex> ProvenanceIndex::Map(const std::string& path) {
   if (!source.ok()) return source.status();
   // Validation walks the blob front to back; serving then point-queries it.
   source->AdviseSequential();
-  Result<ProvenanceIndex> index = Parse(source->view(), /*borrow_arena=*/true);
-  if (!index.ok()) return index.status();
-  source->AdviseRandom();
-  index->backing_ = std::move(source).value();
+  Result<ProvenanceIndex> index = Parse(source->view(), &*source);
+  if (index.ok()) source->AdviseRandom();
   return index;
 }
 
 Result<ProvenanceIndex> ProvenanceIndex::Parse(std::string_view blob,
-                                               bool borrow_arena) {
+                                               const BlobSource* source) {
   auto fail = [](const std::string& message) -> Status {
     return Status::Error(ErrorCode::kMalformedBlob, message);
   };
@@ -136,7 +134,7 @@ Result<ProvenanceIndex> ProvenanceIndex::Parse(std::string_view blob,
   }
 
   Result<LabelStore> store = LabelStore::ParseTail(
-      blob, &pos, std::move(run_base), arena_bits, borrow_arena);
+      blob, &pos, std::move(run_base), arena_bits, source);
   if (!store.ok()) return store.status();
   return ProvenanceIndex(std::move(store).value());
 }
@@ -191,17 +189,18 @@ Status CompactStream::Append(const ProvenanceIndex& index) {
     ++inputs_;
     return Status::Ok();
   }
-  if (!have_codec_) {
-    store_ = LabelStore(source.codec());
-    have_codec_ = true;
-  } else if (!(source.codec() == store_.codec())) {
+  // The codec is pinned once runs have been appended.
+  const bool pinned = store_.num_groups() > 0;
+  if (pinned && !(source.codec() == store_.codec())) {
     return MismatchedCodec("input", inputs_);
   }
   if (!FitsItemCount(static_cast<int64_t>(store_.total_items()) +
                      source.total_items())) {
     return TooManyItems("merged index");
   }
+  if (!pinned) store_ = LabelStore(source.codec());
   if (Status status = store_.AppendGroups(source); !status.ok()) {
+    if (!pinned) store_ = LabelStore();  // a failed input pins no codec
     return status;
   }
   ++inputs_;
@@ -209,31 +208,25 @@ Status CompactStream::Append(const ProvenanceIndex& index) {
 }
 
 Status CompactStream::Append(std::string_view blob) {
-  return AppendParsed(blob, /*borrow_arena=*/false);
-}
-
-Status CompactStream::Append(BlobReader* reader) {
-  // Borrowing is sound here because the parsed input dies inside
-  // AppendParsed, long before the reader (and its mapping) does.
-  Status status = AppendParsed(reader->Remaining(), /*borrow_arena=*/true);
-  if (status.ok()) {
-    reader->Take(reader->Remaining().size());
-    reader->ReleaseConsumed();
-  }
-  return status;
-}
-
-Status CompactStream::AppendParsed(std::string_view blob, bool borrow_arena) {
   // The parsed input is the only deserialized store alive in the stream; it
   // is destroyed when this returns, before the caller touches the next
   // input.
-  Result<ProvenanceIndex> input = ProvenanceIndex::Parse(blob, borrow_arena);
+  Result<ProvenanceIndex> input = ProvenanceIndex::Parse(blob, nullptr);
   if (!input.ok()) return input.status();
   return Append(*input);
 }
 
+Status CompactStream::Append(const BlobSource& source) {
+  source.AdviseSequential();
+  Result<ProvenanceIndex> input =
+      ProvenanceIndex::Parse(source.view(), &source);
+  if (!input.ok()) return input.status();
+  Status status = Append(*input);
+  if (status.ok()) source.AdviseDontNeed();
+  return status;
+}
+
 Result<ProvenanceIndex> CompactStream::Finish() && {
-  if (!have_codec_) return ProvenanceIndex();
   return ProvenanceIndex(std::move(store_));
 }
 

@@ -116,10 +116,10 @@ class ProvenanceIndex {
   // opens and mmaps `path`, validates it exactly as Deserialize would, and
   // returns an index whose long-label arena still lives in the mapping —
   // zero arena copy (store().arena_borrowed() is true for any index with
-  // long labels). The index keeps the mapping alive (copies share it; the
-  // file unmaps with the last copy), so the returned value is
-  // self-contained. kIo/kMapFailed for file-level failures, kMalformedBlob
-  // for content ones.
+  // long labels). The store keeps the mapping alive (copies of the index
+  // or of its store share it; the file unmaps with the last one), so the
+  // returned value is self-contained. kIo/kMapFailed for file-level
+  // failures, kMalformedBlob for content ones.
   [[nodiscard]] static Result<ProvenanceIndex> Map(const std::string& path);
 
   // Reassembles incremental snapshots (ProvenanceSession::SnapshotDelta)
@@ -144,22 +144,17 @@ class ProvenanceIndex {
       std::span<const ProvenanceIndex> runs);
 
  private:
-  friend class CompactStream;  // parses inputs with borrowed arenas
+  friend class CompactStream;  // parses mapped inputs in place
 
-  // Deserialize/Map core; `borrow_arena` is ParseTail's flag (the returned
-  // index then references `blob`, whose lifetime the caller manages —
-  // Map attaches the mapping as backing_, CompactStream drops the index
-  // before its reader).
+  // Deserialize/Map core; `source` is ParseTail's (the mapping `blob` lies
+  // in, or null for an in-memory blob).
   [[nodiscard]] static Result<ProvenanceIndex> Parse(std::string_view blob,
-                                                     bool borrow_arena);
+                                                     const BlobSource* source);
 
   LabelStore store_;
   // Shared (not deep-copied) by index copies: every copy wraps the same
   // frozen contents, so they legitimately pool one cache.
   std::shared_ptr<ServingCache> cache_;
-  // Keepalive for Map-served indexes: the mapping the borrowed arena points
-  // into. Empty (no backing) for heap-built indexes.
-  BlobSource backing_;
 };
 
 // The name multi-run callers used before the index types were unified.
@@ -176,15 +171,15 @@ using MergedProvenanceIndex = ProvenanceIndex;
 // destroyed before Append returns, so merging N blobs peaks at
 // O(largest input + output) memory instead of O(sum of inputs) (asserted
 // against internal::StoreCountProbe in tests/merge_test.cc and
-// tests/disk_tier_test.cc), and the BlobReader overload parses with a
-// borrowed arena, so a mapped input's payload bits are never copied into
-// the temporary at all. The output is bit-identical to a from-scratch
-// Merge of the flattened run sequence (AppendTail is canonical whatever
-// the grouping history).
+// tests/disk_tier_test.cc), and the BlobSource overload reads a mapped
+// input's arena in place, so its payload bits are never copied into the
+// temporary at all. The output is bit-identical to a from-scratch Merge of
+// the flattened run sequence (AppendTail is canonical whatever the
+// grouping history).
 //
 //   CompactStream stream;
-//   for (BlobReader& reader : readers) {
-//     if (Status status = stream.Append(&reader); !status.ok()) return status;
+//   for (const BlobSource& source : sources) {
+//     if (Status status = stream.Append(source); !status.ok()) return status;
 //   }
 //   ProvenanceIndex compacted = std::move(stream).Finish().value();
 class CompactStream {
@@ -201,17 +196,17 @@ class CompactStream {
   // blob does not parse (an unrecognized magic included).
   [[nodiscard]] Status Append(std::string_view blob);
 
-  // Same, consuming the reader's remaining bytes. For a mapped source the
-  // input's label arena is read in place (borrowed-arena parse) and its
-  // pages are released once appended — the streaming path the
-  // service-level compaction uses.
-  [[nodiscard]] Status Append(BlobReader* reader);
+  // Same, for one mapped archive: the input's label arena is read in place
+  // and its pages are released (DontNeed) once appended — the streaming
+  // path the service-level compaction uses.
+  [[nodiscard]] Status Append(const BlobSource& source);
 
   // Runs / items appended so far, across all inputs.
   int num_runs() const { return store_.num_groups(); }
   int total_items() const { return store_.total_items(); }
-  // The shared codec every appended run is pinned to (the first input's
-  // with runs); all-zero widths before that. Lets callers vet a batch
+  // The shared codec every appended run is pinned to (that of the first
+  // input appended with runs; an input that fails to append pins
+  // nothing); all-zero widths before that. Lets callers vet a batch
   // against their own grammar after its first input instead of after the
   // full merge (ProvenanceService::MergeRunsStreamed fails fast on it).
   const LabelCodec& codec() const { return store_.codec(); }
@@ -221,11 +216,6 @@ class CompactStream {
   [[nodiscard]] Result<ProvenanceIndex> Finish() &&;
 
  private:
-  // Parses one serialized input (borrowing its arena from `blob` when
-  // asked — the parsed index never outlives this call) and appends it.
-  [[nodiscard]] Status AppendParsed(std::string_view blob, bool borrow_arena);
-
-  bool have_codec_ = false;
   size_t inputs_ = 0;  // inputs appended (for error attribution)
   LabelStore store_;
 };

@@ -44,20 +44,9 @@ void StoreCountProbe::Add(int delta) {
 
 namespace {
 
-// Appends the relocated bit range [start_bit, end_bit) of `words` to `out`
-// in 64-bit chunks (both ends take the word-parallel fast paths).
-void CopyBits(const std::vector<uint64_t>& words, int64_t start_bit,
-              int64_t end_bit, BitWriter* out) {
-  BitReader reader(&words, start_bit, end_bit);
-  for (int64_t remaining = end_bit - start_bit; remaining > 0;) {
-    int chunk = remaining < 64 ? static_cast<int>(remaining) : 64;
-    out->WriteFixed(reader.ReadFixed(chunk), chunk);
-    remaining -= chunk;
-  }
-}
-
-// Same relocation, from a live reader (which the caller has bounds-checked
-// to hold at least `bits` more bits).
+// Appends the next `bits` bits of `reader` (which the caller has
+// bounds-checked to hold them) to `out`, relocated, in 64-bit chunks (both
+// ends take the word-parallel fast paths).
 void CopyBits(BitReader* reader, int64_t bits, BitWriter* out) {
   while (bits > 0) {
     int chunk = bits < 64 ? static_cast<int>(bits) : 64;
@@ -86,113 +75,35 @@ void LabelStore::MaybePushSkip() {
   }
 }
 
-void LabelStore::ThawArena() {
-  if (!arena_borrowed()) return;
-  BitReader reader(borrowed_arena_, 0, borrowed_arena_bits_);
-  BitWriter owned;
-  CopyBits(&reader, borrowed_arena_bits_, &owned);
-  arena_ = std::move(owned);
-  borrowed_arena_ = nullptr;
-  borrowed_arena_bits_ = 0;
+bool LabelStore::AppendSpan(int64_t length) {
+  MaybePushSkip();
+  meta_.WriteGamma(static_cast<uint64_t>(length));
+  meta_covered_bits_ += GammaLength(static_cast<uint64_t>(length));
+  const bool is_inline = length <= inline_threshold_;
+  if (is_inline) {
+    meta_covered_bits_ += length;
+    ++inline_items_;
+  } else {
+    arena_covered_bits_ += length;
+  }
+  total_label_bits_ += length;
+  ++num_spans_;
+  return is_inline;
 }
 
 void LabelStore::Append(const DataLabel& label) {
   FVL_CHECK(num_groups() > 0);
-  ThawArena();
-  MaybePushSkip();
+  FVL_CHECK(!arena_borrowed());
   const int64_t length = codec_.EncodedBits(label);
-  meta_.WriteGamma(static_cast<uint64_t>(length));
-  meta_covered_bits_ += GammaLength(static_cast<uint64_t>(length));
-  if (length <= inline_threshold_) {
-    codec_.EncodeTo(label, &meta_);
-    meta_covered_bits_ += length;
-    ++inline_items_;
-  } else {
-    codec_.EncodeTo(label, &arena_);
-    arena_covered_bits_ += length;
-  }
-  total_label_bits_ += length;
-  ++num_spans_;
+  codec_.EncodeTo(label, AppendSpan(length) ? &meta_ : &arena_);
   ++group_base_.back();
-}
-
-void LabelStore::AppendSpan(BitReader* payload, int64_t length) {
-  MaybePushSkip();
-  meta_.WriteGamma(static_cast<uint64_t>(length));
-  meta_covered_bits_ += GammaLength(static_cast<uint64_t>(length));
-  if (length <= inline_threshold_) {
-    CopyBits(payload, length, &meta_);
-    meta_covered_bits_ += length;
-    ++inline_items_;
-  } else {
-    ThawArena();
-    CopyBits(payload, length, &arena_);
-    arena_covered_bits_ += length;
-  }
-  total_label_bits_ += length;
-  ++num_spans_;
-}
-
-void LabelStore::AppendSpanBorrowed(int64_t length) {
-  MaybePushSkip();
-  meta_.WriteGamma(static_cast<uint64_t>(length));
-  meta_covered_bits_ += GammaLength(static_cast<uint64_t>(length));
-  arena_covered_bits_ += length;  // the payload sits in the borrowed bytes
-  total_label_bits_ += length;
-  ++num_spans_;
-}
-
-LabelStore::SpanLoc LabelStore::Locate(int global) const {
-  // Last skip entry at or before `global`, then a <= kSkipInterval-item
-  // forward scan of the meta stream (plus the seam slack bulk appends can
-  // introduce — still O(1)-ish).
-  auto it = std::upper_bound(
-      skips_.begin(), skips_.end(), static_cast<int64_t>(global),
-      [](int64_t item, const Skip& skip) { return item < skip.first_item; });
-  const Skip& skip = *(it - 1);
-  int64_t item = skip.first_item;
-  int64_t arena_pos = skip.arena_start;
-  BitReader meta(&meta_.words(), skip.meta_start, meta_covered_bits_);
-  for (;; ++item) {
-    const int64_t length = static_cast<int64_t>(meta.ReadGamma());
-    if (item == global) {
-      if (length <= inline_threshold_) return {true, meta.position(), length};
-      return {false, arena_pos, length};
-    }
-    if (length <= inline_threshold_) {
-      meta.SkipBits(length);
-    } else {
-      arena_pos += length;
-    }
-  }
-}
-
-BitReader LabelStore::SpanReader(int global) const {
-  FVL_CHECK(global >= 0 && global < total_items());
-  const SpanLoc loc = Locate(global);
-  if (loc.is_inline) {
-    return BitReader(&meta_.words(), loc.start, loc.start + loc.length);
-  }
-  return ArenaReader(loc.start, loc.start + loc.length);
-}
-
-DataLabel LabelStore::DecodeLabel(int global) const {
-  BitReader reader = SpanReader(global);
-  DataLabel label = codec_.Decode(&reader);
-  FVL_CHECK(reader.AtEnd());
-  return label;
-}
-
-int64_t LabelStore::LabelBits(int global) const {
-  FVL_CHECK(global >= 0 && global < total_items());
-  return Locate(global).length;
 }
 
 // --- SpanCursor --------------------------------------------------------------
 
 void LabelStore::SpanCursor::SeekTo(int global) {
   if (global < item_) {
-    // Backward jump: restart from the skip table.
+    // First seek or backward jump: restart from the skip table.
     const std::vector<Skip>& skips = store_->skips_;
     auto it = std::upper_bound(
         skips.begin(), skips.end(), static_cast<int64_t>(global),
@@ -245,6 +156,7 @@ DataLabel LabelStore::SpanCursor::DecodeAt(int global) {
 // --- Bulk appends ------------------------------------------------------------
 
 Status LabelStore::AppendArena(const LabelStore& other) {
+  FVL_CHECK(!arena_borrowed());
   FVL_CHECK(other.codec_ == codec_);  // implies equal inline thresholds
   // Rebasing assumes the source spans cover its whole streams — true for
   // live stores by construction and enforced by ParseTail for parsed ones,
@@ -262,17 +174,15 @@ Status LabelStore::AppendArena(const LabelStore& other) {
                            other.arena_size_bits()) +
             " stream bits");
   }
-  ThawArena();  // the target's streams are about to grow
   const int64_t item_base = num_spans_;
   const int64_t meta_base = meta_.size_bits();
   const int64_t arena_base = arena_.size_bits();
-  CopyBits(other.meta_.words(), 0, other.meta_.size_bits(), &meta_);
-  if (other.arena_size_bits() > 0) {
-    // Through the source's arena reader, which serves borrowed (mapped)
-    // arenas byte-wise — merging a file-served input never materializes it.
-    BitReader arena_reader = other.ArenaReader(0, other.arena_size_bits());
-    CopyBits(&arena_reader, other.arena_size_bits(), &arena_);
-  }
+  BitReader meta_reader(other.meta_);
+  CopyBits(&meta_reader, other.meta_.size_bits(), &meta_);
+  // Through the source's arena reader, which serves borrowed (mapped)
+  // arenas byte-wise — merging a file-served input never materializes it.
+  BitReader arena_reader = other.ArenaReader(0, other.arena_size_bits());
+  CopyBits(&arena_reader, other.arena_size_bits(), &arena_);
   // Per-skip integer fixups — never a per-label pass. The rebased origin
   // entry doubles as the seam checkpoint, keeping scans bounded across the
   // append boundary.
@@ -307,13 +217,13 @@ Status LabelStore::AppendItems(const LabelStore& other) {
 }
 
 LabelStore LabelStore::ExtractDelta() {
-  ThawArena();  // live-session state; borrowed stores only get here thawed
+  FVL_CHECK(!arena_borrowed());  // live-session state, never a parsed store
   LabelStore delta(codec_);
   delta.BeginGroup();
-  CopyBits(meta_.words(), watermark_meta_bits_, meta_.size_bits(),
-           &delta.meta_);
-  CopyBits(arena_.words(), watermark_arena_bits_, arena_.size_bits(),
-           &delta.arena_);
+  BitReader meta(&meta_.words(), watermark_meta_bits_, meta_.size_bits());
+  CopyBits(&meta, meta.remaining(), &delta.meta_);
+  BitReader arena(&arena_.words(), watermark_arena_bits_, arena_.size_bits());
+  CopyBits(&arena, arena.remaining(), &delta.arena_);
   // Skip entries past the watermark, rebased to the delta's origin —
   // O(delta / kSkipInterval), keeping the whole extraction O(delta).
   auto it = std::upper_bound(
@@ -409,8 +319,9 @@ void LabelStore::AppendTail(std::string* blob) const {
     for (int i = 0; i < count; ++i) {
       span.WriteFixed(static_cast<uint64_t>(lens[i] - base_len), delta_width);
       if (inline_start[i] >= 0) {
-        CopyBits(meta_.words(), inline_start[i], inline_start[i] + lens[i],
-                 &span);
+        BitReader payload(&meta_.words(), inline_start[i],
+                          inline_start[i] + lens[i]);
+        CopyBits(&payload, lens[i], &span);
       }
     }
   });
@@ -418,7 +329,7 @@ void LabelStore::AppendTail(std::string* blob) const {
   for (uint64_t word : span.words()) AppendU64(blob, word);
 
   // Long-label arena in item order, read through ArenaReader so borrowed
-  // (mapped) arenas serialize without thawing. Emitting whole words through
+  // (mapped) arenas serialize in place. Emitting whole words through
   // the reader also re-zeroes any junk above the final bit, keeping the
   // output canonical whatever backs the store.
   AppendU64(blob, static_cast<uint64_t>(arena_size_bits()));
@@ -443,7 +354,7 @@ int64_t LabelStore::SerializedSpanBits() const {
 Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
                                          std::vector<int64_t> group_base,
                                          uint64_t arena_bits,
-                                         bool borrow_arena) {
+                                         const BlobSource* source) {
   auto fail = [](const std::string& message) -> Status {
     return Status::Error(ErrorCode::kMalformedBlob, message);
   };
@@ -488,36 +399,24 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
     return fail("truncated label arena");
   }
   if (payload_bits / 8 > blob.size()) return fail("label arena exceeds blob");
+  // The arena is read in place. Same bounds discipline as ReadU64, in word
+  // units: the blob must hold all payload words at *pos (subtraction form
+  // — no wraparound).
   const uint64_t payload_word_count = (payload_bits + 63) / 64;
-  // Borrowing only applies to a nonempty arena: an empty one has nothing
-  // to point at and stays in the plain owned state.
-  const bool borrow = borrow_arena && payload_word_count > 0;
-  std::vector<uint64_t> payload_words;
-  if (borrow) {
-    // Same bounds discipline as ReadU64, in word units: the blob must
-    // hold all payload words at *pos (subtraction form — no wraparound).
-    if (blob.size() / 8 < payload_word_count ||
-        *pos > blob.size() - 8 * payload_word_count) {
-      return fail("truncated label arena");
-    }
+  if (blob.size() / 8 < payload_word_count ||
+      *pos > blob.size() - 8 * payload_word_count) {
+    return fail("truncated label arena");
+  }
+  // An empty arena has nothing to point at and stays in the owned state.
+  if (payload_bits > 0) {
     store.borrowed_arena_ =
         reinterpret_cast<const uint8_t*>(blob.data()) + *pos;
     store.borrowed_arena_bits_ = static_cast<int64_t>(payload_bits);
-    *pos += 8 * payload_word_count;
-  } else {
-    payload_words.reserve(payload_word_count);
-    for (uint64_t w = 0; w < payload_word_count; ++w) {
-      uint64_t word = 0;
-      if (!ReadU64(blob, pos, &word)) return fail("truncated label arena");
-      payload_words.push_back(word);
-    }
   }
+  *pos += 8 * payload_word_count;
 
   BitReader span(&span_words, 0, static_cast<int64_t>(span_bits));
   span.set_permissive();
-  BitReader payload(&payload_words, 0,
-                    borrow ? 0 : static_cast<int64_t>(payload_bits));
-  payload.set_permissive();
   uint64_t consumed = 0;       // label content bits accounted for so far
   uint64_t long_consumed = 0;  // of those, bits living in the long arena
   for (uint64_t first = 0; first < num_items; first += kBlockItems) {
@@ -535,26 +434,16 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
         return fail("label lengths exceed the arena");
       }
       consumed += length;
-      const bool is_inline =
-          length <= static_cast<uint64_t>(store.inline_threshold_);
-      if (!is_inline && borrow) {
-        // The payload already sits in the borrowed bytes; account for it
-        // without copying. Bounds-checked against the declared arena size
-        // exactly as CheckRemaining would be.
-        if (length > payload_bits - long_consumed) {
-          return fail("truncated label arena");
-        }
-        long_consumed += length;
-        store.AppendSpanBorrowed(static_cast<int64_t>(length));
-        continue;
+      if (length <= static_cast<uint64_t>(store.inline_threshold_)) {
+        if (!span.CheckRemaining(length)) return fail("truncated span stream");
+      } else if (length > payload_bits - long_consumed) {
+        return fail("truncated label arena");
       }
-      if (!is_inline) long_consumed += length;
-      BitReader* source = is_inline ? &span : &payload;
-      if (!source->CheckRemaining(length)) {
-        return fail(is_inline ? "truncated span stream"
-                              : "truncated label arena");
+      if (store.AppendSpan(static_cast<int64_t>(length))) {
+        CopyBits(&span, static_cast<int64_t>(length), &store.meta_);
+      } else {
+        long_consumed += length;  // the payload already sits in the arena
       }
-      store.AppendSpan(source, static_cast<int64_t>(length));
     }
   }
   // Also rejects 0-item blobs claiming a nonzero arena: AppendGroups
@@ -583,6 +472,17 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
       message += std::to_string(item);
       message += " does not decode under the blob's codec";
       return fail(message);
+    }
+  }
+  if (store.arena_borrowed()) {
+    if (source != nullptr) {
+      store.arena_source_ = *source;
+    } else {
+      // An in-memory blob: copy the validated arena into owned words once.
+      BitReader arena = store.ArenaReader(0, store.borrowed_arena_bits_);
+      CopyBits(&arena, store.borrowed_arena_bits_, &store.arena_);
+      store.borrowed_arena_ = nullptr;
+      store.borrowed_arena_bits_ = 0;
     }
   }
   return store;

@@ -14,10 +14,10 @@
 //           poplar-trie inlining idiom;
 //   arena_  the encoded payloads of the remaining (long) labels, in the
 //           same flat-id order;
-//   skips_  {first_item, meta_start, arena_start} checkpoints every
-//           kSkipInterval items (plus one at every bulk-append seam), so
-//           locating an arbitrary flat id is one binary search plus a
-//           bounded forward scan — O(1)-ish group-local rank.
+//   skips_  {first_item, meta_start, arena_start} checkpoints at most
+//           kSkipInterval items apart (plus one at every bulk-append
+//           seam), so locating an arbitrary flat id is one binary search
+//           plus a forward scan of at most kSkipInterval meta records.
 //
 // Both streams are position-independent (gamma codes and payloads carry no
 // absolute offsets), which is what keeps the bulk lifecycle ops bulk:
@@ -44,21 +44,24 @@
 // sequence — independent of how the store was assembled. That is what
 // keeps FromDeltas reassembly bit-identical to a monolithic snapshot.
 //
-// Span access is zero-copy: SpanReader returns a BitReader over whichever
-// stream holds the label. Batch decode loops (DependsMany /
-// VisibilitySweep) should walk a SpanCursor, which amortizes the per-item
-// scan to O(1) for non-decreasing ids.
+// Span access is zero-copy, and one walker finds every label: SpanCursor
+// returns a BitReader over whichever stream holds it. DecodeLabel and
+// LabelBits run a fresh cursor (one skip-table seek); batch decode loops
+// (DependsMany / VisibilitySweep) keep one cursor, which amortizes the
+// per-item scan to O(1) for non-decreasing ids.
 
 #ifndef FVL_CORE_LABEL_STORE_H_
 #define FVL_CORE_LABEL_STORE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fvl/core/data_label.h"
 #include "fvl/util/bitstream.h"
+#include "fvl/util/blob_source.h"
 #include "fvl/util/check.h"
 #include "fvl/util/status.h"
 
@@ -105,9 +108,11 @@ class LabelStore {
   // Serialized block granularity: AppendTail re-chunks the label sequence
   // into blocks of exactly this many labels (the last block may be short).
   static constexpr int kBlockItems = 64;
-  // In-memory skip-table granularity (not serialized): bounds the forward
-  // scan of a random Locate. Finer than kBlockItems because the scan reads
-  // gamma codes, not fixed-width deltas.
+  // In-memory skip-table granularity (not serialized): consecutive
+  // checkpoints, and the tail after the last one, are at most this many
+  // items apart, which bounds a cursor's scan after a skip-table seek.
+  // Finer than kBlockItems because the scan reads gamma codes, not
+  // fixed-width deltas.
   static constexpr int kSkipInterval = 16;
 
   // Labels of at most this many bits are inlined into the meta stream. A
@@ -146,11 +151,11 @@ class LabelStore {
   // Labels currently inlined in the meta stream (observability for tests
   // and the space benches; not serialized state).
   int64_t inline_items() const { return inline_items_; }
-  // True while the long-label arena is borrowed memory (a ParseTail with
-  // borrow_arena over an mmap'ed blob) rather than an owned stream. Reads
-  // are served straight from the borrowed bytes; the first mutation thaws
-  // (copies) the arena, after which this returns false. Observability for
-  // the mmap-serving tests and stats — not serialized state.
+  // True when the long-label arena is read in place from a mapped blob (a
+  // ParseTail given the blob's BlobSource) rather than held in owned words.
+  // The store, and every copy of it, keeps that mapping alive. A borrowed
+  // store is frozen: every mutator aborts on it. Observability for the
+  // mmap-serving tests and stats — not serialized state.
   bool arena_borrowed() const { return borrowed_arena_ != nullptr; }
 
   // Flat id of (group, item) in arena order: group_base_[group] + item.
@@ -169,7 +174,8 @@ class LabelStore {
   void BeginGroup() { group_base_.push_back(group_base_.back()); }
 
   // Encodes `label` at the end of the store, as the next item of the last
-  // group (BeginGroup must have been called at least once).
+  // group (BeginGroup must have been called at least once). Like every
+  // mutator, aborts on a store whose arena is borrowed.
   void Append(const DataLabel& label);
 
   // Appends every group of `other` as new groups of this store: two bulk
@@ -211,21 +217,23 @@ class LabelStore {
 
   // --- Span access (zero-copy) --------------------------------------------
 
-  // Reader over exactly the bit span of one label (whichever stream holds
-  // it). Costs a skip-table lookup plus a <= kSkipInterval-item scan; use
-  // a SpanCursor for sequential walks.
-  BitReader SpanReader(int global) const;
   // Decodes one label; spans are validated at construction/ParseTail, so
   // decode never aborts on a store obtained through the public paths.
-  DataLabel DecodeLabel(int global) const;
-  // Exact encoded size of one label.
-  int64_t LabelBits(int global) const;
+  // Runs a fresh SpanCursor: a skip-table lookup plus a <= kSkipInterval
+  // item scan. Use one SpanCursor for walks over many ids.
+  DataLabel DecodeLabel(int global) const {
+    return SpanCursor(*this).DecodeAt(global);
+  }
+  // Exact encoded size of one label, found the same way.
+  int64_t LabelBits(int global) const {
+    return SpanCursor(*this).SpanAt(global).remaining();
+  }
 
-  // Stateful sequential reader: remembers its stream positions between
-  // calls, so walking ids in non-decreasing order costs amortized O(1) per
-  // item instead of a per-item skip-table scan. A backward jump re-seeks
-  // through the skip table (correct, just not amortized). The cursor
-  // borrows the store — it must not outlive it or span mutations.
+  // The one walker over the meta stream: remembers its stream positions
+  // between calls, so walking ids in non-decreasing order costs amortized
+  // O(1) per item. A fresh cursor is unpositioned; its first seek, like
+  // any backward jump, goes through the skip table. The cursor borrows the
+  // store — it must not outlive it or span mutations.
   class SpanCursor {
    public:
     explicit SpanCursor(const LabelStore& store) : store_(&store) {}
@@ -239,7 +247,8 @@ class LabelStore {
     void SeekTo(int global);
 
     const LabelStore* store_;
-    int item_ = 0;            // item the cursor is positioned at
+    // Item the cursor is positioned at; past every id until the first seek.
+    int item_ = std::numeric_limits<int>::max();
     int64_t meta_pos_ = 0;    // bit position of item_'s gamma length
     int64_t arena_pos_ = 0;   // arena bits consumed by items [0, item_)
   };
@@ -268,22 +277,16 @@ class LabelStore {
   // kTailFormatVersion is kMalformedBlob. `group_base` and `arena_bits`
   // (total label content bits) come from the caller's header and must
   // already be bounded by the blob size (counts within int range, bases
-  // monotone). By default the blob is only read during the call — the
-  // returned store owns its words, so callers may stream borrowed buffers
-  // through without copying them into std::strings. With `borrow_arena`
-  // set, the long-label arena — the dominant bit range of a large store —
-  // is NOT copied: the store keeps a pointer into `blob` and serves arena
-  // reads from it, so the caller must keep the blob bytes alive and
-  // unchanged for the store's lifetime (ProvenanceIndex::Map holds the
-  // BlobSource alongside the store). The meta stream is re-encoded and
-  // owned either way. Any mutation of a borrowed store first thaws the
-  // arena into owned words (copy-on-thaw), after which the blob may be
-  // released.
-  [[nodiscard]] static Result<LabelStore> ParseTail(std::string_view blob,
-                                                    size_t* pos,
-                                                    std::vector<int64_t> group_base,
-                                                    uint64_t arena_bits,
-                                                    bool borrow_arena = false);
+  // monotone). The long-label arena — the dominant bit range of a large
+  // store — is validated in place. With `source` (the mapping `blob` lies
+  // in), it stays there: the store serves arena reads from the mapped
+  // bytes and keeps a copy of `source`, so the mapping lives as long as
+  // the store or any copy of it. Without one, the validated arena is
+  // copied into owned words once, and the blob is only read during the
+  // call. The meta stream is re-encoded and owned either way.
+  [[nodiscard]] static Result<LabelStore> ParseTail(
+      std::string_view blob, size_t* pos, std::vector<int64_t> group_base,
+      uint64_t arena_bits, const BlobSource* source = nullptr);
 
   // Little-endian u64 helpers shared with the format headers. ReadU64
   // tolerates any `pos`, including values near SIZE_MAX: a position that
@@ -303,28 +306,16 @@ class LabelStore {
     int64_t arena_start;
   };
 
-  // Where one label lives: which stream, at which bit, how long.
-  struct SpanLoc {
-    bool is_inline;
-    int64_t start;
-    int64_t length;
-  };
-  // Skip-table lookup + bounded forward scan to item `global`.
-  SpanLoc Locate(int global) const;
-
   // Appends a skip entry if the last one is >= kSkipInterval items old.
   // Call immediately before appending a span.
   void MaybePushSkip();
-  // Shared span-append core of Append and the parse paths: writes the
-  // gamma length, copies `length` payload bits from `payload` into the
-  // meta stream (inline) or the arena (long), and updates every counter.
-  // Does not touch group bookkeeping. `payload` must have >= length bits
-  // remaining (parse paths check before calling).
-  void AppendSpan(BitReader* payload, int64_t length);
-  // Accounting-only variant for the borrowed-arena parse: a long label
-  // whose payload already sits in the borrowed bytes — writes the gamma
-  // length and advances every counter, copies nothing.
-  void AppendSpanBorrowed(int64_t length);
+  // Shared span-append core of Append and ParseTail: pushes a skip entry
+  // when due, writes the gamma length and advances every counter for a
+  // label of `length` bits. Returns whether the label is inline; the
+  // caller then writes its payload to meta_ (inline) or arena_ (long, live
+  // appends only — a parsed arena is already in place). Does not touch
+  // group bookkeeping.
+  bool AppendSpan(int64_t length);
 
   // Long-label arena size, whichever memory holds it.
   int64_t arena_size_bits() const {
@@ -336,11 +327,6 @@ class LabelStore {
     if (arena_borrowed()) return BitReader(borrowed_arena_, start_bit, end_bit);
     return BitReader(&arena_.words(), start_bit, end_bit);
   }
-  // Copy-on-thaw: materializes a borrowed arena into owned words. Called
-  // by every mutator, so append paths never write through (or next to)
-  // borrowed memory; no-op for owned stores.
-  void ThawArena();
-
   // Shared bulk-append core: coverage check, two stream bit copies, skip
   // rebasing. Group bookkeeping is the callers' business.
   [[nodiscard]] Status AppendArena(const LabelStore& other);
@@ -357,12 +343,13 @@ class LabelStore {
   std::vector<Skip> skips_{{0, 0, 0}};  // sorted by first_item; [0] = origin
   BitWriter meta_;   // per item: gamma(length) [+ inline payload]
   BitWriter arena_;  // payloads of long labels, in item order (owned mode)
-  // Borrowed-arena mode (ParseTail with borrow_arena): long-label payloads
-  // live in these caller-owned bytes — the serialized arena words inside a
-  // mapped blob — and arena_ stays empty until ThawArena. The range is
+  // Borrowed-arena mode (ParseTail with a source): long-label payloads
+  // live in the serialized arena words inside the mapped blob, which
+  // arena_source_ keeps alive, and arena_ stays empty. The range is
   // unaligned; readers assemble words byte-wise (BitReader byte mode).
   const uint8_t* borrowed_arena_ = nullptr;
   int64_t borrowed_arena_bits_ = 0;
+  BlobSource arena_source_;
   int64_t num_spans_ = 0;         // spans appended (== total_items() when
                                   //   group bookkeeping is complete)
   int64_t total_label_bits_ = 0;  // sum of all label lengths

@@ -567,7 +567,7 @@ class ProvenanceServer::Impl {
 
   std::string HandleOpenIndexFile(const Request& request)
       FVL_EXCLUDES(state_mu_) {
-    // The mapped index holds its BlobSource keepalive, so registering it
+    // The mapped index's store holds its mapping, so registering it
     // serves queries straight off the archive's pages — a cold open is the
     // whole point of the on-disk tier (bench/bench_mmap_serve.cc). Either
     // format opens either way; the flag only picks the reply shape.

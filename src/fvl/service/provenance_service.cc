@@ -507,8 +507,7 @@ Result<ProvenanceIndex> ProvenanceService::CompactFiles(
                            "input " + std::to_string(i) + ": " +
                                source.status().message());
     }
-    BlobReader reader(std::move(source).value());
-    if (Status status = AppendVetted(&stream, &reader, "input", i);
+    if (Status status = AppendVetted(&stream, *source, "input", i);
         !status.ok()) {
       return status;
     }

@@ -301,7 +301,7 @@ class ProvenanceService
   [[nodiscard]] Status CheckCodecCompatible(const LabelCodec& codec,
                               const char* artifact) const;
   [[nodiscard]] Status CheckIndexCompatible(const ProvenanceIndex& index) const;
-  // Appends one CompactStream input (a blob or a mapped reader), prefixing
+  // Appends one CompactStream input (a blob or a mapped file), prefixing
   // errors with "<noun> <i>: ", and vets the stream's codec against this
   // service the moment an input pins it — the stream holds every later
   // input to that codec, so a foreign batch fails after its first input

@@ -70,6 +70,8 @@ class BitReader {
 
   int64_t position() const { return position_; }
   bool AtEnd() const { return position_ == size_bits_; }
+  // Bits left before the end of the range.
+  int64_t remaining() const { return size_bits_ - position_; }
 
   // Advances past `bits` bits without decoding them (skipping an inline
   // payload while scanning a span stream). A shortfall sets failed() in

@@ -5,13 +5,11 @@
 // straight into them.
 //
 // A BlobSource is cheaply copyable: copies share one reference-counted
-// mapping, which is exactly the keepalive an mmap-served ProvenanceIndex
-// needs — every copy of the index copies the source, and the mapping
-// unmaps with the last copy.
-//
-// BlobReader is the incremental cursor CompactStream consumes inputs
-// through: sequential access advice up front, chunked Take() so even the
-// largest mapped artifact streams through without a heap copy.
+// mapping, which is exactly the keepalive a borrowed arena needs — a
+// LabelStore parsed in place holds a copy of its source, every copy of the
+// store (or of an index wrapping it) copies the source too, and the
+// mapping unmaps with the last copy. CompactStream::Append(const
+// BlobSource&) parses a whole mapped input this way, then advises DontNeed.
 
 #ifndef FVL_UTIL_BLOB_SOURCE_H_
 #define FVL_UTIL_BLOB_SOURCE_H_
@@ -20,7 +18,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "fvl/util/status.h"
 
@@ -53,44 +50,6 @@ class BlobSource {
  private:
   std::shared_ptr<const MmapRegion> mapping_;  // null for the empty source
   std::string_view view_;                      // into *mapping_
-};
-
-// Incremental sequential reader over one BlobSource. Construction advises
-// sequential access; Take() hands out borrowed chunks and advances the
-// cursor, so a compaction pass over N archives touches each page once and
-// never materializes an input in the heap.
-class BlobReader {
- public:
-  explicit BlobReader(BlobSource source) : source_(std::move(source)) {
-    source_.AdviseSequential();
-  }
-
-  size_t size() const { return source_.size(); }
-  size_t position() const { return position_; }
-
-  // Bytes not yet consumed, as a borrowed view (no copy).
-  std::string_view Remaining() const {
-    return source_.view().substr(position_);
-  }
-
-  // Consumes and returns up to `max_bytes` (empty at the end).
-  std::string_view Take(size_t max_bytes) {
-    std::string_view chunk = source_.view().substr(position_, max_bytes);
-    position_ += chunk.size();
-    return chunk;
-  }
-
-  // Hints that the blob's pages are no longer needed (DontNeed on mapped
-  // sources; the hint covers the whole mapping, so call it once the reader
-  // is drained — a long compaction should not keep every already-merged
-  // input resident).
-  void ReleaseConsumed() { source_.AdviseDontNeed(); }
-
-  const BlobSource& source() const { return source_; }
-
- private:
-  BlobSource source_;
-  size_t position_ = 0;
 };
 
 }  // namespace fvl

@@ -4,6 +4,9 @@
 //     every query bit-identically to the heap Deserialize round trip and to
 //     the ground-truth oracle, across all three ViewLabelModes, single-run
 //     and merged;
+//   * ownership — a store copied out of a file-served index keeps the
+//     mapping alive and decodes after the index is gone, and mutating a
+//     mapped store aborts;
 //   * compaction — CompactFiles output is byte-identical to a from-scratch
 //     Merge of the same snapshots, including when the inputs are themselves
 //     merged archives (re-merge without flattening), its peak live-store
@@ -180,6 +183,50 @@ TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
       }
     }
   }
+}
+
+// ----- Ownership: a borrowed arena keeps its own mapping. -----
+
+// A store copied out of a file-served index outlives that index: the copy
+// holds the mapping its arena reads from, so every label still decodes
+// after the index (and the caller's handle on the file) is gone.
+TEST(DiskTierOwnership, StoreCopiedOutOfAMappedTemporaryKeepsItsMapping) {
+  Fixture fx;
+  ProvenanceIndex heap =
+      fx.service
+          ->GenerateLabeledRun(
+              RunGeneratorOptions{.target_items = 220, .seed = 41})
+          ->Snapshot();
+  const std::string path = TempPath("copied_store.fvlidx");
+  WriteFileOrDie(path, heap.Serialize());
+
+  LabelStore store = fx.service->OpenIndexFile(path).value().store();
+  ASSERT_TRUE(store.arena_borrowed());
+  ASSERT_EQ(store.total_items(), heap.num_items());
+  for (int item = 0; item < heap.num_items(); ++item) {
+    ASSERT_EQ(store.DecodeLabel(item), heap.Label(item)) << "item " << item;
+    ASSERT_EQ(store.LabelBits(item), heap.LabelBits(item)) << "item " << item;
+  }
+}
+
+// A mapped store is frozen: mutating a copy of one aborts instead of
+// copying the arena out of the mapping behind the caller's back.
+TEST(DiskTierOwnershipDeathTest, MutatingACopyOfAMappedStoreAborts) {
+  Fixture fx;
+  ProvenanceIndex heap =
+      fx.service
+          ->GenerateLabeledRun(
+              RunGeneratorOptions{.target_items = 220, .seed = 41})
+          ->Snapshot();
+  const std::string path = TempPath("frozen_store.fvlidx");
+  WriteFileOrDie(path, heap.Serialize());
+  ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
+  LabelStore store = mapped.store();
+  ASSERT_TRUE(store.arena_borrowed());
+
+  const DataLabel label = heap.Label(0);
+  EXPECT_DEATH(store.Append(label), "arena_borrowed");
+  EXPECT_DEATH((void)store.AppendGroups(heap.store()), "arena_borrowed");
 }
 
 // ----- Compaction: bit-identity and the memory bound. -----

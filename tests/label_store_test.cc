@@ -13,32 +13,13 @@
 #include "fvl/core/label_store.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/bitstream.h"
+#include "fvl/util/file.h"
 #include "fvl/util/random.h"
 #include "fvl/workload/paper_example.h"
+#include "label_store_test_peer.h"
 #include "test_util.h"
 
 namespace fvl {
-
-// Test-only backdoor for invariants the public API maintains by
-// construction: the coverage regression needs a store whose spans do *not*
-// cover its streams, which no public path can produce.
-class LabelStoreTestPeer {
- public:
-  // Appends one raw bit to the long-label arena without accounting for it:
-  // arena_covered_bits_ < arena_.size_bits().
-  static void UncoverLastArenaBit(LabelStore* store) {
-    FVL_CHECK(store->arena_bits() > 0);
-    store->arena_.WriteFixed(0, 1);
-  }
-  // Observability for the inlining split (placement is an internal detail
-  // the public accessors deliberately hide).
-  static int64_t MetaBits(const LabelStore& store) {
-    return store.meta_.size_bits();
-  }
-  static int64_t LongArenaBits(const LabelStore& store) {
-    return store.arena_.size_bits();
-  }
-};
 
 namespace {
 
@@ -508,6 +489,61 @@ TEST_F(LabelStoreTest, ExtractDeltaPartitionsTheArena) {
   rebuilt.AppendTail(&rebuilt_tail);
   source.AppendTail(&source_tail);
   EXPECT_EQ(rebuilt_tail, source_tail);
+}
+
+// The bound the span cursor's scan rests on: consecutive skip-table
+// checkpoints, and the tail after the last one, are at most kSkipInterval
+// items apart, on a store from every build path.
+TEST_F(LabelStoreTest, SkipCheckpointsAreAtMostOneIntervalApart) {
+  auto expect_bounded = [](const LabelStore& store, const char* path) {
+    std::vector<int64_t> items = LabelStoreTestPeer::SkipItems(store);
+    ASSERT_FALSE(items.empty()) << path;
+    EXPECT_EQ(items.front(), 0) << path;
+    items.push_back(store.total_items());  // the tail
+    for (size_t i = 1; i < items.size(); ++i) {
+      EXPECT_GE(items[i], items[i - 1]) << path << " checkpoint " << i;
+      EXPECT_LE(items[i] - items[i - 1], LabelStore::kSkipInterval)
+          << path << " checkpoint " << i;
+    }
+  };
+
+  auto a = Session(150, 21);
+  auto b = Session(97, 22);
+  expect_bounded(a->labeler().store(), "live Append");
+
+  std::vector<ProvenanceIndex> runs = {a->Snapshot(), b->Snapshot(),
+                                       a->Snapshot()};
+  ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
+  expect_bounded(merged.store(), "Merge");
+
+  // Replay `a` through a fresh session, freezing a delta at uneven points.
+  auto replay = service_->BeginRun();
+  std::vector<ProvenanceIndex> deltas;
+  for (int s = 0; s < a->run().num_steps(); ++s) {
+    const DerivationStep& step = a->run().step(s);
+    ASSERT_TRUE(replay->Apply(step.instance, step.production).ok());
+    if (replay->num_items() - replay->frozen_items() >= 23 + (7 * s) % 11) {
+      deltas.push_back(replay->SnapshotDelta());
+    }
+  }
+  deltas.push_back(replay->SnapshotDelta());
+  ASSERT_GE(deltas.size(), 3u);
+  for (const ProvenanceIndex& delta : deltas) {
+    expect_bounded(delta.store(), "SnapshotDelta");
+  }
+  expect_bounded(ProvenanceIndex::FromDeltas(deltas).value().store(),
+                 "FromDeltas");
+
+  const std::string blob = merged.Serialize();
+  expect_bounded(ProvenanceIndex::Deserialize(blob).value().store(),
+                 "Deserialize");
+  const std::string path = "/tmp/fvl_label_store_skip_bound.fvlmrg";
+  FileHandle out = FileHandle::CreateTruncate(path).value();
+  ASSERT_TRUE(out.WriteAll(blob).ok());
+  ASSERT_TRUE(out.Close().ok());
+  ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
+  ASSERT_TRUE(mapped.store().arena_borrowed());
+  expect_bounded(mapped.store(), "Map");
 }
 
 TEST_F(LabelStoreTest, StoreCountProbeTracksLifetimes) {

@@ -1,0 +1,45 @@
+// Test-only backdoor into LabelStore for invariants the public API
+// maintains by construction: the coverage regressions need a store whose
+// spans do *not* cover its streams, which no public path can produce, and
+// the skip-table bound the span cursor relies on is internal layout.
+
+#ifndef FVL_TESTS_LABEL_STORE_TEST_PEER_H_
+#define FVL_TESTS_LABEL_STORE_TEST_PEER_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "fvl/core/label_store.h"
+#include "fvl/util/check.h"
+
+namespace fvl {
+
+class LabelStoreTestPeer {
+ public:
+  // Appends one raw bit to the long-label arena without accounting for it:
+  // arena_covered_bits_ < arena_.size_bits().
+  static void UncoverLastArenaBit(LabelStore* store) {
+    FVL_CHECK(store->arena_bits() > 0);
+    store->arena_.WriteFixed(0, 1);
+  }
+  // Observability for the inlining split (placement is an internal detail
+  // the public accessors deliberately hide).
+  static int64_t MetaBits(const LabelStore& store) {
+    return store.meta_.size_bits();
+  }
+  static int64_t LongArenaBits(const LabelStore& store) {
+    return store.arena_.size_bits();
+  }
+  // First item of every skip-table checkpoint, in table order.
+  static std::vector<int64_t> SkipItems(const LabelStore& store) {
+    std::vector<int64_t> items;
+    for (const LabelStore::Skip& skip : store.skips_) {
+      items.push_back(skip.first_item);
+    }
+    return items;
+  }
+};
+
+}  // namespace fvl
+
+#endif  // FVL_TESTS_LABEL_STORE_TEST_PEER_H_

@@ -22,6 +22,7 @@
 #include "fvl/workload/paper_example.h"
 #include "fvl/workload/synthetic.h"
 #include "fvl/workload/view_generator.h"
+#include "label_store_test_peer.h"
 
 namespace fvl {
 namespace {
@@ -715,6 +716,37 @@ TEST(CompactStreamTest, ErrorTaxonomyNeverAborts) {
   Result<ProvenanceIndex> empty = paper->MergeRunsStreamed(none);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_EQ(empty->num_runs(), 0);
+}
+
+// A first input that fails to append pins no codec: the stream stays
+// empty, reports the all-zero codec, and takes a later input of another
+// specification as its first.
+TEST(CompactStreamTest, FailedFirstAppendPinsNoCodec) {
+  auto paper = ProvenanceService::Create(MakePaperExample().spec).value();
+  auto bioaid = ProvenanceService::Create(MakeBioAid(2012).spec).value();
+  LabelStore corrupt =
+      paper->GenerateLabeledRun(RunGeneratorOptions{.target_items = 30,
+                                                    .seed = 11})
+          ->labeler()
+          .store();
+  LabelStoreTestPeer::UncoverLastArenaBit(&corrupt);
+  ProvenanceIndex bioaid_run =
+      bioaid
+          ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 60,
+                                                   .seed = 6})
+          ->Snapshot();
+
+  CompactStream stream;
+  EXPECT_EQ(stream.Append(ProvenanceIndex(corrupt)).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(stream.num_runs(), 0);
+  EXPECT_EQ(stream.codec(), LabelStore().codec());
+
+  Status appended = stream.Append(bioaid_run);
+  ASSERT_TRUE(appended.ok()) << appended.ToString();
+  EXPECT_EQ(stream.codec(), bioaid_run.codec());
+  EXPECT_EQ(std::move(stream).Finish().value().Serialize(),
+            bioaid_run.Serialize());
 }
 
 // The FVLMRG2 tail is the same compressed span stream as FVLIDX3, shifted
