@@ -22,9 +22,9 @@
 // concentrates queries on hot items, which the batched decode pass
 // exploits (each distinct item decodes once per batch) — expect zipfian
 // qps >= uniform qps at equal thread counts. The hit_rate column is the
-// snapshot serving cache's reachability-memo hit fraction over the cell
-// (from the server's kStats counters): near 0 for uniform keys, high for
-// zipfian, where repeated hot pairs skip decode + predicate entirely.
+// snapshot label cache's hit fraction over the cell (from the server's
+// kStats counters): low for uniform keys, high for zipfian, where hot
+// items skip decode and vetting.
 //
 // Latency: every point query's latency is measured from its window's
 // flush to its answer's arrival (closed-loop pipelined clients — later
@@ -302,22 +302,19 @@ void Main(const BenchConfig& config) {
         double mean_batch =
             batches == 0 ? 0.0 : static_cast<double>(queries) / batches;
         double qps = point_ops / elapsed;
-        // Reachability-memo hit rate over this cell's queries. Uniform rows
-        // should stay near 0; zipfian rows are where the skew-aware cache
-        // earns its keep. Cache counters live on snapshots, so a merge op
-        // that replaces a snapshot can shrink the aggregate mid-cell; fall
-        // back to the absolute count rather than underflowing.
-        uint64_t reach_hits = after.reach_hits >= before.reach_hits
-                                  ? after.reach_hits - before.reach_hits
-                                  : after.reach_hits;
-        uint64_t reach_misses = after.reach_misses >= before.reach_misses
-                                    ? after.reach_misses - before.reach_misses
-                                    : after.reach_misses;
-        uint64_t reach_total = reach_hits + reach_misses;
-        double hit_rate =
-            reach_total == 0
-                ? 0.0
-                : static_cast<double>(reach_hits) / reach_total;
+        // Label-cache hit rate over this cell's queries. Uniform rows stay
+        // low; zipfian rows are where the skew-aware cache earns its keep.
+        // Cache counters live on snapshots, so a merge op that replaces a
+        // snapshot can shrink the aggregate mid-cell; fall back to the
+        // absolute count rather than underflowing.
+        ServerStats cell;
+        cell.label_hits = after.label_hits >= before.label_hits
+                              ? after.label_hits - before.label_hits
+                              : after.label_hits;
+        cell.label_misses = after.label_misses >= before.label_misses
+                                ? after.label_misses - before.label_misses
+                                : after.label_misses;
+        double hit_rate = cell.LabelHitRate();
         table.AddRow({mix.name, ToString(dist), std::to_string(threads),
                       std::to_string(point_ops), TablePrinter::Num(qps, 0),
                       std::to_string(latency.Percentile(0.50)),

@@ -18,7 +18,9 @@
 // header, so deserialization needs no grammar or external LabelCodec.
 //
 // Labels decode on demand (queries pay one decode per side, a few hundred
-// ns); Label(i) results may be cached by callers that query hot items.
+// ns); Label(i) never caches. ProvenanceService::DependsMany decodes
+// through the index's serving cache instead, so a hot item decodes once
+// per snapshot.
 
 #ifndef FVL_CORE_INDEX_H_
 #define FVL_CORE_INDEX_H_
@@ -93,10 +95,11 @@ class ProvenanceIndex {
   }
 
   // The snapshot-lifetime serving cache (core/serving_cache.h): decoded
-  // labels + reachability memo keyed by flat ids, shared by copies of this
-  // index and freed with the last one — invalidation is the destructor.
-  // Null only for an index without items. The store is frozen, so entries
-  // never go stale; ProvenanceService consults it on its batch paths.
+  // labels keyed by flat ids, shared by copies of this index and freed
+  // with the last one — invalidation is the destructor. Null only for an
+  // index without items. The store is frozen, so entries never go stale;
+  // ProvenanceService::DependsMany is its only reader. A fresh index over
+  // the same store, ProvenanceIndex(index.store()), starts with a cold one.
   ServingCache* serving_cache() const { return cache_.get(); }
 
   // Stable little-endian binary format, self-describing (codec widths in

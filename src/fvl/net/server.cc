@@ -1,9 +1,11 @@
 #include "fvl/net/server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -372,21 +374,35 @@ class ProvenanceServer::Impl {
         fail(NotFound("index", std::get<1>(key)));
         continue;
       }
-      std::vector<std::pair<int, int>> queries;
-      queries.reserve(group.size());
-      for (PointQuery* query : group) {
-        queries.push_back({static_cast<int>(query->request.d1),
+      // One out-of-range query must not fail its neighbours (other
+      // connections' queries among them): the in-range ones share one
+      // decode pass, and each out-of-range one gets its own one-pair
+      // DependsMany, which fails with the service's own message.
+      const uint64_t num_items = index->total_items();
+      auto bad = std::stable_partition(
+          group.begin(), group.end(), [num_items](const PointQuery* query) {
+            return query->request.d1 < num_items &&
+                   query->request.d2 < num_items;
+          });
+      auto answer = [&](std::span<PointQuery* const> queries) {
+        std::vector<std::pair<int, int>> pairs;
+        pairs.reserve(queries.size());
+        for (const PointQuery* query : queries) {
+          pairs.push_back({static_cast<int>(query->request.d1),
                            static_cast<int>(query->request.d2)});
-      }
-      Result<std::vector<bool>> answers = service_->DependsMany(
-          *handle, *index, queries, group.front()->request.mode);
-      if (!answers.ok()) {
-        fail(answers.status());
-        continue;
-      }
-      for (size_t i = 0; i < group.size(); ++i) {
-        group[i]->answer = (*answers)[i];
-      }
+        }
+        Result<std::vector<bool>> answers = service_->DependsMany(
+            *handle, *index, pairs, queries.front()->request.mode);
+        for (size_t i = 0; i < queries.size(); ++i) {
+          if (answers.ok()) {
+            queries[i]->answer = (*answers)[i];
+          } else {
+            queries[i]->status = answers.status();
+          }
+        }
+      };
+      if (bad != group.begin()) answer({group.begin(), bad});
+      for (auto it = bad; it != group.end(); ++it) answer({it, 1});
     }
   }
 

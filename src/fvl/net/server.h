@@ -14,7 +14,9 @@
 // answered inline: each connection thread greedily drains the run of
 // point-query frames already buffered on its socket, enqueues them on the
 // batcher, and the batcher folds everything queued across all connections
-// into one DependsMany decode pass per (view, index, mode) group. That
+// into one DependsMany decode pass per (view, index, mode) group (a query
+// whose item ids are out of range is answered alone, so its error frame
+// never fails the rest of its group). That
 // coalescing is the same amortization lever as the in-process batch API —
 // per-op decode overhead, not predicate cost, dominates small queries —
 // and it is what lets N clients issuing point queries approach batched
@@ -60,14 +62,16 @@ struct ServerStats {
   uint64_t frames = 0;         // request frames processed
   uint64_t connections = 0;    // connections accepted
 
-  // Serving-cache effectiveness, summed over every index currently
-  // registered with the server (each snapshot owns its caches —
-  // core/serving_cache.h — so these reset when snapshots are replaced, not
-  // when the server restarts).
-  uint64_t label_hits = 0;   // decoded-label cache hits
+  // Serving-cache counters, summed over every index currently registered
+  // with the server (each snapshot owns its cache — core/serving_cache.h —
+  // so these reset when snapshots are replaced, not when the server
+  // restarts).
+  uint64_t label_hits = 0;  // decoded-label cache hits
   uint64_t label_misses = 0;
-  uint64_t reach_hits = 0;   // reachability-memo hits
-  uint64_t reach_misses = 0;
+  // Always 0: there is no reachability memo. Kept so the fixed kStats body
+  // keeps its shape; it goes when kStats describes its own fields.
+  uint64_t reach_hits = 0;
+  uint64_t reach_misses = 0;  // same-run pairs the predicate evaluated
 
   // Coalescing effectiveness: point queries per decode pass. > 1 means
   // concurrent queries actually shared decode passes.
@@ -80,10 +84,6 @@ struct ServerStats {
   double LabelHitRate() const {
     const uint64_t total = label_hits + label_misses;
     return total == 0 ? 0.0 : static_cast<double>(label_hits) / total;
-  }
-  double ReachHitRate() const {
-    const uint64_t total = reach_hits + reach_misses;
-    return total == 0 ? 0.0 : static_cast<double>(reach_hits) / total;
   }
 };
 

@@ -18,8 +18,8 @@ namespace fvl {
 namespace {
 std::atomic<uint64_t> next_service_tag{1};
 
-// The one error both batch cores return when a decoded label fails
-// vetting.
+// The one error DependsMany and VisibilitySweep return when a decoded
+// label fails vetting.
 Status OutOfGrammarLabels() {
   return Status::Error(ErrorCode::kInvalidArgument,
                        "index label fields are out of range for this "
@@ -208,12 +208,15 @@ Result<bool> ProvenanceService::Depends(ViewHandle handle, const DataLabel& d1,
   return (*decoder)->Depends(d1, d2);
 }
 
-Result<std::vector<bool>> ProvenanceService::BatchDepends(
-    ViewHandle handle, const LabelStore& store,
-    std::span<const std::pair<int, int>> queries, ViewLabelMode mode,
-    ServingCache* cache) {
+Result<std::vector<bool>> ProvenanceService::DependsMany(
+    ViewHandle handle, const ProvenanceIndex& index,
+    std::span<const std::pair<int, int>> queries, ViewLabelMode mode) {
+  if (Status status = CheckIndexCompatible(index); !status.ok()) {
+    return status;
+  }
   Result<const Decoder*> decoder = DecoderOf(handle, mode);
   if (!decoder.ok()) return decoder.status();
+  const LabelStore& store = index.store();
   const int num_items = store.total_items();
 
   for (const auto& [d1, d2] : queries) {
@@ -225,42 +228,29 @@ Result<std::vector<bool>> ProvenanceService::BatchDepends(
     }
   }
 
-  const int view_id = handle.id();
+  // A pair across two groups (runs) is false by definition: it touches
+  // neither labels nor the decoder.
   std::vector<bool> answers(queries.size(), false);
-
-  // Memo pass: a pair across two groups (runs) is false by definition and
-  // a hot (view, src, dst) pair replays its answer — neither touches labels
-  // or the decoder, nor adds a memo entry. A memo hit is safe to satisfy
-  // queries from — an entry exists only for pairs this snapshot already
-  // answered, over labels that already passed vetting, so the uncached
-  // path would recompute the identical bit (and could not have errored on
-  // those items either).
   const bool grouped = store.num_groups() > 1;
   std::vector<size_t> pending;
   pending.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    bool memoized = false;
     if (grouped && store.GroupOf(queries[q].first) !=
                        store.GroupOf(queries[q].second)) {
       continue;  // answers[q] stays false
     }
-    if (cache != nullptr &&
-        cache->LookupReach(
-            ReachMemoKey{tag_, view_id, static_cast<int32_t>(mode),
-                         queries[q].first, queries[q].second},
-            &memoized)) {
-      answers[q] = memoized;
-    } else {
-      pending.push_back(q);
-    }
+    pending.push_back(q);
   }
+  if (pending.empty()) return answers;
+  // A pending pair means the index has items, so it carries a cache.
+  ServingCache& cache = *index.serving_cache();
 
   // Decode each item distinct among the pending queries once for the whole
-  // batch — through the snapshot's label cache when present, so a hot item
-  // is decoded once per *snapshot*, not once per batch. Scratch is sized by
-  // the batch (hash map, node-stable references) unless the batch covers a
-  // good fraction of the snapshot, where the flat table's O(1) lookups and
-  // one ascending walk of the store win.
+  // batch — through the snapshot's label cache, so a hot item is decoded
+  // once per *snapshot*, not once per batch. Scratch is sized by the batch
+  // (hash map, node-stable references) unless the batch covers a good
+  // fraction of the snapshot, where the flat table's O(1) lookups and one
+  // ascending walk of the store win.
   const bool dense = pending.size() * 4 >= static_cast<size_t>(num_items);
   std::vector<DataLabel> decoded(dense ? num_items : 0);
   std::vector<char> needed(dense ? num_items : 0, 0);
@@ -270,14 +260,13 @@ Result<std::vector<bool>> ProvenanceService::BatchDepends(
   // sequential ids amortize the span scan to O(1). Labels enter the cache
   // only after LabelInBounds, keyed by this service's tag (vetting is
   // grammar-specific, so another service's entries are misses here) — a
-  // hit is exactly a label this service's uncached path would have decoded
-  // and accepted, and hits skip re-vetting. False on a label that fails
-  // vetting.
+  // hit is exactly a label this service would have decoded and accepted,
+  // and hits skip re-vetting. False on a label that fails vetting.
   auto fetch = [&](int item, DataLabel* out) {
-    if (cache != nullptr && cache->LookupLabel(tag_, item, out)) return true;
+    if (cache.LookupLabel(tag_, item, out)) return true;
     *out = cursor.DecodeAt(item);
     if (!LabelInBounds(*out)) return false;
-    if (cache != nullptr) cache->InsertLabel(tag_, item, *out);
+    cache.InsertLabel(tag_, item, *out);
     return true;
   };
   if (dense) {
@@ -305,24 +294,10 @@ Result<std::vector<bool>> ProvenanceService::BatchDepends(
   };
   for (size_t q : pending) {
     const auto [d1, d2] = queries[q];
-    const bool answer = (*decoder)->Depends(label_at(d1), label_at(d2));
-    answers[q] = answer;
-    if (cache != nullptr) {
-      cache->InsertReach(
-          ReachMemoKey{tag_, view_id, static_cast<int32_t>(mode), d1, d2},
-          answer);
-    }
+    answers[q] = (*decoder)->Depends(label_at(d1), label_at(d2));
   }
+  cache.CountEvaluations(pending.size());
   return answers;
-}
-
-Result<std::vector<bool>> ProvenanceService::DependsMany(
-    ViewHandle handle, const ProvenanceIndex& index,
-    std::span<const std::pair<int, int>> queries, ViewLabelMode mode) {
-  if (Status status = CheckIndexCompatible(index); !status.ok()) {
-    return status;
-  }
-  return BatchDepends(handle, index.store(), queries, mode, CacheFor(index));
 }
 
 Result<std::vector<bool>> ProvenanceService::QueryAcrossRuns(
@@ -441,37 +416,26 @@ Status ProvenanceService::AppendVetted(CompactStream* stream, Input input,
   return CheckCodecCompatible(stream->codec(), name.c_str());
 }
 
-Result<std::vector<bool>> ProvenanceService::SweepVisibility(
-    ViewHandle handle, const LabelStore& store, ViewLabelMode mode,
-    ServingCache* cache) {
-  Result<const ViewLabel*> label = LabelOf(handle, mode);
-  if (!label.ok()) return label.status();
-  const int num_items = store.total_items();
-  // Decode + bounds-check + visibility per item, walking the store in
-  // flat-id order through one span cursor. Items resident in the
-  // snapshot's label cache skip decode and re-vetting (cached labels passed
-  // *this* service's LabelInBounds when they entered — the cache key
-  // carries the vetting service's tag).
-  std::vector<bool> visible(num_items, false);
-  LabelStore::SpanCursor cursor(store);
-  for (int item = 0; item < num_items; ++item) {
-    DataLabel item_label;
-    if (cache == nullptr || !cache->LookupLabel(tag_, item, &item_label)) {
-      item_label = cursor.DecodeAt(item);
-      if (!LabelInBounds(item_label)) return OutOfGrammarLabels();
-      if (cache != nullptr) cache->InsertLabel(tag_, item, item_label);
-    }
-    visible[item] = IsItemVisible(item_label, **label);
-  }
-  return visible;
-}
-
 Result<std::vector<bool>> ProvenanceService::VisibilitySweep(
     ViewHandle handle, const ProvenanceIndex& index, ViewLabelMode mode) {
   if (Status status = CheckIndexCompatible(index); !status.ok()) {
     return status;
   }
-  return SweepVisibility(handle, index.store(), mode, CacheFor(index));
+  Result<const ViewLabel*> label = LabelOf(handle, mode);
+  if (!label.ok()) return label.status();
+  const int num_items = index.total_items();
+  // Decode + bounds-check + visibility per item, walking the store in
+  // flat-id order through one span cursor (amortized O(1) per item). The
+  // sweep bypasses the label cache: it touches each item once, so it could
+  // rarely hit, and its inserts would evict the point-query hot set.
+  std::vector<bool> visible(num_items, false);
+  LabelStore::SpanCursor cursor(index.store());
+  for (int item = 0; item < num_items; ++item) {
+    const DataLabel item_label = cursor.DecodeAt(item);
+    if (!LabelInBounds(item_label)) return OutOfGrammarLabels();
+    visible[item] = IsItemVisible(item_label, **label);
+  }
+  return visible;
 }
 
 Result<ProvenanceIndex> ProvenanceService::MergeRunsStreamed(

@@ -39,7 +39,6 @@
 #define FVL_SERVICE_PROVENANCE_SERVICE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -149,20 +148,6 @@ class ProvenanceService
     return view_labelings_performed_;
   }
 
-  // Whether batch queries consult the snapshot-lifetime serving caches
-  // (core/serving_cache.h) the indexes carry: the decoded-label cache and
-  // the reachability memo. On (the default), hot items decode once per
-  // snapshot and hot (view, src, dst) pairs skip the predicate entirely.
-  // Answers and error behavior are bit-identical either way — the toggle
-  // exists so the differential tests and benches can compare the two paths
-  // on the same index (tests/cache_test.cc).
-  void set_serving_cache_enabled(bool enabled) {
-    serving_cache_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool serving_cache_enabled() const {
-    return serving_cache_enabled_.load(std::memory_order_relaxed);
-  }
-
   // --- Sessions -----------------------------------------------------------
 
   // Starts labeling a new run online (Def. 10). Sessions are independent:
@@ -196,6 +181,8 @@ class ProvenanceService
   // and are answered without decoding. Fails with kInvalidArgument if any
   // item id is out of range or the index was built for a different
   // specification (its codec disagrees with this service's grammar).
+  // Decoded labels go through the index's serving cache
+  // (core/serving_cache.h), so a hot item decodes once per snapshot.
   [[nodiscard]] Result<std::vector<bool>> DependsMany(
       ViewHandle handle, const ProvenanceIndex& index,
       std::span<const std::pair<int, int>> queries,
@@ -203,7 +190,8 @@ class ProvenanceService
 
   // Visibility sweep (§5): per item of `index`, in flat-id order across
   // all its runs, whether it is visible in the view's projection of the
-  // item's run.
+  // item's run. Decodes every item once through one span cursor, in
+  // amortized O(1) per item, and leaves the serving cache untouched.
   [[nodiscard]] Result<std::vector<bool>> VisibilitySweep(
       ViewHandle handle, const ProvenanceIndex& index,
       ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
@@ -309,27 +297,6 @@ class ProvenanceService
   template <typename Input>
   [[nodiscard]] Status AppendVetted(CompactStream* stream, Input input,
                                     const char* noun, size_t i) const;
-  // Shared decode-once batch cores behind DependsMany / QueryAcrossRuns and
-  // the visibility sweep, walking the frozen store's span streams directly
-  // in its flat-id space (ids are validated against store.total_items();
-  // BatchDepends answers pairs across groups false without decoding them).
-  // Each call decodes through one LabelStore::SpanCursor, so sequential
-  // walks pay amortized O(1) per item against the compact v2 layout.
-  // `cache` is the owning index's serving cache, or nullptr to run
-  // uncached (empty index, or set_serving_cache_enabled(false)); answers
-  // are identical either way.
-  [[nodiscard]] Result<std::vector<bool>> BatchDepends(
-      ViewHandle handle, const LabelStore& store,
-      std::span<const std::pair<int, int>> queries, ViewLabelMode mode,
-      ServingCache* cache);
-  [[nodiscard]] Result<std::vector<bool>> SweepVisibility(
-      ViewHandle handle, const LabelStore& store, ViewLabelMode mode,
-      ServingCache* cache);
-  // The serving cache batch queries against `index` should consult:
-  // the index's own, or nullptr when caching is disabled.
-  ServingCache* CacheFor(const ProvenanceIndex& index) const {
-    return serving_cache_enabled() ? index.serving_cache() : nullptr;
-  }
   // Whether every decoded field indexes inside this grammar's tables; the
   // decoder reads matrices unchecked in release builds, so untrusted labels
   // are vetted here. The check walks each side's path through the grammar
@@ -357,7 +324,6 @@ class ProvenanceService
   ViewHandle default_view_;
   int64_t view_labelings_performed_ FVL_GUARDED_BY(mu_) = 0;
   uint64_t tag_;  // process-unique issuer tag stamped into handles
-  std::atomic<bool> serving_cache_enabled_{true};
 };
 
 // One run labeled online (Def. 10). Obtained from

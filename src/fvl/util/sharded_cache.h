@@ -1,6 +1,6 @@
 // ShardedCache — a fixed-footprint, sharded, direct-mapped cache with a
 // frequency-based (CLOCK / second-chance) admission policy, the primitive
-// behind the snapshot-lifetime serving caches (core/serving_cache.h).
+// behind the snapshot-lifetime serving cache (core/serving_cache.h).
 //
 // Design constraints, in order:
 //

@@ -1,14 +1,17 @@
-// Skew-aware serving caches (util/sharded_cache.h, core/serving_cache.h):
-// the cache primitive's admission/eviction behavior and counters, and the
-// differential guarantee the service layer builds on it — the cached batch
-// paths are bit-identical to the uncached paths across randomized
-// specifications, all three ViewLabelModes, merged and single-run indexes,
-// with the same error behavior.
+// The serving cache (util/sharded_cache.h, core/serving_cache.h): the cache
+// primitive's admission/eviction behavior and counters; the differential
+// guarantee the service layer builds on it — batch answers, with the label
+// cache cold and warm, and sweeps equal the one-at-a-time reference path
+// across randomized specifications, all three ViewLabelModes, merged and
+// single-run indexes, with the same error behavior; and the cost contract
+// its counters pin.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <set>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "fvl/workload/paper_example.h"
 #include "fvl/workload/synthetic.h"
 #include "fvl/workload/view_generator.h"
+#include "test_util.h"
 
 namespace fvl {
 namespace {
@@ -153,7 +157,7 @@ TEST(ShardedCache, ConcurrentHammerKeepsKeyValueInvariant) {
 
 // ----- ServingCache. -----
 
-TEST(ServingCache, LabelAndReachRoundTripWithExactKeys) {
+TEST(ServingCache, LabelKeysCarryTheVettingServiceTag) {
   ServingCache cache(256);
   DataLabel label;
   EXPECT_FALSE(cache.LookupLabel(7u, 3, &label));
@@ -168,27 +172,14 @@ TEST(ServingCache, LabelAndReachRoundTripWithExactKeys) {
   // looking up the same item misses — LabelInBounds vetting is grammar-
   // specific and must never leak across services sharing an index.
   EXPECT_FALSE(cache.LookupLabel(8u, 3, &label));
+  EXPECT_FALSE(cache.LookupLabel(7u, 4, &label));
 
-  // Memo keys are compared exactly: tuples differing in any one field are
-  // distinct entries, never aliases.
-  const ReachMemoKey base{42u, 1, 0, 5, 9};
-  cache.InsertReach(base, true);
-  bool answer = false;
-  ASSERT_TRUE(cache.LookupReach(base, &answer));
-  EXPECT_TRUE(answer);
-  ReachMemoKey flipped = base;
-  flipped.d1 = 9;
-  flipped.d2 = 5;
-  EXPECT_FALSE(cache.LookupReach(flipped, &answer));
-  ReachMemoKey other_mode = base;
-  other_mode.mode = 2;
-  EXPECT_FALSE(cache.LookupReach(other_mode, &answer));
-
+  cache.CountEvaluations(5);
   const ServingCacheStats stats = cache.stats();
   EXPECT_EQ(stats.label_hits, 1u);
-  EXPECT_EQ(stats.label_misses, 2u);
-  EXPECT_EQ(stats.reach_hits, 1u);
-  EXPECT_EQ(stats.reach_misses, 2u);
+  EXPECT_EQ(stats.label_misses, 3u);
+  EXPECT_EQ(stats.reach_hits, 0u);
+  EXPECT_EQ(stats.reach_misses, 5u);
 }
 
 TEST(ServingCache, EmptySnapshotsCarryNoCache) {
@@ -197,12 +188,12 @@ TEST(ServingCache, EmptySnapshotsCarryNoCache) {
   EXPECT_EQ(empty.serving_cache(), nullptr);
 }
 
-// ----- Differential: cached ≡ uncached through the service. -----
+// ----- Differential: batch paths ≡ the one-at-a-time reference. -----
 
 std::vector<std::pair<int, int>> RandomQueries(int num_items, int count,
                                                uint64_t seed) {
   // Skewed like real traffic: a quarter of the pairs repeat a small hot
-  // set, so the memo actually engages within and across batches.
+  // set, so the label cache actually engages within and across batches.
   Rng rng(seed);
   std::vector<std::pair<int, int>> queries;
   queries.reserve(count);
@@ -218,28 +209,29 @@ std::vector<std::pair<int, int>> RandomQueries(int num_items, int count,
   return queries;
 }
 
-// Answers every query/sweep twice with caches on (cold, then memo-warm) and
-// compares both against the uncached answers, per mode.
-void CheckCachedMatchesUncached(ProvenanceService& service, ViewHandle view,
+// Per mode, answers one batch twice on a fresh index over `index`'s store
+// (label cache cold, then warm) and sweeps it, comparing each result with
+// the one-at-a-time reference.
+void CheckBatchesMatchReference(ProvenanceService& service, ViewHandle view,
                                 const ProvenanceIndex& index,
                                 uint64_t seed) {
-  const auto queries = RandomQueries(index.num_items(), 160, seed);
+  const auto queries = RandomQueries(index.total_items(), 160, seed);
   for (ViewLabelMode mode : kAllModes) {
-    service.set_serving_cache_enabled(false);
+    const ProvenanceIndex fresh(index.store());
     const std::vector<bool> expected =
-        service.DependsMany(view, index, queries, mode).value();
-    const std::vector<bool> expected_sweep =
-        service.VisibilitySweep(view, index, mode).value();
-
-    service.set_serving_cache_enabled(true);
-    EXPECT_EQ(service.DependsMany(view, index, queries, mode).value(),
-              expected);
-    EXPECT_EQ(service.DependsMany(view, index, queries, mode).value(),
-              expected);
-    EXPECT_EQ(service.VisibilitySweep(view, index, mode).value(),
-              expected_sweep);
+        testing::ReferenceDepends(service, view, index, queries, mode);
+    EXPECT_EQ(service.DependsMany(view, fresh, queries, mode).value(),
+              expected)
+        << "cold, mode " << static_cast<int>(mode);
+    EXPECT_EQ(service.DependsMany(view, fresh, queries, mode).value(),
+              expected)
+        << "warm, mode " << static_cast<int>(mode);
+    // The warm pass must actually have come from the cache.
+    EXPECT_GT(fresh.serving_cache()->stats().label_hits, 0u);
+    EXPECT_EQ(service.VisibilitySweep(view, fresh, mode).value(),
+              testing::ReferenceVisibility(service, view, index, mode))
+        << "mode " << static_cast<int>(mode);
   }
-  service.set_serving_cache_enabled(true);
 }
 
 TEST(CacheDifferential, SingleRunPaperExampleAllModes) {
@@ -252,16 +244,10 @@ TEST(CacheDifferential, SingleRunPaperExampleAllModes) {
   options.seed = 11;
   auto session = service->GenerateLabeledRun(options);
   ProvenanceIndex index = session->Snapshot();
-  ASSERT_NE(index.serving_cache(), nullptr);
 
   for (ViewHandle view : {service->default_view(), grey}) {
-    CheckCachedMatchesUncached(*service, view, index, 23);
+    CheckBatchesMatchReference(*service, view, index, 23);
   }
-
-  // The warm passes above must actually have come from the caches.
-  const ServingCacheStats stats = index.serving_cache()->stats();
-  EXPECT_GT(stats.reach_hits, 0u);
-  EXPECT_GT(stats.label_hits, 0u);
 }
 
 TEST(CacheDifferential, RandomizedSyntheticSpecsSingleAndMerged) {
@@ -284,7 +270,6 @@ TEST(CacheDifferential, RandomizedSyntheticSpecsSingleAndMerged) {
     CompiledView generated = GenerateSafeView(workload, view_options);
     ViewHandle view = service->RegisterView(generated.view()).value();
 
-    // Single-run differential.
     std::vector<ProvenanceIndex> snapshots;
     for (int r = 0; r < 3; ++r) {
       RunGeneratorOptions run_options;
@@ -292,35 +277,20 @@ TEST(CacheDifferential, RandomizedSyntheticSpecsSingleAndMerged) {
       run_options.seed = 700 + 10 * s + r;
       auto session = service->GenerateLabeledRun(run_options);
       snapshots.push_back(session->Snapshot());
-      CheckCachedMatchesUncached(*service, view, snapshots.back(),
+      CheckBatchesMatchReference(*service, view, snapshots.back(),
                                  800 + 10 * s + r);
     }
 
-    // Merged differential: flat-id pairs, including cross-run pairs (false
-    // by definition — must stay false with the memo engaged).
-    ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
-    ASSERT_NE(merged.serving_cache(), nullptr);
-    const auto flat = RandomQueries(merged.total_items(), 200, 900 + s);
-    for (ViewLabelMode mode : kAllModes) {
-      service->set_serving_cache_enabled(false);
-      const std::vector<bool> expected =
-          service->DependsMany(view, merged, flat, mode).value();
-      const std::vector<bool> expected_sweep =
-          service->VisibilitySweep(view, merged, mode).value();
-      service->set_serving_cache_enabled(true);
-      EXPECT_EQ(service->DependsMany(view, merged, flat, mode).value(),
-                expected);
-      EXPECT_EQ(service->DependsMany(view, merged, flat, mode).value(),
-                expected);
-      EXPECT_EQ(service->VisibilitySweep(view, merged, mode).value(),
-                expected_sweep);
-    }
-    EXPECT_GT(merged.serving_cache()->stats().reach_hits, 0u);
+    // Merged: flat-id pairs, including cross-run pairs (false by
+    // definition).
+    CheckBatchesMatchReference(*service, view,
+                               ProvenanceIndex::Merge(snapshots).value(),
+                               900 + s);
   }
 }
 
 // A pair across two runs is answered false before any decode: it touches
-// neither the label cache nor the memo, so a batch of only such pairs
+// neither the label cache nor the predicate, so a batch of only such pairs
 // leaves every cache counter where it was.
 TEST(CacheDifferential, CrossRunPairsNeverReachTheCache) {
   auto service = ProvenanceService::Create(MakePaperExample().spec).value();
@@ -366,7 +336,7 @@ TEST(CacheDifferential, LabelEntriesDoNotLeakAcrossServices) {
   const auto queries = RandomQueries(index.num_items(), 200, 29);
 
   // Warm A's label entries with one mode, then prove they are resident by
-  // querying a second mode (the memo misses on mode, the labels hit).
+  // querying a second mode (labels are mode-independent, so they hit).
   const std::vector<bool> expected =
       service_a
           ->DependsMany(service_a->default_view(), index, queries,
@@ -398,7 +368,7 @@ TEST(CacheDifferential, LabelEntriesDoNotLeakAcrossServices) {
   EXPECT_GT(index.serving_cache()->stats().label_hits, after_b.label_hits);
 }
 
-TEST(CacheDifferential, ErrorBehaviorMatchesUncached) {
+TEST(CacheDifferential, OutOfRangeFailsColdAndWarm) {
   PaperExample ex = MakePaperExample();
   auto service = ProvenanceService::Create(ex.spec).value();
   RunGeneratorOptions options;
@@ -408,14 +378,86 @@ TEST(CacheDifferential, ErrorBehaviorMatchesUncached) {
   ProvenanceIndex index = session->Snapshot();
 
   const std::vector<std::pair<int, int>> bad = {{0, index.num_items()}};
-  for (bool enabled : {false, true}) {
-    service->set_serving_cache_enabled(enabled);
+  const std::vector<std::pair<int, int>> warmup = {{0, 1}, {1, 2}};
+  for (const char* pass : {"cold", "warm"}) {
     Result<std::vector<bool>> result =
         service->DependsMany(service->default_view(), index, bad);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+    ASSERT_FALSE(result.ok()) << pass;
+    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument) << pass;
+    ASSERT_TRUE(
+        service->DependsMany(service->default_view(), index, warmup).ok());
   }
-  service->set_serving_cache_enabled(true);
+}
+
+// ----- Cost contract, checked by counters. -----
+
+// One DependsMany batch evaluates the predicate once per same-run pair
+// (reach_misses) and looks each distinct item of those pairs up in the
+// label cache exactly once (label_hits + label_misses), cold or warm; a
+// VisibilitySweep moves no counter at all.
+void CheckCostContract(ProvenanceService& service, ViewHandle view,
+                       const ProvenanceIndex& index,
+                       std::span<const std::pair<int, int>> queries) {
+  uint64_t same_run = 0;
+  std::set<int> distinct;
+  for (const auto& [a, b] : queries) {
+    if (index.RunOf(a) != index.RunOf(b)) continue;
+    ++same_run;
+    distinct.insert(a);
+    distinct.insert(b);
+  }
+  const ServingCache& cache = *index.serving_cache();
+  for (const char* pass : {"cold", "warm"}) {
+    const ServingCacheStats before = cache.stats();
+    ASSERT_TRUE(service.DependsMany(view, index, queries).ok());
+    const ServingCacheStats after = cache.stats();
+    EXPECT_EQ(after.reach_misses - before.reach_misses, same_run) << pass;
+    EXPECT_EQ(after.label_hits + after.label_misses -
+                  (before.label_hits + before.label_misses),
+              distinct.size())
+        << pass;
+    EXPECT_EQ(after.reach_hits, 0u) << pass;
+
+    ASSERT_TRUE(service.VisibilitySweep(view, index).ok());
+    const ServingCacheStats swept = cache.stats();
+    EXPECT_EQ(swept.label_hits, after.label_hits) << pass;
+    EXPECT_EQ(swept.label_misses, after.label_misses) << pass;
+    EXPECT_EQ(swept.reach_hits, after.reach_hits) << pass;
+    EXPECT_EQ(swept.reach_misses, after.reach_misses) << pass;
+  }
+}
+
+TEST(CostContract, SingleRunBatchCountsPairsAndDistinctItems) {
+  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  ProvenanceIndex index =
+      service
+          ->GenerateLabeledRun(
+              RunGeneratorOptions{.target_items = 400, .seed = 5})
+          ->Snapshot();
+  const int n = index.total_items();
+  // A small batch takes the sparse branch, a large one the dense branch.
+  for (int count : {n / 16, n}) {
+    CheckCostContract(*service, service->default_view(), index,
+                      RandomQueries(n, count, 41 + count));
+  }
+}
+
+TEST(CostContract, MergedBatchCountsOnlySameRunPairs) {
+  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  std::vector<ProvenanceIndex> snapshots;
+  for (uint64_t seed : {6, 7, 8}) {
+    snapshots.push_back(
+        service
+            ->GenerateLabeledRun(
+                RunGeneratorOptions{.target_items = 150, .seed = seed})
+            ->Snapshot());
+  }
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  const int n = merged.total_items();
+  for (int count : {n / 16, n}) {
+    CheckCostContract(*service, service->default_view(), merged,
+                      RandomQueries(n, count, 43 + count));
+  }
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "fvl/util/sharded_cache.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/view_generator.h"
+#include "test_util.h"
 
 namespace fvl {
 namespace {
@@ -215,14 +216,13 @@ TEST(ConcurrencyStress, RegisterViewRacesQueries) {
             static_cast<int>(views.size()) + 1);  // + default view
 }
 
-// --- Serving caches under query contention ---------------------------------
+// --- Serving cache under query contention ----------------------------------
 
 TEST(ConcurrencyStress, ServingCacheShardsStayCoherentUnderQueryStorm) {
-  // Many threads batch-query one frozen snapshot with the serving caches
-  // enabled: label-cache and reach-memo shards are hit/filled concurrently.
-  // Every batch must equal the
-  // uncached ground truth — a torn cache entry or a memo aliasing bug
-  // surfaces as a wrong answer, and TSan checks the locking itself.
+  // Many threads batch-query one frozen snapshot: label-cache shards are
+  // hit and filled concurrently. Every batch must equal the one-at-a-time
+  // reference — a torn cache entry surfaces as a wrong answer, and TSan
+  // checks the locking itself.
   Workload bio = MakeBioAid(2012);
   auto service = ProvenanceService::Create(std::move(bio.spec)).value();
   auto session = service->GenerateLabeledRun(
@@ -231,8 +231,7 @@ TEST(ConcurrencyStress, ServingCacheShardsStayCoherentUnderQueryStorm) {
   ASSERT_NE(index.serving_cache(), nullptr);
   const int num_items = index.num_items();
 
-  // Ground truth, computed uncached before the storm.
-  service->set_serving_cache_enabled(false);
+  // Ground truth from the reference path, which never touches the cache.
   std::vector<std::vector<std::pair<int, int>>> batches;
   std::vector<std::vector<bool>> expected;
   Rng rng(200);
@@ -244,14 +243,11 @@ TEST(ConcurrencyStress, ServingCacheShardsStayCoherentUnderQueryStorm) {
       queries.push_back({rng.NextInt(0, hot - 1),
                          rng.NextInt(0, num_items - 1)});
     }
-    expected.push_back(
-        service
-            ->DependsMany(service->default_view(), index, queries,
-                          ViewLabelMode::kDefault)
-            .value());
+    expected.push_back(testing::ReferenceDepends(
+        *service, service->default_view(), index, queries,
+        ViewLabelMode::kDefault));
     batches.push_back(std::move(queries));
   }
-  service->set_serving_cache_enabled(true);
 
   constexpr int kRounds = 40;
   std::atomic<bool> failed{false};
@@ -272,9 +268,9 @@ TEST(ConcurrencyStress, ServingCacheShardsStayCoherentUnderQueryStorm) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(failed.load());
-  // The storm replayed identical batches; the memo must have served most
-  // of them.
-  EXPECT_GT(index.serving_cache()->stats().reach_hits, 0u);
+  // The storm replayed identical batches; the label cache must have
+  // served some of their items.
+  EXPECT_GT(index.serving_cache()->stats().label_hits, 0u);
 }
 
 TEST(ConcurrencyStress, FreshCacheFirstInsertsRaceLookups) {

@@ -44,6 +44,7 @@
 #include "fvl/util/random.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
+#include "test_util.h"
 
 namespace fvl {
 namespace {
@@ -67,8 +68,8 @@ std::string ReadFileOrDie(const std::string& path) {
 }
 
 // Paper-example service with registered views; every suite below shares
-// this shape. Serving caches stay off so the mapped and heap paths cannot
-// hide behind a shared memo.
+// this shape. The mapped and heap indexes each carry their own label
+// cache, so neither path can answer from labels the other decoded.
 struct Fixture {
   PaperExample example;
   std::shared_ptr<ProvenanceService> service;
@@ -77,7 +78,6 @@ struct Fixture {
   Fixture() : example(MakePaperExample()) {
     service = ProvenanceService::Create(example.spec).value();
     grey = service->RegisterView(example.grey_view).value();
-    service->set_serving_cache_enabled(false);
   }
 
   std::vector<ViewHandle> views() { return {service->default_view(), grey}; }
@@ -118,6 +118,9 @@ TEST(DiskTierDifferential, SingleRunMappedMatchesHeapAndOracle) {
       std::vector<bool> from_map =
           fx.service->DependsMany(view, mapped, queries, mode).value();
       ASSERT_EQ(from_heap, from_map)
+          << "view " << view.id() << " mode " << static_cast<int>(mode);
+      ASSERT_EQ(from_map, testing::ReferenceDepends(*fx.service, view, heap,
+                                                    queries, mode))
           << "view " << view.id() << " mode " << static_cast<int>(mode);
       for (size_t q = 0; q < queries.size(); ++q) {
         auto [d1, d2] = queries[q];
@@ -320,7 +323,6 @@ struct OverwriteFixture {
 
   OverwriteFixture() {
     service = ProvenanceService::Create(MakeBioAid(2012).spec).value();
-    service->set_serving_cache_enabled(false);
     view = service->default_view();
     served_heap =
         service->GenerateLabeledRun(

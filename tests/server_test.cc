@@ -6,7 +6,8 @@
 // Deterministic replay (same (instance, production) sequence → identical
 // item ids) is what makes the comparison exact. Also under test: the
 // cross-connection coalescing batcher (mean batch size > 1 under
-// concurrent pipelined load), abrupt disconnects mid-frame,
+// concurrent pipelined load) and its per-query error isolation, abrupt
+// disconnects mid-frame,
 // drain-on-shutdown (no torn frames, only clean answers or kUnavailable),
 // the single artifact id space, and compaction over a served archive.
 
@@ -198,6 +199,58 @@ TEST(ServerDifferential, SyncCallRefusedWhilePipelinedAnswersUnread) {
   EXPECT_EQ(client.Ping().value(), kProtocolVersion);
   // Had a refused call sent its frame, its stale reply would be read here.
   EXPECT_EQ(client.Stats().value().point_queries, queries.size());
+}
+
+// The batcher answers every (view, index, mode) group with one
+// DependsMany, yet an out-of-range query must fail alone: it gets an
+// error frame carrying the service's own message, and the queries that
+// shared its pass get their answers.
+TEST(ServerBatcher, OutOfRangePointQueryFailsAlone) {
+  TestRig rig = TestRig::Make();
+  std::vector<std::pair<int, int>> ops =
+      RecordOpSequence(*rig.service, /*target_items=*/60, /*seed=*/3);
+  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+  auto direct_session = rig.service->BeginRun();
+  for (const auto& [instance, production] : ops) {
+    ASSERT_TRUE(direct_session->Apply(instance, production).ok());
+  }
+  ProvenanceIndex direct_index = direct_session->Snapshot();
+  const int n = direct_index.num_items();
+
+  ProvenanceClient client =
+      ProvenanceClient::Connect(rig.server->port()).value();
+  uint64_t view_id = client.RegisterView(rig.view).value();
+  uint64_t session_id = client.BeginRun().value();
+  for (const auto& [instance, production] : ops) {
+    ASSERT_TRUE(client.Apply(session_id, instance, production).ok());
+  }
+  SnapshotInfo snapshot = client.Snapshot(session_id).value();
+  ASSERT_EQ(snapshot.num_items, n);
+
+  const std::vector<std::pair<int, int>> queries = {
+      {0, 1}, {0, n}, {1, 2}, {n + 5, 0}, {2, 3}};
+  // One flush: the server drains the whole burst into one batcher pass.
+  for (const auto& [d1, d2] : queries) {
+    client.QueueDepends(view_id, snapshot.index_id,
+                        ViewLabelMode::kQueryEfficient, d1, d2);
+  }
+  ASSERT_TRUE(client.Flush().ok());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<std::pair<int, int>> one = {queries[q]};
+    Result<std::vector<bool>> direct =
+        rig.service->DependsMany(direct_view, direct_index, one);
+    Result<bool> answer = client.NextDependsAnswer();
+    if (direct.ok()) {
+      ASSERT_TRUE(answer.ok()) << "query " << q << ": "
+                               << answer.status().message();
+      EXPECT_EQ(*answer, direct->front()) << "query " << q;
+    } else {
+      ASSERT_FALSE(answer.ok()) << "query " << q;
+      EXPECT_EQ(answer.code(), direct.code()) << "query " << q;
+      EXPECT_EQ(answer.status().message(), direct.status().message())
+          << "query " << q;
+    }
+  }
 }
 
 TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {

@@ -3,9 +3,12 @@
 #ifndef FVL_TESTS_TEST_UTIL_H_
 #define FVL_TESTS_TEST_UTIL_H_
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fvl/core/visibility.h"
 #include "fvl/run/run.h"
 #include "fvl/run/run_generator.h"
 #include "fvl/service/provenance_service.h"
@@ -70,6 +73,36 @@ inline const ViewLabel& RegisteredLabel(ProvenanceService& service,
                            .value(),
                        mode)
               .value();
+}
+
+// The reference for DependsMany differentials: one query at a time, each
+// side decoded straight from the index (Label never caches) and fed to
+// the service's decoder. A pair across two runs is false by definition.
+inline std::vector<bool> ReferenceDepends(
+    ProvenanceService& service, ViewHandle view, const ProvenanceIndex& index,
+    std::span<const std::pair<int, int>> queries,
+    ViewLabelMode mode = ViewLabelMode::kQueryEfficient) {
+  const Decoder& decoder = *service.DecoderOf(view, mode).value();
+  std::vector<bool> answers;
+  answers.reserve(queries.size());
+  for (const auto& [a, b] : queries) {
+    answers.push_back(index.RunOf(a) == index.RunOf(b) &&
+                      decoder.Depends(index.Label(a), index.Label(b)));
+  }
+  return answers;
+}
+
+// The reference for VisibilitySweep differentials: IsItemVisible per item.
+inline std::vector<bool> ReferenceVisibility(
+    ProvenanceService& service, ViewHandle view, const ProvenanceIndex& index,
+    ViewLabelMode mode = ViewLabelMode::kQueryEfficient) {
+  const ViewLabel& label = *service.LabelOf(view, mode).value();
+  std::vector<bool> visible;
+  visible.reserve(index.total_items());
+  for (int item = 0; item < index.total_items(); ++item) {
+    visible.push_back(IsItemVisible(index.Label(item), label));
+  }
+  return visible;
 }
 
 }  // namespace fvl::testing
