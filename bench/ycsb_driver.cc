@@ -22,9 +22,9 @@
 // concentrates queries on hot items, which the batched decode pass
 // exploits (each distinct item decodes once per batch) — expect zipfian
 // qps >= uniform qps at equal thread counts. The hit_rate column is the
-// snapshot label cache's hit fraction over the cell (from the server's
-// kStats counters): low for uniform keys, high for zipfian, where hot
-// items skip decode and vetting.
+// snapshot label cache's hit fraction over the cell (from the in-process
+// ProvenanceServer::stats() before and after it): low for uniform keys,
+// high for zipfian, where hot items skip decode and vetting.
 //
 // Latency: every point query's latency is measured from its window's
 // flush to its answer's arrival (closed-loop pipelined clients — later

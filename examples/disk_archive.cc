@@ -3,7 +3,7 @@
 // archives when the run closes, L0 archives are compacted into a merged L1
 // archive (and L1 archives into L2 — already-merged inputs re-merge
 // without flattening back to single runs), and the final archive is served
-// straight off its mmap — the long-label arena still lives in the file's
+// straight off its mmap — the label arena still lives in the file's
 // pages, zero-copy (LabelStore::arena_borrowed()).
 //
 // This is the dLSM shape: deltas are the write-ahead pieces, run archives
@@ -132,8 +132,8 @@ int main() {
 
   // --- Serving: the L2 archive queried straight off its mapping. ---------
   ProvenanceIndex served = service->OpenIndexFile(PathFor("l2.fvlmrg")).value();
-  std::printf("serving: arena_borrowed=%s (long labels point into the "
-              "file's pages)\n",
+  std::printf("serving: arena_borrowed=%s (labels point into the file's "
+              "pages)\n",
               served.store().arena_borrowed() ? "true" : "false");
 
   ViewGeneratorOptions view_options;

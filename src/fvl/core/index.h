@@ -117,9 +117,9 @@ class ProvenanceIndex {
 
   // Serves the index straight out of an archive file of either format:
   // opens and mmaps `path`, validates it exactly as Deserialize would, and
-  // returns an index whose long-label arena still lives in the mapping —
-  // zero arena copy (store().arena_borrowed() is true for any index with
-  // long labels). The store keeps the mapping alive (copies of the index
+  // returns an index whose label arena still lives in the mapping — zero
+  // arena copy (store().arena_borrowed() is true for any index with
+  // labels). The store keeps the mapping alive (copies of the index
   // or of its store share it; the file unmaps with the last one), so the
   // returned value is self-contained. kIo/kMapFailed for file-level
   // failures, kMalformedBlob for content ones.

@@ -71,31 +71,23 @@ void LabelStore::MaybePushSkip() {
   // the arena is borrowed (arena_ is empty then — the bits live in the
   // mapped blob).
   if (num_spans_ - skips_.back().first_item >= kSkipInterval) {
-    skips_.push_back({num_spans_, meta_covered_bits_, arena_covered_bits_});
+    skips_.push_back({num_spans_, meta_covered_bits_, total_label_bits_});
   }
 }
 
-bool LabelStore::AppendSpan(int64_t length) {
+void LabelStore::AppendSpan(int64_t length) {
   MaybePushSkip();
   meta_.WriteGamma(static_cast<uint64_t>(length));
   meta_covered_bits_ += GammaLength(static_cast<uint64_t>(length));
-  const bool is_inline = length <= inline_threshold_;
-  if (is_inline) {
-    meta_covered_bits_ += length;
-    ++inline_items_;
-  } else {
-    arena_covered_bits_ += length;
-  }
   total_label_bits_ += length;
   ++num_spans_;
-  return is_inline;
 }
 
 void LabelStore::Append(const DataLabel& label) {
   FVL_CHECK(num_groups() > 0);
   FVL_CHECK(!arena_borrowed());
-  const int64_t length = codec_.EncodedBits(label);
-  codec_.EncodeTo(label, AppendSpan(length) ? &meta_ : &arena_);
+  AppendSpan(codec_.EncodedBits(label));
+  codec_.EncodeTo(label, &arena_);
   ++group_base_.back();
 }
 
@@ -116,14 +108,8 @@ void LabelStore::SpanCursor::SeekTo(int global) {
   if (item_ == global) return;
   BitReader meta(&store_->meta_.words(), meta_pos_,
                  store_->meta_covered_bits_);
-  while (item_ < global) {
-    const int64_t length = static_cast<int64_t>(meta.ReadGamma());
-    if (length <= store_->inline_threshold_) {
-      meta.SkipBits(length);
-    } else {
-      arena_pos_ += length;
-    }
-    ++item_;
+  for (; item_ < global; ++item_) {
+    arena_pos_ += static_cast<int64_t>(meta.ReadGamma());
   }
   meta_pos_ = meta.position();
 }
@@ -133,17 +119,11 @@ BitReader LabelStore::SpanCursor::SpanAt(int global) {
   SeekTo(global);
   BitReader meta(&store_->meta_.words(), meta_pos_,
                  store_->meta_covered_bits_);
-  const int64_t length = static_cast<int64_t>(meta.ReadGamma());
-  ++item_;
-  if (length <= store_->inline_threshold_) {
-    const int64_t start = meta.position();
-    meta_pos_ = start + length;
-    return BitReader(&store_->meta_.words(), start, start + length);
-  }
   const int64_t start = arena_pos_;
+  arena_pos_ += static_cast<int64_t>(meta.ReadGamma());
   meta_pos_ = meta.position();
-  arena_pos_ += length;
-  return store_->ArenaReader(start, start + length);
+  ++item_;
+  return store_->ArenaReader(start, arena_pos_);
 }
 
 DataLabel LabelStore::SpanCursor::DecodeAt(int global) {
@@ -157,18 +137,18 @@ DataLabel LabelStore::SpanCursor::DecodeAt(int global) {
 
 Status LabelStore::AppendArena(const LabelStore& other) {
   FVL_CHECK(!arena_borrowed());
-  FVL_CHECK(other.codec_ == codec_);  // implies equal inline thresholds
+  FVL_CHECK(other.codec_ == codec_);
   // Rebasing assumes the source spans cover its whole streams — true for
   // live stores by construction and enforced by ParseTail for parsed ones,
   // but a hand-assembled or corrupted store must surface recoverably, not
   // silently graft its uncovered bits onto the next appended span.
   if (other.meta_covered_bits_ != other.meta_.size_bits() ||
-      other.arena_covered_bits_ != other.arena_size_bits()) {
+      other.total_label_bits_ != other.arena_size_bits()) {
     return Status::Error(
         ErrorCode::kInvalidArgument,
         "source store is inconsistent: spans cover " +
             std::to_string(other.meta_covered_bits_ +
-                           other.arena_covered_bits_) +
+                           other.total_label_bits_) +
             " of " +
             std::to_string(other.meta_.size_bits() +
                            other.arena_size_bits()) +
@@ -193,9 +173,7 @@ Status LabelStore::AppendArena(const LabelStore& other) {
   }
   num_spans_ += other.num_spans_;
   total_label_bits_ += other.total_label_bits_;
-  inline_items_ += other.inline_items_;
   meta_covered_bits_ += other.meta_covered_bits_;
-  arena_covered_bits_ += other.arena_covered_bits_;
   return Status::Ok();
 }
 
@@ -235,16 +213,12 @@ LabelStore LabelStore::ExtractDelta() {
                             it->arena_start - watermark_arena_bits_});
   }
   delta.num_spans_ = num_spans_ - watermark_items_;
-  delta.total_label_bits_ = total_label_bits_ - watermark_label_bits_;
-  delta.inline_items_ = inline_items_ - watermark_inline_items_;
+  delta.total_label_bits_ = delta.arena_.size_bits();
   delta.meta_covered_bits_ = delta.meta_.size_bits();
-  delta.arena_covered_bits_ = delta.arena_.size_bits();
   delta.group_base_.back() = delta.num_spans_;
   watermark_items_ = total_items();
   watermark_meta_bits_ = meta_.size_bits();
   watermark_arena_bits_ = arena_.size_bits();
-  watermark_label_bits_ = total_label_bits_;
-  watermark_inline_items_ = inline_items_;
   return delta;
 }
 
@@ -274,24 +248,16 @@ template <typename Fn>
 void LabelStore::ForEachCanonicalBlock(Fn&& fn) const {
   BitReader meta(&meta_.words(), 0, meta_covered_bits_);
   int64_t lens[kBlockItems];
-  int64_t inline_start[kBlockItems];  // meta bit position, or -1 (in arena)
   for (int64_t first = 0; first < num_spans_; first += kBlockItems) {
     const int count = static_cast<int>(
         std::min<int64_t>(kBlockItems, num_spans_ - first));
     int64_t min_len = 0, max_len = 0;
     for (int i = 0; i < count; ++i) {
       lens[i] = static_cast<int64_t>(meta.ReadGamma());
-      if (lens[i] <= inline_threshold_) {
-        inline_start[i] = meta.position();
-        meta.SkipBits(lens[i]);
-      } else {
-        inline_start[i] = -1;
-      }
       min_len = i == 0 ? lens[i] : std::min(min_len, lens[i]);
       max_len = std::max(max_len, lens[i]);
     }
-    fn(first, count, min_len, BitWidthFor(max_len - min_len + 1), lens,
-       inline_start);
+    fn(first, count, min_len, BitWidthFor(max_len - min_len + 1), lens);
   }
 }
 
@@ -305,30 +271,24 @@ void LabelStore::AppendTail(std::string* blob) const {
 
   // Span stream: the length sequence re-chunked into canonical blocks of
   // exactly kBlockItems labels (vbyte block-minimum + 6-bit delta width +
-  // per-item fixed-width delta, inline payloads in place). Re-chunking at
-  // serialization time — rather than dumping the in-memory skip structure —
-  // makes the bytes a pure function of the logical label sequence, which
-  // is what keeps FromDeltas reassembly and streamed merges bit-identical
-  // to their monolithic counterparts.
+  // per-item fixed-width delta). Re-chunking at serialization time —
+  // rather than dumping the in-memory skip structure — makes the bytes a
+  // pure function of the logical label sequence, which is what keeps
+  // FromDeltas reassembly and streamed merges bit-identical to their
+  // monolithic counterparts.
   BitWriter span;
   ForEachCanonicalBlock([&](int64_t /*first*/, int count, int64_t base_len,
-                            int delta_width, const int64_t* lens,
-                            const int64_t* inline_start) {
+                            int delta_width, const int64_t* lens) {
     span.WriteVByte(static_cast<uint64_t>(base_len));
     span.WriteFixed(static_cast<uint64_t>(delta_width), 6);
     for (int i = 0; i < count; ++i) {
       span.WriteFixed(static_cast<uint64_t>(lens[i] - base_len), delta_width);
-      if (inline_start[i] >= 0) {
-        BitReader payload(&meta_.words(), inline_start[i],
-                          inline_start[i] + lens[i]);
-        CopyBits(&payload, lens[i], &span);
-      }
     }
   });
   AppendU64(blob, static_cast<uint64_t>(span.size_bits()));
   for (uint64_t word : span.words()) AppendU64(blob, word);
 
-  // Long-label arena in item order, read through ArenaReader so borrowed
+  // The arena in item order, read through ArenaReader so borrowed
   // (mapped) arenas serialize in place. Emitting whole words through
   // the reader also re-zeroes any junk above the final bit, keeping the
   // output canonical whatever backs the store.
@@ -343,8 +303,7 @@ void LabelStore::AppendTail(std::string* blob) const {
 int64_t LabelStore::SerializedSpanBits() const {
   int64_t bits = 0;
   ForEachCanonicalBlock([&](int64_t /*first*/, int count, int64_t base_len,
-                            int delta_width, const int64_t* /*lens*/,
-                            const int64_t* /*inline_start*/) {
+                            int delta_width, const int64_t* /*lens*/) {
     bits += VByteLength(static_cast<uint64_t>(base_len)) + 6 +
             static_cast<int64_t>(count) * delta_width;
   });
@@ -374,9 +333,8 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
     *width = static_cast<unsigned char>(blob[(*pos)++]);
     if (*width > 64) return fail("codec width out of range");
   }
-  store.inline_threshold_ = InlineThresholdBits(store.codec_);
 
-  // Version byte, canonical span stream, long-label arena.
+  // Version byte, canonical span stream, arena.
   if (*pos >= blob.size()) return fail("truncated header");
   const int version = static_cast<unsigned char>(blob[(*pos)++]);
   if (version != kTailFormatVersion) {
@@ -394,31 +352,34 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
     span_words.push_back(word);
   }
 
-  uint64_t payload_bits = 0;
-  if (!ReadU64(blob, pos, &payload_bits)) {
+  // The tail stores the arena size again, as a cross-check on the header.
+  uint64_t stored_arena_bits = 0;
+  if (!ReadU64(blob, pos, &stored_arena_bits)) {
     return fail("truncated label arena");
   }
-  if (payload_bits / 8 > blob.size()) return fail("label arena exceeds blob");
+  if (stored_arena_bits != arena_bits) {
+    return fail("label arena size disagrees with the header");
+  }
+  if (arena_bits / 8 > blob.size()) return fail("label arena exceeds blob");
   // The arena is read in place. Same bounds discipline as ReadU64, in word
-  // units: the blob must hold all payload words at *pos (subtraction form
-  // — no wraparound).
-  const uint64_t payload_word_count = (payload_bits + 63) / 64;
-  if (blob.size() / 8 < payload_word_count ||
-      *pos > blob.size() - 8 * payload_word_count) {
+  // units: the blob must hold all arena words at *pos (subtraction form —
+  // no wraparound).
+  const uint64_t arena_word_count = (arena_bits + 63) / 64;
+  if (blob.size() / 8 < arena_word_count ||
+      *pos > blob.size() - 8 * arena_word_count) {
     return fail("truncated label arena");
   }
   // An empty arena has nothing to point at and stays in the owned state.
-  if (payload_bits > 0) {
+  if (arena_bits > 0) {
     store.borrowed_arena_ =
         reinterpret_cast<const uint8_t*>(blob.data()) + *pos;
-    store.borrowed_arena_bits_ = static_cast<int64_t>(payload_bits);
+    store.borrowed_arena_bits_ = static_cast<int64_t>(arena_bits);
   }
-  *pos += 8 * payload_word_count;
+  *pos += 8 * arena_word_count;
 
   BitReader span(&span_words, 0, static_cast<int64_t>(span_bits));
   span.set_permissive();
-  uint64_t consumed = 0;       // label content bits accounted for so far
-  uint64_t long_consumed = 0;  // of those, bits living in the long arena
+  uint64_t consumed = 0;  // label content bits accounted for so far
   for (uint64_t first = 0; first < num_items; first += kBlockItems) {
     const int count = static_cast<int>(
         std::min<uint64_t>(kBlockItems, num_items - first));
@@ -434,16 +395,7 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
         return fail("label lengths exceed the arena");
       }
       consumed += length;
-      if (length <= static_cast<uint64_t>(store.inline_threshold_)) {
-        if (!span.CheckRemaining(length)) return fail("truncated span stream");
-      } else if (length > payload_bits - long_consumed) {
-        return fail("truncated label arena");
-      }
-      if (store.AppendSpan(static_cast<int64_t>(length))) {
-        CopyBits(&span, static_cast<int64_t>(length), &store.meta_);
-      } else {
-        long_consumed += length;  // the payload already sits in the arena
-      }
+      store.AppendSpan(static_cast<int64_t>(length));  // payload in place
     }
   }
   // Also rejects 0-item blobs claiming a nonzero arena: AppendGroups
@@ -453,9 +405,6 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
     return fail("label lengths do not cover the arena");
   }
   if (!span.AtEnd()) return fail("span stream has trailing bits");
-  if (long_consumed != payload_bits) {
-    return fail("label arena has trailing bits");
-  }
 
   if (*pos != blob.size()) return fail("trailing bytes");
 

@@ -2,22 +2,18 @@
 // the library keeps encoded data labels (in the spirit of poplar-trie's
 // grouped compact label stores; see SNIPPETS.md §2–3).
 //
-// Layout (v2 — "compact label store"): instead of one fixed-width offset
-// per label (v1's `int64` table, ~20 bits of pure overhead per label in
-// the paper's compact-label regime), a store keeps two bit streams plus a
-// small skip table:
+// Layout (tail format v3): instead of one fixed-width offset per label
+// (v1's `int64` table, ~20 bits of pure overhead per label in the paper's
+// compact-label regime), a store keeps two bit streams plus a small skip
+// table:
 //
 //   meta_   per item, in flat-id order: the label's encoded length as an
-//           Elias-gamma code, immediately followed by the encoded label
-//           itself when it is short (length <= the codec-derived inline
-//           threshold) — short labels cost ~their content, exactly the
-//           poplar-trie inlining idiom;
-//   arena_  the encoded payloads of the remaining (long) labels, in the
-//           same flat-id order;
+//           Elias-gamma code, and nothing else;
+//   arena_  every label's encoded payload, in the same flat-id order;
 //   skips_  {first_item, meta_start, arena_start} checkpoints at most
 //           kSkipInterval items apart (plus one at every bulk-append
 //           seam), so locating an arbitrary flat id is one binary search
-//           plus a forward scan of at most kSkipInterval meta records.
+//           plus a forward scan of at most kSkipInterval gamma codes.
 //
 // Both streams are position-independent (gamma codes and payloads carry no
 // absolute offsets), which is what keeps the bulk lifecycle ops bulk:
@@ -39,13 +35,13 @@
 //
 // Serialization is *canonical*: AppendTail re-chunks the length sequence
 // into fixed blocks of kBlockItems labels (vbyte block-minimum length +
-// fixed-width per-item deltas + inline payloads, then the long-label
-// arena), so the serialized tail is a pure function of the logical label
-// sequence — independent of how the store was assembled. That is what
-// keeps FromDeltas reassembly bit-identical to a monolithic snapshot.
+// fixed-width per-item deltas), then writes the arena, so the serialized
+// tail is a pure function of the logical label sequence — independent of
+// how the store was assembled. That is what keeps FromDeltas reassembly
+// bit-identical to a monolithic snapshot.
 //
 // Span access is zero-copy, and one walker finds every label: SpanCursor
-// returns a BitReader over whichever stream holds it. DecodeLabel and
+// returns a BitReader over the label's arena bits. DecodeLabel and
 // LabelBits run a fresh cursor (one skip-table seek); batch decode loops
 // (DependsMany / VisibilitySweep) keep one cursor, which amortizes the
 // per-item scan to O(1) for non-decreasing ids.
@@ -99,12 +95,12 @@ class StoreCountProbe {
 
 class LabelStore {
  public:
-  // Version byte embedded in the v2 serialized tail (and implied by the
-  // FVLIDX3/FVLMRG2 magics). Bump together with any layout change to
-  // AppendTail/ParseTail — tools/fvl_lint.py's tail-format rule enforces
-  // that a layout diff cannot land without touching this constant and the
-  // golden-blob test.
-  static constexpr int kTailFormatVersion = 2;
+  // Version byte embedded in the serialized tail; the parser dispatches on
+  // it, not on the FVLIDX3/FVLMRG2 magics. Bump together with any layout
+  // change to AppendTail/ParseTail — tools/fvl_lint.py's tail-format rule
+  // enforces that a layout diff cannot land without touching this
+  // constant, the golden-blob test and docs/MIGRATION.md.
+  static constexpr int kTailFormatVersion = 3;
   // Serialized block granularity: AppendTail re-chunks the label sequence
   // into blocks of exactly this many labels (the last block may be short).
   static constexpr int kBlockItems = 64;
@@ -115,23 +111,10 @@ class LabelStore {
   // fixed-width deltas.
   static constexpr int kSkipInterval = 16;
 
-  // Labels of at most this many bits are inlined into the meta stream. A
-  // pure function of the codec (so stores with equal codecs — the merge
-  // precondition — always agree on placement): it admits a label whose two
-  // present sides are each one production edge deep, the shape Thm. 6's
-  // strictly linear-recursive sweet spot produces — presence bits, per
-  // side two gamma path-length codes of a few bits, one edge, one port.
-  static int InlineThresholdBits(const LabelCodec& codec) {
-    return 2 + 2 * (6 + 1 + codec.production_bits + codec.position_bits +
-                    codec.port_bits);
-  }
-
   // Empty store with all-zero codec widths (the state of an empty merge);
   // use the codec constructor for anything that will hold labels.
   LabelStore() = default;
-  explicit LabelStore(LabelCodec codec)
-      : codec_(std::move(codec)),
-        inline_threshold_(InlineThresholdBits(codec_)) {}
+  explicit LabelStore(LabelCodec codec) : codec_(std::move(codec)) {}
 
   const LabelCodec& codec() const { return codec_; }
 
@@ -142,16 +125,12 @@ class LabelStore {
   }
   // Items across all groups; bounded to int range by appenders/ParseTail.
   int total_items() const { return static_cast<int>(group_base_.back()); }
-  // Total encoded label content across both streams — the sum of every
-  // label's exact encoded size, excluding all storage metadata. This is
-  // the `arena_bits` quantity the blob headers carry (in both format
-  // versions), and the denominator-free "label bits" the paper's space
-  // figures measure.
+  // Total encoded label content — the sum of every label's exact encoded
+  // size, which is the arena's size, excluding all storage metadata. This
+  // is the `arena_bits` quantity the blob headers carry, and the
+  // denominator-free "label bits" the paper's space figures measure.
   int64_t arena_bits() const { return total_label_bits_; }
-  // Labels currently inlined in the meta stream (observability for tests
-  // and the space benches; not serialized state).
-  int64_t inline_items() const { return inline_items_; }
-  // True when the long-label arena is read in place from a mapped blob (a
+  // True when the arena is read in place from a mapped blob (a
   // ParseTail given the blob's BlobSource) rather than held in owned words.
   // The store, and every copy of it, keeps that mapping alive. A borrowed
   // store is frozen: every mutator aborts on it. Observability for the
@@ -179,7 +158,7 @@ class LabelStore {
   void Append(const DataLabel& label);
 
   // Appends every group of `other` as new groups of this store: two bulk
-  // bit copies (meta + arena streams) plus integer skip-table rebasing —
+  // bit copies (meta + arena) plus integer skip-table rebasing —
   // no label is decoded, re-encoded, or re-delimited. Codecs must match
   // (callers report mismatches as recoverable errors before calling).
   // Fails with kInvalidArgument — and leaves this store untouched — when
@@ -229,7 +208,7 @@ class LabelStore {
     return SpanCursor(*this).SpanAt(global).remaining();
   }
 
-  // The one walker over the meta stream: remembers its stream positions
+  // The one walker over the length stream: remembers its stream positions
   // between calls, so walking ids in non-decreasing order costs amortized
   // O(1) per item. A fresh cursor is unpositioned; its first seek, like
   // any backward jump, goes through the skip table. The cursor borrows the
@@ -243,7 +222,8 @@ class LabelStore {
     DataLabel DecodeAt(int global);
 
    private:
-    // Positions the cursor at the start of item `global`'s meta record.
+    // Positions the cursor at item `global`'s gamma length, with arena_pos_
+    // at its payload: every length scanned on the way adds to arena_pos_.
     void SeekTo(int global);
 
     const LabelStore* store_;
@@ -257,7 +237,7 @@ class LabelStore {
   //
   // The store serializes as the tail shared by the FVLIDX3 and FVLMRG2
   // blob formats: codec field widths, the tail-format version byte, the
-  // canonical block-compressed span stream, and the long-label arena.
+  // canonical block-compressed length stream, and the arena.
   // Group structure is the *header's* business (the single-run format has
   // one implicit group; the merged format writes a run table), so callers
   // pass group bases to ParseTail.
@@ -267,7 +247,7 @@ class LabelStore {
   // Exact size in bits of the canonical serialized span representation
   // (block headers + per-item length deltas + all label content), i.e. the
   // tail minus codec self-description and word-alignment framing — the
-  // v2 analogue of v1's "arena + minimal-width offset per item" and the
+  // analogue of v1's "arena + minimal-width offset per item" and the
   // quantity the space benches report.
   int64_t SerializedSpanBits() const;
 
@@ -277,8 +257,9 @@ class LabelStore {
   // kTailFormatVersion is kMalformedBlob. `group_base` and `arena_bits`
   // (total label content bits) come from the caller's header and must
   // already be bounded by the blob size (counts within int range, bases
-  // monotone). The long-label arena — the dominant bit range of a large
-  // store — is validated in place. With `source` (the mapping `blob` lies
+  // monotone); the tail's own stored arena size must equal `arena_bits`.
+  // The arena — the dominant bit range of a large store — is validated
+  // in place. With `source` (the mapping `blob` lies
   // in), it stays there: the store serves arena reads from the mapped
   // bytes and keeps a copy of `source`, so the mapping lives as long as
   // the store or any copy of it. Without one, the validated arena is
@@ -298,8 +279,8 @@ class LabelStore {
  private:
   friend class ::fvl::LabelStoreTestPeer;
 
-  // Skip-table checkpoint: stream positions at the start of item
-  // `first_item`'s meta record.
+  // Skip-table checkpoint: stream positions of item `first_item`'s gamma
+  // length and of its payload.
   struct Skip {
     int64_t first_item;
     int64_t meta_start;
@@ -311,18 +292,16 @@ class LabelStore {
   void MaybePushSkip();
   // Shared span-append core of Append and ParseTail: pushes a skip entry
   // when due, writes the gamma length and advances every counter for a
-  // label of `length` bits. Returns whether the label is inline; the
-  // caller then writes its payload to meta_ (inline) or arena_ (long, live
-  // appends only — a parsed arena is already in place). Does not touch
-  // group bookkeeping.
-  bool AppendSpan(int64_t length);
+  // label of `length` bits. Append then encodes the payload into arena_; a
+  // parsed arena is already in place. Does not touch group bookkeeping.
+  void AppendSpan(int64_t length);
 
-  // Long-label arena size, whichever memory holds it.
+  // Arena size, whichever memory holds it.
   int64_t arena_size_bits() const {
     return arena_borrowed() ? borrowed_arena_bits_ : arena_.size_bits();
   }
-  // Reader over the bit range [start_bit, end_bit) of the long-label
-  // arena, borrowed or owned.
+  // Reader over the bit range [start_bit, end_bit) of the arena, borrowed
+  // or owned.
   BitReader ArenaReader(int64_t start_bit, int64_t end_bit) const {
     if (arena_borrowed()) return BitReader(borrowed_arena_, start_bit, end_bit);
     return BitReader(&arena_.words(), start_bit, end_bit);
@@ -338,13 +317,12 @@ class LabelStore {
   void ForEachCanonicalBlock(Fn&& fn) const;
 
   LabelCodec codec_;
-  int inline_threshold_ = InlineThresholdBits(codec_);
   std::vector<int64_t> group_base_{0};  // size num_groups + 1; [0] = 0
   std::vector<Skip> skips_{{0, 0, 0}};  // sorted by first_item; [0] = origin
-  BitWriter meta_;   // per item: gamma(length) [+ inline payload]
-  BitWriter arena_;  // payloads of long labels, in item order (owned mode)
-  // Borrowed-arena mode (ParseTail with a source): long-label payloads
-  // live in the serialized arena words inside the mapped blob, which
+  BitWriter meta_;   // per item: gamma(length)
+  BitWriter arena_;  // every label's payload, in item order (owned mode)
+  // Borrowed-arena mode (ParseTail with a source): the payloads live in
+  // the serialized arena words inside the mapped blob, which
   // arena_source_ keeps alive, and arena_ stays empty. The range is
   // unaligned; readers assemble words byte-wise (BitReader byte mode).
   const uint8_t* borrowed_arena_ = nullptr;
@@ -352,20 +330,17 @@ class LabelStore {
   BlobSource arena_source_;
   int64_t num_spans_ = 0;         // spans appended (== total_items() when
                                   //   group bookkeeping is complete)
-  int64_t total_label_bits_ = 0;  // sum of all label lengths
-  int64_t inline_items_ = 0;      // labels living in the meta stream
-  // Stream bits accounted for by appended spans. Always equal to the
+  // Stream bits accounted for by appended spans: the gamma codes in meta_,
+  // and the sum of all label lengths in the arena. Always equal to the
   // stream sizes for stores built through the public paths; AppendArena
   // checks the equality so a hand-assembled or corrupted store surfaces
   // recoverably instead of grafting uncovered bits onto the next span.
   int64_t meta_covered_bits_ = 0;
-  int64_t arena_covered_bits_ = 0;
+  int64_t total_label_bits_ = 0;
   // ExtractDelta freeze point (not serialized).
   int watermark_items_ = 0;
   int64_t watermark_meta_bits_ = 0;
   int64_t watermark_arena_bits_ = 0;
-  int64_t watermark_label_bits_ = 0;
-  int64_t watermark_inline_items_ = 0;
   internal::StoreCountProbe probe_;
 };
 

@@ -9,12 +9,6 @@ Digraph::Digraph(int num_nodes)
   FVL_CHECK(num_nodes >= 0);
 }
 
-int Digraph::AddNode() {
-  out_edges_.emplace_back();
-  in_edges_.emplace_back();
-  return num_nodes() - 1;
-}
-
 int Digraph::AddEdge(int from, int to) {
   FVL_CHECK(from >= 0 && from < num_nodes());
   FVL_CHECK(to >= 0 && to < num_nodes());

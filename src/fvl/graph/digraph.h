@@ -16,8 +16,6 @@ class Digraph {
   Digraph() = default;
   explicit Digraph(int num_nodes);
 
-  // Adds a node; returns its id.
-  int AddNode();
   // Adds an edge; returns its id. Parallel edges and self-loops are allowed.
   int AddEdge(int from, int to);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -21,6 +22,12 @@
 
 namespace fvl::net {
 namespace {
+
+// Pause before retrying a failed accept(). Linux reserves the new
+// descriptor before accept() blocks, so a process at its fd limit fails
+// with EMFILE even with no connection pending; the pause keeps that from
+// spinning until reaped slots or the caller free descriptors.
+constexpr std::chrono::milliseconds kAcceptRetryDelay{10};
 
 Status NotFound(const char* what, uint64_t id) {
   return Status::Error(ErrorCode::kNotFound, std::string("unknown ") + what +
@@ -153,8 +160,18 @@ class ProvenanceServer::Impl {
   void AcceptLoop() FVL_EXCLUDES(conns_mu_) {
     for (;;) {
       Result<Socket> accepted = Accept(listener_);
-      if (!accepted.ok()) return;  // listener shut down (or hard failure)
-      if (stopping_.load()) return;
+      if (stopping_.load()) return;  // Stop shut the listener down
+      if (!accepted.ok()) {
+        // Out of descriptors or buffers, or a connection that died in the
+        // backlog: none of these ends the server. Free finished slots
+        // (and their fds), pause, retry.
+        {
+          MutexLock lock(&conns_mu_);
+          ReapDoneConnections();
+        }
+        std::this_thread::sleep_for(kAcceptRetryDelay);
+        continue;
+      }
       connections_accepted_.fetch_add(1, std::memory_order_relaxed);
       auto conn = std::make_unique<Connection>();
       conn->socket = std::move(accepted).value();

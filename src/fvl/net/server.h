@@ -37,6 +37,8 @@
 // Connections that close earlier are reaped by the accept loop: their
 // threads are joined and their fds freed before the next connection is
 // added, so a long-running server holds slots for open connections only.
+// A failed accept (out of fds, a connection aborted in the backlog) never
+// ends the accept loop: it reaps, pauses ~10 ms and retries until Stop().
 
 #ifndef FVL_NET_SERVER_H_
 #define FVL_NET_SERVER_H_

@@ -22,10 +22,6 @@ namespace fvl {
 struct RunGeneratorOptions {
   int target_items = 1000;
   uint64_t seed = 1;
-  // Retained for API stability; the generator now always prefers
-  // recursion-alive productions while below target (see run_generator.cc for
-  // why weighted picks cannot reach large sizes), so this field is unused.
-  double recursion_weight = 64.0;
 };
 
 // Per-module cost of the cheapest all-atomic completion, measured in data

@@ -224,7 +224,7 @@ class ProvenanceService
   // --- On-disk tier ---------------------------------------------------------
   //
   // Archive files are served without heap copies: Map() keeps the file's
-  // pages as the long-label arena (core/index.h), and these wrappers add
+  // pages as the label arena (core/index.h), and these wrappers add
   // the same codec-compatibility gate every other untrusted artifact passes
   // through, so a mapped archive is immediately queryable against this
   // service's views. Error taxonomy extends the blob one: kIo (open/stat

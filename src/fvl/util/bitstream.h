@@ -73,13 +73,6 @@ class BitReader {
   // Bits left before the end of the range.
   int64_t remaining() const { return size_bits_ - position_; }
 
-  // Advances past `bits` bits without decoding them (skipping an inline
-  // payload while scanning a span stream). A shortfall sets failed() in
-  // permissive mode and aborts otherwise, like CheckRemaining.
-  void SkipBits(int64_t bits) {
-    if (CheckRemaining(static_cast<uint64_t>(bits))) position_ += bits;
-  }
-
   // Non-aborting mode for untrusted input: reads past the end return
   // one-bits (so gamma scans terminate) and set failed() instead of
   // FVL_CHECK-aborting. Used by ProvenanceIndex::Deserialize to validate

@@ -54,9 +54,6 @@
 #define FVL_RELEASE(...) \
   FVL_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-// A function returning a reference to the capability guarding its result.
-#define FVL_RETURN_CAPABILITY(mu) FVL_THREAD_ANNOTATION(lock_returned(mu))
-
 // Escape hatch for code the analysis cannot follow (document why at every
 // use; tools/fvl_lint.py's review surface is the grep for this token).
 #define FVL_NO_THREAD_SAFETY_ANALYSIS \

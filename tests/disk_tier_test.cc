@@ -20,8 +20,8 @@
 //   * golden archives — tests/testdata holds one committed FVLIDX3 and one
 //     FVLMRG2 file; the suite Map()s them and checks they still match what
 //     the same seed produces today, so a serialization format change that
-//     forgets to bump the magic fails here first. Regenerate with
-//     FVL_REGEN_GOLDEN=1 ./disk_tier_test.
+//     forgets to bump the tail-format version fails here first. Regenerate
+//     with FVL_REGEN_GOLDEN=1 ./disk_tier_test.
 
 #include <gtest/gtest.h>
 
@@ -95,8 +95,8 @@ TEST(DiskTierDifferential, SingleRunMappedMatchesHeapAndOracle) {
   WriteFileOrDie(path, blob);
 
   ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
-  // The mapping, not a copy, backs the long-label arena (unless this run
-  // happened to produce none).
+  // The mapping, not a copy, backs the label arena (unless this run
+  // happened to produce no labels).
   EXPECT_TRUE(mapped.store().arena_borrowed() ||
               mapped.store().arena_bits() == 0);
   // Serialization is the identity on the mapped form too.
@@ -505,7 +505,7 @@ TEST(DiskTierErrors, FileAndContentFailuresAreTyped) {
 
 // The deterministic builders behind both committed fixtures (seeds fixed
 // forever; regenerate the files with FVL_REGEN_GOLDEN=1 after an
-// *intentional* format change, alongside the magic bump).
+// *intentional* format change, alongside the tail-format version bump).
 std::string GoldenRunBlob(Fixture& fx) {
   return fx.service
       ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 140, .seed = 9})
@@ -542,7 +542,7 @@ TEST(DiskTierGolden, CommittedArchivesServeAndMatch) {
   }
 
   // Byte-identity against today's serializer: a format change that forgot
-  // to bump the magic (and regenerate these files) fails loudly here.
+  // to bump the version (and regenerate these files) fails loudly here.
   EXPECT_EQ(ReadFileOrDie(run_path), run_blob)
       << "golden single-run archive drifted from the current serializer";
   EXPECT_EQ(ReadFileOrDie(merged_path), merged_blob)

@@ -102,9 +102,9 @@ TEST_F(IndexTest, DeserializeRejectsInconsistentBlobs) {
     u64(&b, num_items);
     u64(&b, 0);                       // arena_bits
     b.append(5, '\0');                // codec widths
-    b.push_back(2);                   // tail-format version
+    b.push_back(LabelStore::kTailFormatVersion);
     u64(&b, 0);                       // span_bits
-    u64(&b, 0);                       // payload_bits
+    u64(&b, 0);                       // stored arena size
     return b;
   };
   Result<ProvenanceIndex> claimed = ProvenanceIndex::Deserialize(crafted(10));
@@ -124,16 +124,16 @@ TEST_F(IndexTest, DeserializeRejectsInconsistentBlobs) {
   u64(&junk_arena, 0);             // num_items
   u64(&junk_arena, 64);            // arena_bits
   junk_arena.append(5, '\0');      // codec widths
-  junk_arena.push_back(2);         // tail-format version
+  junk_arena.push_back(LabelStore::kTailFormatVersion);
   u64(&junk_arena, 0);             // span_bits
-  u64(&junk_arena, 64);            // payload_bits
+  u64(&junk_arena, 64);            // stored arena size
   u64(&junk_arena, 0xDEADBEEFULL); // uncovered arena bits
   Result<ProvenanceIndex> junk = ProvenanceIndex::Deserialize(junk_arena);
   EXPECT_EQ(junk.code(), ErrorCode::kMalformedBlob);
   EXPECT_EQ(junk.status().message(), "label lengths do not cover the arena");
 }
 
-// Targeted corruption of the v2 (FVLIDX3) compressed span tail: the block
+// Targeted corruption of the v3 (FVLIDX3) compressed span tail: the block
 // headers are vbyte + fixed-width fields, so a flipped continuation bit or
 // a lying length must surface as kMalformedBlob, never as an abort or an
 // accepted misparse.
@@ -152,10 +152,14 @@ TEST_F(IndexTest, DeserializeRejectsV2TailCorruption) {
   Result<ProvenanceIndex> rejected = ProvenanceIndex::Deserialize(bad_version);
   EXPECT_EQ(rejected.code(), ErrorCode::kMalformedBlob);
   EXPECT_EQ(rejected.status().message(), "unsupported tail-format version");
-  // A v1 version byte under the v3 magic is just as foreign.
-  bad_version[version_at] = 1;
-  EXPECT_EQ(ProvenanceIndex::Deserialize(bad_version).code(),
-            ErrorCode::kMalformedBlob);
+  // Retired versions under the same magic are just as foreign: v2 tails
+  // (short payloads inline in the span stream) and v1.
+  for (int retired : {2, 1}) {
+    bad_version[version_at] = static_cast<char>(retired);
+    rejected = ProvenanceIndex::Deserialize(bad_version);
+    EXPECT_EQ(rejected.code(), ErrorCode::kMalformedBlob);
+    EXPECT_EQ(rejected.status().message(), "unsupported tail-format version");
+  }
 
   // Continuation bit forced on in block 0's vbyte base length: the base
   // swallows the delta-width field and every downstream read misaligns.
@@ -172,23 +176,26 @@ TEST_F(IndexTest, DeserializeRejectsV2TailCorruption) {
       out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
     }
   };
-  std::string runaway(blob, 0, 24 + 5);  // header + codec widths
-  runaway.push_back(2);                  // tail-format version
-  u64(&runaway, 11 * 8);                 // span_bits: 11 vbyte groups
+  std::string runaway(blob, 0, 16);  // magic + num_items
+  u64(&runaway, 0);                  // arena_bits
+  runaway.append(blob, 24, 5);       // codec widths
+  runaway.push_back(LabelStore::kTailFormatVersion);
+  u64(&runaway, 11 * 8);  // span_bits: 11 vbyte groups
   runaway.append(std::string(11, '\xFF'));
   runaway.append(5, '\0');  // pad the 88-bit stream to word granularity
-  u64(&runaway, 0);         // payload_bits
-  EXPECT_EQ(ProvenanceIndex::Deserialize(runaway).code(),
-            ErrorCode::kMalformedBlob);
+  u64(&runaway, 0);         // stored arena size
+  Result<ProvenanceIndex> ran_away = ProvenanceIndex::Deserialize(runaway);
+  EXPECT_EQ(ran_away.code(), ErrorCode::kMalformedBlob);
+  EXPECT_EQ(ran_away.status().message(), "truncated span stream");
 
   // Claimed items with an empty span stream: the block walk starves.
   std::string starved(blob, 0, 8);
   u64(&starved, 10);  // num_items
   u64(&starved, 0);   // arena_bits
   starved.append(5, '\0');
-  starved.push_back(2);
+  starved.push_back(LabelStore::kTailFormatVersion);
   u64(&starved, 0);  // span_bits
-  u64(&starved, 0);  // payload_bits
+  u64(&starved, 0);  // stored arena size
   EXPECT_EQ(ProvenanceIndex::Deserialize(starved).code(),
             ErrorCode::kMalformedBlob);
 

@@ -132,8 +132,9 @@ TEST_F(LabelStoreTest, ArenaGrowsAcrossFreezes) {
 }
 
 TEST_F(LabelStoreTest, AppendGroupsMatchesPerLabelAppend) {
-  // The bulk path (one arena copy + offset rebasing) must produce exactly
-  // the store that per-label appends produce.
+  // The bulk path (two stream copies + skip-table rebasing) must produce
+  // exactly the store that per-label appends produce, and so must the
+  // public Merge entry point, serialization included.
   auto a = Session(40, 7);
   auto b = Session(25, 8);
 
@@ -162,54 +163,11 @@ TEST_F(LabelStoreTest, AppendGroupsMatchesPerLabelAppend) {
   bulk.AppendTail(&bulk_tail);
   manual.AppendTail(&manual_tail);
   EXPECT_EQ(bulk_tail, manual_tail);
-}
 
-// Grouped bulk appends rebase the span streams by bit-copy plus skip-table
-// fixups — never re-encoding or re-homing a label. That only stays correct
-// if inlined short labels (which live in the length/meta stream, not the
-// arena) survive rebasing, so this test demands that the inputs actually
-// exercise inlining, then checks the bulk merge against a per-label rebuild
-// and the materialized Merge artifact.
-TEST_F(LabelStoreTest, AppendGroupsRebasesInlinedLabels) {
-  auto a = Session(40, 21);
-  auto b = Session(40, 22);
-  const LabelStore& store_a = a->labeler().store();
-  const LabelStore& store_b = b->labeler().store();
-  ASSERT_GT(store_a.inline_items(), 0) << "run too long to exercise inlining";
-  ASSERT_GT(store_b.inline_items(), 0);
-  ASSERT_LT(store_a.inline_items(), store_a.total_items())
-      << "run too short to exercise the long-label arena";
-
-  LabelStore bulk(codec_);
-  ASSERT_TRUE(bulk.AppendGroups(store_a).ok());
-  ASSERT_TRUE(bulk.AppendGroups(store_b).ok());
-  EXPECT_EQ(bulk.inline_items(),
-            store_a.inline_items() + store_b.inline_items());
-
-  LabelStore manual(codec_);
-  manual.BeginGroup();
-  for (int item = 0; item < a->num_items(); ++item) {
-    manual.Append(a->Label(item));
-  }
-  manual.BeginGroup();
-  for (int item = 0; item < b->num_items(); ++item) {
-    manual.Append(b->Label(item));
-  }
-  for (int global = 0; global < bulk.total_items(); ++global) {
-    ASSERT_EQ(bulk.DecodeLabel(global), manual.DecodeLabel(global));
-  }
-  std::string bulk_tail, manual_tail;
-  bulk.AppendTail(&bulk_tail);
-  manual.AppendTail(&manual_tail);
-  EXPECT_EQ(bulk_tail, manual_tail);
-
-  // The same rebase through the public Merge entry point is bit-identical,
-  // serialization included.
   std::vector<ProvenanceIndex> runs;
   runs.push_back(a->Snapshot());
   runs.push_back(b->Snapshot());
   ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
-  EXPECT_EQ(merged.store().inline_items(), bulk.inline_items());
   std::string merged_tail;
   merged.store().AppendTail(&merged_tail);
   EXPECT_EQ(merged_tail, bulk_tail);
@@ -248,12 +206,12 @@ TEST_F(LabelStoreTest, TailRoundTripsThroughParseTail) {
   }
 }
 
-// Hand-crafted v2 tails probing the span-stream edge cases a random flip
-// rarely lands on: sub-presence lengths, bases past the arena, inline
-// payloads missing from the stream, long labels with an empty arena, and
-// both trailing-bits checks. Every one is a recoverable kMalformedBlob.
-TEST_F(LabelStoreTest, ParseTailRejectsCraftedV2EdgeCases) {
-  auto craft = [&](const BitWriter& span, const BitWriter& payload) {
+// Hand-crafted v3 tails probing the span-stream edge cases a random flip
+// rarely lands on: sub-presence lengths, bases past the arena, an arena
+// whose stored size disagrees with the header, and both coverage checks.
+// Every one is a recoverable kMalformedBlob.
+TEST_F(LabelStoreTest, ParseTailRejectsCraftedV3EdgeCases) {
+  auto craft = [&](const BitWriter& span, const BitWriter& arena) {
     std::string tail;
     for (int width : {codec_.production_bits, codec_.position_bits,
                       codec_.cycle_bits, codec_.start_bits,
@@ -263,8 +221,8 @@ TEST_F(LabelStoreTest, ParseTailRejectsCraftedV2EdgeCases) {
     tail.push_back(static_cast<char>(LabelStore::kTailFormatVersion));
     LabelStore::AppendU64(&tail, static_cast<uint64_t>(span.size_bits()));
     for (uint64_t word : span.words()) LabelStore::AppendU64(&tail, word);
-    LabelStore::AppendU64(&tail, static_cast<uint64_t>(payload.size_bits()));
-    for (uint64_t word : payload.words()) LabelStore::AppendU64(&tail, word);
+    LabelStore::AppendU64(&tail, static_cast<uint64_t>(arena.size_bits()));
+    for (uint64_t word : arena.words()) LabelStore::AppendU64(&tail, word);
     return tail;
   };
   auto expect_reject = [&](const std::string& tail, uint64_t arena_bits,
@@ -276,73 +234,46 @@ TEST_F(LabelStoreTest, ParseTailRejectsCraftedV2EdgeCases) {
     EXPECT_EQ(parsed.code(), ErrorCode::kMalformedBlob);
     EXPECT_EQ(parsed.status().message(), want);
   };
+  // An arena of `bits` zero bits.
+  auto zeros = [](int bits) {
+    BitWriter arena;
+    arena.WriteFixed(0, bits);
+    return arena;
+  };
+  // One block of one label of `length` bits.
+  auto one_label = [](uint64_t length) {
+    BitWriter span;
+    span.WriteVByte(length);
+    span.WriteFixed(0, 6);
+    return span;
+  };
 
   // A 1-bit label cannot hold its two presence bits.
-  {
-    BitWriter span;
-    span.WriteVByte(1);
-    span.WriteFixed(0, 6);
-    expect_reject(craft(span, BitWriter()), /*arena_bits=*/1, /*items=*/1,
-                  "label shorter than its presence bits");
-  }
+  expect_reject(craft(one_label(1), zeros(1)), /*arena_bits=*/1, /*items=*/1,
+                "label shorter than its presence bits");
   // Block base length larger than the whole arena.
-  {
-    BitWriter span;
-    span.WriteVByte(100);
-    span.WriteFixed(0, 6);
-    expect_reject(craft(span, BitWriter()), 4, 1,
-                  "label lengths exceed the arena");
-  }
-  // Inline-length label whose payload bits are missing from the stream.
-  {
-    BitWriter span;
-    span.WriteVByte(8);
-    span.WriteFixed(0, 6);
-    expect_reject(craft(span, BitWriter()), 8, 1, "truncated span stream");
-  }
-  // A label past the inline threshold with an empty long-label arena.
-  {
-    const uint64_t long_len =
-        static_cast<uint64_t>(LabelStore::InlineThresholdBits(codec_)) + 1;
-    BitWriter span;
-    span.WriteVByte(long_len);
-    span.WriteFixed(0, 6);
-    expect_reject(craft(span, BitWriter()), long_len, 1,
-                  "truncated label arena");
-  }
+  expect_reject(craft(one_label(100), zeros(4)), 4, 1,
+                "label lengths exceed the arena");
+  // A label with an empty arena: the tail's stored arena size (0) is not
+  // the header's.
+  expect_reject(craft(one_label(8), BitWriter()), 8, 1,
+                "label arena size disagrees with the header");
+  // An arena longer than the header says.
+  expect_reject(craft(one_label(2), zeros(3)), 2, 1,
+                "label arena size disagrees with the header");
   // Lengths that under-cover the claimed arena.
-  {
-    BitWriter span;
-    span.WriteVByte(2);
-    span.WriteFixed(0, 6);
-    span.WriteFixed(0, 2);  // the inline 2-bit (empty) label
-    expect_reject(craft(span, BitWriter()), 5, 1,
-                  "label lengths do not cover the arena");
-  }
+  expect_reject(craft(one_label(2), zeros(5)), 5, 1,
+                "label lengths do not cover the arena");
   // Unaccounted bits after the final block.
   {
-    BitWriter span;
-    span.WriteVByte(2);
-    span.WriteFixed(0, 6);
-    span.WriteFixed(0, 2);
+    BitWriter span = one_label(2);
     span.WriteFixed(0, 5);  // trailing garbage
-    expect_reject(craft(span, BitWriter()), 2, 1,
+    expect_reject(craft(span, zeros(2)), 2, 1,
                   "span stream has trailing bits");
-  }
-  // Unconsumed long-label payload bits.
-  {
-    BitWriter span;
-    span.WriteVByte(2);
-    span.WriteFixed(0, 6);
-    span.WriteFixed(0, 2);
-    BitWriter payload;
-    payload.WriteFixed(0, 3);
-    expect_reject(craft(span, payload), 2, 1,
-                  "label arena has trailing bits");
   }
 }
 
-// Seeded byte flips over a real v2 tail, through ParseTail directly: every
+// Seeded byte flips over a real v3 tail, through ParseTail directly: every
 // mutant either parses (and then every label decodes — the parser
 // validated the spans) or comes back kMalformedBlob. Fatal under
 // ASan/UBSan if any path over-reads or aborts.
@@ -493,9 +424,19 @@ TEST_F(LabelStoreTest, ExtractDeltaPartitionsTheArena) {
 
 // The bound the span cursor's scan rests on: consecutive skip-table
 // checkpoints, and the tail after the last one, are at most kSkipInterval
-// items apart, on a store from every build path.
+// items apart, on a store from every build path. Every path also keeps
+// every payload in the arena and nothing but gamma lengths in the meta
+// stream.
 TEST_F(LabelStoreTest, SkipCheckpointsAreAtMostOneIntervalApart) {
   auto expect_bounded = [](const LabelStore& store, const char* path) {
+    EXPECT_EQ(LabelStoreTestPeer::ArenaStreamBits(store), store.arena_bits())
+        << path;
+    int64_t gamma_bits = 0;
+    for (int global = 0; global < store.total_items(); ++global) {
+      gamma_bits +=
+          GammaLength(static_cast<uint64_t>(store.LabelBits(global)));
+    }
+    EXPECT_EQ(LabelStoreTestPeer::MetaBits(store), gamma_bits) << path;
     std::vector<int64_t> items = LabelStoreTestPeer::SkipItems(store);
     ASSERT_FALSE(items.empty()) << path;
     EXPECT_EQ(items.front(), 0) << path;
@@ -574,19 +515,19 @@ std::string ToHex(std::string_view bytes) {
 }
 
 // The serialized layout is a compatibility contract: this FVLIDX3 blob was
-// pinned when the block-compressed span tail landed (tail-format version 2)
+// pinned when every payload moved into the arena (tail-format version 3)
 // for a fixed 8-item paper-example run, and the pipeline must keep emitting
-// it byte for byte. If the format ever changes deliberately, bump the magic
-// and LabelStore::kTailFormatVersion, re-pin, and add a docs/MIGRATION.md
+// it byte for byte. If the format ever changes deliberately, bump
+// LabelStore::kTailFormatVersion, re-pin, and add a docs/MIGRATION.md
 // entry instead of editing the constant in place.
 TEST_F(LabelStoreTest, SerializedFormatIsStable) {
   constexpr char kGoldenHex[] =
-      "46564c49445833001c00000000000000b003000000000000030301010202b701000000"
-      "000000050660000714a00155bb0018946817208332eb822018da0d4a044bbb41998058"
-      "170c01b32e5882625d40046d84619865e7791cc7ef334d00af020000000000001b9422"
-      "204a13505284c0986d024a8a318b504c4049316613aa09282942211c135052844ab8a6"
-      "a0a4a0e4401ea6a0a4a0e4489e164c088cd916cc98452816cc984da8164c288463c184"
-      "4ab8360c2507f2b061283992270000";
+      "46564c49445833001c00000000000000b003000000000000030301010203b600000000"
+      "0000000506000000a06996a6599635c230ccb2f33c8ee3f7992600b003000000000000"
+      "c695562f000625172083b20b8260dca044b06e502620170c01bb6009ca0544d0362845"
+      "409426a0a4088131db0494146316a198809262cc265413505284423826a0a40895704d"
+      "414941c9813c4c414941c9913c2d981018b32d98318b502c98319b502d985008c78209"
+      "95706d184a0ee461c35072244f0000";
 
   auto session = Session(8, 1);
   EXPECT_EQ(ToHex(session->Snapshot().Serialize()), kGoldenHex);

@@ -166,11 +166,11 @@ TEST(NetProtocol, SeededByteFlipsNeverCrashTheResponseParser) {
   }
 }
 
-// Snapshot responses carry serialized FVLIDX3 blobs (the v2 compressed
-// span tail) as opaque bodies: a peer-corrupted body must survive the full
+// Snapshot responses carry serialized FVLIDX3 blobs (the compressed span
+// tail) as opaque bodies: a peer-corrupted body must survive the full
 // untrusted path — response parse, then index deserialize — as a clean
 // decode or kMalformedBlob, never a crash (vbyte continuation bits, block
-// length fields, and inline payload boundaries all live in this region).
+// length fields, and the arena size all live in this region).
 TEST(NetProtocol, SeededFlipsOnSnapshotBlobBodiesNeverCrashDeserialize) {
   Workload bio = MakeBioAid(2012);
   auto service = ProvenanceService::Create(bio.spec).value();

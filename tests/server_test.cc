@@ -9,9 +9,15 @@
 // concurrent pipelined load) and its per-query error isolation, abrupt
 // disconnects mid-frame,
 // drain-on-shutdown (no torn frames, only clean answers or kUnavailable),
-// the single artifact id space, and compaction over a served archive.
+// an accept loop that outlives descriptor exhaustion, the single artifact
+// id space, and compaction over a served archive.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <chrono>
@@ -632,6 +638,84 @@ TEST(ServerLifecycle, ClosedConnectionSlotsAreReaped) {
   ProvenanceClient last =
       ProvenanceClient::Connect(rig.server->port()).value();
   EXPECT_EQ(last.Ping().value(), kProtocolVersion);
+  rig.server->Stop();
+}
+
+// An unconnected loopback TCP socket whose receives give up after 2 s, so
+// a server that never answers fails a check instead of hanging the test.
+Socket RawClientSocket() {
+  Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
+  timeval timeout{.tv_sec = 2, .tv_usec = 0};
+  ::setsockopt(socket.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+               sizeof(timeout));
+  return socket;
+}
+
+bool ConnectLoopback(const Socket& socket, int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return ::connect(socket.fd(), reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)) == 0;
+}
+
+// Sends one kPing and reads until its whole answer frame has arrived;
+// false if the receive timeout or EOF comes first.
+bool PingAnswered(const Socket& socket) {
+  std::string ping;
+  AppendFrame(&ping, EncodePingRequest());
+  if (!WriteAll(socket, ping).ok()) return false;
+  std::string buffer;
+  char chunk[256];
+  for (;;) {
+    size_t frame_size = 0;
+    std::string_view payload;
+    if (TryExtractFrame(buffer, &frame_size, &payload) == FrameStatus::kFrame) {
+      return true;
+    }
+    Result<ReadOutcome> outcome = ReadSome(socket, chunk, sizeof(chunk));
+    if (!outcome.ok() || outcome->eof) return false;
+    buffer.append(chunk, outcome->n);
+  }
+}
+
+TEST(ServerLifecycle, AcceptLoopSurvivesDescriptorExhaustion) {
+  // Linux reserves accept()'s new descriptor before it blocks, so a process
+  // at its fd limit fails accept() with EMFILE even with no connection
+  // pending. Once descriptors are free again, the server must accept.
+  TestRig rig = TestRig::Make();
+  const int port = rig.server->port();
+  Socket first = RawClientSocket();
+  ASSERT_TRUE(ConnectLoopback(first, port));
+  ASSERT_TRUE(PingAnswered(first));
+
+  Socket during = RawClientSocket();  // its fd exists before the limit drops
+  ASSERT_TRUE(during.valid());
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit exhausted = saved;
+  {
+    // The lowest free descriptor: with the limit there, every new fd fails.
+    Socket probe(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_TRUE(probe.valid());
+    exhausted.rlim_cur = static_cast<rlim_t>(probe.fd());
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &exhausted), 0);
+  // No assertion may return while the limit is down.
+  const bool during_connected = ConnectLoopback(during, port);
+  // Time for the acceptor to take `during` on the descriptor it reserved
+  // before the limit dropped, and to fail its next accept().
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const bool restored = setrlimit(RLIMIT_NOFILE, &saved) == 0;
+  ASSERT_TRUE(restored);
+  ASSERT_TRUE(during_connected);
+
+  EXPECT_TRUE(PingAnswered(during));
+  Socket after = RawClientSocket();
+  ASSERT_TRUE(ConnectLoopback(after, port));
+  EXPECT_TRUE(PingAnswered(after)) << "the accept loop died on EMFILE";
+  EXPECT_EQ(rig.server->stats().connections, 3u);
   rig.server->Stop();
 }
 

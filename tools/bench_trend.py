@@ -87,7 +87,7 @@ KNOWN_UNTRACKED = {
     "heap_qps", "mapped_cold_qps", "mapped_pct_of_heap", "archive_kb",
     "compact_peak_stores",
     # bench_fig17_label_length: stats-only baseline for a future prefix
-    # dictionary coder (fraction of long-label arena bits shared with the
+    # dictionary coder (fraction of label arena bits shared with the
     # previous item's label prefix).
     "prefix_dupe_ratio",
 }

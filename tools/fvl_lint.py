@@ -31,7 +31,10 @@ Rules:
                 constant in tests/label_store_test.cc. The rule compares
                 digests of those regions against tools/tail_format.lock;
                 after a deliberate, reviewed change run
-                `tools/fvl_lint.py --update-tail-lock` to refresh it.
+                `tools/fvl_lint.py --update-tail-lock` to refresh it. Every
+                version also needs its migration note: docs/MIGRATION.md
+                must have a heading naming "tail format vN" for the
+                current kTailFormatVersion N.
   trend-zero    Behavioral probe of the perf gate itself: runs
                 tools/bench_trend.py against seeded fixtures whose baseline
                 metric is exactly 0 and demands that a large worsening still
@@ -40,8 +43,8 @@ Rules:
                 silently ungate zero baselines.
 
 Exit codes: 0 clean, 1 violations (printed one per line), 2 bad invocation.
---self-test seeds one violation per rule in a temp tree and fails loudly if
-any rule misses its seed — the linter lints itself.
+--self-test seeds violations (at least one per rule) in temp trees and fails
+loudly if any rule misses its seed — the linter lints itself.
 """
 
 import argparse
@@ -288,6 +291,7 @@ TAIL_LOCK = "tools/tail_format.lock"
 TAIL_HEADER = "src/fvl/core/label_store.h"
 TAIL_SOURCE = "src/fvl/core/label_store.cc"
 TAIL_GOLDEN_TEST = "tests/label_store_test.cc"
+TAIL_MIGRATION_DOC = "docs/MIGRATION.md"
 TAIL_FN_RE = re.compile(r"LabelStore::(?:AppendTail|ParseTail)[^{;]*{")
 TAIL_VERSION_RE = re.compile(r"kTailFormatVersion\s*=\s*(\d+)")
 TAIL_GOLDEN_RE = re.compile(r'kGoldenHex\[\]\s*=\s*((?:\s*"[0-9a-f]*")+)')
@@ -350,6 +354,14 @@ def check_tail_format(root):
     except json.JSONDecodeError as error:
         return [f"{lock_path}: unparseable: {error}"]
     violations = []
+    doc_path = os.path.join(root, TAIL_MIGRATION_DOC)
+    heading = re.compile(rf"^#+ .*\btail format v{version}\b",
+                         re.IGNORECASE | re.MULTILINE)
+    if not (os.path.exists(doc_path) and heading.search(open(doc_path).read())):
+        violations.append(
+            f"{TAIL_MIGRATION_DOC}: no heading naming 'tail format "
+            f"v{version}' — every kTailFormatVersion ({TAIL_HEADER}) needs a "
+            "migration note saying what happens to older archives")
     locked_version = lock.get("tail_format_version")
     if layout != lock.get("layout_digest") and version == locked_version:
         violations.append(
@@ -443,9 +455,31 @@ def write(root, rel, content):
         f.write(content)
 
 
-def seed_violation(rule, root):
+def seed_tail_tree(root, version):
+    """Writes the three files tail_format_state reads, at `version`."""
+    write(root, "src/fvl/core/label_store.h",
+          f"static constexpr int kTailFormatVersion = {version};\n")
+    write(root, "src/fvl/core/label_store.cc",
+          "void LabelStore::AppendTail(std::string* blob) const {\n"
+          "  // layout\n"
+          "}\n"
+          "Result<LabelStore> LabelStore::ParseTail(\n"
+          "    std::string_view blob) {\n"
+          "  return {};\n"
+          "}\n")
+    write(root, "tests/label_store_test.cc",
+          'constexpr char kGoldenHex[] = "aabbcc";\n')
+
+
+# Seeded violations for --self-test: seed name -> the rule that must catch
+# it. Every rule has a seed named after it; some rules have more.
+SEEDS = {rule: rule for rule in RULES}
+SEEDS["tail-migration-note"] = "tail-format"
+
+
+def seed_violation(seed, root):
     """Builds a minimal tree under root violating exactly one rule."""
-    if rule == "nodiscard":
+    if seed == "nodiscard":
         write(root, "src/fvl/util/status.h",
               "class [[nodiscard]] Status {};\n"
               "template <typename T> class [[nodiscard]] Result {};\n")
@@ -453,54 +487,54 @@ def seed_violation(rule, root):
               "class Thing {\n public:\n"
               "  Status Frob(int x);\n"  # missing [[nodiscard]]
               "};\n")
-    elif rule == "parse-abort":
+    elif seed == "parse-abort":
         write(root, "src/fvl/net/wire.cc",
               "Result<Request> DecodeRequest(std::string_view payload) {\n"
               "  FVL_CHECK(!payload.empty());\n"
               "  return {};\n"
               "}\n")
-    elif rule == "naked-mutex":
+    elif seed == "naked-mutex":
         write(root, "src/fvl/util/thing.h",
               "class Thing {\n private:\n"
               "  std::mutex mu_;\n"
               "};\n")
-    elif rule == "raw-io":
+    elif seed == "raw-io":
         write(root, "src/fvl/core/sneaky.cc",
               "void Load() {\n"
               "  int fd = ::open(\"/tmp/x\", O_RDONLY);\n"
               "}\n")
-    elif rule == "test-registry":
+    elif seed == "test-registry":
         write(root, "tests/CMakeLists.txt",
               "set(FVL_TESTS\n  registered_test\n)\n")
         write(root, "tests/registered_test.cc", "// fine\n")
         write(root, "tests/orphan_test.cc", "// never runs\n")
-    elif rule == "bench-keys":
+    elif seed == "bench-keys":
         write(root, "tools/bench_trend.py",
               "TRACKED = {'merged_qps': True}\n"
               "ID_COLUMNS = {'runs'}\n"
               "KNOWN_UNTRACKED = {'merge_ms'}\n")
         write(root, "bench/bench_merge_query.cc",
               'TablePrinter table({"runs", "merge_ms", "mystery_metric"});\n')
-    elif rule == "tail-format":
+    elif seed == "tail-format":
         # A layout edit (different AppendTail body than the lock pinned)
         # without a version bump: the wire break the rule exists to catch.
-        write(root, "src/fvl/core/label_store.h",
-              "static constexpr int kTailFormatVersion = 2;\n")
-        write(root, "src/fvl/core/label_store.cc",
-              "void LabelStore::AppendTail(std::string* blob) const {\n"
-              "  // sneaky new layout, same version\n"
-              "}\n"
-              "Result<LabelStore> LabelStore::ParseTail(\n"
-              "    std::string_view blob) {\n"
-              "  return {};\n"
-              "}\n")
-        write(root, "tests/label_store_test.cc",
-              'constexpr char kGoldenHex[] = "aabbcc";\n')
+        seed_tail_tree(root, 2)
+        write(root, "docs/MIGRATION.md", "## Label-store tail format v2\n")
         write(root, "tools/tail_format.lock",
               json.dumps({"tail_format_version": 2,
                           "layout_digest": "0" * 64,
                           "golden_digest": "1" * 64}))
-    elif rule == "trend-zero":
+    elif seed == "tail-migration-note":
+        # A version bump re-pinned by the book (the lock matches the tree)
+        # whose migration note was never written: MIGRATION.md still stops
+        # at the previous version.
+        seed_tail_tree(root, 3)
+        write(root, "docs/MIGRATION.md", "## Label-store tail format v2\n")
+        version, layout, golden = tail_format_state(root)
+        write(root, "tools/tail_format.lock",
+              json.dumps({"tail_format_version": version,
+                          "layout_digest": layout, "golden_digest": golden}))
+    elif seed == "trend-zero":
         # The pre-fix bench_trend.py: zero-baseline metrics silently
         # `continue`d, so every comparison against a 0 baseline exited 0
         # with no log line. The rule must catch that behavior.
@@ -512,21 +546,22 @@ def seed_violation(rule, root):
 
 def self_test():
     failures = []
-    for rule, checker in RULES.items():
-        with tempfile.TemporaryDirectory(prefix=f"fvl_lint_{rule}_") as tmp:
-            seed_violation(rule, tmp)
-            found = checker(tmp)
+    for seed, rule in SEEDS.items():
+        with tempfile.TemporaryDirectory(prefix=f"fvl_lint_{seed}_") as tmp:
+            seed_violation(seed, tmp)
+            found = RULES[rule](tmp)
             if found:
-                print(f"self-test [{rule}]: caught seeded violation: "
+                print(f"self-test [{seed}]: caught seeded violation: "
                       f"{found[0]}")
             else:
-                failures.append(rule)
-                print(f"self-test [{rule}]: MISSED its seeded violation")
+                failures.append(seed)
+                print(f"self-test [{seed}]: MISSED its seeded violation")
     if failures:
-        print(f"fvl_lint self-test: {len(failures)} rule(s) blind: "
+        print(f"fvl_lint self-test: {len(failures)} seed(s) missed: "
               f"{', '.join(failures)}")
         return 1
-    print(f"fvl_lint self-test: all {len(RULES)} rules catch their seeds")
+    print(f"fvl_lint self-test: all {len(SEEDS)} seeds caught "
+          f"({len(RULES)} rules)")
     return 0
 
 
