@@ -57,7 +57,9 @@ class ProvenanceIndex {
   // merge, or a deserialized blob).
   explicit ProvenanceIndex(LabelStore store)
       : store_(std::move(store)),
-        cache_(internal::MakeServingCache(store_.total_items())) {}
+        cache_(store_.total_items() > 0
+                   ? std::make_shared<ServingCache>(store_.total_items())
+                   : nullptr) {}
 
   int num_runs() const { return store_.num_groups(); }
   int num_items(int run) const { return store_.num_items(run); }

@@ -25,41 +25,40 @@
 // is therefore exactly the label the querying service would have decoded
 // and accepted.
 //
-// Thread safety: the cache is a ShardedCache (per-shard fvl::Mutex,
-// FVL_GUARDED_BY slots); counters are relaxed atomics readable live from
-// any thread (net::ProvenanceServer aggregates them into ServerStats).
+// Layout and policy, in order of the constraints they serve:
+//
+//   1. Bounded memory, paid for on use. The slot count is fixed at
+//      construction and no entry is ever heap-chained. A shard allocates
+//      its slots on the first insert that hashes into it and never grows
+//      after that, so a snapshot nobody queries holds only its shard
+//      headers, and construction stays O(shards), keeping the O(delta)
+//      snapshot contract intact.
+//   2. Skew-friendly admission. Slots are direct-mapped, and each carries a
+//      small frequency counter: hits increment it, and an insert that
+//      collides with a *different* resident key decrements the resident
+//      instead of evicting it, replacing only when the counter reaches
+//      zero. Under zipfian traffic a hot resident out-earns the stream of
+//      cold one-shot keys that hash onto its slot, so the cache converges
+//      on the head of the distribution instead of thrashing on the tail
+//      (the DMCache/CLOCK idiom; see docs/ARCHITECTURE.md).
+//   3. Checkable locking. One fvl::Mutex per shard, slots FVL_GUARDED_BY
+//      it, so the thread-safety CI lane verifies every access path; a
+//      lookup or insert is one slot probe under one shard lock. Counters
+//      are relaxed atomics, readable live from any thread
+//      (net::ProvenanceServer aggregates them into ServerStats).
 
 #ifndef FVL_CORE_SERVING_CACHE_H_
 #define FVL_CORE_SERVING_CACHE_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "fvl/core/data_label.h"
-#include "fvl/util/sharded_cache.h"
+#include "fvl/util/thread_annotations.h"
 
 namespace fvl {
-
-// Identity of one cached decoded label. The service tag is part of the key
-// because LabelInBounds vetting is grammar-specific: two services can share
-// an index (codec widths match) while differing structurally, and neither
-// may consume labels only the other vetted.
-struct LabelCacheKey {
-  uint64_t service_tag = 0;  // the ProvenanceService whose vetting admitted it
-  int32_t item = -1;         // item id in the owning index's id space
-
-  friend bool operator==(const LabelCacheKey&, const LabelCacheKey&) = default;
-};
-
-struct LabelCacheKeyHash {
-  size_t operator()(const LabelCacheKey& k) const {
-    uint64_t h = k.service_tag;
-    h = h * 1099511628211ull ^ static_cast<uint32_t>(k.item);
-    return static_cast<size_t>(h);
-  }
-};
 
 // Counter snapshot; feeds net::ServerStats and the bench columns.
 struct ServingCacheStats {
@@ -81,19 +80,32 @@ struct ServingCacheStats {
 
 class ServingCache {
  public:
-  // The label cache covers the whole snapshot up to a cap (labels are a
-  // few hundred bytes decoded).
+  // One slot per item up to a cap (labels are a few hundred bytes
+  // decoded); 0 items is a valid cache that never hits.
   explicit ServingCache(int num_items);
 
   ServingCache(const ServingCache&) = delete;
   ServingCache& operator=(const ServingCache&) = delete;
 
-  bool LookupLabel(uint64_t service_tag, int item, DataLabel* out) const {
-    return labels_.Lookup(LabelCacheKey{service_tag, item}, out);
+  // Total slots across all shards, allocated or not.
+  int capacity() const {
+    return static_cast<int>(shards_.size()) * slots_per_shard_;
   }
-  void InsertLabel(uint64_t service_tag, int item, const DataLabel& label) {
-    labels_.Insert(LabelCacheKey{service_tag, item}, label);
-  }
+  // Slots currently backed by memory: capacity() once every shard has seen
+  // an insert, 0 for a cache nothing was ever offered to.
+  int allocated_slots() const;
+
+  // Copies the label `service_tag` vetted for `item` into *out and returns
+  // true on a hit; a hit also bumps the slot's frequency (capped), which is
+  // what makes the resident resistant to eviction by colliding cold keys.
+  // A shard with no slots yet answers a counted miss.
+  bool LookupLabel(uint64_t service_tag, int item, DataLabel* out) const;
+  // Offers a vetted label. An empty slot installs it and the same key
+  // refreshes it. A slot holding a *different* key applies second chance:
+  // the resident's frequency is decremented and the insert is refused
+  // until the counter reaches zero, so a key must collide repeatedly
+  // (i.e. actually be warm) to displace an established resident.
+  void InsertLabel(uint64_t service_tag, int item, const DataLabel& label);
 
   // Counts predicate evaluations (ServingCacheStats::reach_misses).
   void CountEvaluations(uint64_t pairs) {
@@ -103,17 +115,28 @@ class ServingCache {
   ServingCacheStats stats() const;
 
  private:
-  ShardedCache<LabelCacheKey, DataLabel, LabelCacheKeyHash> labels_;
+  struct Slot {
+    uint64_t service_tag = 0;
+    int32_t item = -1;
+    DataLabel label;
+    uint8_t freq = 0;
+    bool occupied = false;
+  };
+
+  struct Shard {
+    mutable Mutex mu;
+    // Empty until the first insert into this shard, then slots_per_shard_.
+    std::vector<Slot> slots FVL_GUARDED_BY(mu);
+  };
+
+  // unique_ptr because Shard owns a Mutex (non-movable).
+  std::vector<std::unique_ptr<Shard>> shards_;
+  int slots_per_shard_ = 0;
+
+  mutable std::atomic<uint64_t> hits_{0};
+  mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evaluations_{0};
 };
-
-namespace internal {
-
-// Cache factory for index constructors: null for an empty snapshot (a
-// zero-item delta or a default-constructed merged index allocates nothing).
-std::shared_ptr<ServingCache> MakeServingCache(int num_items);
-
-}  // namespace internal
 
 }  // namespace fvl
 

@@ -530,12 +530,15 @@ class ProvenanceServer::Impl {
     if (entry == nullptr) {
       return ErrorResponse(NotFound("session", request.session_id));
     }
-    entry->mu.Lock();
-    ProvenanceIndex index = request.type == MsgType::kSnapshotDelta
-                                ? entry->session->SnapshotDelta()
-                                : entry->session->Snapshot();
-    int frozen = entry->session->frozen_items();
-    entry->mu.Unlock();
+    ProvenanceIndex index;
+    int frozen = 0;
+    {
+      MutexLock lock(&entry->mu);
+      index = request.type == MsgType::kSnapshotDelta
+                  ? entry->session->SnapshotDelta()
+                  : entry->session->Snapshot();
+      frozen = entry->session->frozen_items();
+    }
     const int num_items = index.num_items();
     std::string body;
     AppendU64(&body, Register(std::move(index)));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 namespace fvl {
 
@@ -59,9 +60,11 @@ int64_t LatencyHistogram::Percentile(double q) const {
   if (count_ == 0) return 0;
   if (q <= 0.0) return min_;
   if (q >= 1.0) return max_;
-  // Rank of the requested quantile, 1-based (nearest-rank definition).
-  int64_t rank = static_cast<int64_t>(q * static_cast<double>(count_)) + 1;
-  rank = std::min(rank, count_);
+  // Rank of the requested quantile, 1-based (nearest-rank definition:
+  // the smallest rank whose sample covers a q share of all samples).
+  const int64_t rank = std::clamp(
+      static_cast<int64_t>(std::ceil(q * static_cast<double>(count_))),
+      int64_t{1}, count_);
   int64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
     seen += buckets_[b];

@@ -54,16 +54,11 @@
 #define FVL_RELEASE(...) \
   FVL_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-// Escape hatch for code the analysis cannot follow (document why at every
-// use; tools/fvl_lint.py's review surface is the grep for this token).
-#define FVL_NO_THREAD_SAFETY_ANALYSIS \
-  FVL_THREAD_ANNOTATION(no_thread_safety_analysis)
-
 namespace fvl {
 
-// std::mutex with a capability attribute. Lock()/Unlock() are for the rare
-// hand-over-hand or wait-loop shapes (net/server.cc's batcher); everything
-// else uses MutexLock.
+// std::mutex with a capability attribute. Lock()/Unlock() exist for
+// MutexLock and for the one wait loop that must drop the lock mid-scope
+// (net/server.cc's batcher); everything else uses MutexLock.
 class FVL_LOCKABLE Mutex {
  public:
   Mutex() = default;
@@ -94,7 +89,8 @@ class FVL_SCOPED_CAPABILITY MutexLock {
 // Condition variable over fvl::Mutex. Wait() declares (statically) that the
 // mutex must already be held, which is exactly the std::condition_variable
 // contract the compiler could never check. Spurious wakeups are the
-// caller's business, as usual: wait in a loop or pass a predicate.
+// caller's business: wait in a `while (!pred) cv.Wait(&mu);` loop, which
+// keeps the predicate inside the lock context the analysis checks.
 class CondVar {
  public:
   CondVar() = default;
@@ -106,11 +102,6 @@ class CondVar {
     // std::mutex satisfies; the capability is held again when Wait returns,
     // matching the REQUIRES annotation.
     cv_.wait(mu->raw_);
-  }
-
-  template <typename Predicate>
-  void Wait(Mutex* mu, Predicate stop_waiting) FVL_REQUIRES(mu) {
-    cv_.wait(mu->raw_, std::move(stop_waiting));
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -1,5 +1,5 @@
-// The serving cache (util/sharded_cache.h, core/serving_cache.h): the cache
-// primitive's admission/eviction behavior and counters; the differential
+// The serving cache (core/serving_cache.h): its slot allocation,
+// admission/eviction behavior and counters; the differential
 // guarantee the service layer builds on it — batch answers, with the label
 // cache cold and warm, and sweeps equal the one-at-a-time reference path
 // across randomized specifications, all three ViewLabelModes, merged and
@@ -20,7 +20,6 @@
 #include "fvl/core/serving_cache.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/random.h"
-#include "fvl/util/sharded_cache.h"
 #include "fvl/workload/paper_example.h"
 #include "fvl/workload/synthetic.h"
 #include "fvl/workload/view_generator.h"
@@ -33,99 +32,104 @@ constexpr ViewLabelMode kAllModes[] = {ViewLabelMode::kSpaceEfficient,
                                        ViewLabelMode::kDefault,
                                        ViewLabelMode::kQueryEfficient};
 
-// ----- ShardedCache primitive. -----
+// ----- ServingCache slots, admission and counters. -----
 
-TEST(ShardedCache, InsertLookupAndCounters) {
-  ShardedCache<int, int> cache(128);
-  int out = 0;
-  EXPECT_FALSE(cache.Lookup(7, &out));
-  cache.Insert(7, 70);
-  ASSERT_TRUE(cache.Lookup(7, &out));
-  EXPECT_EQ(out, 70);
-  cache.Insert(7, 71);  // same key refreshes in place
-  ASSERT_TRUE(cache.Lookup(7, &out));
-  EXPECT_EQ(out, 71);
+using testing::CacheLabelFor;
 
-  const ShardedCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.insertions, 2u);
-  EXPECT_DOUBLE_EQ(stats.HitRate(), 2.0 / 3.0);
+TEST(ServingCache, InsertLookupAndCounters) {
+  ServingCache cache(128);
+  DataLabel out;
+  EXPECT_FALSE(cache.LookupLabel(1u, 7, &out));
+  cache.InsertLabel(1u, 7, CacheLabelFor(7));
+  ASSERT_TRUE(cache.LookupLabel(1u, 7, &out));
+  EXPECT_EQ(out, CacheLabelFor(7));
+  cache.InsertLabel(1u, 7, CacheLabelFor(8));  // same key refreshes in place
+  ASSERT_TRUE(cache.LookupLabel(1u, 7, &out));
+  EXPECT_EQ(out, CacheLabelFor(8));
+
+  const ServingCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.label_hits, 2u);
+  EXPECT_EQ(stats.label_misses, 1u);
+  EXPECT_DOUBLE_EQ(stats.LabelHitRate(), 2.0 / 3.0);
 }
 
-TEST(ShardedCache, ZeroCapacityNeverHitsAndNeverCrashes) {
-  ShardedCache<int, int> cache(0);
+TEST(ServingCache, ZeroCapacityNeverHitsAndNeverCrashes) {
+  ServingCache cache(0);
   EXPECT_EQ(cache.capacity(), 0);
-  cache.Insert(1, 10);
-  int out = 0;
-  EXPECT_FALSE(cache.Lookup(1, &out));
-  EXPECT_EQ(cache.stats().insertions, 0u);
-}
-
-TEST(ShardedCache, FreshCacheHoldsNoSlotStorage) {
-  // 8192 slots over 16 shards, none of them backed until an insert.
-  ShardedCache<int, int> cache(8192);
-  EXPECT_EQ(cache.capacity(), 8192);
+  cache.InsertLabel(1u, 1, CacheLabelFor(1));
+  DataLabel out;
+  EXPECT_FALSE(cache.LookupLabel(1u, 1, &out));
   EXPECT_EQ(cache.allocated_slots(), 0);
 }
 
-TEST(ShardedCache, LookupBeforeAnyInsertIsACountedMiss) {
-  ShardedCache<int, int> cache(8192);
-  int out = -1;
-  for (int key = 0; key < 100; ++key) EXPECT_FALSE(cache.Lookup(key, &out));
-  EXPECT_EQ(out, -1);
-  EXPECT_EQ(cache.allocated_slots(), 0);  // lookups never allocate
-  const ShardedCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 100u);
-  EXPECT_EQ(stats.insertions, 0u);
+TEST(ServingCache, FreshCacheHoldsNoSlotStorage) {
+  // 8192 slots over 16 shards, none of them backed until an insert.
+  ServingCache cache(8192);
+  EXPECT_EQ(cache.capacity(), 8192);
+  EXPECT_EQ(cache.allocated_slots(), 0);
+  // Capacity stops at 8192 slots however large the snapshot.
+  EXPECT_EQ(ServingCache(1 << 20).capacity(), 8192);
 }
 
-TEST(ShardedCache, FirstInsertAllocatesOnlyItsOwnShard) {
-  ShardedCache<int, int> cache(8192);  // 16 shards of 512 slots
+TEST(ServingCache, LookupBeforeAnyInsertIsACountedMiss) {
+  ServingCache cache(8192);
+  DataLabel out = CacheLabelFor(-1);
+  for (int item = 0; item < 100; ++item) {
+    EXPECT_FALSE(cache.LookupLabel(1u, item, &out));
+  }
+  EXPECT_EQ(out, CacheLabelFor(-1));
+  EXPECT_EQ(cache.allocated_slots(), 0);  // lookups never allocate
+  const ServingCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.label_hits, 0u);
+  EXPECT_EQ(stats.label_misses, 100u);
+}
+
+TEST(ServingCache, FirstInsertAllocatesOnlyItsOwnShard) {
+  ServingCache cache(8192);  // 16 shards of 512 slots
   const int shard_slots = cache.capacity() / 16;
-  cache.Insert(42, 420);
+  cache.InsertLabel(1u, 42, CacheLabelFor(42));
   EXPECT_EQ(cache.allocated_slots(), shard_slots);
-  int out = 0;
-  ASSERT_TRUE(cache.Lookup(42, &out));
-  EXPECT_EQ(out, 420);
+  DataLabel out;
+  ASSERT_TRUE(cache.LookupLabel(1u, 42, &out));
+  EXPECT_EQ(out, CacheLabelFor(42));
   // Re-inserting into the same shard allocates nothing more.
-  cache.Insert(42, 421);
+  cache.InsertLabel(1u, 42, CacheLabelFor(42));
   EXPECT_EQ(cache.allocated_slots(), shard_slots);
   // Enough distinct keys reach every shard, and the total stops at capacity.
-  for (int key = 0; key < 1000; ++key) cache.Insert(key, key);
+  for (int item = 0; item < 1000; ++item) {
+    cache.InsertLabel(1u, item, CacheLabelFor(item));
+  }
   EXPECT_EQ(cache.allocated_slots(), cache.capacity());
 }
 
-TEST(ShardedCache, AdmissionProtectsHotResidents) {
+TEST(ServingCache, AdmissionProtectsHotResidents) {
   // Capacity 1: every key maps to the same slot, making the second-chance
   // policy directly observable.
-  ShardedCache<int, int> cache(1);
+  ServingCache cache(1);
   ASSERT_EQ(cache.capacity(), 1);
-  cache.Insert(1, 100);
-  int out = 0;
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.Lookup(1, &out));
+  cache.InsertLabel(1u, 1, CacheLabelFor(1));
+  DataLabel out;
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.LookupLabel(1u, 1, &out));
 
   // A one-shot cold key cannot displace the hot resident.
-  cache.Insert(2, 200);
-  ASSERT_TRUE(cache.Lookup(1, &out));
-  EXPECT_EQ(out, 100);
-  EXPECT_FALSE(cache.Lookup(2, &out));
-  EXPECT_GE(cache.stats().rejections, 1u);
+  cache.InsertLabel(1u, 2, CacheLabelFor(2));
+  ASSERT_TRUE(cache.LookupLabel(1u, 1, &out));
+  EXPECT_EQ(out, CacheLabelFor(1));
+  EXPECT_FALSE(cache.LookupLabel(1u, 2, &out));
 
   // A key that keeps colliding (i.e. is actually warm) eventually wins:
   // frequency is capped, so boundedly many repeats drain the resident.
-  for (int i = 0; i < 8; ++i) cache.Insert(2, 200);
-  ASSERT_TRUE(cache.Lookup(2, &out));
-  EXPECT_EQ(out, 200);
-  EXPECT_FALSE(cache.Lookup(1, &out));
+  for (int i = 0; i < 8; ++i) cache.InsertLabel(1u, 2, CacheLabelFor(2));
+  ASSERT_TRUE(cache.LookupLabel(1u, 2, &out));
+  EXPECT_EQ(out, CacheLabelFor(2));
+  EXPECT_FALSE(cache.LookupLabel(1u, 1, &out));
 }
 
-TEST(ShardedCache, ConcurrentHammerKeepsKeyValueInvariant) {
-  // Hits must always return the value inserted for that exact key, under
-  // contention (the TSan lane runs this too). Value is a pure function of
-  // key, so any torn/mismatched entry is detected.
-  ShardedCache<int, int> cache(64);
+TEST(ServingCache, ConcurrentHammerKeepsKeyValueInvariant) {
+  // Hits must always return the label inserted for that exact key, under
+  // contention (the TSan lane runs this too). The label is a pure function
+  // of the item, so any torn/mismatched entry is detected.
+  ServingCache cache(64);
   constexpr int kThreads = 4;
   constexpr int kOps = 20000;
   std::atomic<int64_t> total_hits{0};
@@ -135,13 +139,13 @@ TEST(ShardedCache, ConcurrentHammerKeepsKeyValueInvariant) {
       Rng rng(1000 + t);
       int64_t hits = 0;
       for (int i = 0; i < kOps; ++i) {
-        const int key = rng.NextInt(0, 255);
-        int value = 0;
-        if (cache.Lookup(key, &value)) {
-          ASSERT_EQ(value, 2 * key + 1);
+        const int item = rng.NextInt(0, 255);
+        DataLabel label;
+        if (cache.LookupLabel(1u, item, &label)) {
+          ASSERT_EQ(label, CacheLabelFor(item));
           ++hits;
         } else {
-          cache.Insert(key, 2 * key + 1);
+          cache.InsertLabel(1u, item, CacheLabelFor(item));
         }
       }
       total_hits.fetch_add(hits);
@@ -149,25 +153,20 @@ TEST(ShardedCache, ConcurrentHammerKeepsKeyValueInvariant) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_GT(total_hits.load(), 0);
-  const ShardedCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, static_cast<uint64_t>(total_hits.load()));
-  EXPECT_EQ(stats.hits + stats.misses,
+  const ServingCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.label_hits, static_cast<uint64_t>(total_hits.load()));
+  EXPECT_EQ(stats.label_hits + stats.label_misses,
             static_cast<uint64_t>(kThreads) * kOps);
 }
-
-// ----- ServingCache. -----
 
 TEST(ServingCache, LabelKeysCarryTheVettingServiceTag) {
   ServingCache cache(256);
   DataLabel label;
   EXPECT_FALSE(cache.LookupLabel(7u, 3, &label));
 
-  DataLabel stored;
-  stored.producer.emplace();
-  stored.producer->port = 2;
-  cache.InsertLabel(7u, 3, stored);
+  cache.InsertLabel(7u, 3, CacheLabelFor(3));
   ASSERT_TRUE(cache.LookupLabel(7u, 3, &label));
-  EXPECT_EQ(label, stored);
+  EXPECT_EQ(label, CacheLabelFor(3));
   // The vetting service's tag is part of the label key: another service
   // looking up the same item misses — LabelInBounds vetting is grammar-
   // specific and must never leak across services sharing an index.
@@ -183,9 +182,17 @@ TEST(ServingCache, LabelKeysCarryTheVettingServiceTag) {
 }
 
 TEST(ServingCache, EmptySnapshotsCarryNoCache) {
-  EXPECT_EQ(internal::MakeServingCache(0), nullptr);
   ProvenanceIndex empty;
   EXPECT_EQ(empty.serving_cache(), nullptr);
+  // A delta frozen with nothing appended since the last freeze wraps a
+  // zero-item store, and gets no cache either.
+  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  auto session = service->GenerateLabeledRun(
+      RunGeneratorOptions{.target_items = 40, .seed = 1});
+  ASSERT_GT(session->SnapshotDelta().num_items(), 0);
+  const ProvenanceIndex no_items = session->SnapshotDelta();
+  EXPECT_EQ(no_items.num_items(), 0);
+  EXPECT_EQ(no_items.serving_cache(), nullptr);
 }
 
 // ----- Differential: batch paths ≡ the one-at-a-time reference. -----

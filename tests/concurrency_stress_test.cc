@@ -24,11 +24,11 @@
 #include <vector>
 
 #include "fvl/core/label_store.h"
+#include "fvl/core/serving_cache.h"
 #include "fvl/net/client.h"
 #include "fvl/net/server.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/random.h"
-#include "fvl/util/sharded_cache.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/view_generator.h"
 #include "test_util.h"
@@ -283,7 +283,7 @@ TEST(ConcurrencyStress, FreshCacheFirstInsertsRaceLookups) {
   constexpr int kThreads = 4;
   constexpr int kOps = 2000;
   for (int round = 0; round < kRounds; ++round) {
-    ShardedCache<int, int> cache(4096);  // 16 shards
+    ServingCache cache(4096);  // 16 shards
     std::atomic<int> ready{0};
     std::atomic<bool> failed{false};
     std::vector<std::thread> threads;
@@ -293,20 +293,20 @@ TEST(ConcurrencyStress, FreshCacheFirstInsertsRaceLookups) {
         ready.fetch_add(1);
         while (ready.load() < kThreads) std::this_thread::yield();
         for (int i = 0; i < kOps; ++i) {
-          const int key = rng.NextInt(0, 9999);
-          int value = 0;
-          if (cache.Lookup(key, &value)) {
-            if (value != 3 * key + 1) failed.store(true);
+          const int item = rng.NextInt(0, 9999);
+          DataLabel label;
+          if (cache.LookupLabel(1u, item, &label)) {
+            if (label != testing::CacheLabelFor(item)) failed.store(true);
           } else {
-            cache.Insert(key, 3 * key + 1);
+            cache.InsertLabel(1u, item, testing::CacheLabelFor(item));
           }
         }
       });
     }
     for (std::thread& thread : threads) thread.join();
     EXPECT_FALSE(failed.load()) << "round " << round;
-    const ShardedCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits + stats.misses,
+    const ServingCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.label_hits + stats.label_misses,
               static_cast<uint64_t>(kThreads) * kOps);
     EXPECT_EQ(cache.allocated_slots(), cache.capacity());
   }

@@ -570,6 +570,91 @@ TEST(ServerIds, EveryArtifactIdAnswersEveryQueryOp) {
   EXPECT_EQ(m.client.MergeRuns(unknown_input).code(), ErrorCode::kNotFound);
 }
 
+// One flush of point queries over several (view, index, mode) keys: the
+// batcher splits it into one group per key and fails bad queries alone,
+// yet every answer comes back per query and in request order. A known key
+// must answer exactly as its one-pair in-process DependsMany (out-of-range
+// errors included); an unknown view or index id exactly as a single call.
+TEST(ServerBatcher, PipelinedRunMixingKeysAnswersEachQueryInOrder) {
+  MergedRig m;
+  struct Query {
+    uint64_t view_id;
+    uint64_t index_id;
+    ViewLabelMode mode;
+    uint64_t d1, d2;
+  };
+  const uint64_t snapshot_id = m.index_ids[0];
+  const uint64_t merged_id = m.merged.merged_id;
+  const int snapshot_items = m.direct_snapshots[0].total_items();
+  const int merged_items = m.direct_merged.total_items();
+  const uint64_t unknown = 999;
+  Rng rng(61);
+  auto item_below = [&rng](int n) {
+    return static_cast<uint64_t>(rng.NextInt(0, n - 1));
+  };
+  std::vector<Query> queries;
+  for (int round = 0; round < 8; ++round) {
+    const ViewLabelMode mode = round % 2 == 0 ? ViewLabelMode::kDefault
+                                              : ViewLabelMode::kQueryEfficient;
+    const uint64_t s1 = item_below(snapshot_items);
+    const uint64_t s2 = item_below(snapshot_items);
+    const uint64_t m1 = item_below(merged_items);
+    const uint64_t m2 = item_below(merged_items);
+    queries.push_back({m.view_id, snapshot_id, mode, s1, s2});
+    queries.push_back({m.view_id, merged_id, mode, m1, m2});
+    queries.push_back(
+        {m.view_id, snapshot_id, ViewLabelMode::kDefault, s2, s1});
+    if (round == 2) queries.push_back({m.view_id, unknown, mode, 0, 1});
+    if (round == 4) queries.push_back({unknown, merged_id, mode, 0, 1});
+    if (round == 6) {
+      queries.push_back({m.view_id, merged_id, mode,
+                         static_cast<uint64_t>(merged_items), 0});
+    }
+    queries.push_back(
+        {m.view_id, merged_id, ViewLabelMode::kQueryEfficient, m2, m1});
+  }
+
+  for (const Query& q : queries) {
+    m.client.QueueDepends(q.view_id, q.index_id, q.mode, q.d1, q.d2);
+  }
+  ASSERT_TRUE(m.client.Flush().ok());
+  std::vector<Result<bool>> answers;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    answers.push_back(m.client.NextDependsAnswer());
+  }
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    SCOPED_TRACE("query " + std::to_string(i));
+    const Result<bool>& answer = answers[i];
+    const ProvenanceIndex* direct =
+        q.index_id == snapshot_id ? &m.direct_snapshots[0]
+        : q.index_id == merged_id ? &m.direct_merged
+                                  : nullptr;
+    if (q.view_id != m.view_id || direct == nullptr) {
+      const Result<bool> single =
+          m.client.Depends(q.view_id, q.index_id, q.mode, q.d1, q.d2);
+      ASSERT_FALSE(single.ok());
+      ASSERT_FALSE(answer.ok());
+      EXPECT_EQ(answer.code(), single.code());
+      EXPECT_EQ(answer.status().message(), single.status().message());
+      continue;
+    }
+    const std::vector<std::pair<int, int>> one = {
+        {static_cast<int>(q.d1), static_cast<int>(q.d2)}};
+    const Result<std::vector<bool>> want =
+        m.rig.service->DependsMany(m.direct_view, *direct, one, q.mode);
+    if (want.ok()) {
+      ASSERT_TRUE(answer.ok()) << answer.status().message();
+      EXPECT_EQ(*answer, want->front());
+    } else {
+      ASSERT_FALSE(answer.ok());
+      EXPECT_EQ(answer.code(), want.code());
+      EXPECT_EQ(answer.status().message(), want.status().message());
+    }
+  }
+}
+
 // kOpenIndexFile, then kCompactFiles writing over the served archive's
 // path, then a query on the served id: the compaction replaces the file by
 // rename, so the served mapping keeps answering from the old inode instead

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "fvl/core/data_label.h"
 #include "fvl/core/visibility.h"
 #include "fvl/run/run.h"
 #include "fvl/run/run_generator.h"
@@ -103,6 +104,15 @@ inline std::vector<bool> ReferenceVisibility(
     visible.push_back(IsItemVisible(index.Label(item), label));
   }
   return visible;
+}
+
+// A label that is a pure function of the item, for cache tests: a hit can
+// be checked to carry exactly the value inserted for its own key.
+inline DataLabel CacheLabelFor(int item) {
+  DataLabel label;
+  label.producer.emplace();
+  label.producer->port = 2 * item + 1;
+  return label;
 }
 
 }  // namespace fvl::testing

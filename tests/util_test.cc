@@ -273,6 +273,23 @@ TEST(LatencyHistogram, PercentilesWithinBucketResolution) {
   EXPECT_EQ(h.Percentile(1.0), 10000);
 }
 
+TEST(LatencyHistogram, NearestRankWhenQuantileLandsOnASample) {
+  // Samples below 32 have one exact bucket each, so these are exact order
+  // statistics. Nearest rank is ceil(q * n): when q * n is an integer, the
+  // answer is that sample, not the next one up.
+  LatencyHistogram two;
+  two.Record(1);
+  two.Record(100);
+  EXPECT_EQ(two.Percentile(0.5), 1);
+
+  LatencyHistogram ten;
+  for (int64_t v = 1; v <= 10; ++v) ten.Record(v);
+  EXPECT_EQ(ten.Percentile(0.5), 5);
+  EXPECT_EQ(ten.Percentile(0.9), 9);
+  EXPECT_EQ(ten.Percentile(0.95), 10);  // ceil(9.5) = 10
+  EXPECT_EQ(ten.Percentile(0.01), 1);   // ceil(0.1) = 1
+}
+
 TEST(LatencyHistogram, NegativeClampsAndMergeAddsUp) {
   LatencyHistogram a, b;
   a.Record(-5);  // clamps to 0
