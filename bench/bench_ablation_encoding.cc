@@ -62,6 +62,7 @@ int64_t FixedWidthIterationBits(const LabelCodec& codec,
 }
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "ablation_encoding");
   Workload workload = MakeBioAid(2012);
   auto service = ProvenanceService::Create(workload.spec).value();
 
@@ -109,6 +110,8 @@ void Main(const BenchConfig& config) {
       "expected: unfactored ≈ 1.5-2x factored (§4.2.2); fixed-width within a "
       "few bits of gamma at scale but cannot adapt to shallow runs; index "
       "adds only the offset table over raw labels\n");
+  report.Add("encoding", table);
+  report.Write();
 }
 
 }  // namespace

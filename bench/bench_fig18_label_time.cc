@@ -15,6 +15,7 @@ namespace fvl::bench {
 namespace {
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "fig18_label_time");
   Workload workload = MakeBioAid(2012);
   auto service = ProvenanceService::Create(workload.spec).value();
 
@@ -47,6 +48,8 @@ void Main(const BenchConfig& config) {
   }
   table.Print("Figure 18: data label construction time (ms) vs run size");
   std::printf("expected shape: both linear in run size\n");
+  report.Add("label_time", table);
+  report.Write();
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ namespace fvl::bench {
 namespace {
 
 void Main(const BenchConfig& config) {
-  (void)config;
+  JsonReport report(config, "fig19_view_label");
   Workload workload = MakeBioAid(2012);
   auto service = ProvenanceService::Create(workload.spec).value();
   // Labels directly rather than through the service's per-view cache: the
@@ -64,6 +64,9 @@ void Main(const BenchConfig& config) {
   std::printf(
       "expected shape: SpaceEff ≪ Default < QueryEff; QueryEff extra over "
       "Default is small\n");
+  report.Add("view_label_size", size_table);
+  report.Add("view_label_time", time_table);
+  report.Write();
 }
 
 }  // namespace

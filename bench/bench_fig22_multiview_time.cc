@@ -15,6 +15,7 @@ namespace fvl::bench {
 namespace {
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "fig22_multiview_time");
   Workload workload = MakeBioAid(2012);
   auto service = ProvenanceService::Create(workload.spec).value();
 
@@ -69,6 +70,8 @@ void Main(const BenchConfig& config) {
       "expected shape: FVL flat, DRL linear; crossover at a small view count "
       "(measured: %d)\n",
       crossover);
+  report.Add("multiview_time", table);
+  report.Write();
 }
 
 }  // namespace

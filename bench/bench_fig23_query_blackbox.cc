@@ -15,6 +15,7 @@ namespace {
 volatile long benchmark_sink = 0;
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "fig23_query_blackbox");
   Workload workload = MakeBioAid(2012);
   auto service = ProvenanceService::Create(workload.spec).value();
 
@@ -74,6 +75,8 @@ void Main(const BenchConfig& config) {
       "Figure 23: query time (ns) over black-box views: FVL vs Matrix-Free "
       "FVL vs DRL");
   std::printf("expected shape: MatrixFree ≈ DRL < FVL (paper: FVL ~4x DRL)\n");
+  report.Add("query_blackbox", table);
+  report.Write();
 }
 
 }  // namespace

@@ -11,6 +11,7 @@ namespace fvl::bench {
 namespace {
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "fig24_nesting_depth");
   TablePrinter table({"nesting_depth", "avg_bits", "max_bits"});
   for (int depth = 2; depth <= 10; depth += 2) {
     SyntheticOptions options;
@@ -41,6 +42,8 @@ void Main(const BenchConfig& config) {
   }
   table.Print("Figure 24: data label length (bits) vs nesting depth");
   std::printf("expected shape: linear growth in depth\n");
+  report.Add("nesting_depth", table);
+  report.Write();
 }
 
 }  // namespace

@@ -14,6 +14,7 @@ namespace {
 volatile long benchmark_sink = 0;
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "fig25_module_degree");
   TablePrinter table({"module_degree", "QueryEff_ns"});
   for (int degree = 2; degree <= 10; degree += 2) {
     SyntheticOptions options;
@@ -56,6 +57,8 @@ void Main(const BenchConfig& config) {
   }
   table.Print("Figure 25: query time (ns) vs module degree (Query-Efficient)");
   std::printf("expected shape: growing in the degree\n");
+  report.Add("module_degree", table);
+  report.Write();
 }
 
 }  // namespace

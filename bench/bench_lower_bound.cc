@@ -48,6 +48,7 @@ struct BasicPathLabeler {
 };
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "lower_bound");
   // Non-strict grammar (Fig. 10): basic-path labels.
   Specification fig10 = MakeFig10Example();
   Result<std::shared_ptr<ProvenanceService>> fig10_service =
@@ -100,6 +101,8 @@ void Main(const BenchConfig& config) {
       "FVL labels grow logarithmically\n",
       fvl_rejects ? "yes" : "NO (bug!)",
       fig10_service.status().ToString().c_str());
+  report.Add("lower_bound", table);
+  report.Write();
 }
 
 }  // namespace

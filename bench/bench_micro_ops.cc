@@ -1,12 +1,16 @@
 // Google-benchmark micro-benchmarks for the core operations on the query
 // path: boolean matrix products, matrix-power oracles, label encode/decode,
-// and the decoding predicate in its three variants plus DRL.
+// the decoding predicate in its three variants plus DRL, and the bit
+// kernels under them (gamma read, the span cursor's forward walk, bulk bit
+// copy), each reported per unit of work.
 
 #include <benchmark/benchmark.h>
 
 #include "fvl/core/decoder.h"
+#include "fvl/core/label_store.h"
 #include "fvl/drl/drl_scheme.h"
 #include "fvl/service/provenance_service.h"
+#include "fvl/util/bitstream.h"
 #include "fvl/util/random.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/query_generator.h"
@@ -176,6 +180,75 @@ void BM_DrlQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DrlQuery);
+
+// Time per one of the `units` of work each iteration does (printed with an
+// SI prefix, e.g. "2.1ns").
+benchmark::Counter TimePer(double units) {
+  return benchmark::Counter(units,
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
+void BM_GammaRead(benchmark::State& state) {
+  // 64K codes of values 1 to 2^16 - 1, uniform in bit width: label lengths
+  // and iteration indices both live in this range.
+  constexpr int kCodes = 1 << 16;
+  Rng rng(21);
+  BitWriter writer;
+  for (int i = 0; i < kCodes; ++i) {
+    const int width = static_cast<int>(1 + rng.NextBounded(16));
+    writer.WriteGamma((uint64_t{1} << (width - 1)) |
+                      rng.NextBounded(uint64_t{1} << (width - 1)));
+  }
+  for (auto _ : state) {
+    BitReader reader(writer);
+    uint64_t sum = 0;
+    for (int i = 0; i < kCodes; ++i) sum += reader.ReadGamma();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.counters["per_code"] = TimePer(kCodes);
+}
+BENCHMARK(BM_GammaRead);
+
+void BM_SpanCursorForwardWalk(benchmark::State& state) {
+  // A fresh cursor finds item 0 through the skip table, then walks the
+  // length stream forward to the last item: one meta record per item.
+  Workload workload = MakeBioAid(2012);
+  auto service = ProvenanceService::Create(workload.spec).value();
+  RunGeneratorOptions options;
+  options.target_items = 1 << 16;
+  options.seed = 5;
+  auto session = service->GenerateLabeledRun(options);
+  const LabelStore& store = session->labeler().store();
+  const int last = store.total_items() - 1;
+  for (auto _ : state) {
+    LabelStore::SpanCursor cursor(store);
+    benchmark::DoNotOptimize(cursor.SpanAt(0).remaining());
+    benchmark::DoNotOptimize(cursor.SpanAt(last).remaining());
+  }
+  state.counters["items"] = store.total_items();
+  state.counters["per_record"] = TimePer(last - 1);
+}
+BENCHMARK(BM_SpanCursorForwardWalk);
+
+void BM_AppendBits(benchmark::State& state) {
+  // 4096 words from source bit 5 to destination bit 3: every output word
+  // straddles two source words.
+  constexpr int64_t kWords = 4096;
+  Rng rng(8);
+  std::vector<uint64_t> source(kWords + 1);
+  for (uint64_t& word : source) word = rng.Next();
+  for (auto _ : state) {
+    BitReader reader(&source, 5, 5 + 64 * kWords);
+    BitWriter out;
+    out.WriteFixed(0, 3);
+    out.AppendBits(&reader, 64 * kWords);
+    benchmark::DoNotOptimize(out.words().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_word"] = TimePer(kWords);
+}
+BENCHMARK(BM_AppendBits);
 
 }  // namespace
 }  // namespace fvl

@@ -101,6 +101,7 @@ std::string Impact(double max_over_min) {
 }
 
 void Main(const BenchConfig& config) {
+  JsonReport report(config, "table1_factors");
   struct Factor {
     const char* name;
     std::vector<SyntheticOptions> sweep;
@@ -199,6 +200,9 @@ void Main(const BenchConfig& config) {
       "expected: workflow size -> view label (high); module degree -> query "
       "time (high); nesting depth -> data label length (high); recursion "
       "length -> low/no impact\n");
+  report.Add("raw_sweeps", raw);
+  report.Add("factor_impacts", impacts);
+  report.Write();
 }
 
 }  // namespace

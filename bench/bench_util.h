@@ -40,16 +40,24 @@ struct BenchConfig {
   }
 };
 
+// Accepts exactly "--quick" and "--json <path>"; anything else exits 2, so
+// a mistyped flag cannot run the wrong configuration and exit 0.
 inline BenchConfig ParseArgs(int argc, char** argv) {
   BenchConfig config;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) config.quick = true;
-    if (std::strcmp(argv[i], "--json") == 0) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      config.quick = true;
+    } else if (std::strcmp(argv[i], "--json") == 0) {
       if (i + 1 >= argc) {  // fail fast, like an unwritable path would
         std::fprintf(stderr, "--json requires a destination path\n");
         std::exit(1);
       }
       config.json_path = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "unknown flag %s (expected --quick, --json <path>)\n",
+                   argv[i]);
+      std::exit(2);
     }
   }
   return config;

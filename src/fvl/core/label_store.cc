@@ -42,21 +42,6 @@ void StoreCountProbe::Add(int delta) {
 
 }  // namespace internal
 
-namespace {
-
-// Appends the next `bits` bits of `reader` (which the caller has
-// bounds-checked to hold them) to `out`, relocated, in 64-bit chunks (both
-// ends take the word-parallel fast paths).
-void CopyBits(BitReader* reader, int64_t bits, BitWriter* out) {
-  while (bits > 0) {
-    int chunk = bits < 64 ? static_cast<int>(bits) : 64;
-    out->WriteFixed(reader->ReadFixed(chunk), chunk);
-    bits -= chunk;
-  }
-}
-
-}  // namespace
-
 int LabelStore::GroupOf(int global) const {
   FVL_CHECK(global >= 0 && global < total_items());
   // First base strictly above `global`.
@@ -158,11 +143,12 @@ Status LabelStore::AppendArena(const LabelStore& other) {
   const int64_t meta_base = meta_.size_bits();
   const int64_t arena_base = arena_.size_bits();
   BitReader meta_reader(other.meta_);
-  CopyBits(&meta_reader, other.meta_.size_bits(), &meta_);
+  meta_.AppendBits(&meta_reader, other.meta_.size_bits());
   // Through the source's arena reader, which serves borrowed (mapped)
-  // arenas byte-wise — merging a file-served input never materializes it.
+  // arenas through unaligned loads — merging a file-served input never
+  // materializes it.
   BitReader arena_reader = other.ArenaReader(0, other.arena_size_bits());
-  CopyBits(&arena_reader, other.arena_size_bits(), &arena_);
+  arena_.AppendBits(&arena_reader, other.arena_size_bits());
   // Per-skip integer fixups — never a per-label pass. The rebased origin
   // entry doubles as the seam checkpoint, keeping scans bounded across the
   // append boundary.
@@ -199,9 +185,9 @@ LabelStore LabelStore::ExtractDelta() {
   LabelStore delta(codec_);
   delta.BeginGroup();
   BitReader meta(&meta_.words(), watermark_meta_bits_, meta_.size_bits());
-  CopyBits(&meta, meta.remaining(), &delta.meta_);
+  delta.meta_.AppendBits(&meta, meta.remaining());
   BitReader arena(&arena_.words(), watermark_arena_bits_, arena_.size_bits());
-  CopyBits(&arena, arena.remaining(), &delta.arena_);
+  delta.arena_.AppendBits(&arena, arena.remaining());
   // Skip entries past the watermark, rebased to the delta's origin —
   // O(delta / kSkipInterval), keeping the whole extraction O(delta).
   auto it = std::upper_bound(
@@ -429,7 +415,7 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
     } else {
       // An in-memory blob: copy the validated arena into owned words once.
       BitReader arena = store.ArenaReader(0, store.borrowed_arena_bits_);
-      CopyBits(&arena, store.borrowed_arena_bits_, &store.arena_);
+      store.arena_.AppendBits(&arena, store.borrowed_arena_bits_);
       store.borrowed_arena_ = nullptr;
       store.borrowed_arena_bits_ = 0;
     }

@@ -324,7 +324,7 @@ class LabelStore {
   // Borrowed-arena mode (ParseTail with a source): the payloads live in
   // the serialized arena words inside the mapped blob, which
   // arena_source_ keeps alive, and arena_ stays empty. The range is
-  // unaligned; readers assemble words byte-wise (BitReader byte mode).
+  // unaligned; readers load words unaligned (BitReader byte mode).
   const uint8_t* borrowed_arena_ = nullptr;
   int64_t borrowed_arena_bits_ = 0;
   BlobSource arena_source_;

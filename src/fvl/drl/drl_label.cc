@@ -7,10 +7,17 @@ std::string DrlLabel::ToString() const {
     if (!s.has_value()) return std::string("-");
     std::string out = "{";
     for (const EdgeLabel& e : s->path) out += e.ToString() + ",";
-    out += "#" + std::to_string(s->seq) + "}";
+    out += "#";
+    out += std::to_string(s->seq);
+    out += "}";
     return out;
   };
-  return "(" + side(producer) + ", " + side(consumer) + ")";
+  std::string out = "(";
+  out += side(producer);
+  out += ", ";
+  out += side(consumer);
+  out += ")";
+  return out;
 }
 
 namespace {

@@ -6,21 +6,13 @@
 
 namespace fvl {
 
-void BitWriter::WriteBit(bool bit) {
-  int64_t word_index = size_bits_ / 64;
-  if (word_index == static_cast<int64_t>(words_.size())) words_.push_back(0);
-  if (bit) words_[word_index] |= uint64_t{1} << (size_bits_ % 64);
-  ++size_bits_;
-}
-
 void BitWriter::WriteFixed(uint64_t value, int width) {
   FVL_CHECK(width >= 0 && width <= 64);
   FVL_DCHECK(width == 64 || value < (uint64_t{1} << width));
   if (width == 0) return;
   if (width < 64) value &= (uint64_t{1} << width) - 1;
-  // Word-parallel append: OR the low bits into the current partial word and
-  // spill the rest into a fresh one. Bit order matches WriteBit (LSB-first
-  // within each word), so mixed WriteBit/WriteFixed streams are unchanged.
+  // Word-parallel append, LSB-first within each word: OR the low bits into
+  // the current partial word and spill the rest into a fresh one.
   const int used = static_cast<int>(size_bits_ % 64);
   if (used == 0) words_.push_back(0);
   words_[size_bits_ / 64] |= value << used;
@@ -31,12 +23,57 @@ void BitWriter::WriteFixed(uint64_t value, int width) {
 
 void BitWriter::WriteGamma(uint64_t value) {
   FVL_CHECK(value >= 1);
-  int bits = 64 - std::countl_zero(value);  // position of the highest set bit
-  for (int i = 0; i < bits - 1; ++i) WriteBit(false);
-  WriteBit(true);
-  // Remaining bits of the value below the leading one, most significant
-  // first (the conventional gamma layout).
-  for (int i = bits - 2; i >= 0; --i) WriteBit((value >> i) & 1);
+  const int bits = std::bit_width(value);
+  // bits - 1 zeros, then the value most significant bit first (the
+  // conventional gamma layout): reversed, so LSB-first order emits it.
+  const uint64_t reversed = ReverseBits(value, bits);
+  if (bits <= 32) {
+    WriteFixed(reversed << (bits - 1), 2 * bits - 1);
+    return;
+  }
+  WriteFixed(0, bits - 1);
+  WriteFixed(reversed, bits);
+}
+
+void BitWriter::AppendBits(BitReader* reader, int64_t bits) {
+  if (bits > reader->remaining()) {
+    // Overrun: per-word ReadFixed keeps its permissive all-ones fill and
+    // failed(), and its abort otherwise.
+    for (; bits > 0; bits -= 64) {
+      const int chunk = bits < 64 ? static_cast<int>(bits) : 64;
+      WriteFixed(reader->ReadFixed(chunk), chunk);
+    }
+    return;
+  }
+  if (bits <= 0) return;
+  // Top up the partial last word, so every later word lands aligned.
+  const int used = static_cast<int>(size_bits_ % 64);
+  if (used != 0) {
+    const int head = bits < 64 - used ? static_cast<int>(bits) : 64 - used;
+    WriteFixed(reader->ReadFixed(head), head);
+    bits -= head;
+  }
+  const int64_t full = bits / 64;
+  const int tail = static_cast<int>(bits % 64);
+  const size_t base = words_.size();
+  words_.resize(base + static_cast<size_t>(full) + (tail != 0 ? 1 : 0));
+  uint64_t* out = words_.data() + base;
+  const int64_t first = reader->position_ / 64;
+  const int shift = static_cast<int>(reader->position_ % 64);
+  if (shift == 0) {
+    for (int64_t i = 0; i < full; ++i) out[i] = reader->WordAt(first + i);
+  } else if (full > 0) {
+    // Source word first + i + 1 holds in-range bits of output word i.
+    uint64_t low = reader->WordAt(first);
+    for (int64_t i = 0; i < full; ++i) {
+      const uint64_t high = reader->WordAt(first + i + 1);
+      out[i] = (low >> shift) | (high << (64 - shift));
+      low = high;
+    }
+  }
+  reader->position_ += 64 * full;
+  if (tail != 0) out[full] = reader->ReadFixed(tail);
+  size_bits_ += bits;
 }
 
 void BitWriter::WriteVByte(uint64_t value) {
@@ -45,19 +82,6 @@ void BitWriter::WriteVByte(uint64_t value) {
     value >>= 7;
     WriteFixed(group | (value != 0 ? 0x80 : 0), 8);
   } while (value != 0);
-}
-
-uint64_t BitReader::WordAt(int64_t index) const {
-  if (words_ != nullptr) return (*words_)[index];
-  // Byte-backed (borrowed-arena) mode: explicit little-endian assembly —
-  // the buffer is unaligned, so a uint64_t* cast would be UB. Compiles to
-  // a single load on little-endian targets.
-  const uint8_t* at = bytes_ + 8 * index;
-  uint64_t word = 0;
-  for (int i = 0; i < 8; ++i) {
-    word |= static_cast<uint64_t>(at[i]) << (8 * i);
-  }
-  return word;
 }
 
 bool BitReader::ReadBit() {
@@ -101,7 +125,7 @@ uint64_t BitReader::ReadFixed(int width) {
   return value;
 }
 
-uint64_t BitReader::ReadGamma() {
+uint64_t BitReader::ReadGammaSlow() {
   int zeros = 0;
   while (!ReadBit()) ++zeros;
   uint64_t value = 1;

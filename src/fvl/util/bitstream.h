@@ -11,21 +11,36 @@
 //    first), used by the compact label-store tail for per-block base
 //    lengths — small values cost one byte, and the encoding is
 //    self-delimiting without a scan for a terminating one-bit.
+//
+// Every kernel moves a word at a time: fixed fields and gamma codes are one
+// or two word loads and shifts, and AppendBits copies a bit range with one
+// funnel shift per destination word. Only reads past the end of a range
+// (and gamma codes of more than 31 leading zeros) go bit by bit.
 
 #ifndef FVL_UTIL_BITSTREAM_H_
 #define FVL_UTIL_BITSTREAM_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace fvl {
+
+class BitReader;
 
 class BitWriter {
  public:
   // Appends the low `width` bits of `value` (width in [0, 64]).
   void WriteFixed(uint64_t value, int width);
-  // Appends the Elias-gamma code of `value`; requires value >= 1.
+  // Appends the Elias-gamma code of `value`; requires value >= 1. At most
+  // two WriteFixed calls: the zero run, then the value bit-reversed so its
+  // most significant bit comes first (one call when both fit in 64 bits).
   void WriteGamma(uint64_t value);
+  // Appends the next `bits` bits of `reader`, advancing it: one resize,
+  // then each destination word is a funnel shift of two source words. A
+  // range past the reader's end takes ReadFixed's overrun handling.
+  void AppendBits(BitReader* reader, int64_t bits);
   // Appends `value` as vbyte groups (7 value bits + continuation bit, low
   // groups first). Any uint64 value; the encoding is canonical (no empty
   // trailing groups), so equal values always produce equal bits.
@@ -35,8 +50,6 @@ class BitWriter {
   const std::vector<uint64_t>& words() const { return words_; }
 
  private:
-  void WriteBit(bool bit);
-
   std::vector<uint64_t> words_;
   int64_t size_bits_ = 0;
 };
@@ -52,15 +65,17 @@ class BitReader {
       : words_(words), size_bits_(end_bit), position_(start_bit) {}
   // Reads the same range out of an *unaligned* little-endian byte buffer —
   // the borrowed-arena mode of LabelStore, whose payload words sit at a
-  // non-word-aligned offset inside an mmap'ed blob. Words are assembled
-  // byte-by-byte (one load on little-endian targets, and no
-  // reinterpret_cast of misaligned memory anywhere). The buffer must hold
-  // ceil(end_bit / 64) full 8-byte words, which serialized arenas do — the
-  // tail writes whole u64 words.
+  // non-word-aligned offset inside an mmap'ed blob. Each word is one
+  // memcpy-based unaligned load (no reinterpret_cast of misaligned memory
+  // anywhere). The buffer must hold ceil(end_bit / 64) full 8-byte words,
+  // which serialized arenas do — the tail writes whole u64 words.
   BitReader(const uint8_t* bytes, int64_t start_bit, int64_t end_bit)
       : bytes_(bytes), size_bits_(end_bit), position_(start_bit) {}
 
   uint64_t ReadFixed(int width);
+  // Inline fast path: one peek of up to 64 bits decodes any code of at
+  // most 31 leading zeros that lies inside the range. Longer codes and
+  // reads past the end take the per-bit ReadGammaSlow.
   uint64_t ReadGamma();
   // Reads a vbyte value. Bounded on untrusted input: at most ten groups are
   // consumed, so a run of corrupted continuation bits sets failed() (in
@@ -86,9 +101,15 @@ class BitReader {
   bool CheckRemaining(uint64_t bits);
 
  private:
+  friend class BitWriter;  // AppendBits reads whole source words
+
   bool ReadBit();
+  uint64_t ReadGammaSlow();
   // Word `index` of whichever backing this reader has.
   uint64_t WordAt(int64_t index) const;
+  // The next min(64, remaining()) bits, LSB-first; bits above them are
+  // unspecified. Requires remaining() > 0.
+  uint64_t Peek() const;
 
   // Exactly one of words_/bytes_ is set.
   const std::vector<uint64_t>* words_ = nullptr;
@@ -108,6 +129,61 @@ int GammaLength(uint64_t value);
 
 // Length in bits of WriteVByte(value) (a multiple of 8).
 int VByteLength(uint64_t value);
+
+// The low `width` bits of `value` in reverse order (higher bits dropped),
+// width in [1, 64].
+inline uint64_t ReverseBits(uint64_t value, int width) {
+  value = ((value >> 1) & 0x5555555555555555) |
+          ((value & 0x5555555555555555) << 1);
+  value = ((value >> 2) & 0x3333333333333333) |
+          ((value & 0x3333333333333333) << 2);
+  value = ((value >> 4) & 0x0F0F0F0F0F0F0F0F) |
+          ((value & 0x0F0F0F0F0F0F0F0F) << 4);
+  return __builtin_bswap64(value) >> (64 - width);
+}
+
+// Little-endian u64 at an arbitrary byte address.
+inline uint64_t LoadLittleEndian64(const uint8_t* at) {
+  uint64_t word = 0;
+  std::memcpy(&word, at, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+inline uint64_t BitReader::WordAt(int64_t index) const {
+  if (words_ != nullptr) return (*words_)[index];
+  return LoadLittleEndian64(bytes_ + 8 * index);
+}
+
+inline uint64_t BitReader::Peek() const {
+  const int64_t left = size_bits_ - position_;
+  const int64_t word = position_ / 64;
+  const int off = static_cast<int>(position_ % 64);
+  uint64_t window = WordAt(word) >> off;
+  // The next word only when it holds bits of the range: a byte-backed
+  // buffer ends at the range's last word.
+  if (off != 0 && left > 64 - off) window |= WordAt(word + 1) << (64 - off);
+  return window;
+}
+
+inline uint64_t BitReader::ReadGamma() {
+  if (position_ < size_bits_) {
+    const uint64_t window = Peek();
+    const int zeros = std::countr_zero(window);  // 64 for an all-zero window
+    const int length = 2 * zeros + 1;
+    // A code inside the range has its terminating one inside it too, so
+    // bits past the end can only make `length` overrun, never shrink it.
+    if (zeros <= 31 && length <= size_bits_ - position_) {
+      position_ += length;
+      // Reversing the code's `length` bits puts the terminating one at bit
+      // `zeros` and the payload, most significant bit first, below it.
+      return ReverseBits(window, length);
+    }
+  }
+  return ReadGammaSlow();
+}
 
 }  // namespace fvl
 

@@ -58,7 +58,9 @@ Workload MakeBioAid(uint64_t seed) {
   ModuleId S = builder.AddComposite("S", 2, 2);
   std::vector<ModuleId> stages;
   for (int i = 1; i <= 8; ++i) {
-    stages.push_back(builder.AddComposite("P" + std::to_string(i), 2, 2));
+    std::string name = "P";
+    name += std::to_string(i);
+    stages.push_back(builder.AddComposite(name, 2, 2));
   }
   ModuleId L1 = builder.AddComposite("L1", 2, 2);
   ModuleId L1b = builder.AddComposite("L1b", 2, 2);
@@ -108,7 +110,9 @@ Workload MakeBioAid(uint64_t seed) {
   // Pipeline stages: single-source/sink diamonds exercising the 4-in/7-out
   // port bounds. Stages 1..6 have 7 atomic steps, stages 7..8 have 6.
   for (int i = 0; i < 8; ++i) {
-    std::string prefix = "P" + std::to_string(i + 1) + "_";
+    std::string prefix = "P";
+    prefix += std::to_string(i + 1);
+    prefix += "_";
     bool wide = i < 6;  // two entry pads instead of one
     ModuleId pad_a = atom(prefix + "prepare", 2, 2);
     ModuleId pad_b = wide ? atom(prefix + "normalize", 2, 2) : kInvalidModule;

@@ -76,9 +76,11 @@ Workload MakeSynthetic(const SyntheticOptions& options) {
   std::vector<std::vector<ModuleId>> ring(h);
   for (int level = 0; level < h; ++level) {
     for (int j = 0; j < r; ++j) {
-      ring[level].push_back(builder.AddComposite(
-          "C" + std::to_string(level + 1) + "_" + std::to_string(j + 1), d,
-          d));
+      std::string name = "C";
+      name += std::to_string(level + 1);
+      name += "_";
+      name += std::to_string(j + 1);
+      ring[level].push_back(builder.AddComposite(name, d, d));
     }
   }
   builder.SetStart(ring[0][0]);
@@ -90,9 +92,11 @@ Workload MakeSynthetic(const SyntheticOptions& options) {
   for (int level = 0; level < h; ++level) {
     int atoms = level + 1 < h ? w - 1 : w;
     for (int pos = 0; pos < atoms; ++pos) {
-      ModuleId m = builder.AddAtomic(
-          "t" + std::to_string(level + 1) + "_" + std::to_string(pos + 1), d,
-          d);
+      std::string name = "t";
+      name += std::to_string(level + 1);
+      name += "_";
+      name += std::to_string(pos + 1);
+      ModuleId m = builder.AddAtomic(name, d, d);
       builder.SetDeps(m, RandomDeps(rng, d, d));
       level_atoms[level].push_back(m);
     }

@@ -80,5 +80,22 @@ TEST(JsonReport, NoJsonPathMeansNoOp) {
   report.Write();  // must not print, exit, or touch the filesystem
 }
 
+TEST(ParseArgs, ReadsQuickAndJson) {
+  char prog[] = "bench", quick[] = "--quick", json[] = "--json",
+       path[] = "out.json";
+  char* argv[] = {prog, quick, json, path};
+  BenchConfig config = ParseArgs(4, argv);
+  EXPECT_TRUE(config.quick);
+  EXPECT_EQ(config.json_path, "out.json");
+}
+
+TEST(ParseArgsDeath, UnknownFlagExitsTwo) {
+  // A mistyped flag must not run a default configuration and exit 0.
+  char prog[] = "bench", typo[] = "--jsn", path[] = "out.json";
+  char* argv[] = {prog, typo, path};
+  EXPECT_EXIT(ParseArgs(3, argv), ::testing::ExitedWithCode(2),
+              "unknown flag --jsn");
+}
+
 }  // namespace
 }  // namespace fvl::bench

@@ -182,7 +182,9 @@ TEST(ProductionGraphTopology, AlgorithmsAgreeOnRandomTopologies) {
     int n = rng.NextInt(2, 6);
     std::vector<ModuleId> modules;
     for (int i = 0; i < n; ++i) {
-      modules.push_back(t.Composite("M" + std::to_string(i)));
+      std::string name = "M";
+      name += std::to_string(i);
+      modules.push_back(t.Composite(name));
     }
     int edges = rng.NextInt(1, 2 * n);
     for (int e = 0; e < edges; ++e) {

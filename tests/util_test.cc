@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fvl/util/bitstream.h"
@@ -189,6 +192,294 @@ TEST(Bitstream, MixedStream) {
     }
   }
   EXPECT_TRUE(reader.AtEnd());
+}
+
+// --- Word-parallel kernels against the per-bit reference ---------------------
+//
+// The reference is the original one-bit-at-a-time gamma coder and the
+// ReadFixed/WriteFixed chunk copy, kept here so the word-parallel kernels
+// are checked bit for bit: same stream bits, same values, same position,
+// same failed() on permissive overruns.
+
+// LSB-first bit vector with the original per-bit gamma writer.
+struct RefBits {
+  std::vector<uint64_t> words;
+  int64_t size = 0;
+
+  void PutBit(bool bit) {
+    if (size / 64 == static_cast<int64_t>(words.size())) words.push_back(0);
+    if (bit) words[size / 64] |= uint64_t{1} << (size % 64);
+    ++size;
+  }
+  void PutFixed(uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) PutBit((value >> i) & 1);
+  }
+  void PutGamma(uint64_t value) {
+    int bits = 64 - std::countl_zero(value);
+    for (int i = 0; i < bits - 1; ++i) PutBit(false);
+    PutBit(true);
+    for (int i = bits - 2; i >= 0; --i) PutBit((value >> i) & 1);
+  }
+};
+
+// The original per-bit gamma reader, in permissive mode: past the end it
+// reads one-bits and sets `failed`.
+struct RefReader {
+  const std::vector<uint64_t>* words;
+  int64_t position;
+  int64_t end;
+  bool failed = false;
+
+  bool GetBit() {
+    if (position >= end) {
+      failed = true;
+      return true;
+    }
+    bool bit = ((*words)[position / 64] >> (position % 64)) & 1;
+    ++position;
+    return bit;
+  }
+  uint64_t GetGamma() {
+    int zeros = 0;
+    while (!GetBit()) ++zeros;
+    uint64_t value = 1;
+    for (int i = 0; i < zeros; ++i) value = (value << 1) | (GetBit() ? 1 : 0);
+    return value;
+  }
+};
+
+// The words as the unaligned little-endian byte buffer of a mapped arena:
+// one byte of misalignment, and not a byte past the last word, so an
+// over-read leaves the allocation.
+struct UnalignedCopy {
+  explicit UnalignedCopy(const std::vector<uint64_t>& words)
+      : storage(std::make_unique<uint8_t[]>(8 * words.size() + 1)) {
+    for (size_t w = 0; w < words.size(); ++w) {
+      for (int b = 0; b < 8; ++b) {
+        storage[1 + 8 * w + b] = static_cast<uint8_t>(words[w] >> (8 * b));
+      }
+    }
+  }
+  const uint8_t* bytes() const { return storage.get() + 1; }
+  std::unique_ptr<uint8_t[]> storage;
+};
+
+// Words [0, ceil(end / 64)) of `words`: the most a reader of [.., end)
+// may touch.
+std::vector<uint64_t> WordsUpTo(const std::vector<uint64_t>& words,
+                                int64_t end) {
+  return {words.begin(), words.begin() + (end + 63) / 64};
+}
+
+// Gamma test values: every bit width 1-64 at 2^k - 1, 2^k and 2^k + 1
+// (bit widths k, k + 1, k + 1), a random value of each width, and
+// UINT64_MAX.
+std::vector<uint64_t> GammaTestValues() {
+  Rng rng(11);
+  std::vector<uint64_t> values = {1, 2, 3, UINT64_MAX};
+  for (int k = 1; k < 64; ++k) {
+    const uint64_t power = uint64_t{1} << k;
+    values.insert(values.end(), {power - 1, power, power + 1});
+  }
+  for (int width = 1; width <= 64; ++width) {
+    const uint64_t top = uint64_t{1} << (width - 1);
+    values.push_back(top | (rng.Next() & (top - 1)));
+  }
+  return values;
+}
+
+TEST(BitstreamKernels, GammaMatchesPerBitReferenceAtEveryOffset) {
+  const std::vector<uint64_t> values = GammaTestValues();
+  Rng rng(3);
+  for (int offset = 0; offset < 64; ++offset) {
+    for (uint64_t value : values) {
+      const uint64_t pad = offset == 0 ? 0 : rng.Next() >> (64 - offset);
+      BitWriter writer;
+      writer.WriteFixed(pad, offset);
+      writer.WriteGamma(value);
+      RefBits ref;
+      ref.PutFixed(pad, offset);
+      ref.PutGamma(value);
+      ASSERT_EQ(writer.size_bits(), ref.size);
+      ASSERT_EQ(writer.words(), ref.words) << offset << " " << value;
+      const int64_t end = ref.size;
+      ASSERT_EQ(end - offset, GammaLength(value));
+
+      // The code ends exactly at the range end, then again with junk
+      // one-bits after it in the backing words.
+      for (bool junk : {false, true}) {
+        std::vector<uint64_t> words = writer.words();
+        words.push_back(0);
+        if (junk) {
+          if (end % 64 != 0) words[end / 64] |= ~uint64_t{0} << (end % 64);
+          words.back() = ~uint64_t{0};
+        }
+        BitReader owned(&words, offset, end);
+        EXPECT_EQ(owned.ReadGamma(), value) << offset;
+        EXPECT_TRUE(owned.AtEnd());
+        UnalignedCopy copy(WordsUpTo(words, end));
+        BitReader mapped(copy.bytes(), offset, end);
+        EXPECT_EQ(mapped.ReadGamma(), value) << offset;
+        EXPECT_TRUE(mapped.AtEnd());
+      }
+    }
+  }
+}
+
+// Reads gamma codes from [start, end) until the range is used up, in
+// permissive mode, comparing every value, position and failed() against
+// the reference. Covers truncated codes, all-zero windows and codes of
+// more than 31 zeros, in range and cut off.
+void ExpectPermissiveGammaMatches(const std::vector<uint64_t>& words,
+                                  int64_t start, int64_t end) {
+  const std::vector<uint64_t> used = WordsUpTo(words, end);
+  UnalignedCopy copy(used);
+  BitReader owned(&used, start, end);
+  BitReader mapped(copy.bytes(), start, end);
+  owned.set_permissive();
+  mapped.set_permissive();
+  RefReader ref{&used, start, end};
+  do {
+    const uint64_t expected = ref.GetGamma();
+    ASSERT_EQ(owned.ReadGamma(), expected) << start << " " << end;
+    ASSERT_EQ(mapped.ReadGamma(), expected) << start << " " << end;
+    ASSERT_EQ(owned.position(), ref.position);
+    ASSERT_EQ(mapped.position(), ref.position);
+    ASSERT_EQ(owned.failed(), ref.failed);
+    ASSERT_EQ(mapped.failed(), ref.failed);
+  } while (ref.position < end);
+}
+
+TEST(BitstreamKernels, PermissiveTruncatedCodesMatchReference) {
+  // Every cut of every test code: the code runs past the range end.
+  for (uint64_t value : GammaTestValues()) {
+    for (int offset : {0, 1, 31, 63}) {
+      RefBits ref;
+      ref.PutFixed(0, offset);
+      ref.PutGamma(value);
+      const int64_t code_end = offset + GammaLength(value);
+      for (int64_t end = offset; end <= code_end; ++end) {
+        ExpectPermissiveGammaMatches(ref.words, offset, end);
+      }
+    }
+  }
+}
+
+TEST(BitstreamKernels, PermissiveZeroWindowsMatchReference) {
+  // All-zero ranges of every length up to three words, at every offset.
+  const std::vector<uint64_t> zeros(4, 0);
+  for (int offset = 0; offset < 64; ++offset) {
+    for (int64_t length = 0; length <= 192; ++length) {
+      ExpectPermissiveGammaMatches(zeros, offset, offset + length);
+    }
+  }
+}
+
+TEST(BitstreamKernels, PermissiveRandomStreamsMatchReference) {
+  // Sparse random bits: zero runs of every length, long codes (more than
+  // 31 zeros) in range and cut off at the end.
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<uint64_t> words(6);
+    for (uint64_t& word : words) {
+      for (int bit = 0; bit < 64; ++bit) {
+        if (rng.NextBool(trial % 2 == 0 ? 0.03 : 0.3)) {
+          word |= uint64_t{1} << bit;
+        }
+      }
+    }
+    const int64_t start = static_cast<int64_t>(rng.NextBounded(128));
+    const int64_t end =
+        start + static_cast<int64_t>(rng.NextBounded(6 * 64 - start + 1));
+    ExpectPermissiveGammaMatches(words, start, end);
+  }
+}
+
+TEST(BitstreamKernelsDeathTest, NonPermissiveGammaOverrunAborts) {
+  BitWriter writer;
+  writer.WriteGamma(1000);  // 19 bits
+  EXPECT_DEATH(
+      {
+        BitReader reader(&writer.words(), 0, 18);
+        reader.ReadGamma();
+      },
+      "FVL_CHECK");
+  EXPECT_DEATH(
+      {
+        BitReader reader(&writer.words(), 0, 10);
+        BitWriter out;
+        out.AppendBits(&reader, 11);
+      },
+      "FVL_CHECK");
+}
+
+// `bits` bits of `reader` appended to `out` by the original chunk copy.
+void ReferenceAppend(BitReader* reader, int64_t bits, BitWriter* out) {
+  while (bits > 0) {
+    const int chunk = bits < 64 ? static_cast<int>(bits) : 64;
+    out->WriteFixed(reader->ReadFixed(chunk), chunk);
+    bits -= chunk;
+  }
+}
+
+TEST(BitstreamKernels, AppendBitsMatchesReferenceAtEveryOffsetPair) {
+  Rng rng(5);
+  std::vector<uint64_t> source(5);
+  for (uint64_t& word : source) word = rng.Next();
+  std::vector<uint64_t> prefixes(64);
+  for (uint64_t& prefix : prefixes) prefix = rng.Next();
+  for (int src_off = 0; src_off < 64; ++src_off) {
+    for (int64_t length = 0; length <= 200; ++length) {
+      // The range ends at src_off + length; bits after it in its last
+      // word are random junk the copy must not carry over.
+      const int64_t end = src_off + length;
+      const std::vector<uint64_t> used = WordsUpTo(source, end);
+      UnalignedCopy copy(used);
+      for (int dst_off = 0; dst_off < 64; ++dst_off) {
+        const uint64_t prefix =
+            dst_off == 0 ? 0 : prefixes[dst_off] >> (64 - dst_off);
+        BitWriter expected;
+        expected.WriteFixed(prefix, dst_off);
+        BitReader ref_reader(&used, src_off, end);
+        ReferenceAppend(&ref_reader, length, &expected);
+        for (bool mapped : {false, true}) {
+          BitReader reader = mapped ? BitReader(copy.bytes(), src_off, end)
+                                    : BitReader(&used, src_off, end);
+          BitWriter out;
+          out.WriteFixed(prefix, dst_off);
+          out.AppendBits(&reader, length);
+          ASSERT_EQ(out.size_bits(), expected.size_bits());
+          ASSERT_EQ(out.words(), expected.words())
+              << src_off << " " << dst_off << " " << length << " " << mapped;
+          ASSERT_TRUE(reader.AtEnd());
+        }
+      }
+    }
+  }
+}
+
+TEST(BitstreamKernels, AppendBitsPermissiveOverrunMatchesReference) {
+  Rng rng(9);
+  std::vector<uint64_t> source(3);
+  for (uint64_t& word : source) word = rng.Next();
+  for (int64_t end = 0; end <= 130; end += 13) {
+    for (int64_t bits = end + 1; bits <= end + 140; bits += 7) {
+      BitReader ref_reader(&source, 0, end);
+      ref_reader.set_permissive();
+      BitWriter expected;
+      expected.WriteFixed(1, 3);
+      ReferenceAppend(&ref_reader, bits, &expected);
+      BitReader reader(&source, 0, end);
+      reader.set_permissive();
+      BitWriter out;
+      out.WriteFixed(1, 3);
+      out.AppendBits(&reader, bits);
+      ASSERT_EQ(out.words(), expected.words()) << end << " " << bits;
+      ASSERT_EQ(out.size_bits(), expected.size_bits());
+      ASSERT_EQ(reader.failed(), ref_reader.failed());
+      ASSERT_EQ(reader.position(), ref_reader.position());
+    }
+  }
 }
 
 TEST(Random, Deterministic) {
