@@ -21,11 +21,11 @@ int64_t UnfactoredBits(const LabelCodec& codec, const DataLabel& label) {
   int64_t bits = 2;
   if (label.producer.has_value()) {
     DataLabel producer_only{label.producer, std::nullopt};
-    bits += codec.EncodedBits(producer_only) - 2;
+    bits += codec.Encode(producer_only).size_bits() - 2;
   }
   if (label.consumer.has_value()) {
     DataLabel consumer_only{std::nullopt, label.consumer};
-    bits += codec.EncodedBits(consumer_only) - 2;
+    bits += codec.Encode(consumer_only).size_bits() - 2;
   }
   return bits;
 }
@@ -34,7 +34,7 @@ int64_t UnfactoredBits(const LabelCodec& codec, const DataLabel& label) {
 // iteration index occurring in the run.
 int64_t FixedWidthIterationBits(const LabelCodec& codec,
                                 const DataLabel& label, int iteration_bits) {
-  int64_t bits = codec.EncodedBits(label);
+  int64_t bits = codec.Encode(label).size_bits();
   auto fix_side = [&](const std::optional<PortLabel>& side) {
     if (!side.has_value()) return;
     for (const EdgeLabel& edge : side->path) {
@@ -93,7 +93,7 @@ void Main(const BenchConfig& config) {
     int64_t factored = 0, unfactored = 0, fixed = 0;
     for (int item = 0; item < session->num_items(); ++item) {
       const DataLabel& label = session->Label(item);
-      factored += codec.EncodedBits(label);
+      factored += codec.Encode(label).size_bits();
       unfactored += UnfactoredBits(codec, label);
       fixed += FixedWidthIterationBits(codec, label, iteration_bits);
     }

@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "fvl/core/decoder.h"
 #include "fvl/core/label_store.h"
 #include "fvl/drl/drl_scheme.h"
@@ -138,13 +140,20 @@ void BM_LabelEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_LabelEncode);
 
+// Every label of the fixture run, pre-encoded and decoded in turn: the
+// mix of path lengths and gamma-coded iterations the decode kernels see.
 void BM_LabelDecode(benchmark::State& state) {
   QueryFixture& fixture = QueryFixture::Get();
   const LabelCodec& codec = fixture.session->labeler().codec();
-  BitWriter encoded = codec.Encode(fixture.session->Label(0));
+  std::vector<BitWriter> encoded;
+  for (int item = 0; item < fixture.session->num_items(); ++item) {
+    encoded.push_back(codec.Encode(fixture.session->Label(item)));
+  }
+  size_t item = 0;
   for (auto _ : state) {
-    BitReader reader(encoded);
+    BitReader reader(encoded[item]);
     benchmark::DoNotOptimize(codec.Decode(&reader));
+    item = (item + 1) % encoded.size();
   }
 }
 BENCHMARK(BM_LabelDecode);

@@ -165,35 +165,4 @@ DataLabel LabelCodec::Decode(BitReader* reader) const {
   return label;
 }
 
-int64_t LabelCodec::EncodedBits(const DataLabel& label) const {
-  int64_t bits = 2;
-  auto edge_bits = [&](const EdgeLabel& edge) -> int64_t {
-    if (edge.kind == EdgeLabel::Kind::kProduction) {
-      return 1 + production_bits + position_bits;
-    }
-    return 1 + cycle_bits + start_bits +
-           GammaLength(static_cast<uint64_t>(edge.iteration));
-  };
-  size_t prefix = CommonPrefix(label);
-  if (label.producer.has_value() && label.consumer.has_value()) {
-    bits += GammaLength(prefix + 1);
-    for (size_t i = 0; i < prefix; ++i) {
-      bits += edge_bits(label.producer->path[i]);
-    }
-  }
-  auto side_bits = [&](const PortLabel& side) {
-    size_t skip = label.producer.has_value() && label.consumer.has_value()
-                      ? prefix
-                      : 0;
-    bits += GammaLength(side.path.size() - skip + 1);
-    for (size_t i = skip; i < side.path.size(); ++i) {
-      bits += edge_bits(side.path[i]);
-    }
-    bits += port_bits;
-  };
-  if (label.producer.has_value()) side_bits(*label.producer);
-  if (label.consumer.has_value()) side_bits(*label.consumer);
-  return bits;
-}
-
 }  // namespace fvl

@@ -99,9 +99,6 @@ struct LabelCodec {
   // Appends the encoding to an existing stream (provenance index arenas).
   void EncodeTo(const DataLabel& label, BitWriter* writer) const;
   DataLabel Decode(BitReader* reader) const;
-
-  // Size in bits of Encode(label) without materializing the stream.
-  int64_t EncodedBits(const DataLabel& label) const;
 };
 
 }  // namespace fvl

@@ -71,8 +71,9 @@ void LabelStore::AppendSpan(int64_t length) {
 void LabelStore::Append(const DataLabel& label) {
   FVL_CHECK(num_groups() > 0);
   FVL_CHECK(!arena_borrowed());
-  AppendSpan(codec_.EncodedBits(label));
+  const int64_t start = arena_.size_bits();
   codec_.EncodeTo(label, &arena_);
+  AppendSpan(arena_.size_bits() - start);
   ++group_base_.back();
 }
 

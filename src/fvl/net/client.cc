@@ -1,5 +1,6 @@
 #include "fvl/net/client.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -11,14 +12,69 @@ Status Malformed(const char* what) {
                        std::string("response: ") + what);
 }
 
-// Reads `count` u64 fields and demands the body end there.
-Status ReadFields(std::string_view body, std::span<uint64_t> fields) {
+// Reads `fields.size()` u64 fields from a call's reply body and demands the
+// body end there. A failed call's Status passes straight through.
+Status ReadFields(const Result<std::string>& body, std::span<uint64_t> fields) {
+  if (!body.ok()) return body.status();
   size_t pos = 0;
   for (uint64_t& field : fields) {
-    if (!ReadU64(body, &pos, &field)) return Malformed("truncated field");
+    if (!ReadU64(*body, &pos, &field)) return Malformed("truncated field");
   }
-  if (pos != body.size()) return Malformed("trailing bytes");
+  if (pos != body->size()) return Malformed("trailing bytes");
   return Status::Ok();
+}
+
+// --- Reply parsers: one per reply shape. Each takes the call's Result.
+
+// `u64 id` (kPing's version, kRegisterView, kBeginRun).
+Result<uint64_t> ParseId(const Result<std::string>& body) {
+  uint64_t fields[1];
+  Status parsed = ReadFields(body, fields);
+  if (!parsed.ok()) return parsed;
+  return fields[0];
+}
+
+// `u64 index_id | u64 num_items | u64 frozen_items`.
+Result<SnapshotInfo> ParseSnapshotInfo(const Result<std::string>& body) {
+  uint64_t fields[3];
+  Status parsed = ReadFields(body, fields);
+  if (!parsed.ok()) return parsed;
+  return SnapshotInfo{fields[0], static_cast<int>(fields[1]),
+                      static_cast<int>(fields[2])};
+}
+
+// `u64 merged_id | u64 num_runs | u64 total_items`.
+Result<MergeInfo> ParseMergeInfo(const Result<std::string>& body) {
+  uint64_t fields[3];
+  Status parsed = ReadFields(body, fields);
+  if (!parsed.ok()) return parsed;
+  return MergeInfo{fields[0], static_cast<int>(fields[1]),
+                   static_cast<int>(fields[2])};
+}
+
+// A bit-packed bool vector, `expected` long when the caller knows.
+Result<std::vector<bool>> ParseBools(const Result<std::string>& body,
+                                     std::optional<size_t> expected,
+                                     const char* what) {
+  if (!body.ok()) return body.status();
+  std::vector<bool> bits;
+  size_t pos = 0;
+  if (!DecodeBools(*body, &pos, &bits) || pos != body->size() ||
+      (expected.has_value() && bits.size() != *expected)) {
+    return Malformed(what);
+  }
+  return bits;
+}
+
+// A kDepends response payload (not just its body): `kOkByte | u8 bool`, or
+// an error frame, whose Status is returned.
+Result<bool> ParseBoolAnswer(std::string_view payload) {
+  Result<std::string_view> body = ParseResponse(payload);
+  if (!body.ok()) return body.status();
+  if (body->size() != 1 || static_cast<uint8_t>((*body)[0]) > 1) {
+    return Malformed("depends answer");
+  }
+  return (*body)[0] != 0;
 }
 
 }  // namespace
@@ -69,40 +125,24 @@ Result<std::string> ProvenanceClient::Call(std::string_view request_payload) {
 }
 
 Result<uint64_t> ProvenanceClient::Ping() {
-  Result<std::string> body = Call(EncodePingRequest());
-  if (!body.ok()) return body.status();
-  uint64_t fields[1];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return fields[0];
+  return ParseId(Call(EncodePingRequest()));
 }
 
 Result<uint64_t> ProvenanceClient::RegisterView(const View& view) {
-  Result<std::string> body = Call(EncodeRegisterViewRequest(view));
-  if (!body.ok()) return body.status();
-  uint64_t fields[1];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return fields[0];
+  return ParseId(Call(EncodeRegisterViewRequest(view)));
 }
 
 Result<uint64_t> ProvenanceClient::BeginRun() {
-  Result<std::string> body = Call(EncodeBeginRunRequest());
-  if (!body.ok()) return body.status();
-  uint64_t fields[1];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return fields[0];
+  return ParseId(Call(EncodeBeginRunRequest()));
 }
 
 Result<DerivationStep> ProvenanceClient::Apply(uint64_t session_id,
                                                uint64_t instance,
                                                uint64_t production) {
-  Result<std::string> body =
-      Call(EncodeApplyRequest(session_id, instance, production));
-  if (!body.ok()) return body.status();
   uint64_t fields[6];
-  Status parsed = ReadFields(*body, fields);
+  Status parsed =
+      ReadFields(Call(EncodeApplyRequest(session_id, instance, production)),
+                 fields);
   if (!parsed.ok()) return parsed;
   DerivationStep step;
   step.index = static_cast<int>(fields[0]);
@@ -115,132 +155,75 @@ Result<DerivationStep> ProvenanceClient::Apply(uint64_t session_id,
 }
 
 Result<SnapshotInfo> ProvenanceClient::Snapshot(uint64_t session_id) {
-  Result<std::string> body =
-      Call(EncodeSnapshotRequest(session_id, /*delta=*/false));
-  if (!body.ok()) return body.status();
-  uint64_t fields[3];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return SnapshotInfo{fields[0], static_cast<int>(fields[1]),
-                      static_cast<int>(fields[2])};
+  return ParseSnapshotInfo(
+      Call(EncodeSnapshotRequest(session_id, /*delta=*/false)));
 }
 
 Result<SnapshotInfo> ProvenanceClient::SnapshotDelta(uint64_t session_id) {
-  Result<std::string> body =
-      Call(EncodeSnapshotRequest(session_id, /*delta=*/true));
-  if (!body.ok()) return body.status();
-  uint64_t fields[3];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return SnapshotInfo{fields[0], static_cast<int>(fields[1]),
-                      static_cast<int>(fields[2])};
+  return ParseSnapshotInfo(
+      Call(EncodeSnapshotRequest(session_id, /*delta=*/true)));
 }
 
 Result<bool> ProvenanceClient::Depends(uint64_t view_id, uint64_t index_id,
                                        ViewLabelMode mode, uint64_t d1,
                                        uint64_t d2) {
-  Result<std::string> body =
-      Call(EncodeDependsRequest(view_id, index_id, mode, d1, d2));
-  if (!body.ok()) return body.status();
-  if (body->size() != 1 || static_cast<uint8_t>((*body)[0]) > 1) {
-    return Malformed("depends answer");
-  }
-  return (*body)[0] != 0;
+  Result<std::string> frame =
+      RoundTripRaw(EncodeDependsRequest(view_id, index_id, mode, d1, d2));
+  if (!frame.ok()) return frame.status();
+  return ParseBoolAnswer(*frame);
 }
 
 Result<std::vector<bool>> ProvenanceClient::DependsMany(
     uint64_t view_id, uint64_t index_id, ViewLabelMode mode,
     std::span<const std::pair<int, int>> queries) {
-  Result<std::string> body =
-      Call(EncodeDependsManyRequest(view_id, index_id, mode, queries));
-  if (!body.ok()) return body.status();
-  std::vector<bool> bits;
-  size_t pos = 0;
-  if (!DecodeBools(*body, &pos, &bits) || pos != body->size() ||
-      bits.size() != queries.size()) {
-    return Malformed("depends-many answer");
-  }
-  return bits;
+  return ParseBools(
+      Call(EncodeDependsManyRequest(view_id, index_id, mode, queries)),
+      queries.size(), "depends-many answer");
 }
 
 Result<std::vector<bool>> ProvenanceClient::VisibilitySweep(
     uint64_t view_id, uint64_t index_id, ViewLabelMode mode) {
-  Result<std::string> body =
-      Call(EncodeVisibilitySweepRequest(view_id, index_id, mode));
-  if (!body.ok()) return body.status();
-  std::vector<bool> bits;
-  size_t pos = 0;
-  if (!DecodeBools(*body, &pos, &bits) || pos != body->size()) {
-    return Malformed("visibility answer");
-  }
-  return bits;
+  return ParseBools(Call(EncodeVisibilitySweepRequest(view_id, index_id, mode)),
+                    std::nullopt, "visibility answer");
 }
 
 Result<MergeInfo> ProvenanceClient::MergeRuns(
     std::span<const uint64_t> index_ids) {
-  Result<std::string> body = Call(EncodeMergeRunsRequest(index_ids));
-  if (!body.ok()) return body.status();
-  uint64_t fields[3];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return MergeInfo{fields[0], static_cast<int>(fields[1]),
-                   static_cast<int>(fields[2])};
+  return ParseMergeInfo(Call(EncodeMergeRunsRequest(index_ids)));
 }
 
 Result<std::vector<bool>> ProvenanceClient::QueryAcrossRuns(
     uint64_t view_id, uint64_t merged_id, ViewLabelMode mode,
     std::span<const std::pair<RunItem, RunItem>> queries) {
-  Result<std::string> body =
-      Call(EncodeQueryAcrossRunsRequest(view_id, merged_id, mode, queries));
-  if (!body.ok()) return body.status();
-  std::vector<bool> bits;
-  size_t pos = 0;
-  if (!DecodeBools(*body, &pos, &bits) || pos != body->size() ||
-      bits.size() != queries.size()) {
-    return Malformed("query-across-runs answer");
-  }
-  return bits;
+  return ParseBools(
+      Call(EncodeQueryAcrossRunsRequest(view_id, merged_id, mode, queries)),
+      queries.size(), "query-across-runs answer");
 }
 
 Result<OpenInfo> ProvenanceClient::OpenIndexFile(const std::string& path) {
-  Result<std::string> body =
-      Call(EncodeOpenIndexFileRequest(path, /*merged=*/false));
-  if (!body.ok()) return body.status();
   uint64_t fields[2];
-  Status parsed = ReadFields(*body, fields);
+  Status parsed =
+      ReadFields(Call(EncodeOpenIndexFileRequest(path, /*merged=*/false)),
+                 fields);
   if (!parsed.ok()) return parsed;
   return OpenInfo{fields[0], static_cast<int>(fields[1])};
 }
 
 Result<MergeInfo> ProvenanceClient::OpenMergedIndexFile(
     const std::string& path) {
-  Result<std::string> body =
-      Call(EncodeOpenIndexFileRequest(path, /*merged=*/true));
-  if (!body.ok()) return body.status();
-  uint64_t fields[3];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return MergeInfo{fields[0], static_cast<int>(fields[1]),
-                   static_cast<int>(fields[2])};
+  return ParseMergeInfo(
+      Call(EncodeOpenIndexFileRequest(path, /*merged=*/true)));
 }
 
 Result<MergeInfo> ProvenanceClient::CompactFiles(
     std::span<const std::string> input_paths, const std::string& output_path) {
-  Result<std::string> body =
-      Call(EncodeCompactFilesRequest(input_paths, output_path));
-  if (!body.ok()) return body.status();
-  uint64_t fields[3];
-  Status parsed = ReadFields(*body, fields);
-  if (!parsed.ok()) return parsed;
-  return MergeInfo{fields[0], static_cast<int>(fields[1]),
-                   static_cast<int>(fields[2])};
+  return ParseMergeInfo(
+      Call(EncodeCompactFilesRequest(input_paths, output_path)));
 }
 
 Result<ServerStats> ProvenanceClient::Stats() {
-  Result<std::string> body = Call(EncodeStatsRequest());
-  if (!body.ok()) return body.status();
   uint64_t fields[8];
-  Status parsed = ReadFields(*body, fields);
+  Status parsed = ReadFields(Call(EncodeStatsRequest()), fields);
   if (!parsed.ok()) return parsed;
   ServerStats stats;
   stats.point_queries = fields[0];
@@ -277,9 +260,8 @@ Result<bool> ProvenanceClient::NextDependsAnswer() {
                          "no pipelined query pending");
   }
   --pending_;
-  // In-place parse: the expected answer is a fixed 2-byte payload
-  // (kOkByte | bool), and the driver calls this hundreds of thousands of
-  // times per second — only the rare error frame takes the owning path.
+  // In-place parse: the answer is read straight out of the read buffer,
+  // and the driver calls this hundreds of thousands of times per second.
   char chunk[1 << 16];
   for (;;) {
     size_t frame_size = 0;
@@ -287,18 +269,10 @@ Result<bool> ProvenanceClient::NextDependsAnswer() {
     std::string_view unread = std::string_view(read_buffer_).substr(read_pos_);
     FrameStatus status = TryExtractFrame(unread, &frame_size, &payload);
     if (status == FrameStatus::kFrame) {
-      if (payload.size() == 2 &&
-          static_cast<uint8_t>(payload[0]) == kOkByte &&
-          static_cast<uint8_t>(payload[1]) <= 1) {
-        bool answer = payload[1] != 0;
-        ConsumeRead(frame_size);
-        return answer;
-      }
-      std::string owned(payload);
+      // Parsed before ConsumeRead: the payload points into read_buffer_.
+      Result<bool> answer = ParseBoolAnswer(payload);
       ConsumeRead(frame_size);
-      Result<std::string_view> body = ParseResponse(owned);
-      if (!body.ok()) return body.status();
-      return Malformed("depends answer");
+      return answer;
     }
     if (status == FrameStatus::kBad) return Malformed("bad frame length");
     Result<ReadOutcome> outcome = ReadSome(socket_, chunk, sizeof(chunk));

@@ -361,14 +361,13 @@ class ProvenanceServer::Impl {
     // Group by (view, index, mode): one DependsMany decode pass each. A
     // batch almost always holds runs of one group (clients hammer one
     // index), so the map is only consulted when the key changes.
-    std::map<std::tuple<uint64_t, uint64_t, int>, std::vector<PointQuery*>>
-        groups;
-    std::tuple<uint64_t, uint64_t, int> last_key;
+    using Key = std::tuple<uint64_t, uint64_t, ViewLabelMode>;
+    std::map<Key, std::vector<PointQuery*>> groups;
+    Key last_key;
     std::vector<PointQuery*>* last_group = nullptr;
     for (PointQuery* query : batch) {
-      std::tuple<uint64_t, uint64_t, int> key{
-          query->request.view_id, query->request.index_id,
-          static_cast<int>(query->request.mode)};
+      const DependsRequest& request = query->request;
+      Key key{request.view_id, request.index_id, request.mode};
       if (last_group == nullptr || key != last_key) {
         last_group = &groups[key];
         last_key = key;
@@ -377,25 +376,17 @@ class ProvenanceServer::Impl {
     }
     for (auto& [key, group] : groups) {
       point_batches_.fetch_add(1, std::memory_order_relaxed);
-      auto fail = [&group](const Status& status) {
-        for (PointQuery* query : group) query->status = status;
-      };
-      Result<ViewHandle> handle = LookupView(std::get<0>(key));
-      if (!handle.ok()) {
-        fail(handle.status());
-        continue;
-      }
-      std::shared_ptr<const ProvenanceIndex> index =
-          LookupArtifact(std::get<1>(key));
-      if (index == nullptr) {
-        fail(NotFound("index", std::get<1>(key)));
+      const QueryHeader& header = group.front()->request;  // the group's key
+      Result<QueryTarget> target = LookupTarget(header);
+      if (!target.ok()) {
+        for (PointQuery* query : group) query->status = target.status();
         continue;
       }
       // One out-of-range query must not fail its neighbours (other
       // connections' queries among them): the in-range ones share one
       // decode pass, and each out-of-range one gets its own one-pair
       // DependsMany, which fails with the service's own message.
-      const uint64_t num_items = index->total_items();
+      const uint64_t num_items = target->index->total_items();
       auto bad = std::stable_partition(
           group.begin(), group.end(), [num_items](const PointQuery* query) {
             return query->request.d1 < num_items &&
@@ -409,7 +400,7 @@ class ProvenanceServer::Impl {
                            static_cast<int>(query->request.d2)});
         }
         Result<std::vector<bool>> answers = service_->DependsMany(
-            *handle, *index, pairs, queries.front()->request.mode);
+            target->view, *target->index, pairs, header.mode);
         for (size_t i = 0; i < queries.size(); ++i) {
           if (answers.ok()) {
             queries[i]->answer = (*answers)[i];
@@ -442,13 +433,11 @@ class ProvenanceServer::Impl {
       case MsgType::kSnapshotDelta:
         return HandleSnapshot(request);
       case MsgType::kDependsMany:
-        return HandleDependsMany(request);
       case MsgType::kVisibilitySweep:
-        return HandleVisibilitySweep(request);
+      case MsgType::kQueryAcrossRuns:
+        return HandleQuery(request);
       case MsgType::kMergeRuns:
         return HandleMergeRuns(request);
-      case MsgType::kQueryAcrossRuns:
-        return HandleQueryAcrossRuns(request);
       case MsgType::kOpenIndexFile:
         return HandleOpenIndexFile(request);
       case MsgType::kCompactFiles:
@@ -547,35 +536,23 @@ class ProvenanceServer::Impl {
     return OkResponse(body);
   }
 
-  std::string HandleDependsMany(const Request& request) {
-    Result<ViewHandle> handle = LookupView(request.view_id);
-    if (!handle.ok()) return ErrorResponse(handle.status());
-    std::shared_ptr<const ProvenanceIndex> index =
-        LookupArtifact(request.index_id);
-    if (index == nullptr) {
-      return ErrorResponse(NotFound("index", request.index_id));
-    }
+  // kDependsMany, kVisibilitySweep and kQueryAcrossRuns: look up the
+  // header's view and index, answer with a bool vector.
+  std::string HandleQuery(const Request& request) {
+    Result<QueryTarget> target = LookupTarget(request);
+    if (!target.ok()) return ErrorResponse(target.status());
+    const ViewHandle& view = target->view;
+    const ProvenanceIndex& index = *target->index;
     Result<std::vector<bool>> answers =
-        service_->DependsMany(*handle, *index, request.pairs, request.mode);
+        request.type == MsgType::kDependsMany
+            ? service_->DependsMany(view, index, request.pairs, request.mode)
+        : request.type == MsgType::kVisibilitySweep
+            ? service_->VisibilitySweep(view, index, request.mode)
+            : service_->QueryAcrossRuns(view, index, request.run_pairs,
+                                        request.mode);
     if (!answers.ok()) return ErrorResponse(answers.status());
     std::string body;
     AppendBools(&body, *answers);
-    return OkResponse(body);
-  }
-
-  std::string HandleVisibilitySweep(const Request& request) {
-    Result<ViewHandle> handle = LookupView(request.view_id);
-    if (!handle.ok()) return ErrorResponse(handle.status());
-    std::shared_ptr<const ProvenanceIndex> index =
-        LookupArtifact(request.index_id);
-    if (index == nullptr) {
-      return ErrorResponse(NotFound("index", request.index_id));
-    }
-    Result<std::vector<bool>> visible =
-        service_->VisibilitySweep(*handle, *index, request.mode);
-    if (!visible.ok()) return ErrorResponse(visible.status());
-    std::string body;
-    AppendBools(&body, *visible);
     return OkResponse(body);
   }
 
@@ -627,22 +604,6 @@ class ProvenanceServer::Impl {
     return MergeInfoResponse(std::move(merged).value());
   }
 
-  std::string HandleQueryAcrossRuns(const Request& request) {
-    Result<ViewHandle> handle = LookupView(request.view_id);
-    if (!handle.ok()) return ErrorResponse(handle.status());
-    std::shared_ptr<const ProvenanceIndex> index =
-        LookupArtifact(request.index_id);
-    if (index == nullptr) {
-      return ErrorResponse(NotFound("index", request.index_id));
-    }
-    Result<std::vector<bool>> answers = service_->QueryAcrossRuns(
-        *handle, *index, request.run_pairs, request.mode);
-    if (!answers.ok()) return ErrorResponse(answers.status());
-    std::string body;
-    AppendBools(&body, *answers);
-    return OkResponse(body);
-  }
-
   // Registers `index` and replies {id, num_runs, total_items}.
   std::string MergeInfoResponse(ProvenanceIndex index)
       FVL_EXCLUDES(state_mu_) {
@@ -666,10 +627,21 @@ class ProvenanceServer::Impl {
     return id;
   }
 
-  Result<ViewHandle> LookupView(uint64_t view_id) FVL_EXCLUDES(state_mu_) {
+  // What a query op's header names: the view and the index it queries.
+  struct QueryTarget {
+    ViewHandle view;
+    std::shared_ptr<const ProvenanceIndex> index;
+  };
+
+  Result<QueryTarget> LookupTarget(const QueryHeader& header)
+      FVL_EXCLUDES(state_mu_) {
     MutexLock lock(&state_mu_);
-    if (view_id >= views_.size()) return NotFound("view", view_id);
-    return views_[view_id];
+    if (header.view_id >= views_.size()) {
+      return NotFound("view", header.view_id);
+    }
+    auto it = artifacts_.find(header.index_id);
+    if (it == artifacts_.end()) return NotFound("index", header.index_id);
+    return QueryTarget{views_[header.view_id], it->second};
   }
 
   std::shared_ptr<SessionEntry> LookupSession(uint64_t session_id)

@@ -162,6 +162,20 @@ bool ReadItemId(std::string_view blob, size_t* pos, uint64_t* value) {
   return ReadU64(blob, pos, value) && *value <= kMaxItemId;
 }
 
+bool ReadQueryHeader(std::string_view blob, size_t* pos, QueryHeader* header) {
+  return ReadU64(blob, pos, &header->view_id) &&
+         ReadU64(blob, pos, &header->index_id) &&
+         ReadMode(blob, pos, &header->mode);
+}
+
+// The kDepends body, for both DecodeRequest and DecodeDependsRequest.
+bool ReadDependsBody(std::string_view blob, size_t* pos,
+                     DependsRequest* request) {
+  return ReadQueryHeader(blob, pos, request) &&
+         ReadItemId(blob, pos, &request->d1) &&
+         ReadItemId(blob, pos, &request->d2);
+}
+
 // Archive paths on the wire: `u64 len | bytes`, capped well under the
 // frame limit so a flipped length byte cannot demand a gigabyte string
 // (PATH_MAX is 4096 on every target we build for).
@@ -217,19 +231,13 @@ Result<Request> DecodeRequest(std::string_view payload) {
       }
       break;
     case MsgType::kDepends:
-      if (!ReadU64(payload, &pos, &request.view_id) ||
-          !ReadU64(payload, &pos, &request.index_id) ||
-          !ReadMode(payload, &pos, &request.mode) ||
-          !ReadItemId(payload, &pos, &request.d1) ||
-          !ReadItemId(payload, &pos, &request.d2)) {
+      if (!ReadDependsBody(payload, &pos, &request)) {
         return Malformed("bad depends body");
       }
       break;
     case MsgType::kDependsMany: {
       uint64_t count = 0;
-      if (!ReadU64(payload, &pos, &request.view_id) ||
-          !ReadU64(payload, &pos, &request.index_id) ||
-          !ReadMode(payload, &pos, &request.mode) ||
+      if (!ReadQueryHeader(payload, &pos, &request) ||
           !ReadU64(payload, &pos, &count)) {
         return Malformed("bad depends-many body");
       }
@@ -249,9 +257,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
       break;
     }
     case MsgType::kVisibilitySweep:
-      if (!ReadU64(payload, &pos, &request.view_id) ||
-          !ReadU64(payload, &pos, &request.index_id) ||
-          !ReadMode(payload, &pos, &request.mode)) {
+      if (!ReadQueryHeader(payload, &pos, &request)) {
         return Malformed("bad visibility-sweep body");
       }
       break;
@@ -275,9 +281,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
     }
     case MsgType::kQueryAcrossRuns: {
       uint64_t count = 0;
-      if (!ReadU64(payload, &pos, &request.view_id) ||
-          !ReadU64(payload, &pos, &request.index_id) ||
-          !ReadMode(payload, &pos, &request.mode) ||
+      if (!ReadQueryHeader(payload, &pos, &request) ||
           !ReadU64(payload, &pos, &count)) {
         return Malformed("bad query-across-runs body");
       }
@@ -341,6 +345,28 @@ std::string WithType(MsgType type) {
   return std::string(1, static_cast<char>(type));
 }
 
+void AppendQueryHeader(std::string* out, uint64_t view_id, uint64_t index_id,
+                       ViewLabelMode mode) {
+  AppendU64(out, view_id);
+  AppendU64(out, index_id);
+  AppendU64(out, static_cast<uint64_t>(mode));
+}
+
+// 1 type byte + 5 u64 fields.
+constexpr uint64_t kDependsPayloadBytes = 41;
+
+// The whole kDepends payload, for both EncodeDependsRequest and
+// AppendDependsRequestFrame. Appends, so queuing a frame allocates only
+// when the caller's buffer grows.
+void AppendDependsPayload(std::string* out, uint64_t view_id,
+                          uint64_t index_id, ViewLabelMode mode, uint64_t d1,
+                          uint64_t d2) {
+  out->push_back(static_cast<char>(MsgType::kDepends));
+  AppendQueryHeader(out, view_id, index_id, mode);
+  AppendU64(out, d1);
+  AppendU64(out, d2);
+}
+
 }  // namespace
 
 std::string EncodePingRequest() { return WithType(MsgType::kPing); }
@@ -372,12 +398,8 @@ std::string EncodeSnapshotRequest(uint64_t session_id, bool delta) {
 std::string EncodeDependsRequest(uint64_t view_id, uint64_t index_id,
                                  ViewLabelMode mode, uint64_t d1,
                                  uint64_t d2) {
-  std::string payload = WithType(MsgType::kDepends);
-  AppendU64(&payload, view_id);
-  AppendU64(&payload, index_id);
-  AppendU64(&payload, static_cast<uint64_t>(mode));
-  AppendU64(&payload, d1);
-  AppendU64(&payload, d2);
+  std::string payload;
+  AppendDependsPayload(&payload, view_id, index_id, mode, d1, d2);
   return payload;
 }
 
@@ -387,32 +409,21 @@ bool DecodeDependsRequest(std::string_view payload, DependsRequest* request) {
     return false;
   }
   size_t pos = 1;
-  return ReadU64(payload, &pos, &request->view_id) &&
-         ReadU64(payload, &pos, &request->index_id) &&
-         ReadMode(payload, &pos, &request->mode) &&
-         ReadItemId(payload, &pos, &request->d1) &&
-         ReadItemId(payload, &pos, &request->d2) && pos == payload.size();
+  return ReadDependsBody(payload, &pos, request) && pos == payload.size();
 }
 
 void AppendDependsRequestFrame(std::string* out, uint64_t view_id,
                                uint64_t index_id, ViewLabelMode mode,
                                uint64_t d1, uint64_t d2) {
-  AppendU64(out, 41);  // 1 type byte + 5 u64 fields
-  out->push_back(static_cast<char>(MsgType::kDepends));
-  AppendU64(out, view_id);
-  AppendU64(out, index_id);
-  AppendU64(out, static_cast<uint64_t>(mode));
-  AppendU64(out, d1);
-  AppendU64(out, d2);
+  AppendU64(out, kDependsPayloadBytes);
+  AppendDependsPayload(out, view_id, index_id, mode, d1, d2);
 }
 
 std::string EncodeDependsManyRequest(
     uint64_t view_id, uint64_t index_id, ViewLabelMode mode,
     std::span<const std::pair<int, int>> queries) {
   std::string payload = WithType(MsgType::kDependsMany);
-  AppendU64(&payload, view_id);
-  AppendU64(&payload, index_id);
-  AppendU64(&payload, static_cast<uint64_t>(mode));
+  AppendQueryHeader(&payload, view_id, index_id, mode);
   AppendU64(&payload, queries.size());
   for (const auto& [d1, d2] : queries) {
     AppendU64(&payload, static_cast<uint64_t>(d1));
@@ -424,9 +435,7 @@ std::string EncodeDependsManyRequest(
 std::string EncodeVisibilitySweepRequest(uint64_t view_id, uint64_t index_id,
                                          ViewLabelMode mode) {
   std::string payload = WithType(MsgType::kVisibilitySweep);
-  AppendU64(&payload, view_id);
-  AppendU64(&payload, index_id);
-  AppendU64(&payload, static_cast<uint64_t>(mode));
+  AppendQueryHeader(&payload, view_id, index_id, mode);
   return payload;
 }
 
@@ -441,9 +450,7 @@ std::string EncodeQueryAcrossRunsRequest(
     uint64_t view_id, uint64_t merged_id, ViewLabelMode mode,
     std::span<const std::pair<RunItem, RunItem>> queries) {
   std::string payload = WithType(MsgType::kQueryAcrossRuns);
-  AppendU64(&payload, view_id);
-  AppendU64(&payload, merged_id);
-  AppendU64(&payload, static_cast<uint64_t>(mode));
+  AppendQueryHeader(&payload, view_id, merged_id, mode);
   AppendU64(&payload, queries.size());
   for (const auto& [a, b] : queries) {
     AppendU64(&payload, static_cast<uint64_t>(a.run));

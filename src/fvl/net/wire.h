@@ -89,18 +89,28 @@ void AppendFrame(std::string* out, std::string_view payload);
 
 // --- Requests --------------------------------------------------------------
 
-// Decoded request: one bag struct for all message types (the unused fields
-// of a given type are left at their defaults).
-struct Request {
-  MsgType type = MsgType::kPing;
-  uint64_t session_id = 0;
+// `u64 view | u64 index | u64 mode`: the header the four query ops
+// (kDepends, kDependsMany, kVisibilitySweep, kQueryAcrossRuns) start with.
+struct QueryHeader {
   uint64_t view_id = 0;
   uint64_t index_id = 0;
   ViewLabelMode mode = ViewLabelMode::kQueryEfficient;
-  uint64_t instance = 0;
-  uint64_t production = 0;
+};
+
+// A kDepends body: the header plus one item pair.
+struct DependsRequest : QueryHeader {
   uint64_t d1 = 0;
   uint64_t d2 = 0;
+};
+
+// Decoded request: one bag struct for all message types (the unused fields
+// of a given type are left at their defaults). The query-op fields come
+// from DependsRequest, so one field reader fills them for both decoders.
+struct Request : DependsRequest {
+  MsgType type = MsgType::kPing;
+  uint64_t session_id = 0;
+  uint64_t instance = 0;
+  uint64_t production = 0;
   std::vector<std::pair<int, int>> pairs;             // kDependsMany
   std::vector<std::pair<RunItem, RunItem>> run_pairs;  // kQueryAcrossRuns
   std::vector<uint64_t> index_ids;                    // kMergeRuns
@@ -119,16 +129,12 @@ struct Request {
 // fixed-shape 41-byte payload; the general decoder routes it through the
 // Request bag (four vectors plus a View constructed and destroyed per
 // frame), which is pure overhead at hundreds of thousands of frames per
-// second. DecodeDependsRequest accepts exactly the payloads DecodeRequest
-// would for MsgType::kDepends — the equivalence is under test — and the
-// server and client hot loops use only this pair.
-struct DependsRequest {
-  uint64_t view_id = 0;
-  uint64_t index_id = 0;
-  ViewLabelMode mode = ViewLabelMode::kQueryEfficient;
-  uint64_t d1 = 0;
-  uint64_t d2 = 0;
-};
+// second. The server and client hot loops use only this pair. It shares
+// its field reader and writer with DecodeRequest and EncodeDependsRequest,
+// so DecodeDependsRequest accepts exactly the payloads DecodeRequest would
+// for MsgType::kDepends (tests/net_protocol_test.cc,
+// DependsDecodersAgreeOnSeededByteFlips and
+// DependsFrameWriterMatchesEncoder).
 bool DecodeDependsRequest(std::string_view payload, DependsRequest* request);
 // Appends the already-framed request (`u64 len | payload`) to *out.
 void AppendDependsRequestFrame(std::string* out, uint64_t view_id,

@@ -15,6 +15,7 @@
 #include "fvl/util/bitstream.h"
 #include "fvl/util/file.h"
 #include "fvl/util/random.h"
+#include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
 #include "label_store_test_peer.h"
 #include "test_util.h"
@@ -426,7 +427,8 @@ TEST_F(LabelStoreTest, ExtractDeltaPartitionsTheArena) {
 // checkpoints, and the tail after the last one, are at most kSkipInterval
 // items apart, on a store from every build path. Every path also keeps
 // every payload in the arena and nothing but gamma lengths in the meta
-// stream.
+// stream, and live Append records each span as exactly the bits the codec
+// wrote for it (it encodes once and measures the arena's growth).
 TEST_F(LabelStoreTest, SkipCheckpointsAreAtMostOneIntervalApart) {
   auto expect_bounded = [](const LabelStore& store, const char* path) {
     EXPECT_EQ(LabelStoreTestPeer::ArenaStreamBits(store), store.arena_bits())
@@ -447,6 +449,19 @@ TEST_F(LabelStoreTest, SkipCheckpointsAreAtMostOneIntervalApart) {
           << path << " checkpoint " << i;
     }
   };
+
+  // BioAID: long recursive paths with gamma-coded iteration indices.
+  auto bio_service = ProvenanceService::Create(MakeBioAid(2012).spec).value();
+  auto bio = bio_service->GenerateLabeledRun(
+      RunGeneratorOptions{.target_items = 2000, .seed = 20});
+  const LabelStore& bio_store = bio->labeler().store();
+  const LabelCodec& bio_codec = bio->labeler().codec();
+  for (int item = 0; item < bio->num_items(); ++item) {
+    ASSERT_EQ(bio_store.LabelBits(item),
+              bio_codec.Encode(bio->Label(item)).size_bits())
+        << "item " << item;
+  }
+  expect_bounded(bio_store, "live Append, BioAID");
 
   auto a = Session(150, 21);
   auto b = Session(97, 22);

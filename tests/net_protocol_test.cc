@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -60,6 +61,152 @@ std::vector<std::string> ValidRequestPayloads() {
           std::vector<std::string>{"/tmp/a.fvlidx", "/tmp/b.fvlmrg"},
           "/tmp/l1.fvlmrg"),
   };
+}
+
+// A payload's pinned form: its hex, or for a payload too long to read as
+// hex (the register-view body), its size and 64-bit FNV-1a digest.
+std::string PinnedBytes(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  auto hex = [](uint64_t value, int digits) {
+    std::string out;
+    for (int shift = 4 * (digits - 1); shift >= 0; shift -= 4) {
+      out.push_back(kDigits[(value >> shift) & 0xF]);
+    }
+    return out;
+  };
+  if (bytes.size() > 128) {
+    uint64_t digest = 0xcbf29ce484222325;
+    for (char c : bytes) {
+      digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3;
+    }
+    return std::to_string(bytes.size()) + " bytes, fnv1a64 " + hex(digest, 16);
+  }
+  std::string out;
+  for (char c : bytes) out += hex(static_cast<unsigned char>(c), 2);
+  return out;
+}
+
+// ----- Golden bytes: every request encoder's output, pinned. -----
+
+// PinnedBytes of ValidRequestPayloads(), in corpus order. A refactor of the
+// request encoders must leave every byte in place; changing one is a
+// protocol change (bump kProtocolVersion, then regenerate this table).
+constexpr const char* kGoldenPayloads[] = {
+    "01",
+    "4201 bytes, fnv1a64 ddebfc3ec041e349",
+    "03",
+    "04010000000000000000000000000000000200000000000000",
+    "050100000000000000",
+    "060100000000000000",
+    "0700000000000000000100000000000000020000000000000003000000000000"
+    "000500000000000000",
+    "0800000000000000000100000000000000010000000000000003000000000000"
+    "0000000000000000000100000000000000070000000000000003000000000000"
+    "0002000000000000000200000000000000",
+    "09000000000000000001000000000000000000000000000000",
+    "0a0300000000000000010000000000000002000000000000000300000000000000",
+    "0b00000000000000000100000000000000020000000000000002000000000000"
+    "0000000000000000000400000000000000010000000000000009000000000000"
+    "0001000000000000000000000000000000000000000000000000000000000000"
+    "00",
+    "0c",
+    "0d0013000000000000002f746d702f617263686976652e66766c696478",
+    "0d0113000000000000002f746d702f617263686976652e66766c6d7267",
+    "0e0e000000000000002f746d702f6c312e66766c6d726702000000000000000d"
+    "000000000000002f746d702f612e66766c6964780d000000000000002f746d70"
+    "2f622e66766c6d7267",
+};
+
+TEST(NetProtocol, CorpusMatchesGoldenBytes) {
+  const std::vector<std::string> payloads = ValidRequestPayloads();
+  ASSERT_EQ(payloads.size(), std::size(kGoldenPayloads));
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(PinnedBytes(payloads[i]), kGoldenPayloads[i]) << "payload " << i;
+  }
+}
+
+// ----- kDepends: the fast path and the general decoder agree. -----
+
+// The point-query hot loops use DecodeDependsRequest and
+// AppendDependsRequestFrame; everything else uses DecodeRequest and
+// EncodeDependsRequest. Both pairs must see the same bytes.
+std::vector<std::string> DependsPayloads() {
+  const uint64_t max_item = std::numeric_limits<int>::max();
+  return {
+      EncodeDependsRequest(0, 1, ViewLabelMode::kQueryEfficient, 3, 5),
+      EncodeDependsRequest(7, 0, ViewLabelMode::kDefault, 0, 0),
+      EncodeDependsRequest(~uint64_t{0}, uint64_t{1} << 40,
+                           ViewLabelMode::kSpaceEfficient, max_item, 1),
+      EncodeDependsRequest(2, 3, ViewLabelMode::kSpaceEfficient, 255, 256),
+  };
+}
+
+void ExpectDecodersAgree(std::string_view payload) {
+  DependsRequest fast;
+  const bool accepted = DecodeDependsRequest(payload, &fast);
+  Result<Request> general = DecodeRequest(payload);
+  const bool general_depends =
+      general.ok() && general->type == MsgType::kDepends;
+  ASSERT_EQ(accepted, general_depends) << "payload " << PinnedBytes(payload);
+  if (!accepted) return;
+  EXPECT_EQ(fast.view_id, general->view_id);
+  EXPECT_EQ(fast.index_id, general->index_id);
+  EXPECT_EQ(fast.mode, general->mode);
+  EXPECT_EQ(fast.d1, general->d1);
+  EXPECT_EQ(fast.d2, general->d2);
+}
+
+TEST(NetProtocol, DependsDecodersAgreeOnSeededByteFlips) {
+  Rng rng(41);
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::string& payload : DependsPayloads()) {
+    ExpectDecodersAgree(payload);
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      ExpectDecodersAgree(std::string_view(payload).substr(0, cut));
+    }
+    ExpectDecodersAgree(payload + '\x00');
+    for (int round = 0; round < 2000; ++round) {
+      std::string mutant = payload;
+      int flips = 1 + rng.NextInt(0, 2);
+      for (int f = 0; f < flips; ++f) {
+        size_t at = static_cast<size_t>(
+            rng.NextInt(0, static_cast<int>(mutant.size()) - 1));
+        mutant[at] = static_cast<char>(rng.NextInt(0, 255));
+      }
+      ExpectDecodersAgree(mutant);
+      DependsRequest ignored;
+      ++(DecodeDependsRequest(mutant, &ignored) ? accepted : rejected);
+    }
+  }
+  // Both outcomes are exercised: flips in the id fields keep the payload
+  // valid, flips in the type byte, the mode or an item id's high bytes
+  // reject it.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
+}
+
+TEST(NetProtocol, DependsFrameWriterMatchesEncoder) {
+  const uint64_t max_item = std::numeric_limits<int>::max();
+  struct Fields {
+    uint64_t view_id, index_id;
+    ViewLabelMode mode;
+    uint64_t d1, d2;
+  };
+  for (const Fields& f : {
+           Fields{0, 1, ViewLabelMode::kQueryEfficient, 3, 5},
+           Fields{7, 0, ViewLabelMode::kDefault, 0, 0},
+           Fields{~uint64_t{0}, uint64_t{1} << 40,
+                  ViewLabelMode::kSpaceEfficient, max_item, 1},
+       }) {
+    std::string framed;
+    AppendFrame(&framed, EncodeDependsRequest(f.view_id, f.index_id, f.mode,
+                                              f.d1, f.d2));
+    std::string direct = "prefix";  // appends, never overwrites
+    AppendDependsRequestFrame(&direct, f.view_id, f.index_id, f.mode, f.d1,
+                              f.d2);
+    EXPECT_EQ(direct, "prefix" + framed);
+  }
 }
 
 // ----- Baseline: the corpus itself decodes. -----
