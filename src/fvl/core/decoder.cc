@@ -1,43 +1,24 @@
 #include "fvl/core/decoder.h"
 
-#include "fvl/util/check.h"
-
 namespace fvl {
 
-std::optional<BoolMatrix> Decoder::InputsOf(const EdgeLabel& edge) const {
-  if (edge.kind == EdgeLabel::Kind::kProduction) {
-    return view_->I(edge.production, edge.position);
+std::optional<BoolMatrix> Decoder::Factor(PortSide side,
+                                          const EdgeLabel& edge) const {
+  if (edge.kind == EdgeLabel::Kind::kRecursion) {
+    return view_->Walk(side, edge.cycle, edge.start, edge.iteration);
   }
-  return view_->InputsWalk(edge.cycle, edge.start, edge.iteration);
+  return side == PortSide::kInputs ? view_->I(edge.production, edge.position)
+                                   : view_->O(edge.production, edge.position);
 }
 
-std::optional<BoolMatrix> Decoder::OutputsOf(const EdgeLabel& edge) const {
-  if (edge.kind == EdgeLabel::Kind::kProduction) {
-    return view_->O(edge.production, edge.position);
-  }
-  return view_->OutputsWalk(edge.cycle, edge.start, edge.iteration);
-}
-
-std::optional<BoolMatrix> Decoder::InputsChain(
-    const std::vector<EdgeLabel>& path, size_t from, int identity_dims) const {
+std::optional<BoolMatrix> Decoder::Chain(PortSide side,
+                                         const std::vector<EdgeLabel>& path,
+                                         size_t from, int identity_dims) const {
   if (from >= path.size()) return BoolMatrix::Identity(identity_dims);
-  std::optional<BoolMatrix> result = InputsOf(path[from]);
+  std::optional<BoolMatrix> result = Factor(side, path[from]);
   if (!result.has_value()) return std::nullopt;
   for (size_t a = from + 1; a < path.size(); ++a) {
-    std::optional<BoolMatrix> factor = InputsOf(path[a]);
-    if (!factor.has_value()) return std::nullopt;
-    result = result->Multiply(*factor);
-  }
-  return result;
-}
-
-std::optional<BoolMatrix> Decoder::OutputsChain(
-    const std::vector<EdgeLabel>& path, size_t from, int identity_dims) const {
-  if (from >= path.size()) return BoolMatrix::Identity(identity_dims);
-  std::optional<BoolMatrix> result = OutputsOf(path[from]);
-  if (!result.has_value()) return std::nullopt;
-  for (size_t a = from + 1; a < path.size(); ++a) {
-    std::optional<BoolMatrix> factor = OutputsOf(path[a]);
+    std::optional<BoolMatrix> factor = Factor(side, path[a]);
     if (!factor.has_value()) return std::nullopt;
     result = result->Multiply(*factor);
   }
@@ -56,16 +37,16 @@ bool Decoder::Depends(const DataLabel& d1, const DataLabel& d2) const {
 
   // Case III: initial input -> intermediate item.
   if (!d1.producer.has_value()) {
-    std::optional<BoolMatrix> chain =
-        InputsChain(d2.consumer->path, 0, view_->StartMatrix().rows());
+    std::optional<BoolMatrix> chain = Chain(
+        PortSide::kInputs, d2.consumer->path, 0, view_->StartMatrix().rows());
     if (!chain.has_value()) return false;  // d2 invisible in this view
     return chain->Get(d1.consumer->port, d2.consumer->port);
   }
 
   // Case IV: intermediate item -> final output.
   if (!d2.consumer.has_value()) {
-    std::optional<BoolMatrix> chain =
-        OutputsChain(d1.producer->path, 0, view_->StartMatrix().cols());
+    std::optional<BoolMatrix> chain = Chain(
+        PortSide::kOutputs, d1.producer->path, 0, view_->StartMatrix().cols());
     if (!chain.has_value()) return false;
     return chain->Get(d2.producer->port, d1.producer->port);
   }
@@ -84,26 +65,30 @@ bool Decoder::Depends(const DataLabel& d1, const DataLabel& d2) const {
   // ancestor of) the other; outputs cannot flow back into the expansion.
   if (cp == l1.size() || cp == l2.size()) return false;
 
+  // The checks below that return false at the fork point hold for any two
+  // labels of one run; labels of two runs can fail them.
   const EdgeLabel& e1 = l1[cp];
   const EdgeLabel& e2 = l2[cp];
-  FVL_CHECK(e1.kind == e2.kind);
+  if (e1.kind != e2.kind) return false;
 
   if (e1.kind == EdgeLabel::Kind::kProduction) {
     // Case 2a: fork below a module node.
-    FVL_CHECK(e1.production == e2.production);
+    if (e1.production != e2.production) return false;
     const int i = e1.position;
     const int j = e2.position;
     if (i > j) return false;  // Z(k, i, j) is empty for i >= j
     std::optional<BoolMatrix> z = view_->Z(e1.production, i, j);
     if (!z.has_value()) return false;
-    std::optional<BoolMatrix> o = OutputsChain(l1, cp + 1, z->rows());
-    std::optional<BoolMatrix> in = InputsChain(l2, cp + 1, z->cols());
+    std::optional<BoolMatrix> o =
+        Chain(PortSide::kOutputs, l1, cp + 1, z->rows());
+    std::optional<BoolMatrix> in =
+        Chain(PortSide::kInputs, l2, cp + 1, z->cols());
     if (!o.has_value() || !in.has_value()) return false;
     return o->Transpose().Multiply(*z).Multiply(*in).Get(x, y);
   }
 
   // Case 2b: fork below a recursive node.
-  FVL_CHECK(e1.cycle == e2.cycle && e1.start == e2.start);
+  if (e1.cycle != e2.cycle || e1.start != e2.start) return false;
   const int s = e1.cycle;
   const int t = e1.start;
   const int i = e1.iteration;
@@ -116,18 +101,23 @@ bool Decoder::Depends(const DataLabel& d1, const DataLabel& d2) const {
     // then descend to d2.
     if (cp + 1 == l1.size()) return false;  // o1 is a port of M_i itself
     const EdgeLabel& branch = l1[cp + 1];
-    FVL_CHECK(branch.kind == EdgeLabel::Kind::kProduction);
     PgEdge successor = pg.CycleEdgeAt(s, t + i - 1);
-    FVL_CHECK(successor.production == branch.production);
+    if (branch.kind != EdgeLabel::Kind::kProduction ||
+        successor.production != branch.production) {
+      return false;
+    }
     const int ip = branch.position;
     const int jp = successor.position;
     if (ip > jp) return false;  // branch after the successor: Z empty
     std::optional<BoolMatrix> z = view_->Z(successor.production, ip, jp);
     if (!z.has_value()) return false;
-    std::optional<BoolMatrix> o = OutputsChain(l1, cp + 2, z->rows());
-    std::optional<BoolMatrix> walk = view_->InputsWalk(s, t + i, j - i);
+    std::optional<BoolMatrix> o =
+        Chain(PortSide::kOutputs, l1, cp + 2, z->rows());
+    std::optional<BoolMatrix> walk =
+        view_->Walk(PortSide::kInputs, s, t + i, j - i);
     if (!o.has_value() || !walk.has_value()) return false;
-    std::optional<BoolMatrix> in = InputsChain(l2, cp + 1, walk->cols());
+    std::optional<BoolMatrix> in =
+        Chain(PortSide::kInputs, l2, cp + 1, walk->cols());
     if (!in.has_value()) return false;
     return o->Transpose()
         .Multiply(*z)
@@ -141,18 +131,23 @@ bool Decoder::Depends(const DataLabel& d1, const DataLabel& d2) const {
   // from the successor into d2's branch.
   if (cp + 1 == l2.size()) return false;  // i2 is a port of M_j itself
   const EdgeLabel& branch = l2[cp + 1];
-  FVL_CHECK(branch.kind == EdgeLabel::Kind::kProduction);
   PgEdge successor = pg.CycleEdgeAt(s, t + j - 1);
-  FVL_CHECK(successor.production == branch.production);
+  if (branch.kind != EdgeLabel::Kind::kProduction ||
+      successor.production != branch.production) {
+    return false;
+  }
   const int up = branch.position;
   const int succ = successor.position;
   if (succ > up) return false;  // branch before the successor: Z empty
   std::optional<BoolMatrix> z = view_->Z(successor.production, succ, up);
   if (!z.has_value()) return false;
-  std::optional<BoolMatrix> walk = view_->OutputsWalk(s, t + j, i - j);
+  std::optional<BoolMatrix> walk =
+      view_->Walk(PortSide::kOutputs, s, t + j, i - j);
   if (!walk.has_value()) return false;
-  std::optional<BoolMatrix> o = OutputsChain(l1, cp + 1, walk->cols());
-  std::optional<BoolMatrix> in = InputsChain(l2, cp + 2, z->cols());
+  std::optional<BoolMatrix> o =
+      Chain(PortSide::kOutputs, l1, cp + 1, walk->cols());
+  std::optional<BoolMatrix> in =
+      Chain(PortSide::kInputs, l2, cp + 2, z->cols());
   if (!o.has_value() || !in.has_value()) return false;
   return walk->Multiply(*o).Transpose().Multiply(*z).Multiply(*in).Get(x, y);
 }
@@ -214,14 +209,17 @@ bool MatrixFreeDecoder::Depends(const DataLabel& d1, const DataLabel& d2) const 
   // composite's outputs (single sink).
   if (cp == l1.size() || cp == l2.size()) return true;
 
+  // Labels of two runs can fork at edges of different kinds or productions
+  // (a recursion edge carries production -1); the answer is false then.
   const EdgeLabel& e1 = l1[cp];
   const EdgeLabel& e2 = l2[cp];
-  FVL_CHECK(e1.kind == e2.kind);
+  if (e1.kind != e2.kind) return false;
 
   if (e1.kind == EdgeLabel::Kind::kProduction) {
     const int i = e1.position;
     const int j = e2.position;
-    return i < j && MemberReaches(e1.production, i, j);
+    return e1.production == e2.production && i < j &&
+           MemberReaches(e1.production, i, j);
   }
 
   const int s = e1.cycle;
@@ -234,7 +232,8 @@ bool MatrixFreeDecoder::Depends(const DataLabel& d1, const DataLabel& d2) const 
     if (cp + 1 == l1.size()) return true;  // consumer is M_i itself
     const EdgeLabel& branch = l1[cp + 1];
     PgEdge successor = view_->production_graph().CycleEdgeAt(s, t + i - 1);
-    return branch.position < successor.position &&
+    return branch.production == successor.production &&
+           branch.position < successor.position &&
            MemberReaches(successor.production, branch.position,
                          successor.position);
   }
@@ -244,7 +243,8 @@ bool MatrixFreeDecoder::Depends(const DataLabel& d1, const DataLabel& d2) const 
     if (cp + 1 == l2.size()) return true;  // producer is M_j itself
     const EdgeLabel& branch = l2[cp + 1];
     PgEdge successor = view_->production_graph().CycleEdgeAt(s, t + j - 1);
-    return successor.position < branch.position &&
+    return branch.production == successor.production &&
+           successor.position < branch.position &&
            MemberReaches(successor.production, successor.position,
                          branch.position);
   }

@@ -16,6 +16,12 @@
 // Any undefined matrix lookup means one of the items is invisible in the
 // view; π conservatively returns false (use visibility.h to distinguish).
 //
+// Both labels must lie inside the grammar (ProvenanceService vets untrusted
+// ones with LabelInBounds); the matrices are read unchecked. π is defined
+// over two labels of one run. For labels of two runs of one specification
+// the answer is unspecified, but the call returns: paths that fork where
+// the runs expanded a module differently answer false.
+//
 // MatrixFreeDecoder is the §6.4 specialization for black-box views, where
 // every matrix is complete or empty and the predicate reduces to one
 // member-level reachability bit at the fork point.
@@ -40,15 +46,14 @@ class Decoder {
   bool Depends(const DataLabel& d1, const DataLabel& d2) const;
 
  private:
-  std::optional<BoolMatrix> InputsOf(const EdgeLabel& edge) const;
-  std::optional<BoolMatrix> OutputsOf(const EdgeLabel& edge) const;
-  // Products over path[from..]; identity-like std::nullopt never occurs —
-  // empty ranges yield an "unset" optional flagging the identity (handled by
-  // the callers via the dims argument).
-  std::optional<BoolMatrix> InputsChain(const std::vector<EdgeLabel>& path,
-                                        size_t from, int identity_dims) const;
-  std::optional<BoolMatrix> OutputsChain(const std::vector<EdgeLabel>& path,
-                                         size_t from, int identity_dims) const;
+  // The I (kInputs) or O (kOutputs) matrix of one path edge: a production
+  // edge's own matrix, a recursion edge's cycle walk.
+  std::optional<BoolMatrix> Factor(PortSide side, const EdgeLabel& edge) const;
+  // The product of Factor over path[from..]; the identity of identity_dims
+  // when that range is empty, std::nullopt when a factor is undefined.
+  std::optional<BoolMatrix> Chain(PortSide side,
+                                  const std::vector<EdgeLabel>& path,
+                                  size_t from, int identity_dims) const;
 
   const ViewLabel* view_;
 };

@@ -1,9 +1,6 @@
 #include "fvl/core/view_label.h"
 
-#include <deque>
-
 #include "fvl/util/check.h"
-#include "fvl/workflow/port_graph.h"
 
 namespace fvl {
 
@@ -21,175 +18,34 @@ const char* ToString(ViewLabelMode mode) {
 
 namespace {
 
-// Lightweight per-production port reachability used by the space-efficient
-// variant: builds adjacency lists and answers one matrix with per-source
-// BFS, without materializing the full closure.
-class ProductionReach {
- public:
-  ProductionReach(const Grammar& g, const SimpleWorkflow& w,
-                  const DependencyAssignment& deps,
-                  const PortGraphOverlay* overlay)
-      : grammar_(&g), workflow_(&w) {
-    const int n = w.num_members();
-    input_base_.resize(n);
-    output_base_.resize(n);
-    int next = 0;
-    for (int m = 0; m < n; ++m) {
-      const Module& module = g.module(w.members[m]);
-      input_base_[m] = next;
-      next += module.num_inputs;
-      output_base_[m] = next;
-      next += module.num_outputs;
-    }
-    adjacency_.resize(next);
-    for (int m = 0; m < n; ++m) {
-      if (overlay != nullptr &&
-          m < static_cast<int>(overlay->suppress_member.size()) &&
-          overlay->suppress_member[m]) {
-        continue;
-      }
-      const BoolMatrix& deps_matrix = deps.Get(w.members[m]);
-      for (int i = 0; i < deps_matrix.rows(); ++i) {
-        for (int o = 0; o < deps_matrix.cols(); ++o) {
-          if (deps_matrix.Get(i, o)) {
-            adjacency_[input_base_[m] + i].push_back(output_base_[m] + o);
-          }
-        }
-      }
-    }
-    std::vector<bool> suppressed(w.edges.size(), false);
-    if (overlay != nullptr) {
-      for (int index : overlay->suppressed_edges) suppressed[index] = true;
-    }
-    for (size_t i = 0; i < w.edges.size(); ++i) {
-      if (suppressed[i]) continue;
-      const DataEdge& e = w.edges[i];
-      adjacency_[output_base_[e.src.member] + e.src.port].push_back(
-          input_base_[e.dst.member] + e.dst.port);
-    }
-    if (overlay != nullptr) {
-      for (const PortGraphOverlay::CrossDep& dep : overlay->extra_deps) {
-        adjacency_[input_base_[dep.from_input.member] + dep.from_input.port]
-            .push_back(output_base_[dep.to_output.member] +
-                       dep.to_output.port);
-      }
-    }
-  }
-
-  int InputNode(PortRef p) const { return input_base_[p.member] + p.port; }
-  int OutputNode(PortRef p) const { return output_base_[p.member] + p.port; }
-
-  std::vector<bool> Bfs(int source) const {
-    std::vector<bool> visited(adjacency_.size(), false);
-    std::deque<int> queue = {source};
-    visited[source] = true;
-    while (!queue.empty()) {
-      int node = queue.front();
-      queue.pop_front();
-      for (int next : adjacency_[node]) {
-        if (!visited[next]) {
-          visited[next] = true;
-          queue.push_back(next);
-        }
-      }
-    }
-    return visited;
-  }
-
-  // rows: reach set of each source; entry (r, c) = targets[c] reachable.
-  BoolMatrix Matrix(const std::vector<int>& sources,
-                    const std::vector<int>& targets) const {
-    BoolMatrix result(static_cast<int>(sources.size()),
-                      static_cast<int>(targets.size()));
-    for (size_t r = 0; r < sources.size(); ++r) {
-      std::vector<bool> reach = Bfs(sources[r]);
-      for (size_t c = 0; c < targets.size(); ++c) {
-        if (reach[targets[c]]) result.Set(static_cast<int>(r),
-                                          static_cast<int>(c));
-      }
-    }
-    return result;
-  }
-
-  std::vector<int> InitialNodes() const {
-    std::vector<int> nodes;
-    for (const PortRef& p : workflow_->initial_inputs) {
-      nodes.push_back(InputNode(p));
-    }
-    return nodes;
-  }
-  std::vector<int> FinalNodes() const {
-    std::vector<int> nodes;
-    for (const PortRef& p : workflow_->final_outputs) {
-      nodes.push_back(OutputNode(p));
-    }
-    return nodes;
-  }
-  std::vector<int> MemberInputNodes(int member) const {
-    std::vector<int> nodes;
-    const Module& module = grammar_->module(workflow_->members[member]);
-    for (int p = 0; p < module.num_inputs; ++p) {
-      nodes.push_back(input_base_[member] + p);
-    }
-    return nodes;
-  }
-  std::vector<int> MemberOutputNodes(int member) const {
-    std::vector<int> nodes;
-    const Module& module = grammar_->module(workflow_->members[member]);
-    for (int p = 0; p < module.num_outputs; ++p) {
-      nodes.push_back(output_base_[member] + p);
-    }
-    return nodes;
-  }
-
- private:
-  const Grammar* grammar_;
-  const SimpleWorkflow* workflow_;
-  std::vector<int> input_base_;
-  std::vector<int> output_base_;
-  std::vector<std::vector<int>> adjacency_;
-};
+// The identity a walk along `side` starts from at edge t of cycle s: one row
+// and column per port of the cycle member the walk starts at.
+BoolMatrix WalkIdentity(const ProductionGraph& pg, PortSide side, int s,
+                        int t) {
+  const Module& first =
+      pg.grammar().module(pg.EdgeSource(pg.CycleEdgeAt(s, t)));
+  return BoolMatrix::Identity(side == PortSide::kInputs ? first.num_inputs
+                                                        : first.num_outputs);
+}
 
 }  // namespace
 
-BoolMatrix ViewLabel::ComputeI(ProductionId k, int pos) const {
-  const Production& p = grammar_->production(k);
-  const PortGraphOverlay* overlay =
-      overlay_index_[k] >= 0 ? &overlays_[overlay_index_[k]] : nullptr;
-  ProductionReach reach(*grammar_, p.rhs, full_, overlay);
-  return reach.Matrix(reach.InitialNodes(), reach.MemberInputNodes(pos));
-}
-
-BoolMatrix ViewLabel::ComputeO(ProductionId k, int pos) const {
-  const Production& p = grammar_->production(k);
-  const PortGraphOverlay* overlay =
-      overlay_index_[k] >= 0 ? &overlays_[overlay_index_[k]] : nullptr;
-  ProductionReach reach(*grammar_, p.rhs, full_, overlay);
-  // O is reversed: rows are the production's final outputs, columns the
-  // member's outputs; entry (x, y) = member output y reaches final x.
-  std::vector<int> member_outputs = reach.MemberOutputNodes(pos);
-  std::vector<int> finals = reach.FinalNodes();
-  return reach.Matrix(member_outputs, finals).Transpose();
-}
-
-BoolMatrix ViewLabel::ComputeZ(ProductionId k, int i, int j) const {
-  const Production& p = grammar_->production(k);
-  const PortGraphOverlay* overlay =
-      overlay_index_[k] >= 0 ? &overlays_[overlay_index_[k]] : nullptr;
-  ProductionReach reach(*grammar_, p.rhs, full_, overlay);
-  return reach.Matrix(reach.MemberOutputNodes(i), reach.MemberInputNodes(j));
+WorkflowPortGraph ViewLabel::PortGraph(ProductionId k) const {
+  const int overlay = overlay_index_[k];
+  return WorkflowPortGraph(*grammar_, grammar_->production(k).rhs, full_,
+                           overlay >= 0 ? &overlays_[overlay] : nullptr);
 }
 
 std::optional<BoolMatrix> ViewLabel::I(ProductionId k, int pos) const {
   if (!active_[k]) return std::nullopt;
   if (materialized_) return i_mats_[k][pos];
-  return ComputeI(k, pos);
+  return PortGraph(k).InitialToMemberInputs(pos);
 }
 
 std::optional<BoolMatrix> ViewLabel::O(ProductionId k, int pos) const {
   if (!active_[k]) return std::nullopt;
   if (materialized_) return o_mats_[k][pos];
-  return ComputeO(k, pos);
+  return PortGraph(k).MemberOutputsToFinalReversed(pos);
 }
 
 std::optional<BoolMatrix> ViewLabel::Z(ProductionId k, int i, int j) const {
@@ -204,7 +60,7 @@ std::optional<BoolMatrix> ViewLabel::Z(ProductionId k, int i, int j) const {
     int members = grammar_->production(k).rhs.num_members();
     return z_mats_[k][i * members + j];
   }
-  return ComputeZ(k, i, j);
+  return PortGraph(k).MemberOutputsToMemberInputs(i, j);
 }
 
 bool ViewLabel::CycleFullyActive(int s) const {
@@ -215,79 +71,46 @@ bool ViewLabel::CycleFullyActive(int s) const {
   return true;
 }
 
-std::optional<BoolMatrix> ViewLabel::WalkStepwise(int s, int t, int iteration,
-                                                  bool inputs) const {
-  // Identity over the ports of the cycle member the walk starts at.
-  ModuleId first = pg_->EdgeSource(pg_->CycleEdgeAt(s, t));
-  int dims = inputs ? grammar_->module(first).num_inputs
-                    : grammar_->module(first).num_outputs;
-  BoolMatrix result = BoolMatrix::Identity(dims);
+std::optional<BoolMatrix> ViewLabel::WalkStepwise(PortSide side, int s, int t,
+                                                  int iteration) const {
+  BoolMatrix result = WalkIdentity(*pg_, side, s, t);
   for (int a = 0; a < iteration - 1; ++a) {
     PgEdge edge = pg_->CycleEdgeAt(s, t + a);
     std::optional<BoolMatrix> factor =
-        inputs ? I(edge.production, edge.position)
-               : O(edge.production, edge.position);
+        side == PortSide::kInputs ? I(edge.production, edge.position)
+                                  : O(edge.production, edge.position);
     if (!factor.has_value()) return std::nullopt;
     result = result.Multiply(*factor);
   }
   return result;
 }
 
-std::optional<BoolMatrix> ViewLabel::InputsWalk(int s, int t,
-                                                int iteration) const {
+std::optional<BoolMatrix> ViewLabel::Walk(PortSide side, int s, int t,
+                                          int iteration) const {
   FVL_CHECK(iteration >= 1);
   // Callers pass unwrapped start offsets (e.g. t+i from Algorithm 2).
-  t %= pg_->cycle(s).length();
-  if (mode_ == ViewLabelMode::kQueryEfficient && walk_caches_[s][t].valid) {
-    const WalkCache& cache = walk_caches_[s][t];
-    int l = pg_->cycle(s).length();
-    int64_t total = iteration - 1;
-    int64_t q = total / l;
-    int r = static_cast<int>(total % l);
-    return cache.input_powers->Power(q).Multiply(cache.input_prefix[r]);
+  const int l = pg_->cycle(s).length();
+  t %= l;
+  const int64_t total = iteration - 1;
+  if (mode_ == ViewLabelMode::kQueryEfficient) {
+    const WalkCache& cache = walk_caches_[static_cast<int>(side)][s][t];
+    if (cache.powers.has_value()) {
+      return cache.powers->Power(total / l).Multiply(
+          cache.prefix[static_cast<size_t>(total % l)]);
+    }
   }
-  if (CycleFullyActive(s)) {
+  if (total >= 2 * l && CycleFullyActive(s)) {
     // Divide-and-conquer over the full-cycle product (Lemma 5's O(log i)).
     // Also used by the space-efficient variant: the full-cycle product X
     // costs one bounded batch of graph searches, after which powering is
     // logarithmic in the iteration count instead of linear.
-    int l = pg_->cycle(s).length();
-    int64_t total = iteration - 1;
-    if (total >= 2 * l) {
-      std::optional<BoolMatrix> x = WalkStepwise(s, t, l + 1, /*inputs=*/true);
-      std::optional<BoolMatrix> rest =
-          WalkStepwise(s, t, static_cast<int>(total % l) + 1, /*inputs=*/true);
-      if (!x.has_value() || !rest.has_value()) return std::nullopt;
-      return BoolMatrixPower(*x, total / l).Multiply(*rest);
-    }
+    std::optional<BoolMatrix> x = WalkStepwise(side, s, t, l + 1);
+    std::optional<BoolMatrix> rest =
+        WalkStepwise(side, s, t, static_cast<int>(total % l) + 1);
+    if (!x.has_value() || !rest.has_value()) return std::nullopt;
+    return BoolMatrixPower(*x, total / l).Multiply(*rest);
   }
-  return WalkStepwise(s, t, iteration, /*inputs=*/true);
-}
-
-std::optional<BoolMatrix> ViewLabel::OutputsWalk(int s, int t,
-                                                 int iteration) const {
-  FVL_CHECK(iteration >= 1);
-  t %= pg_->cycle(s).length();
-  if (mode_ == ViewLabelMode::kQueryEfficient && walk_caches_[s][t].valid) {
-    const WalkCache& cache = walk_caches_[s][t];
-    int l = pg_->cycle(s).length();
-    int64_t total = iteration - 1;
-    int64_t q = total / l;
-    int r = static_cast<int>(total % l);
-    return cache.output_powers->Power(q).Multiply(cache.output_prefix[r]);
-  }
-  if (CycleFullyActive(s)) {
-    int l = pg_->cycle(s).length();
-    int64_t total = iteration - 1;
-    if (total >= 2 * l) {
-      std::optional<BoolMatrix> x = WalkStepwise(s, t, l + 1, /*inputs=*/false);
-      std::optional<BoolMatrix> rest = WalkStepwise(
-          s, t, static_cast<int>(total % l) + 1, /*inputs=*/false);
-      if (!x.has_value() || !rest.has_value()) return std::nullopt;
-      return BoolMatrixPower(*x, total / l).Multiply(*rest);
-    }
-  }
-  return WalkStepwise(s, t, iteration, /*inputs=*/false);
+  return WalkStepwise(side, s, t, iteration);
 }
 
 bool ViewLabel::InputPortVisible(ProductionId k, int member, int port) const {
@@ -314,14 +137,12 @@ int64_t ViewLabel::SizeBits() const {
       for (const BoolMatrix& m : z_mats_[k]) bits += m.SizeBits();
     }
   }
-  if (mode_ == ViewLabelMode::kQueryEfficient) {
-    for (const auto& per_cycle : walk_caches_) {
+  for (const auto& per_side : walk_caches_) {
+    for (const auto& per_cycle : per_side) {
       for (const WalkCache& cache : per_cycle) {
-        if (!cache.valid) continue;
-        for (const BoolMatrix& m : cache.input_prefix) bits += m.SizeBits();
-        for (const BoolMatrix& m : cache.output_prefix) bits += m.SizeBits();
-        bits += cache.input_powers->SizeBits();
-        bits += cache.output_powers->SizeBits();
+        if (!cache.powers.has_value()) continue;
+        for (const BoolMatrix& m : cache.prefix) bits += m.SizeBits();
+        bits += cache.powers->SizeBits();
       }
     }
   }
@@ -391,7 +212,8 @@ ViewLabel ViewLabeler::Build(const std::vector<bool>& active,
 
   if (mode == ViewLabelMode::kSpaceEfficient) return label;
 
-  // Materialize I, O, Z from one full port graph per active production.
+  // Materialize I, O, Z from one port graph per active production, which
+  // searches each port at most once across all of them.
   label.materialized_ = true;
   label.i_mats_.resize(grammar_->num_productions());
   label.o_mats_.resize(grammar_->num_productions());
@@ -399,10 +221,7 @@ ViewLabel ViewLabeler::Build(const std::vector<bool>& active,
   for (ProductionId k = 0; k < grammar_->num_productions(); ++k) {
     if (!active[k]) continue;
     const Production& p = grammar_->production(k);
-    const PortGraphOverlay* overlay =
-        label.overlay_index_[k] >= 0 ? &label.overlays_[label.overlay_index_[k]]
-                                     : nullptr;
-    WorkflowPortGraph port_graph(*grammar_, p.rhs, full, overlay);
+    WorkflowPortGraph port_graph = label.PortGraph(k);
     int members = p.rhs.num_members();
     label.i_mats_[k].reserve(members);
     label.o_mats_[k].reserve(members);
@@ -428,35 +247,28 @@ ViewLabel ViewLabeler::Build(const std::vector<bool>& active,
 
   if (mode != ViewLabelMode::kQueryEfficient) return label;
 
-  // Walk caches per (cycle, start edge).
-  label.walk_caches_.resize(pg_->num_cycles());
-  for (int s = 0; s < pg_->num_cycles(); ++s) {
-    int l = pg_->cycle(s).length();
-    label.walk_caches_[s].resize(l);
-    if (!label.CycleFullyActive(s)) continue;
-    for (int t = 0; t < l; ++t) {
-      ViewLabel::WalkCache cache;
-      cache.valid = true;
-      ModuleId first = pg_->EdgeSource(pg_->CycleEdgeAt(s, t));
-      BoolMatrix in_acc = BoolMatrix::Identity(grammar_->module(first).num_inputs);
-      BoolMatrix out_acc =
-          BoolMatrix::Identity(grammar_->module(first).num_outputs);
-      cache.input_prefix.push_back(in_acc);
-      cache.output_prefix.push_back(out_acc);
-      for (int r = 0; r < l; ++r) {
-        PgEdge edge = pg_->CycleEdgeAt(s, t + r);
-        in_acc = in_acc.Multiply(label.i_mats_[edge.production][edge.position]);
-        out_acc =
-            out_acc.Multiply(label.o_mats_[edge.production][edge.position]);
-        if (r + 1 < l) {
-          cache.input_prefix.push_back(in_acc);
-          cache.output_prefix.push_back(out_acc);
+  // Walk caches per (side, cycle, start edge).
+  for (PortSide side : {PortSide::kInputs, PortSide::kOutputs}) {
+    const auto& factors =
+        side == PortSide::kInputs ? label.i_mats_ : label.o_mats_;
+    auto& caches = label.walk_caches_[static_cast<int>(side)];
+    caches.resize(pg_->num_cycles());
+    for (int s = 0; s < pg_->num_cycles(); ++s) {
+      int l = pg_->cycle(s).length();
+      caches[s].resize(l);
+      if (!label.CycleFullyActive(s)) continue;
+      for (int t = 0; t < l; ++t) {
+        BoolMatrix acc = WalkIdentity(*pg_, side, s, t);
+        ViewLabel::WalkCache& cache = caches[s][t];
+        cache.prefix.push_back(acc);
+        for (int r = 0; r < l; ++r) {
+          PgEdge edge = pg_->CycleEdgeAt(s, t + r);
+          acc = acc.Multiply(factors[edge.production][edge.position]);
+          if (r + 1 < l) cache.prefix.push_back(acc);
         }
+        // acc now holds the full-cycle product X.
+        cache.powers.emplace(acc);
       }
-      // in_acc / out_acc now hold the full-cycle products X.
-      cache.input_powers.emplace(in_acc);
-      cache.output_powers.emplace(out_acc);
-      label.walk_caches_[s][t] = std::move(cache);
     }
   }
   return label;

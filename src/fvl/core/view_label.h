@@ -7,7 +7,10 @@
 //  * kDefault — materializes all I/O/Z reachability matrices.
 //  * kQueryEfficient — additionally materializes, per recursion and start
 //    edge, the cycle-walk prefix products and the matrix-power oracles of
-//    §4.4.3, so Inputs/Outputs walks are O(1).
+//    §4.4.3, so cycle walks are O(1).
+//
+// Every I/O/Z matrix, materialized or computed on access, is read off the
+// production's WorkflowPortGraph (workflow/port_graph.h).
 //
 // A lookup that is undefined in the view (inactive production, §5-hidden
 // port) reports as such; the decoder maps this to "item not visible in this
@@ -16,10 +19,12 @@
 #ifndef FVL_CORE_VIEW_LABEL_H_
 #define FVL_CORE_VIEW_LABEL_H_
 
+#include <array>
 #include <optional>
 #include <vector>
 
 #include "fvl/core/matrix_power.h"
+#include "fvl/workflow/port_graph.h"
 #include "fvl/workflow/production_graph.h"
 #include "fvl/workflow/user_defined_view.h"
 #include "fvl/workflow/view.h"
@@ -29,6 +34,10 @@ namespace fvl {
 enum class ViewLabelMode { kSpaceEfficient, kDefault, kQueryEfficient };
 
 const char* ToString(ViewLabelMode mode);
+
+// Which side of a walk or chain: kInputs multiplies I matrices (the paper's
+// Inputs, Algorithm 1), kOutputs multiplies O matrices (its Outputs twin).
+enum class PortSide { kInputs, kOutputs };
 
 class ViewLabel {
  public:
@@ -46,11 +55,11 @@ class ViewLabel {
   std::optional<BoolMatrix> O(ProductionId k, int pos) const;
   std::optional<BoolMatrix> Z(ProductionId k, int i, int j) const;
 
-  // Algorithm 1 (and its Outputs twin): the product of iteration-1 cycle
-  // matrices for cycle s starting at edge t. iteration is 1-based; an
-  // iteration of 1 yields the identity.
-  std::optional<BoolMatrix> InputsWalk(int s, int t, int iteration) const;
-  std::optional<BoolMatrix> OutputsWalk(int s, int t, int iteration) const;
+  // Algorithm 1 (kInputs) and its Outputs twin (kOutputs): the product of
+  // iteration-1 I (or O) matrices along cycle s starting at edge t.
+  // iteration is 1-based; an iteration of 1 yields the identity.
+  std::optional<BoolMatrix> Walk(PortSide side, int s, int t,
+                                 int iteration) const;
 
   // §5 port visibility (true for regular views).
   bool InputPortVisible(ProductionId k, int member, int port) const;
@@ -62,13 +71,10 @@ class ViewLabel {
  private:
   friend class ViewLabeler;
 
-  // On-demand (space-efficient) computation of one matrix via BFS over the
-  // production's port graph.
-  BoolMatrix ComputeI(ProductionId k, int pos) const;
-  BoolMatrix ComputeO(ProductionId k, int pos) const;
-  BoolMatrix ComputeZ(ProductionId k, int i, int j) const;
-  std::optional<BoolMatrix> WalkStepwise(int s, int t, int iteration,
-                                         bool inputs) const;
+  // Production k's port graph in this view (with its §5 overlay, if any).
+  WorkflowPortGraph PortGraph(ProductionId k) const;
+  std::optional<BoolMatrix> WalkStepwise(PortSide side, int s, int t,
+                                         int iteration) const;
   bool CycleFullyActive(int s) const;
 
   ViewLabelMode mode_ = ViewLabelMode::kDefault;
@@ -84,15 +90,13 @@ class ViewLabel {
   std::vector<std::vector<BoolMatrix>> o_mats_;  // [k][pos]
   std::vector<std::vector<BoolMatrix>> z_mats_;  // [k][i * members + j], i < j
 
-  // kQueryEfficient walk caches, indexed [cycle][start].
+  // kQueryEfficient walk caches, indexed [side][cycle][start]; a cache
+  // without powers is absent (the cycle is not fully active).
   struct WalkCache {
-    bool valid = false;
-    std::vector<BoolMatrix> input_prefix;   // [r] = first r factors
-    std::vector<BoolMatrix> output_prefix;  // [r]
-    std::optional<MatrixPowerOracle> input_powers;
-    std::optional<MatrixPowerOracle> output_powers;
+    std::vector<BoolMatrix> prefix;  // [r] = first r factors
+    std::optional<MatrixPowerOracle> powers;  // of the full-cycle product
   };
-  std::vector<std::vector<WalkCache>> walk_caches_;
+  std::array<std::vector<std::vector<WalkCache>>, 2> walk_caches_;
 
   // §5 hidden-port masks, sparse by production (-1 = nothing hidden).
   struct HiddenPorts {

@@ -18,7 +18,7 @@ namespace fvl {
 namespace {
 std::atomic<uint64_t> next_service_tag{1};
 
-// The one error DependsMany and VisibilitySweep return when a decoded
+// The one error Depends, DependsMany and VisibilitySweep return when a
 // label fails vetting.
 Status OutOfGrammarLabels() {
   return Status::Error(ErrorCode::kInvalidArgument,
@@ -205,6 +205,7 @@ Result<bool> ProvenanceService::Depends(ViewHandle handle, const DataLabel& d1,
                                         ViewLabelMode mode) {
   Result<const Decoder*> decoder = DecoderOf(handle, mode);
   if (!decoder.ok()) return decoder.status();
+  if (!LabelInBounds(d1) || !LabelInBounds(d2)) return OutOfGrammarLabels();
   return (*decoder)->Depends(d1, d2);
 }
 

@@ -166,7 +166,9 @@ class ProvenanceService
 
   // --- Queries ------------------------------------------------------------
 
-  // π(φr(d1), φr(d2), φv(U)) through the cached decoder.
+  // π(φr(d1), φr(d2), φv(U)) through the cached decoder. kInvalidArgument
+  // if either label fails vetting (LabelInBounds below). The answer for
+  // labels of two different runs is unspecified, but the call returns.
   [[nodiscard]] Result<bool> Depends(ViewHandle handle, const DataLabel& d1,
                        const DataLabel& d2,
                        ViewLabelMode mode = ViewLabelMode::kQueryEfficient);

@@ -1,6 +1,5 @@
 #include "fvl/workflow/port_graph.h"
 
-#include "fvl/graph/reachability.h"
 #include "fvl/util/check.h"
 
 namespace fvl {
@@ -21,10 +20,12 @@ WorkflowPortGraph::WorkflowPortGraph(const Grammar& grammar,
     output_base_[m] = next;
     next += module.num_outputs;
   }
-  graph_ = Digraph(next);
+  adjacency_.resize(next);
+  reach_.resize(next);
 
   for (int m = 0; m < n; ++m) {
-    if (overlay != nullptr && m < static_cast<int>(overlay->suppress_member.size()) &&
+    if (overlay != nullptr &&
+        m < static_cast<int>(overlay->suppress_member.size()) &&
         overlay->suppress_member[m]) {
       continue;
     }
@@ -37,7 +38,7 @@ WorkflowPortGraph::WorkflowPortGraph(const Grammar& grammar,
     for (int i = 0; i < matrix.rows(); ++i) {
       for (int o = 0; o < matrix.cols(); ++o) {
         if (matrix.Get(i, o)) {
-          graph_.AddEdge(input_base_[m] + i, output_base_[m] + o);
+          adjacency_[input_base_[m] + i].push_back(output_base_[m] + o);
         }
       }
     }
@@ -52,80 +53,85 @@ WorkflowPortGraph::WorkflowPortGraph(const Grammar& grammar,
   for (size_t i = 0; i < w.edges.size(); ++i) {
     if (edge_suppressed[i]) continue;
     const DataEdge& e = w.edges[i];
-    graph_.AddEdge(OutputNode(e.src), InputNode(e.dst));
+    adjacency_[OutputNode(e.src)].push_back(InputNode(e.dst));
   }
   if (overlay != nullptr) {
     for (const PortGraphOverlay::CrossDep& dep : overlay->extra_deps) {
-      graph_.AddEdge(InputNode(dep.from_input), OutputNode(dep.to_output));
+      adjacency_[InputNode(dep.from_input)].push_back(
+          OutputNode(dep.to_output));
     }
   }
-  closure_ = TransitiveClosure(graph_);
 }
 
-bool WorkflowPortGraph::Reaches(int from, int to) const {
-  return closure_.Get(from, to);
+const std::vector<bool>& WorkflowPortGraph::ReachableFrom(int source) const {
+  std::vector<bool>& reached = reach_[source];
+  if (!reached.empty()) return reached;
+  reached.assign(adjacency_.size(), false);
+  reached[source] = true;
+  std::vector<int> pending;  // each node enters at most once
+  pending.reserve(adjacency_.size());
+  pending.push_back(source);
+  while (!pending.empty()) {
+    const int node = pending.back();
+    pending.pop_back();
+    for (int next : adjacency_[node]) {
+      if (!reached[next]) {
+        reached[next] = true;
+        pending.push_back(next);
+      }
+    }
+  }
+  return reached;
 }
 
-bool WorkflowPortGraph::InputReachesInput(PortRef from, PortRef to) const {
-  return Reaches(InputNode(from), InputNode(to));
-}
-bool WorkflowPortGraph::InputReachesOutput(PortRef from, PortRef to) const {
-  return Reaches(InputNode(from), OutputNode(to));
-}
-bool WorkflowPortGraph::OutputReachesInput(PortRef from, PortRef to) const {
-  return Reaches(OutputNode(from), InputNode(to));
-}
-bool WorkflowPortGraph::OutputReachesOutput(PortRef from, PortRef to) const {
-  return Reaches(OutputNode(from), OutputNode(to));
+template <typename Source, typename Target>
+BoolMatrix WorkflowPortGraph::Matrix(int rows, int cols, Source source,
+                                     Target target) const {
+  BoolMatrix result(rows, cols);
+  for (int r = 0; r < rows; ++r) {
+    const std::vector<bool>& reached = ReachableFrom(source(r));
+    for (int c = 0; c < cols; ++c) {
+      if (reached[target(c)]) result.Set(r, c);
+    }
+  }
+  return result;
 }
 
 BoolMatrix WorkflowPortGraph::InitialToFinal() const {
   const auto& inits = workflow_->initial_inputs;
   const auto& finals = workflow_->final_outputs;
-  BoolMatrix result(static_cast<int>(inits.size()),
-                    static_cast<int>(finals.size()));
-  for (int x = 0; x < result.rows(); ++x) {
-    for (int y = 0; y < result.cols(); ++y) {
-      if (InputReachesOutput(inits[x], finals[y])) result.Set(x, y);
-    }
-  }
-  return result;
+  return Matrix(
+      static_cast<int>(inits.size()), static_cast<int>(finals.size()),
+      [&](int x) { return InputNode(inits[x]); },
+      [&](int y) { return OutputNode(finals[y]); });
 }
 
 BoolMatrix WorkflowPortGraph::InitialToMemberInputs(int member) const {
   const auto& inits = workflow_->initial_inputs;
   const Module& module = grammar_->module(workflow_->members[member]);
-  BoolMatrix result(static_cast<int>(inits.size()), module.num_inputs);
-  for (int x = 0; x < result.rows(); ++x) {
-    for (int y = 0; y < result.cols(); ++y) {
-      if (InputReachesInput(inits[x], {member, y})) result.Set(x, y);
-    }
-  }
-  return result;
+  return Matrix(
+      static_cast<int>(inits.size()), module.num_inputs,
+      [&](int x) { return InputNode(inits[x]); },
+      [&](int y) { return input_base_[member] + y; });
 }
 
 BoolMatrix WorkflowPortGraph::MemberOutputsToFinalReversed(int member) const {
   const auto& finals = workflow_->final_outputs;
   const Module& module = grammar_->module(workflow_->members[member]);
-  BoolMatrix result(static_cast<int>(finals.size()), module.num_outputs);
-  for (int x = 0; x < result.rows(); ++x) {
-    for (int y = 0; y < result.cols(); ++y) {
-      if (OutputReachesOutput({member, y}, finals[x])) result.Set(x, y);
-    }
-  }
-  return result;
+  return Matrix(
+             module.num_outputs, static_cast<int>(finals.size()),
+             [&](int y) { return output_base_[member] + y; },
+             [&](int x) { return OutputNode(finals[x]); })
+      .Transpose();
 }
 
 BoolMatrix WorkflowPortGraph::MemberOutputsToMemberInputs(int i, int j) const {
   const Module& from = grammar_->module(workflow_->members[i]);
   const Module& to = grammar_->module(workflow_->members[j]);
-  BoolMatrix result(from.num_outputs, to.num_inputs);
-  for (int x = 0; x < result.rows(); ++x) {
-    for (int y = 0; y < result.cols(); ++y) {
-      if (OutputReachesInput({i, x}, {j, y})) result.Set(x, y);
-    }
-  }
-  return result;
+  return Matrix(
+      from.num_outputs, to.num_inputs,
+      [&](int x) { return output_base_[i] + x; },
+      [&](int y) { return input_base_[j] + y; });
 }
 
 }  // namespace fvl

@@ -4,16 +4,23 @@
 // internal dependency edges (per the supplied assignment, which must cover
 // every member's module) plus W's data edges. Reachability is reflexive.
 //
-// This is the workhorse behind the safety check (Thm. 2: consistency of
-// M ->f W requires reach(f(x), f(y)) == λ*(M)[x, y]) and behind the view
-// label functions I, O, Z (§4.3).
+// This is the library's one port-level reachability: the safety check
+// (Thm. 2: consistency of M ->f W requires reach(f(x), f(y)) ==
+// λ*(M)[x, y]) and the view label functions I, O, Z (§4.3), whether a label
+// materializes them (Default, Query-Efficient) or computes one per access
+// (Space-Efficient), all read their matrices off it.
+//
+// The graph is kept as adjacency lists. A port's reachable set is found by
+// one graph search the first time a matrix needs that port as a source, and
+// is kept, so every port is searched at most once per instance. The matrix
+// accessors are const but fill that memo: an instance must not be shared
+// across threads.
 
 #ifndef FVL_WORKFLOW_PORT_GRAPH_H_
 #define FVL_WORKFLOW_PORT_GRAPH_H_
 
 #include <vector>
 
-#include "fvl/graph/digraph.h"
 #include "fvl/util/boolean_matrix.h"
 #include "fvl/workflow/dependency.h"
 #include "fvl/workflow/grammar.h"
@@ -41,16 +48,11 @@ struct PortGraphOverlay {
 class WorkflowPortGraph {
  public:
   // `deps` must define a matrix for the module of every member of `w`
-  // (except members suppressed by the overlay).
+  // (except members suppressed by the overlay). `grammar` and `w` must
+  // outlive the graph.
   WorkflowPortGraph(const Grammar& grammar, const SimpleWorkflow& w,
                     const DependencyAssignment& deps,
                     const PortGraphOverlay* overlay = nullptr);
-
-  // Reachability between arbitrary ports, reflexive.
-  bool InputReachesInput(PortRef from, PortRef to) const;
-  bool InputReachesOutput(PortRef from, PortRef to) const;
-  bool OutputReachesInput(PortRef from, PortRef to) const;
-  bool OutputReachesOutput(PortRef from, PortRef to) const;
 
   // λ*(M) of the owning production: [x][y] = initial input x reaches final
   // output y.
@@ -66,15 +68,19 @@ class WorkflowPortGraph {
  private:
   int InputNode(PortRef p) const { return input_base_[p.member] + p.port; }
   int OutputNode(PortRef p) const { return output_base_[p.member] + p.port; }
-  bool Reaches(int from, int to) const;
+  // The nodes reachable from `source`, searched on first use.
+  const std::vector<bool>& ReachableFrom(int source) const;
+  // [r][c] = node target(c) is reachable from node source(r).
+  template <typename Source, typename Target>
+  BoolMatrix Matrix(int rows, int cols, Source source, Target target) const;
 
   const Grammar* grammar_;
   const SimpleWorkflow* workflow_;
   std::vector<int> input_base_;
   std::vector<int> output_base_;
-  Digraph graph_;
-  // closure_[node] = bitset (as BoolMatrix row) of reachable nodes.
-  BoolMatrix closure_;
+  std::vector<std::vector<int>> adjacency_;
+  // reach_[node] is empty until ReachableFrom(node) first runs.
+  mutable std::vector<std::vector<bool>> reach_;
 };
 
 }  // namespace fvl

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "fvl/core/decoder.h"
 #include "fvl/core/visibility.h"
 #include "fvl/run/provenance_oracle.h"
 #include "fvl/service/provenance_service.h"
@@ -20,6 +21,7 @@
 #include "fvl/workflow/grammar_builder.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
+#include "fvl/workload/view_generator.h"
 
 namespace fvl {
 namespace {
@@ -471,6 +473,63 @@ TEST(ServiceHardening, InconsistentPathsRejected) {
   EXPECT_EQ(
       service->DependsMany(service->default_view(), index, queries).code(),
       ErrorCode::kInvalidArgument);
+}
+
+TEST(ServiceHardening, DependsOnLabelsOfTwoRunsReturns) {
+  // π is defined over labels of one parse tree. Labels of two runs of one
+  // specification each pass vetting, but their paths can fork where the
+  // runs expanded a module differently (another production, or a recursion
+  // that one run left earlier). Depends must still return — the answer is
+  // unspecified — and a label that fails vetting is kInvalidArgument, as in
+  // DependsMany.
+  Workload bio = MakeBioAid(4);
+  auto service = ProvenanceService::Create(bio.spec).value();
+  auto a = service->GenerateLabeledRun(
+      RunGeneratorOptions{.target_items = 300, .seed = 1});
+  auto b = service->GenerateLabeledRun(
+      RunGeneratorOptions{.target_items = 300, .seed = 2});
+  ASSERT_GT(a->num_items(), 245);
+  ASSERT_GT(b->num_items(), 315);
+  const ViewHandle view = service->default_view();
+  for (ViewLabelMode mode :
+       {ViewLabelMode::kSpaceEfficient, ViewLabelMode::kDefault,
+        ViewLabelMode::kQueryEfficient}) {
+    EXPECT_TRUE(service->Depends(view, a->Label(245), b->Label(315), mode).ok())
+        << ToString(mode);
+  }
+  for (int d1 = 0; d1 < a->num_items(); d1 += 3) {
+    for (int d2 = 0; d2 < b->num_items(); d2 += 3) {
+      ASSERT_TRUE(service->Depends(view, a->Label(d1), b->Label(d2)).ok());
+      ASSERT_TRUE(service->Depends(view, b->Label(d2), a->Label(d1)).ok());
+    }
+  }
+
+  // The matrix-free predicate returns on the same pairs of a black-box
+  // view.
+  CompiledView black_box = GenerateSafeView(
+      bio, ViewGeneratorOptions{.deps = PerceivedDeps::kBlackBox, .seed = 6});
+  ASSERT_TRUE(black_box.IsBlackBox());
+  const ViewLabel& label =
+      *service
+           ->LabelOf(service->RegisterView(black_box.view()).value(),
+                     ViewLabelMode::kQueryEfficient)
+           .value();
+  MatrixFreeDecoder matrix_free(&service->production_graph(), &label);
+  for (int d1 = 0; d1 < a->num_items(); d1 += 3) {
+    for (int d2 = 0; d2 < b->num_items(); d2 += 3) {
+      matrix_free.Depends(a->Label(d1), b->Label(d2));
+      matrix_free.Depends(b->Label(d2), a->Label(d1));
+    }
+  }
+
+  // Unvetted labels never reach the decoder.
+  DataLabel bad = a->Label(245);
+  ASSERT_TRUE(bad.consumer.has_value());
+  bad.consumer->port = 1000;
+  EXPECT_EQ(service->Depends(view, bad, b->Label(315)).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(service->Depends(view, b->Label(315), bad).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(ServiceBatch, SparseThresholdAndDenseBatchesMatchSingleQueries) {

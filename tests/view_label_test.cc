@@ -21,40 +21,84 @@ class ViewLabelTest : public ::testing::Test {
                 .value()),
         u2_(CompiledView::Compile(ex_.spec.grammar, ex_.grey_view).value()) {}
 
+  // Example 18: W5's members D and E grouped into F (complete λ'(F)) over
+  // Δ' = {S, A, B, C}, so p5's matrices come from an overlaid port graph.
+  GroupedView Example18() const {
+    View base;
+    base.expandable.assign(ex_.spec.grammar.num_modules(), false);
+    for (ModuleId m : {ex_.S, ex_.A, ex_.B, ex_.C}) base.expandable[m] = true;
+    base.perceived = ex_.spec.deps;
+    ModuleGroup group;
+    group.production = ex_.p[4];
+    group.member_positions = {1, 2};
+    group.name = "F";
+    group.perceived_deps = BoolMatrix::Full(2, 2);
+    return GroupedView::Compile(ex_.spec.grammar, base, {group}).value();
+  }
+
   PaperExample ex_;
   std::shared_ptr<ProvenanceService> service_;
   CompiledView u1_, u2_;
 };
 
-TEST_F(ViewLabelTest, VariantsAgreeOnAllFunctions) {
-  for (const auto* view : {&u1_, &u2_}) {
-    const ViewLabel& se =
-        RegisteredLabel(*service_, *view, ViewLabelMode::kSpaceEfficient);
-    const ViewLabel& def =
-        RegisteredLabel(*service_, *view, ViewLabelMode::kDefault);
-    const ViewLabel& qe =
-        RegisteredLabel(*service_, *view, ViewLabelMode::kQueryEfficient);
-    const Grammar& g = ex_.spec.grammar;
+// A BioAID specification with one generated safe view over it.
+struct BioAidView {
+  BioAidView()
+      : workload(MakeBioAid(2012)),
+        service(ProvenanceService::Create(workload.spec).value()),
+        view(GenerateSafeView(workload, ViewGeneratorOptions{
+                                            .num_expandable = 8, .seed = 8})) {}
+  Workload workload;
+  std::shared_ptr<ProvenanceService> service;
+  CompiledView view;
+};
+
+// The three labels of one view, in ViewLabelMode order.
+template <typename ViewT>
+std::vector<const ViewLabel*> AllModes(ProvenanceService& service,
+                                       const ViewT& view) {
+  return {&RegisteredLabel(service, view, ViewLabelMode::kSpaceEfficient),
+          &RegisteredLabel(service, view, ViewLabelMode::kDefault),
+          &RegisteredLabel(service, view, ViewLabelMode::kQueryEfficient)};
+}
+
+// I, O and Z agree across the three modes, defined or not.
+void ExpectFunctionsAgree(const Grammar& g,
+                          const std::vector<const ViewLabel*>& labels) {
+  const ViewLabel& se = *labels[0];
+  for (const ViewLabel* other : {labels[1], labels[2]}) {
     for (ProductionId k = 0; k < g.num_productions(); ++k) {
       int members = g.production(k).rhs.num_members();
       for (int pos = 0; pos < members; ++pos) {
-        auto i_se = se.I(k, pos);
-        auto i_def = def.I(k, pos);
-        auto i_qe = qe.I(k, pos);
-        ASSERT_EQ(i_se.has_value(), i_def.has_value());
-        ASSERT_EQ(i_se.has_value(), i_qe.has_value());
-        if (i_se.has_value()) {
-          ASSERT_EQ(*i_se, *i_def) << "I(" << k << "," << pos << ")";
-          ASSERT_EQ(*i_se, *i_qe);
-          ASSERT_EQ(*se.O(k, pos), *def.O(k, pos));
-          ASSERT_EQ(*se.O(k, pos), *qe.O(k, pos));
-        }
+        ASSERT_EQ(se.I(k, pos), other->I(k, pos))
+            << ToString(other->mode()) << " I(" << k << "," << pos << ")";
+        ASSERT_EQ(se.O(k, pos), other->O(k, pos))
+            << ToString(other->mode()) << " O(" << k << "," << pos << ")";
         for (int j = 0; j < members; ++j) {
-          auto z_se = se.Z(k, pos, j);
-          auto z_def = def.Z(k, pos, j);
-          if (z_se.has_value() && z_def.has_value()) {
-            ASSERT_EQ(*z_se, *z_def) << "Z(" << k << "," << pos << "," << j
-                                     << ")";
+          ASSERT_EQ(se.Z(k, pos, j), other->Z(k, pos, j))
+              << ToString(other->mode()) << " Z(" << k << "," << pos << ","
+              << j << ")";
+        }
+      }
+    }
+  }
+}
+
+// Both walks agree across the three modes for every cycle, start and a
+// spread of iterations, defined or not.
+void ExpectWalksAgree(const ProductionGraph& pg,
+                      const std::vector<const ViewLabel*>& labels) {
+  const ViewLabel& se = *labels[0];
+  for (const ViewLabel* other : {labels[1], labels[2]}) {
+    for (int s = 0; s < pg.num_cycles(); ++s) {
+      for (int t = 0; t < pg.cycle(s).length(); ++t) {
+        for (int iteration : {1, 2, 3, 5, 9, 40, 1000}) {
+          for (PortSide side : {PortSide::kInputs, PortSide::kOutputs}) {
+            ASSERT_EQ(se.Walk(side, s, t, iteration),
+                      other->Walk(side, s, t, iteration))
+                << ToString(other->mode()) << " side "
+                << static_cast<int>(side) << " s=" << s << " t=" << t
+                << " i=" << iteration;
           }
         }
       }
@@ -62,31 +106,31 @@ TEST_F(ViewLabelTest, VariantsAgreeOnAllFunctions) {
   }
 }
 
+TEST_F(ViewLabelTest, VariantsAgreeOnAllFunctions) {
+  for (const auto* view : {&u1_, &u2_}) {
+    ExpectFunctionsAgree(ex_.spec.grammar, AllModes(*service_, *view));
+  }
+  ExpectFunctionsAgree(ex_.spec.grammar, AllModes(*service_, Example18()));
+  BioAidView bio;
+  ExpectFunctionsAgree(bio.workload.spec.grammar,
+                       AllModes(*bio.service, bio.view));
+}
+
 TEST_F(ViewLabelTest, WalksAgreeAcrossVariantsAndIterations) {
-  const ViewLabel& se =
-      RegisteredLabel(*service_, u1_, ViewLabelMode::kSpaceEfficient);
-  const ViewLabel& def =
-      RegisteredLabel(*service_, u1_, ViewLabelMode::kDefault);
-  const ViewLabel& qe =
-      RegisteredLabel(*service_, u1_, ViewLabelMode::kQueryEfficient);
   const ProductionGraph& pg = service_->production_graph();
+  std::vector<const ViewLabel*> u1 = AllModes(*service_, u1_);
+  // Every walk is defined in the default view.
   for (int s = 0; s < pg.num_cycles(); ++s) {
     for (int t = 0; t < pg.cycle(s).length(); ++t) {
-      for (int iteration : {1, 2, 3, 5, 9, 40, 1000}) {
-        auto a = se.InputsWalk(s, t, iteration);
-        auto b = def.InputsWalk(s, t, iteration);
-        auto c = qe.InputsWalk(s, t, iteration);
-        ASSERT_TRUE(a.has_value() && b.has_value() && c.has_value());
-        ASSERT_EQ(*a, *b) << "s=" << s << " t=" << t << " i=" << iteration;
-        ASSERT_EQ(*a, *c);
-        auto oa = se.OutputsWalk(s, t, iteration);
-        auto ob = def.OutputsWalk(s, t, iteration);
-        auto oc = qe.OutputsWalk(s, t, iteration);
-        ASSERT_EQ(*oa, *ob);
-        ASSERT_EQ(*oa, *oc);
-      }
+      ASSERT_TRUE(u1[0]->Walk(PortSide::kInputs, s, t, 1000).has_value());
+      ASSERT_TRUE(u1[0]->Walk(PortSide::kOutputs, s, t, 1000).has_value());
     }
   }
+  ExpectWalksAgree(pg, u1);
+  ExpectWalksAgree(pg, AllModes(*service_, Example18()));
+  BioAidView bio;
+  ExpectWalksAgree(bio.service->production_graph(),
+                   AllModes(*bio.service, bio.view));
 }
 
 TEST_F(ViewLabelTest, SizeOrderingAcrossVariants) {
@@ -112,9 +156,9 @@ TEST_F(ViewLabelTest, InactiveProductionsUndefined) {
   }
   // Cycle 1 (the D self-loop) is severed: its walk is undefined beyond the
   // first member.
-  EXPECT_FALSE(label.InputsWalk(1, 0, 2).has_value());
+  EXPECT_FALSE(label.Walk(PortSide::kInputs, 1, 0, 2).has_value());
   // ...but the trivial walk (identity) is still defined.
-  EXPECT_TRUE(label.InputsWalk(1, 0, 1).has_value());
+  EXPECT_TRUE(label.Walk(PortSide::kInputs, 1, 0, 1).has_value());
 }
 
 TEST_F(ViewLabelTest, ZIsEmptyForNonAscendingPairs) {

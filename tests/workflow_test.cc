@@ -169,8 +169,8 @@ TEST(WorkflowPortGraph, ReachabilityThroughDeps) {
   EXPECT_EQ(graph.InitialToMemberInputs(1), Mat({"10", "01"}));
   EXPECT_EQ(graph.MemberOutputsToFinalReversed(0), Mat({"1", "0"}));
   EXPECT_EQ(graph.MemberOutputsToMemberInputs(0, 1), Mat({"10"}));
-  // Reflexivity.
-  EXPECT_TRUE(graph.InputReachesInput({0, 0}, {0, 0}));
+  // Reflexivity: initial input 1 is y.in1 itself.
+  EXPECT_TRUE(graph.InitialToMemberInputs(1).Get(1, 1));
 }
 
 TEST(WorkflowPortGraph, OverlaySuppressesAndInjects) {

@@ -6,9 +6,9 @@ run size (Fig. 20) and label length grows logarithmically with it (Fig.
 17). A ratio between rows of one run moves little on a noisy host, so the
 gates compare rows of the same artifact, never two commits:
 
-  fig20  mean QueryEff_ns of the two largest run sizes, over the mean of
-         the two smallest, is at most 1.3 (table "query_time" of
-         bench_fig20_query_time).
+  fig20  for each of QueryEff_ns and SpaceEff_ns, the mean of the two
+         largest run sizes over the mean of the two smallest is at most
+         1.3 (table "query_time" of bench_fig20_query_time).
   fig17  each doubling of the BioAID run size adds between 2 and 5 bits
          to fvl_avg_bits (table "label_length" of
          bench_fig17_label_length).
@@ -65,19 +65,27 @@ def load_rows(path, table, columns):
     raise BadInput("%s: no table %s" % (path, table))
 
 
+FIG20_COLUMNS = ("QueryEff_ns", "SpaceEff_ns")
+
+
 def check_fig20(path):
-    rows = load_rows(path, "query_time", ("QueryEff_ns",))
+    rows = load_rows(path, "query_time", FIG20_COLUMNS)
     if len(rows) < 4:
         raise BadInput("%s: %d run sizes, need at least 4" % (path, len(rows)))
-    small = (rows[0]["QueryEff_ns"] + rows[1]["QueryEff_ns"]) / 2
-    large = (rows[-2]["QueryEff_ns"] + rows[-1]["QueryEff_ns"]) / 2
-    ratio = large / small
-    line = ("fig20: QueryEff %d-%d items %.1f ns / %d-%d items %.1f ns = "
-            "%.3f (max %.2f)" % (rows[-2]["run_size"], rows[-1]["run_size"],
-                                 large, rows[0]["run_size"],
-                                 rows[1]["run_size"], small, ratio,
-                                 FIG20_MAX_RATIO))
-    return [line] if ratio > FIG20_MAX_RATIO else [], [line]
+    failures, lines = [], []
+    for column in FIG20_COLUMNS:
+        small = (rows[0][column] + rows[1][column]) / 2
+        large = (rows[-2][column] + rows[-1][column]) / 2
+        ratio = large / small
+        line = ("fig20: %s %d-%d items %.1f ns / %d-%d items %.1f ns = "
+                "%.3f (max %.2f)" % (column[:-3], rows[-2]["run_size"],
+                                     rows[-1]["run_size"], large,
+                                     rows[0]["run_size"], rows[1]["run_size"],
+                                     small, ratio, FIG20_MAX_RATIO))
+        lines.append(line)
+        if ratio > FIG20_MAX_RATIO:
+            failures.append(line)
+    return failures, lines
 
 
 def check_fig17(path):
@@ -120,9 +128,10 @@ def gate(fig20, fig17):
 SIZES = [1000, 2000, 4000, 8000, 16000, 32000]
 
 
-def fig20_doc(query_eff_ns, quick=False):
-    rows = [{"run_size": size, "QueryEff_ns": ns}
-            for size, ns in zip(SIZES, query_eff_ns)]
+def fig20_doc(query_eff_ns, space_eff_ns=None, quick=False):
+    space_eff_ns = space_eff_ns or SPACE_FLAT
+    rows = [{"run_size": size, "QueryEff_ns": q, "SpaceEff_ns": s}
+            for size, q, s in zip(SIZES, query_eff_ns, space_eff_ns)]
     return {"benchmark": "fig20_query_time", "quick": quick,
             "tables": [{"table": "query_time", "rows": rows}]}
 
@@ -135,6 +144,7 @@ def fig17_doc(avg_bits, sizes=SIZES):
 
 
 FLAT = [1337.1, 1187.6, 1339.3, 971.4, 1335.2, 1241.4]
+SPACE_FLAT = [8736.4, 9209.0, 9091.2, 9784.4, 9884.9, 9868.8]
 LOG = [56.6, 60.3, 63.8, 67.0, 70.2, 73.3]
 
 # (name, fig20 document, fig17 document, expected exit code)
@@ -144,19 +154,27 @@ CASES = [
      fig20_doc([1000, 1000, 1000, 1000, 1310, 1310]), fig17_doc(LOG), 1),
     ("fig20 ratio 1.30 passes",
      fig20_doc([1000, 1000, 1000, 1000, 1300, 1300]), fig17_doc(LOG), 0),
+    ("fig20 SpaceEff ratio 1.31 fails",
+     fig20_doc(FLAT, [1000, 1000, 1000, 1000, 1310, 1310]), fig17_doc(LOG),
+     1),
     ("fig17 step under 2 bits fails",
      fig20_doc(FLAT), fig17_doc([56.6, 60.3, 63.8, 65.7, 70.2, 73.3]), 1),
     ("fig17 step over 5 bits fails",
      fig20_doc(FLAT), fig17_doc([56.6, 60.3, 63.8, 69.0, 72.2, 75.3]), 1),
     ("quick artifact is bad input",
      fig20_doc(FLAT, quick=True), fig17_doc(LOG), 2),
+    ("fig20 without SpaceEff_ns is bad input",
+     {"quick": False, "tables": [{"table": "query_time", "rows": [
+         {"run_size": s, "QueryEff_ns": 1000} for s in SIZES]}]},
+     fig17_doc(LOG), 2),
     ("fig17 size step not a doubling is bad input",
      fig20_doc(FLAT), fig17_doc(LOG[:3], sizes=[1000, 4000, 16000]), 2),
     ("missing table is bad input",
      fig20_doc(FLAT), {"quick": False, "tables": []}, 2),
     ("fig20 with three sizes is bad input",
      {"quick": False, "tables": [{"table": "query_time", "rows": [
-         {"run_size": s, "QueryEff_ns": 1000} for s in SIZES[:3]]}]},
+         {"run_size": s, "QueryEff_ns": 1000, "SpaceEff_ns": 1000}
+         for s in SIZES[:3]]}]},
      fig17_doc(LOG), 2),
 ]
 
