@@ -101,6 +101,18 @@ size_t CommonPrefix(const DataLabel& label) {
   return prefix;
 }
 
+// Engages `side` with an empty path when `present`, keeping the path's
+// capacity if it was already engaged; disengages it otherwise.
+PortLabel* Engage(std::optional<PortLabel>* side, bool present) {
+  if (!present) {
+    side->reset();
+    return nullptr;
+  }
+  if (!side->has_value()) side->emplace();
+  (*side)->path.clear();
+  return &**side;
+}
+
 }  // namespace
 
 BitWriter LabelCodec::Encode(const DataLabel& label) const {
@@ -134,35 +146,41 @@ void LabelCodec::EncodeTo(const DataLabel& label, BitWriter* out) const {
   if (label.consumer.has_value()) encode_side(*label.consumer);
 }
 
-DataLabel LabelCodec::Decode(BitReader* reader) const {
-  DataLabel label;
-  bool has_producer = reader->ReadFixed(1) == 1;
-  bool has_consumer = reader->ReadFixed(1) == 1;
-  std::vector<EdgeLabel> prefix;
-  // Every encoded edge is at least one bit, so bounding a length prefix by
-  // the remaining bits caps allocations on corrupt input.
-  if (has_producer && has_consumer) {
-    uint64_t prefix_size = reader->ReadGamma() - 1;
-    if (!reader->CheckRemaining(prefix_size)) return label;
-    prefix.reserve(static_cast<size_t>(std::min<uint64_t>(prefix_size, 1024)));
-    for (uint64_t i = 0; i < prefix_size && !reader->failed(); ++i) {
-      prefix.push_back(DecodeEdge(reader));
+void LabelCodec::Decode(BitReader* reader, DataLabel* label) const {
+  PortLabel* producer = Engage(&label->producer, reader->ReadFixed(1) == 1);
+  PortLabel* consumer = Engage(&label->consumer, reader->ReadFixed(1) == 1);
+  // Reads a length-prefixed run of edges onto `path`, after the first
+  // `shared` edges of the producer's path. Every encoded edge is at least
+  // one bit, so bounding the length by the remaining bits, and the reserve
+  // by a constant, caps allocations on corrupt input.
+  auto read_edges = [&](std::vector<EdgeLabel>* path, size_t shared) {
+    const uint64_t count = reader->ReadGamma() - 1;
+    if (!reader->CheckRemaining(count)) return false;
+    path->reserve(path->size() + shared +
+                  static_cast<size_t>(std::min<uint64_t>(count, 1024)));
+    if (shared > 0) {
+      path->insert(path->end(), producer->path.begin(),
+                   producer->path.begin() + static_cast<ptrdiff_t>(shared));
     }
-  }
-  auto decode_side = [&]() {
-    PortLabel side;
-    side.path = prefix;
-    uint64_t suffix = reader->ReadGamma() - 1;
-    if (!reader->CheckRemaining(suffix)) return side;
-    for (uint64_t i = 0; i < suffix && !reader->failed(); ++i) {
-      side.path.push_back(DecodeEdge(reader));
+    for (uint64_t i = 0; i < count && !reader->failed(); ++i) {
+      path->push_back(DecodeEdge(reader));
     }
-    side.port = static_cast<int>(reader->ReadFixed(port_bits));
-    return side;
+    return true;
   };
-  if (has_producer) label.producer = decode_side();
-  if (has_consumer) label.consumer = decode_side();
-  return label;
+  size_t prefix = 0;
+  if (producer != nullptr && consumer != nullptr) {
+    // The shared prefix, decoded straight into the producer's path.
+    if (!read_edges(&producer->path, 0)) return;
+    prefix = producer->path.size();
+  }
+  if (producer != nullptr) {
+    if (!read_edges(&producer->path, 0)) return;
+    producer->port = static_cast<int>(reader->ReadFixed(port_bits));
+  }
+  if (consumer != nullptr) {
+    if (!read_edges(&consumer->path, prefix)) return;
+    consumer->port = static_cast<int>(reader->ReadFixed(port_bits));
+  }
 }
 
 }  // namespace fvl

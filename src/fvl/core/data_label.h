@@ -98,7 +98,20 @@ struct LabelCodec {
   BitWriter Encode(const DataLabel& label) const;
   // Appends the encoding to an existing stream (provenance index arenas).
   void EncodeTo(const DataLabel& label, BitWriter* writer) const;
-  DataLabel Decode(BitReader* reader) const;
+
+  // Decodes one label into caller-owned storage, overwriting every field.
+  // A side present both before and after keeps its path's capacity, and
+  // the shared prefix is decoded once into the producer path and copied
+  // into the consumer's, so decoding a stream of labels into one reused
+  // label stops allocating once its paths are as long as the longest.
+  // After a failed permissive read the label's contents are unspecified.
+  void Decode(BitReader* reader, DataLabel* label) const;
+  // The same decode into a fresh label.
+  DataLabel Decode(BitReader* reader) const {
+    DataLabel label;
+    Decode(reader, &label);
+    return label;
+  }
 };
 
 }  // namespace fvl

@@ -59,7 +59,12 @@ int64_t ProvenanceIndex::SizeBits() const {
 
 std::string ProvenanceIndex::Serialize() const {
   const bool single = num_runs() == 1;
-  std::string blob(single ? kMagic : kMergedMagic, sizeof(kMagic));
+  // The header's exact size: magic, counts and (merged) the run table.
+  // AppendTail then reserves the tail's, so the blob grows once.
+  std::string blob;
+  blob.reserve(sizeof(kMagic) +
+               8 * (single ? 2 : 3 + static_cast<size_t>(num_runs())));
+  blob.append(single ? kMagic : kMergedMagic, sizeof(kMagic));
   if (!single) LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_runs()));
   LabelStore::AppendU64(&blob, static_cast<uint64_t>(total_items()));
   LabelStore::AppendU64(&blob, static_cast<uint64_t>(store_.arena_bits()));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <utility>
 
 namespace fvl {
@@ -112,11 +113,10 @@ BitReader LabelStore::SpanCursor::SpanAt(int global) {
   return store_->ArenaReader(start, arena_pos_);
 }
 
-DataLabel LabelStore::SpanCursor::DecodeAt(int global) {
+void LabelStore::SpanCursor::DecodeAt(int global, DataLabel* label) {
   BitReader reader = SpanAt(global);
-  DataLabel label = store_->codec_.Decode(&reader);
+  store_->codec_.Decode(&reader, label);
   FVL_CHECK(reader.AtEnd());
-  return label;
 }
 
 // --- Bulk appends ------------------------------------------------------------
@@ -212,9 +212,9 @@ LabelStore LabelStore::ExtractDelta() {
 // --- Serialization -----------------------------------------------------------
 
 void LabelStore::AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(value >> (8 * i));
+  out->append(bytes, sizeof(bytes));
 }
 
 bool LabelStore::ReadU64(std::string_view blob, size_t* pos,
@@ -249,13 +249,6 @@ void LabelStore::ForEachCanonicalBlock(Fn&& fn) const {
 }
 
 void LabelStore::AppendTail(std::string* blob) const {
-  // Codec field widths (self-description).
-  for (int width : {codec_.production_bits, codec_.position_bits,
-                    codec_.cycle_bits, codec_.start_bits, codec_.port_bits}) {
-    blob->push_back(static_cast<char>(width));
-  }
-  blob->push_back(static_cast<char>(kTailFormatVersion));
-
   // Span stream: the length sequence re-chunked into canonical blocks of
   // exactly kBlockItems labels (vbyte block-minimum + 6-bit delta width +
   // per-item fixed-width delta). Re-chunking at serialization time —
@@ -272,6 +265,19 @@ void LabelStore::AppendTail(std::string* blob) const {
       span.WriteFixed(static_cast<uint64_t>(lens[i] - base_len), delta_width);
     }
   });
+  // The tail's exact size: six width/version bytes, then the span stream
+  // and the arena, each a u64 bit count and whole u64 words.
+  const size_t arena_words = static_cast<size_t>((arena_size_bits() + 63) / 64);
+  blob->reserve(blob->size() + 6 +
+                8 * (2 + span.words().size() + arena_words));
+
+  // Codec field widths (self-description).
+  for (int width : {codec_.production_bits, codec_.position_bits,
+                    codec_.cycle_bits, codec_.start_bits, codec_.port_bits}) {
+    blob->push_back(static_cast<char>(width));
+  }
+  blob->push_back(static_cast<char>(kTailFormatVersion));
+
   AppendU64(blob, static_cast<uint64_t>(span.size_bits()));
   for (uint64_t word : span.words()) AppendU64(blob, word);
 
@@ -364,6 +370,18 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
   }
   *pos += 8 * arena_word_count;
 
+  // Room for the whole skip table and meta stream, so neither reallocates
+  // while a valid tail parses: at most one skip entry per kSkipInterval
+  // items, and num_items gamma codes of lengths summing to arena_bits. A
+  // code costs at most 2*log2(length) + 1 bits and log2 is concave, so the
+  // codes take at most num_items * (2*log2(arena_bits / num_items) + 1)
+  // bits, which bit_width of the integer mean bounds from above. Both are
+  // O(blob size).
+  if (num_items > 0) {
+    store.skips_.reserve(num_items / kSkipInterval + 1);
+    store.meta_.Reserve(static_cast<int64_t>(
+        num_items * (2 * std::bit_width(arena_bits / num_items) + 1)));
+  }
   BitReader span(&span_words, 0, static_cast<int64_t>(span_bits));
   span.set_permissive();
   uint64_t consumed = 0;  // label content bits accounted for so far
@@ -398,11 +416,13 @@ Result<LabelStore> LabelStore::ParseTail(std::string_view blob, size_t* pos,
   // The accessors FVL_CHECK that every span decodes exactly under the
   // codec; an inconsistent blob (e.g. a flipped codec-width byte) must be
   // rejected here, recoverably, rather than abort on first DecodeLabel.
+  // Every label decodes into one scratch label.
   SpanCursor cursor(store);
+  DataLabel scratch;
   for (uint64_t item = 0; item < num_items; ++item) {
     BitReader label_reader = cursor.SpanAt(static_cast<int>(item));
     label_reader.set_permissive();
-    store.codec_.Decode(&label_reader);
+    store.codec_.Decode(&label_reader, &scratch);
     if (label_reader.failed() || !label_reader.AtEnd()) {
       std::string message = "label ";
       message += std::to_string(item);

@@ -44,7 +44,8 @@
 // returns a BitReader over the label's arena bits. DecodeLabel and
 // LabelBits run a fresh cursor (one skip-table seek); batch decode loops
 // (DependsMany / VisibilitySweep) keep one cursor, which amortizes the
-// per-item scan to O(1) for non-decreasing ids.
+// per-item scan to O(1) for non-decreasing ids, and decode into storage
+// they reuse, so a walk allocates nothing per label.
 
 #ifndef FVL_CORE_LABEL_STORE_H_
 #define FVL_CORE_LABEL_STORE_H_
@@ -199,7 +200,8 @@ class LabelStore {
   // Decodes one label; spans are validated at construction/ParseTail, so
   // decode never aborts on a store obtained through the public paths.
   // Runs a fresh SpanCursor: a skip-table lookup plus a <= kSkipInterval
-  // item scan. Use one SpanCursor for walks over many ids.
+  // item scan. Use one SpanCursor, and one reused label, for walks over
+  // many ids.
   DataLabel DecodeLabel(int global) const {
     return SpanCursor(*this).DecodeAt(global);
   }
@@ -219,7 +221,15 @@ class LabelStore {
 
     // Reader over exactly item `global`'s span.
     BitReader SpanAt(int global);
-    DataLabel DecodeAt(int global);
+    // Decodes item `global` into `label`, reusing its storage
+    // (LabelCodec::Decode): a walk that decodes into one label allocates
+    // only while its paths grow.
+    void DecodeAt(int global, DataLabel* label);
+    DataLabel DecodeAt(int global) {
+      DataLabel label;
+      DecodeAt(global, &label);
+      return label;
+    }
 
    private:
     // Positions the cursor at item `global`'s gamma length, with arena_pos_
@@ -242,6 +252,8 @@ class LabelStore {
   // one implicit group; the merged format writes a run table), so callers
   // pass group bases to ParseTail.
 
+  // Appends the tail, reserving its exact size first: a blob reserved for
+  // its header grows once, and every field goes in as whole u64 words.
   void AppendTail(std::string* blob) const;
 
   // Exact size in bits of the canonical serialized span representation
@@ -264,7 +276,10 @@ class LabelStore {
   // bytes and keeps a copy of `source`, so the mapping lives as long as
   // the store or any copy of it. Without one, the validated arena is
   // copied into owned words once, and the blob is only read during the
-  // call. The meta stream is re-encoded and owned either way.
+  // call. The meta stream is re-encoded and owned either way. The number
+  // of heap allocations does not grow with the item count: the meta
+  // stream and skip table are reserved up front, and the decode check
+  // runs every label through one reused DataLabel.
   [[nodiscard]] static Result<LabelStore> ParseTail(
       std::string_view blob, size_t* pos, std::vector<int64_t> group_base,
       uint64_t arena_bits, const BlobSource* source = nullptr);

@@ -45,10 +45,11 @@ void RunLabeler::OnApply(const Run& run, const DerivationStep& step) {
         tree_.node(tree_.NodeOfInstance(item.producer_instance));
     const ParseNode& consumer_node =
         tree_.node(tree_.NodeOfInstance(item.consumer_instance));
-    DataLabel label;
-    label.producer = PortLabel{producer_node.path, item.producer_port};
-    label.consumer = PortLabel{consumer_node.path, item.consumer_port};
-    store_.Append(label);
+    label_.producer->path = producer_node.path;
+    label_.producer->port = item.producer_port;
+    label_.consumer->path = consumer_node.path;
+    label_.consumer->port = item.consumer_port;
+    store_.Append(label_);
   }
 }
 

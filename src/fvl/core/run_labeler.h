@@ -51,6 +51,9 @@ class RunLabeler {
  private:
   CompressedParseTree tree_;
   LabelStore store_;
+  // OnApply's label, both sides always present: each item's paths are
+  // copied into storage this label already has, not into a fresh one.
+  DataLabel label_{PortLabel{}, PortLabel{}};
 };
 
 // Convenience: derive nothing, just label an already-derived run by

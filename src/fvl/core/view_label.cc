@@ -72,9 +72,12 @@ bool ViewLabel::CycleFullyActive(int s) const {
 }
 
 std::optional<BoolMatrix> ViewLabel::WalkStepwise(PortSide side, int s, int t,
-                                                  int iteration) const {
+                                                  int iteration,
+                                                  int split_at,
+                                                  BoolMatrix* split) const {
   BoolMatrix result = WalkIdentity(*pg_, side, s, t);
   for (int a = 0; a < iteration - 1; ++a) {
+    if (a == split_at) *split = result;
     PgEdge edge = pg_->CycleEdgeAt(s, t + a);
     std::optional<BoolMatrix> factor =
         side == PortSide::kInputs ? I(edge.production, edge.position)
@@ -103,12 +106,14 @@ std::optional<BoolMatrix> ViewLabel::Walk(PortSide side, int s, int t,
     // Divide-and-conquer over the full-cycle product (Lemma 5's O(log i)).
     // Also used by the space-efficient variant: the full-cycle product X
     // costs one bounded batch of graph searches, after which powering is
-    // logarithmic in the iteration count instead of linear.
-    std::optional<BoolMatrix> x = WalkStepwise(side, s, t, l + 1);
-    std::optional<BoolMatrix> rest =
-        WalkStepwise(side, s, t, static_cast<int>(total % l) + 1);
-    if (!x.has_value() || !rest.has_value()) return std::nullopt;
-    return BoolMatrixPower(*x, total / l).Multiply(*rest);
+    // logarithmic in the iteration count instead of linear. One pass over
+    // the cycle yields both X and the product of its first total % l
+    // factors, so each factor is computed once.
+    BoolMatrix rest;
+    std::optional<BoolMatrix> x = WalkStepwise(
+        side, s, t, l + 1, static_cast<int>(total % l), &rest);
+    if (!x.has_value()) return std::nullopt;
+    return BoolMatrixPower(*x, total / l).Multiply(rest);
   }
   return WalkStepwise(side, s, t, iteration);
 }

@@ -73,8 +73,12 @@ class ViewLabel {
 
   // Production k's port graph in this view (with its §5 overlay, if any).
   WorkflowPortGraph PortGraph(ProductionId k) const;
+  // The walk as a product of its iteration - 1 factors, one at a time.
+  // With `split`, also stores the product of the first `split_at` factors
+  // there (split_at < iteration - 1).
   std::optional<BoolMatrix> WalkStepwise(PortSide side, int s, int t,
-                                         int iteration) const;
+                                         int iteration, int split_at = -1,
+                                         BoolMatrix* split = nullptr) const;
   bool CycleFullyActive(int s) const;
 
   ViewLabelMode mode_ = ViewLabelMode::kDefault;

@@ -265,7 +265,7 @@ Result<std::vector<bool>> ProvenanceService::DependsMany(
   // and hits skip re-vetting. False on a label that fails vetting.
   auto fetch = [&](int item, DataLabel* out) {
     if (cache.LookupLabel(tag_, item, out)) return true;
-    *out = cursor.DecodeAt(item);
+    cursor.DecodeAt(item, out);
     if (!LabelInBounds(*out)) return false;
     cache.InsertLabel(tag_, item, *out);
     return true;
@@ -426,13 +426,15 @@ Result<std::vector<bool>> ProvenanceService::VisibilitySweep(
   if (!label.ok()) return label.status();
   const int num_items = index.total_items();
   // Decode + bounds-check + visibility per item, walking the store in
-  // flat-id order through one span cursor (amortized O(1) per item). The
-  // sweep bypasses the label cache: it touches each item once, so it could
+  // flat-id order through one span cursor (amortized O(1) per item) into
+  // one reused label, so the sweep allocates nothing per item. It
+  // bypasses the label cache: it touches each item once, so it could
   // rarely hit, and its inserts would evict the point-query hot set.
   std::vector<bool> visible(num_items, false);
   LabelStore::SpanCursor cursor(index.store());
+  DataLabel item_label;
   for (int item = 0; item < num_items; ++item) {
-    const DataLabel item_label = cursor.DecodeAt(item);
+    cursor.DecodeAt(item, &item_label);
     if (!LabelInBounds(item_label)) return OutOfGrammarLabels();
     visible[item] = IsItemVisible(item_label, **label);
   }

@@ -46,6 +46,12 @@ class BitWriter {
   // trailing groups), so equal values always produce equal bits.
   void WriteVByte(uint64_t value);
 
+  // Reserves room for `bits` bits in total, so writes up to that size do
+  // not reallocate.
+  void Reserve(int64_t bits) {
+    words_.reserve(static_cast<size_t>((bits + 63) / 64));
+  }
+
   int64_t size_bits() const { return size_bits_; }
   const std::vector<uint64_t>& words() const { return words_; }
 

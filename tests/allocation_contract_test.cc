@@ -1,0 +1,225 @@
+// Heap-allocation contracts of the label walks, checked by counting calls
+// to a replaced global operator new. A walk over every label of a store
+// (a span-cursor pass, VisibilitySweep, the decode check that opens an
+// archive) must allocate a number of times that does not grow with the
+// item count: it decodes into storage it reuses.
+//
+// The two stores are the same BioAID run frozen at about 2K and at 16K
+// items, so the small store's labels are the large store's first ones.
+// Whatever a walk allocates while its reused label grows to the deepest
+// path therefore happens identically at both sizes, and any allocation per
+// label shows as a difference of about 14K.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "fvl/core/index.h"
+#include "fvl/core/label_store.h"
+#include "fvl/core/visibility.h"
+#include "fvl/service/provenance_service.h"
+#include "fvl/util/blob_source.h"
+#include "fvl/workload/bioaid.h"
+#include "fvl/workload/view_generator.h"
+
+namespace {
+
+std::atomic<int64_t> g_allocations{0};
+
+[[gnu::noinline]] void* CountedAllocate(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+// Every replaceable non-aligned form, so no allocation escapes the count
+// and every pointer is freed by the allocator that made it (the sanitizer
+// runtimes define these forms too). Allocation and release stay out of
+// line: inlined, GCC would see a malloc'd pointer reach operator delete
+// (or free() reach the result of operator new) and warn.
+void* operator new(std::size_t size) {
+  if (void* p = CountedAllocate(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAllocate(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAllocate(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace fvl {
+namespace {
+
+// Heap allocations made while `fn` runs.
+template <typename Fn>
+int64_t CountAllocations(Fn&& fn) {
+  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+class AllocationContractTest : public ::testing::Test {
+ protected:
+  static constexpr int kSmallItems = 2000;
+  static constexpr int kLargeItems = 16000;
+
+  AllocationContractTest()
+      : workload_(MakeBioAid(2012)),
+        service_(ProvenanceService::Create(workload_.spec).value()) {
+    RunGeneratorOptions options;
+    options.target_items = kLargeItems;
+    options.seed = 5;
+    ::fvl::Run run = GenerateRandomRun(workload_.spec.grammar, options);
+    RunLabeler labeler = service_->MakeRunLabeler();
+    labeler.OnStart(run);
+    int step = 0;
+    for (; labeler.num_labels() < kSmallItems; ++step) {
+      labeler.OnApply(run, run.step(step));
+    }
+    small_ = ProvenanceIndex(labeler.store());
+    for (; step < run.num_steps(); ++step) labeler.OnApply(run, run.step(step));
+    large_ = ProvenanceIndex(labeler.store());
+  }
+
+  // Counts of `walk` over the small and the large store.
+  template <typename Walk>
+  std::pair<int64_t, int64_t> CountBoth(Walk&& walk) {
+    const int64_t small = CountAllocations([&] { walk(small_); });
+    const int64_t large = CountAllocations([&] { walk(large_); });
+    return {small, large};
+  }
+
+  Workload workload_;
+  std::shared_ptr<ProvenanceService> service_;
+  ProvenanceIndex small_, large_;
+};
+
+TEST_F(AllocationContractTest, StoresShareTheirFirstLabels) {
+  ASSERT_GE(small_.total_items(), kSmallItems);
+  ASSERT_GE(large_.total_items(), 7 * kSmallItems);
+  for (int item = 0; item < small_.total_items(); item += 97) {
+    ASSERT_EQ(small_.Label(item), large_.Label(item)) << "item " << item;
+  }
+}
+
+// A span-cursor pass decodes into one label. Once a pass has grown its
+// paths, a pass over the two-sided labels allocates nothing. A full pass
+// also starts at the run's boundary items, whose one-sided labels drop a
+// side that then grows back: a few allocations, the same at both sizes.
+TEST_F(AllocationContractTest, SpanCursorPassIntoOneLabel) {
+  int64_t full_pass[2] = {0, 0};
+  int size = 0;
+  for (const ProvenanceIndex* index : {&small_, &large_}) {
+    const LabelStore& store = index->store();
+    DataLabel label;
+    auto pass = [&](int first) {
+      LabelStore::SpanCursor cursor(store);
+      for (int item = first; item < store.total_items(); ++item) {
+        cursor.DecodeAt(item, &label);
+      }
+    };
+    pass(0);
+    full_pass[size] = CountAllocations([&] { pass(0); });
+    int first_two_sided = 0;
+    while (!(index->Label(first_two_sided).producer.has_value() &&
+             index->Label(first_two_sided).consumer.has_value())) {
+      ++first_two_sided;
+    }
+    EXPECT_EQ(CountAllocations([&] { pass(first_two_sided); }), 0)
+        << "items " << store.total_items();
+    ++size;
+  }
+  EXPECT_EQ(full_pass[0], full_pass[1]);
+}
+
+TEST_F(AllocationContractTest, VisibilitySweepAllocatesTheSameAtBothSizes) {
+  CompiledView view = GenerateSafeView(workload_, [] {
+    ViewGeneratorOptions options;
+    options.num_expandable = 8;
+    options.seed = 9;
+    return options;
+  }());
+  ViewHandle handle = service_->RegisterView(view.view()).value();
+  std::vector<bool> small_visible, large_visible;
+  auto sweep = [&](const ProvenanceIndex& index, std::vector<bool>* out) {
+    *out = service_->VisibilitySweep(handle, index).value();
+  };
+  // Builds and caches the view label, outside the counts.
+  sweep(small_, &small_visible);
+  const auto [small, large] = CountBoth([&](const ProvenanceIndex& index) {
+    sweep(index, &index == &small_ ? &small_visible : &large_visible);
+  });
+  EXPECT_EQ(small, large);
+  // The sweep's answers still match the one-label-at-a-time definition.
+  const ViewLabel& label =
+      *service_->LabelOf(handle, ViewLabelMode::kQueryEfficient).value();
+  for (int item = 0; item < large_.total_items(); item += 31) {
+    ASSERT_EQ(large_visible[item], IsItemVisible(large_.Label(item), label))
+        << "item " << item;
+  }
+  for (int item = 0; item < small_.total_items(); ++item) {
+    ASSERT_EQ(small_visible[item], large_visible[item]) << "item " << item;
+  }
+}
+
+// Map's parse of a single-run archive: the FVLIDX3 header (magic, item
+// count, arena bits: 24 bytes), then the store tail, which ParseTail
+// parses and decode-checks in place against the mapping.
+TEST_F(AllocationContractTest, MapValidationAllocatesTheSameAtBothSizes) {
+  std::vector<BlobSource> sources;
+  for (const ProvenanceIndex* index : {&small_, &large_}) {
+    const std::string path = ::testing::TempDir() + "/fvl_alloc_" +
+                             std::to_string(index->total_items()) + ".fvl";
+    std::ofstream(path, std::ios::binary) << index->Serialize();
+    sources.push_back(BlobSource::MapFile(path).value());
+    // The archive also opens through Map and decodes as the store it was.
+    Result<ProvenanceIndex> mapped = ProvenanceIndex::Map(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_EQ(mapped->total_items(), index->total_items());
+    for (int item = 0; item < index->total_items(); item += 53) {
+      ASSERT_EQ(mapped->Label(item), index->Label(item)) << "item " << item;
+    }
+  }
+  bool parsed[2] = {false, false};
+  int size = 0;
+  const auto [small, large] = CountBoth([&](const ProvenanceIndex& index) {
+    const BlobSource& source = sources[size];
+    size_t pos = 24;
+    parsed[size++] =
+        LabelStore::ParseTail(source.view(), &pos, {0, index.total_items()},
+                              static_cast<uint64_t>(index.store().arena_bits()),
+                              &source)
+            .ok();
+  });
+  ASSERT_TRUE(parsed[0] && parsed[1]);
+  EXPECT_EQ(small, large);
+}
+
+}  // namespace
+}  // namespace fvl

@@ -108,6 +108,97 @@ TEST_F(DataLabelTest, RandomLabelRoundTripSweep) {
   }
 }
 
+// Decoding into one reused label must overwrite every field: a stale path
+// tail, port or side would survive into the next label otherwise.
+TEST_F(DataLabelTest, DecodeIntoReusedLabelMatchesFreshDecode) {
+  const std::vector<EdgeLabel> deep = {
+      EdgeLabel::Prod(0, 2), EdgeLabel::Rec(0, 0, 5), EdgeLabel::Prod(2, 1),
+      EdgeLabel::Rec(1, 1, 4000), EdgeLabel::Prod(4, 3),
+      EdgeLabel::Rec(0, 1, 77), EdgeLabel::Prod(7, 5)};
+  auto path = [&](size_t depth, std::vector<EdgeLabel> tail = {}) {
+    std::vector<EdgeLabel> out(deep.begin(), deep.begin() + depth);
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  };
+  auto both = [](std::vector<EdgeLabel> producer, int producer_port,
+                 std::vector<EdgeLabel> consumer, int consumer_port) {
+    return DataLabel{PortLabel{std::move(producer), producer_port},
+                     PortLabel{std::move(consumer), consumer_port}};
+  };
+  const std::vector<DataLabel> sequence = {
+      // Both sides sharing a long prefix, then deep recursive suffixes.
+      both(path(7), 2, path(5, {EdgeLabel::Rec(1, 0, 9)}), 1),
+      // Producer only, shorter than the path before it.
+      DataLabel{PortLabel{path(2), 0}, std::nullopt},
+      // Consumer only, with an empty path.
+      DataLabel{std::nullopt, PortLabel{{}, 2}},
+      // Both sides with an empty shared prefix.
+      both({EdgeLabel::Prod(1, 0)}, 1, {EdgeLabel::Rec(0, 1, 3)}, 0),
+      // Both sides equal up to the port, so every edge is shared.
+      both(path(7), 0, path(7), 2),
+      // Consumer only, deep, after a two-sided label.
+      DataLabel{std::nullopt, PortLabel{path(7, {EdgeLabel::Rec(1, 1, 1)}), 1}},
+      // Both sides with empty paths.
+      both({}, 2, {}, 0),
+      // Producer only, deep.
+      DataLabel{PortLabel{path(6), 1}, std::nullopt},
+      // Neither side.
+      DataLabel{},
+      both(path(3, {EdgeLabel::Prod(5, 0)}), 1, path(1), 0),
+  };
+  DataLabel scratch;
+  // Twice through, so every label also follows the last one.
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < sequence.size(); ++i) {
+      BitWriter writer = codec_.Encode(sequence[i]);
+      BitReader fresh_reader(writer);
+      const DataLabel fresh = codec_.Decode(&fresh_reader);
+      ASSERT_EQ(fresh, sequence[i]) << "label " << i;
+      BitReader reader(writer);
+      codec_.Decode(&reader, &scratch);
+      ASSERT_TRUE(reader.AtEnd()) << "label " << i;
+      ASSERT_EQ(scratch, fresh) << "round " << round << " label " << i;
+    }
+  }
+}
+
+// A permissive decode that fails partway through leaves the reused label
+// in some state; the next valid decode must still yield exactly its label.
+TEST_F(DataLabelTest, FailedDecodeDoesNotLeakIntoTheNextLabel) {
+  DataLabel truncated_source;
+  truncated_source.producer = PortLabel{
+      {EdgeLabel::Prod(0, 2), EdgeLabel::Rec(0, 0, 300), EdgeLabel::Prod(3, 4),
+       EdgeLabel::Rec(1, 1, 12)},
+      2};
+  truncated_source.consumer = PortLabel{
+      {EdgeLabel::Prod(0, 2), EdgeLabel::Rec(0, 0, 300), EdgeLabel::Prod(6, 1)},
+      1};
+  const BitWriter truncated = codec_.Encode(truncated_source);
+  std::vector<DataLabel> valid(3);
+  valid[0].producer = PortLabel{{EdgeLabel::Prod(1, 1)}, 0};
+  valid[1].consumer = PortLabel{{}, 2};
+  valid[2].producer = PortLabel{{EdgeLabel::Rec(0, 1, 2)}, 1};
+  valid[2].consumer = PortLabel{{EdgeLabel::Prod(2, 0)}, 0};
+  for (int64_t cut = 1; cut < truncated.size_bits(); ++cut) {
+    for (const DataLabel& next : valid) {
+      DataLabel scratch;
+      // Fill the scratch with a full decode first, so the failed decode
+      // starts from engaged sides and long paths.
+      BitReader full(truncated);
+      codec_.Decode(&full, &scratch);
+      BitReader partial(&truncated.words(), 0, cut);
+      partial.set_permissive();
+      codec_.Decode(&partial, &scratch);
+      ASSERT_TRUE(partial.failed() || !partial.AtEnd()) << "cut " << cut;
+      BitWriter writer = codec_.Encode(next);
+      BitReader reader(writer);
+      codec_.Decode(&reader, &scratch);
+      ASSERT_TRUE(reader.AtEnd());
+      ASSERT_EQ(scratch, next) << "cut " << cut;
+    }
+  }
+}
+
 TEST_F(DataLabelTest, IterationCostIsLogarithmic) {
   // The only unbounded label component is the recursion iteration index,
   // encoded with Elias-gamma: 2*floor(log2 i)+1 bits.

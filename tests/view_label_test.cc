@@ -133,6 +133,67 @@ TEST_F(ViewLabelTest, WalksAgreeAcrossVariantsAndIterations) {
                    AllModes(*bio.service, bio.view));
 }
 
+// The walk as the plain product of its iteration - 1 factors, read through
+// I (or O) one edge at a time: the definition Walk must reproduce.
+std::optional<BoolMatrix> StepwiseWalk(const ViewLabel& label, PortSide side,
+                                       int s, int t, int iteration) {
+  const ProductionGraph& pg = label.production_graph();
+  const Module& first =
+      pg.grammar().module(pg.EdgeSource(pg.CycleEdgeAt(s, t)));
+  BoolMatrix product = BoolMatrix::Identity(
+      side == PortSide::kInputs ? first.num_inputs : first.num_outputs);
+  for (int a = 0; a < iteration - 1; ++a) {
+    PgEdge edge = pg.CycleEdgeAt(s, t + a);
+    std::optional<BoolMatrix> factor =
+        side == PortSide::kInputs ? label.I(edge.production, edge.position)
+                                  : label.O(edge.production, edge.position);
+    if (!factor.has_value()) return std::nullopt;
+    product = product.Multiply(*factor);
+  }
+  return product;
+}
+
+// Walks of at least two full cycles (the divide-and-conquer branch on a
+// fully active cycle) whose remainder total % l is 0, 1 or l - 1 equal the
+// stepwise product, in every mode.
+void ExpectLongWalksMatchStepwise(const ProductionGraph& pg,
+                                  const std::vector<const ViewLabel*>& labels) {
+  for (const ViewLabel* label : labels) {
+    for (int s = 0; s < pg.num_cycles(); ++s) {
+      const int l = pg.cycle(s).length();
+      for (int t = 0; t < l; ++t) {
+        for (int cycles : {2, 3, 7}) {
+          for (int remainder : {0, 1 % l, l - 1}) {
+            const int iteration = cycles * l + remainder + 1;
+            for (PortSide side : {PortSide::kInputs, PortSide::kOutputs}) {
+              ASSERT_EQ(label->Walk(side, s, t, iteration),
+                        StepwiseWalk(*label, side, s, t, iteration))
+                  << ToString(label->mode()) << " side "
+                  << static_cast<int>(side) << " s=" << s << " t=" << t
+                  << " i=" << iteration;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ViewLabelTest, LongWalksMatchTheStepwiseProduct) {
+  const ProductionGraph& pg = service_->production_graph();
+  // Every cycle is fully active in the default view, so each walk here
+  // takes the full-cycle power.
+  std::vector<const ViewLabel*> u1 = AllModes(*service_, u1_);
+  ASSERT_GT(pg.num_cycles(), 0);
+  ASSERT_TRUE(u1[0]->Walk(PortSide::kInputs, 0, 0, 1000).has_value());
+  ExpectLongWalksMatchStepwise(pg, u1);
+  ExpectLongWalksMatchStepwise(pg, AllModes(*service_, u2_));
+  ExpectLongWalksMatchStepwise(pg, AllModes(*service_, Example18()));
+  BioAidView bio;
+  ExpectLongWalksMatchStepwise(bio.service->production_graph(),
+                               AllModes(*bio.service, bio.view));
+}
+
 TEST_F(ViewLabelTest, SizeOrderingAcrossVariants) {
   const ViewLabel& se =
       RegisteredLabel(*service_, u1_, ViewLabelMode::kSpaceEfficient);
