@@ -8,8 +8,9 @@
 //     owning run's snapshot for every query, then apply the predicate;
 //   * per_run_batched — one DependsMany call per run (decode-once within a
 //     run, but R calls, R scratch setups, R codec checks);
-//   * merged — a single QueryAcrossRuns over the merged index: one scratch,
-//     one contiguous relocated arena, decode-once across the whole batch.
+//   * merged — a single DependsMany over the merged index, each item named
+//     by its flat id (GlobalId): one scratch, one contiguous relocated
+//     arena, decode-once across the whole batch.
 // Merge cost is reported per row; expect it in the milliseconds (one bulk
 // bit copy per run into the shared LabelStore arena — no per-label work)
 // and amortized after one batch. Merged throughput should beat
@@ -119,17 +120,17 @@ void Main(const BenchConfig& config) {
                          TablePrinter::Num(stream_merge_ms, 2),
                          std::to_string(stream_peak)});
 
-    // One fixed pool of same-run queries, spread evenly over the runs, in
-    // all three addressings.
+    // One fixed pool of same-run queries, spread evenly over the runs, as
+    // per-run item ids and as the merged index's flat ids.
     const int queries_per_run = config.queries_per_point() / num_runs;
     std::vector<std::vector<std::pair<int, int>>> per_run;
-    std::vector<std::pair<RunItem, RunItem>> across;
+    std::vector<std::pair<int, int>> across;
     for (int r = 0; r < num_runs; ++r) {
       per_run.push_back(GenerateVisibleQueries(
           sessions[r]->run(), sessions[r]->labeler(), label, queries_per_run,
           13 * num_runs + r));
       for (const auto& [d1, d2] : per_run.back()) {
-        across.push_back({{r, d1}, {r, d2}});
+        across.push_back({merged.GlobalId(r, d1), merged.GlobalId(r, d2)});
       }
     }
     const size_t total_queries = across.size();
@@ -157,7 +158,7 @@ void Main(const BenchConfig& config) {
 
     std::vector<bool> merged_answers;
     double merged_ms = TimeMs([&] {
-      merged_answers = service->QueryAcrossRuns(view, merged, across).value();
+      merged_answers = service->DependsMany(view, merged, across).value();
     });
     int hits_merged = 0;
     for (bool answer : merged_answers) hits_merged += answer;
@@ -177,7 +178,7 @@ void Main(const BenchConfig& config) {
                   TablePrinter::Num(single_ms / merged_ms, 2)});
   }
   table.Print(
-      "multi-run merge + cross-run query throughput: one QueryAcrossRuns "
+      "multi-run merge + cross-run query throughput: one DependsMany "
       "over the merged index vs per-run loops over individual snapshots "
       "(BioAID, medium grey-box view, query-efficient labels)");
   stream_table.Print(

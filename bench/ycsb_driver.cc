@@ -15,7 +15,7 @@
 //   scan-heavy — 90% point queries, 10% whole-index visibility sweeps
 //     (each sweep decodes every item: a table-scan analogue).
 //   merge-mix — point queries with a server-side streamed merge-runs +
-//     query-across-runs transaction every 1000 ops: the archival path
+//     cross-run depends-many transaction every 1000 ops: the archival path
 //     exercised concurrently with the hot query path.
 //
 // Key choice: uniform vs zipfian(0.99) over the item space. Zipfian skew
@@ -133,11 +133,12 @@ WorkerResult RunWorker(int port, uint64_t view_id, uint64_t index_id,
       merge_debt -= 1.0;
       Result<MergeInfo> merged = client->MergeRuns(run_index_ids);
       if (!merged.ok()) return fail(merged.status());
-      std::vector<std::pair<RunItem, RunItem>> cross = {
-          {{0, static_cast<int>(keys.Next(rng)) % run_sizes[0]},
-           {1, static_cast<int>(keys.Next(rng)) % run_sizes[1]}}};
-      Result<std::vector<bool>> answers = client->QueryAcrossRuns(
-          view_id, merged->merged_id, kMode, cross);
+      // Flat ids into the merge: run 1's items follow run 0's.
+      std::vector<std::pair<int, int>> cross = {
+          {static_cast<int>(keys.Next(rng)) % run_sizes[0],
+           run_sizes[0] + static_cast<int>(keys.Next(rng)) % run_sizes[1]}};
+      Result<std::vector<bool>> answers =
+          client->DependsMany(view_id, merged->merged_id, kMode, cross);
       if (!answers.ok()) return fail(answers.status());
       ++result.merge_ops;
     }
@@ -206,8 +207,8 @@ void Main(const BenchConfig& config) {
   };
   std::string archive_path =
       archive_file("query.fvlidx", run_blob(query_items, 2012));
-  net::OpenInfo archive = setup.OpenIndexFile(archive_path).value();
-  FVL_CHECK(archive.num_items == query_snapshot.num_items);
+  MergeInfo archive = setup.OpenIndexFile(archive_path).value();
+  FVL_CHECK(archive.total_items == query_snapshot.num_items);
   std::vector<std::string> compact_inputs = {
       archive_file("run_a.fvlidx", run_blob(query_items / 8, 31)),
       archive_file("run_b.fvlidx", run_blob(query_items / 8, 32))};
@@ -280,7 +281,7 @@ void Main(const BenchConfig& config) {
             pool.emplace_back([&, t] {
               results[t] = RunWorker(
                   server->port(), view_id,
-                  mix.archive ? archive.index_id : query_snapshot.index_id,
+                  mix.archive ? archive.merged_id : query_snapshot.index_id,
                   run_index_ids, run_sizes, keys, mix, ops_per_thread,
                   /*seed=*/1000 * (t + 1) + threads);
             });

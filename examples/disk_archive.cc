@@ -143,17 +143,18 @@ int main() {
       service->RegisterView(GenerateSafeView(workload, view_options).view())
           .value();
   Rng rng(11);
-  std::vector<std::pair<RunItem, RunItem>> queries;
+  auto random_item = [&rng, &served] {
+    const int run = rng.NextInt(0, served.num_runs() - 1);
+    return served.GlobalId(run, rng.NextInt(0, served.num_items(run) - 1));
+  };
+  std::vector<std::pair<int, int>> queries;
   for (int q = 0; q < 20000; ++q) {
-    RunItem a{rng.NextInt(0, served.num_runs() - 1), 0};
-    RunItem b{rng.NextInt(0, served.num_runs() - 1), 0};
-    a.item = rng.NextInt(0, served.num_items(a.run) - 1);
-    b.item = rng.NextInt(0, served.num_items(b.run) - 1);
-    queries.push_back({a, b});
+    const int a = random_item();
+    queries.push_back({a, random_item()});
   }
   watch.Reset();
   std::vector<bool> answers =
-      service->QueryAcrossRuns(view, served, queries).value();
+      service->DependsMany(view, served, queries).value();
   double query_ms = watch.ElapsedMillis();
   int positive = 0;
   for (bool answer : answers) positive += answer;

@@ -1,8 +1,8 @@
 // A multi-run provenance store: many executions of one specification are
 // labeled online, frozen individually, and merged into a single queryable
 // artifact (ProvenanceIndex::Merge). Cross-run audits then run as one
-// QueryAcrossRuns batch against the merged index — no per-run fan-out in
-// user code, and the artifact ships as one self-describing blob.
+// DependsMany batch of flat ids against the merged index — no per-run
+// fan-out in user code, and the artifact ships as one self-describing blob.
 //
 //   $ ./multi_run_store
 
@@ -41,7 +41,8 @@ int main() {
   }
 
   // Merge into one artifact: a contiguous relocated arena plus a per-run
-  // offset table; items are now addressed as (run, item) pairs.
+  // offset table; item `item` of run `run` is now flat id
+  // GlobalId(run, item).
   Stopwatch watch;
   ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   double merge_ms = watch.ElapsedMillis();
@@ -68,17 +69,18 @@ int main() {
   // within a run are answered by the decoding predicate; pairs across runs
   // are false by definition (separate executions share no data flow).
   Rng rng(11);
-  std::vector<std::pair<RunItem, RunItem>> queries;
+  auto random_item = [&rng, &restored] {
+    const int run = rng.NextInt(0, restored.num_runs() - 1);
+    return restored.GlobalId(run, rng.NextInt(0, restored.num_items(run) - 1));
+  };
+  std::vector<std::pair<int, int>> queries;
   for (int q = 0; q < 20000; ++q) {
-    RunItem a{rng.NextInt(0, restored.num_runs() - 1), 0};
-    RunItem b{rng.NextInt(0, restored.num_runs() - 1), 0};
-    a.item = rng.NextInt(0, restored.num_items(a.run) - 1);
-    b.item = rng.NextInt(0, restored.num_items(b.run) - 1);
-    queries.push_back({a, b});
+    const int a = random_item();
+    queries.push_back({a, random_item()});
   }
   watch.Reset();
   std::vector<bool> answers =
-      service->QueryAcrossRuns(view, restored, queries).value();
+      service->DependsMany(view, restored, queries).value();
   double query_ms = watch.ElapsedMillis();
   int positive = 0;
   for (bool answer : answers) positive += answer;

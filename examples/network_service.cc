@@ -73,18 +73,24 @@ int main() {
   std::printf("depends(0, 9) = %d; batch of %zu answers, first %d\n", one,
               batch.size(), static_cast<int>(batch[0]));
 
-  // Server-side streamed merge, then a cross-run audit with (run, item)
-  // addressing — the multi_run_store example, but fully remote.
+  // Server-side streamed merge, then a cross-run audit — the
+  // multi_run_store example, but fully remote. The merged index names item
+  // `item` of run `run` by its flat id: the item counts of the runs before
+  // it, plus `item`.
   net::MergeInfo merged = client.MergeRuns(run_ids).value();
   std::printf("merged index %llu: %d runs, %d items\n",
               static_cast<unsigned long long>(merged.merged_id),
               merged.num_runs, merged.total_items);
-  std::vector<std::pair<RunItem, RunItem>> cross = {
-      {{0, 5}, {1, run_sizes[1] - 1}},
-      {{1, 5}, {0, run_sizes[0] - 1}},
+  auto flat_id = [&run_sizes](int run, int item) {
+    for (int r = 0; r < run; ++r) item += run_sizes[r];
+    return item;
+  };
+  std::vector<std::pair<int, int>> cross = {
+      {flat_id(0, 5), flat_id(1, run_sizes[1] - 1)},
+      {flat_id(1, 5), flat_id(0, run_sizes[0] - 1)},
   };
   std::vector<bool> audited =
-      client.QueryAcrossRuns(view_id, merged.merged_id, kMode, cross).value();
+      client.DependsMany(view_id, merged.merged_id, kMode, cross).value();
   std::printf("cross-run audit: %zu answers\n", audited.size());
 
   // Errors travel the wire intact: an unknown index id is kNotFound, the

@@ -64,12 +64,11 @@ namespace fvl {
 struct ServingCacheStats {
   uint64_t label_hits = 0;
   uint64_t label_misses = 0;
-  // Always 0: there is no reachability memo. The field keeps the shape
-  // the kStats body and its readers expect, until kStats describes its
-  // own fields.
+  // Always 0: there is no reachability memo. Kept for the in-process
+  // readers of the struct; kStats does not send it.
   uint64_t reach_hits = 0;
   // Same-run pairs the predicate evaluated (cross-run pairs are answered
-  // false without it).
+  // false without it); kStats sends it as predicate_evaluations.
   uint64_t reach_misses = 0;
 
   double LabelHitRate() const {

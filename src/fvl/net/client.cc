@@ -1,5 +1,6 @@
 #include "fvl/net/client.h"
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,13 +13,23 @@ Status Malformed(const char* what) {
                        std::string("response: ") + what);
 }
 
-// Reads `fields.size()` u64 fields from a call's reply body and demands the
-// body end there. A failed call's Status passes straight through.
-Status ReadFields(const Result<std::string>& body, std::span<uint64_t> fields) {
+// Reads a reply body of `ids.size()` u64 fields followed by
+// `counts.size()` u64 fields that must fit an int, and demands the body
+// end there. A failed call's Status passes straight through.
+Status ReadFields(const Result<std::string>& body, std::span<uint64_t> ids,
+                  std::span<int> counts = {}) {
   if (!body.ok()) return body.status();
   size_t pos = 0;
-  for (uint64_t& field : fields) {
-    if (!ReadU64(*body, &pos, &field)) return Malformed("truncated field");
+  for (uint64_t& id : ids) {
+    if (!ReadU64(*body, &pos, &id)) return Malformed("truncated field");
+  }
+  for (int& count : counts) {
+    uint64_t value = 0;
+    if (!ReadU64(*body, &pos, &value)) return Malformed("truncated field");
+    if (value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return Malformed("count out of range");
+    }
+    count = static_cast<int>(value);
   }
   if (pos != body->size()) return Malformed("trailing bytes");
   return Status::Ok();
@@ -28,28 +39,28 @@ Status ReadFields(const Result<std::string>& body, std::span<uint64_t> fields) {
 
 // `u64 id` (kPing's version, kRegisterView, kBeginRun).
 Result<uint64_t> ParseId(const Result<std::string>& body) {
-  uint64_t fields[1];
-  Status parsed = ReadFields(body, fields);
+  uint64_t id[1];
+  Status parsed = ReadFields(body, id);
   if (!parsed.ok()) return parsed;
-  return fields[0];
+  return id[0];
 }
 
 // `u64 index_id | u64 num_items | u64 frozen_items`.
 Result<SnapshotInfo> ParseSnapshotInfo(const Result<std::string>& body) {
-  uint64_t fields[3];
-  Status parsed = ReadFields(body, fields);
+  uint64_t id[1];
+  int counts[2];
+  Status parsed = ReadFields(body, id, counts);
   if (!parsed.ok()) return parsed;
-  return SnapshotInfo{fields[0], static_cast<int>(fields[1]),
-                      static_cast<int>(fields[2])};
+  return SnapshotInfo{id[0], counts[0], counts[1]};
 }
 
 // `u64 merged_id | u64 num_runs | u64 total_items`.
 Result<MergeInfo> ParseMergeInfo(const Result<std::string>& body) {
-  uint64_t fields[3];
-  Status parsed = ReadFields(body, fields);
+  uint64_t id[1];
+  int counts[2];
+  Status parsed = ReadFields(body, id, counts);
   if (!parsed.ok()) return parsed;
-  return MergeInfo{fields[0], static_cast<int>(fields[1]),
-                   static_cast<int>(fields[2])};
+  return MergeInfo{id[0], counts[0], counts[1]};
 }
 
 // A bit-packed bool vector, `expected` long when the caller knows.
@@ -139,18 +150,18 @@ Result<uint64_t> ProvenanceClient::BeginRun() {
 Result<DerivationStep> ProvenanceClient::Apply(uint64_t session_id,
                                                uint64_t instance,
                                                uint64_t production) {
-  uint64_t fields[6];
+  int fields[6];
   Status parsed =
       ReadFields(Call(EncodeApplyRequest(session_id, instance, production)),
-                 fields);
+                 {}, fields);
   if (!parsed.ok()) return parsed;
   DerivationStep step;
-  step.index = static_cast<int>(fields[0]);
-  step.instance = static_cast<int>(fields[1]);
-  step.production = static_cast<int>(fields[2]);
-  step.first_child = static_cast<int>(fields[3]);
-  step.first_item = static_cast<int>(fields[4]);
-  step.num_items = static_cast<int>(fields[5]);
+  step.index = fields[0];
+  step.instance = fields[1];
+  step.production = fields[2];
+  step.first_child = fields[3];
+  step.first_item = fields[4];
+  step.num_items = fields[5];
   return step;
 }
 
@@ -192,27 +203,8 @@ Result<MergeInfo> ProvenanceClient::MergeRuns(
   return ParseMergeInfo(Call(EncodeMergeRunsRequest(index_ids)));
 }
 
-Result<std::vector<bool>> ProvenanceClient::QueryAcrossRuns(
-    uint64_t view_id, uint64_t merged_id, ViewLabelMode mode,
-    std::span<const std::pair<RunItem, RunItem>> queries) {
-  return ParseBools(
-      Call(EncodeQueryAcrossRunsRequest(view_id, merged_id, mode, queries)),
-      queries.size(), "query-across-runs answer");
-}
-
-Result<OpenInfo> ProvenanceClient::OpenIndexFile(const std::string& path) {
-  uint64_t fields[2];
-  Status parsed =
-      ReadFields(Call(EncodeOpenIndexFileRequest(path, /*merged=*/false)),
-                 fields);
-  if (!parsed.ok()) return parsed;
-  return OpenInfo{fields[0], static_cast<int>(fields[1])};
-}
-
-Result<MergeInfo> ProvenanceClient::OpenMergedIndexFile(
-    const std::string& path) {
-  return ParseMergeInfo(
-      Call(EncodeOpenIndexFileRequest(path, /*merged=*/true)));
+Result<MergeInfo> ProvenanceClient::OpenIndexFile(const std::string& path) {
+  return ParseMergeInfo(Call(EncodeOpenIndexFileRequest(path)));
 }
 
 Result<MergeInfo> ProvenanceClient::CompactFiles(
@@ -222,18 +214,16 @@ Result<MergeInfo> ProvenanceClient::CompactFiles(
 }
 
 Result<ServerStats> ProvenanceClient::Stats() {
-  uint64_t fields[8];
-  Status parsed = ReadFields(Call(EncodeStatsRequest()), fields);
-  if (!parsed.ok()) return parsed;
+  Result<std::string> body = Call(EncodeStatsRequest());
+  if (!body.ok()) return body.status();
+  std::vector<NamedCounter> counters;
+  if (!DecodeStatsBody(*body, &counters)) return Malformed("stats body");
   ServerStats stats;
-  stats.point_queries = fields[0];
-  stats.point_batches = fields[1];
-  stats.frames = fields[2];
-  stats.connections = fields[3];
-  stats.label_hits = fields[4];
-  stats.label_misses = fields[5];
-  stats.reach_hits = fields[6];
-  stats.reach_misses = fields[7];
+  for (const auto& [name, value] : counters) {
+    for (const auto& [known, field] : kStatsFields) {
+      if (name == known) stats.*field = value;
+    }
+  }
   return stats;
 }
 

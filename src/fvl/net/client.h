@@ -54,18 +54,11 @@ struct SnapshotInfo {
   int frozen_items = 0;  // session high-water mark after the freeze
 };
 
-// What MergeRuns hands back.
+// What MergeRuns, OpenIndexFile and CompactFiles hand back.
 struct MergeInfo {
   uint64_t merged_id = 0;
   int num_runs = 0;
   int total_items = 0;
-};
-
-// What OpenIndexFile hands back (OpenMergedIndexFile reports the same open
-// as a MergeInfo, with the run count).
-struct OpenInfo {
-  uint64_t index_id = 0;
-  int num_items = 0;
 };
 
 class ProvenanceClient {
@@ -96,9 +89,8 @@ class ProvenanceClient {
                                             uint64_t index_id,
                                             ViewLabelMode mode);
   [[nodiscard]] Result<MergeInfo> MergeRuns(std::span<const uint64_t> index_ids);
-  [[nodiscard]] Result<std::vector<bool>> QueryAcrossRuns(
-      uint64_t view_id, uint64_t merged_id, ViewLabelMode mode,
-      std::span<const std::pair<RunItem, RunItem>> queries);
+  // Counters by name (net::kStatsFields); a name this client does not
+  // know is skipped, and a counter the server did not send stays 0.
   [[nodiscard]] Result<ServerStats> Stats();
 
   // --- On-disk tier ---
@@ -108,9 +100,12 @@ class ProvenanceClient {
   // feed the same query calls as Snapshot/MergeRuns ids.
 
   // Maps a serialized archive (either format) server-side and registers
-  // it; the two calls differ only in the reply they decode.
-  [[nodiscard]] Result<OpenInfo> OpenIndexFile(const std::string& path);
-  [[nodiscard]] Result<MergeInfo> OpenMergedIndexFile(const std::string& path);
+  // it.
+  [[nodiscard]] Result<MergeInfo> OpenIndexFile(const std::string& path);
+  // The name multi-run callers used before the reply was unified.
+  [[nodiscard]] Result<MergeInfo> OpenMergedIndexFile(const std::string& path) {
+    return OpenIndexFile(path);
+  }
   // LSM-style server-side re-merge: compacts the named archives (any run
   // counts, any mix) into one archive at output_path, replacing it
   // atomically, and registers the result.

@@ -434,7 +434,6 @@ class ProvenanceServer::Impl {
         return HandleSnapshot(request);
       case MsgType::kDependsMany:
       case MsgType::kVisibilitySweep:
-      case MsgType::kQueryAcrossRuns:
         return HandleQuery(request);
       case MsgType::kMergeRuns:
         return HandleMergeRuns(request);
@@ -443,17 +442,12 @@ class ProvenanceServer::Impl {
       case MsgType::kCompactFiles:
         return HandleCompactFiles(request);
       case MsgType::kStats: {
-        ServerStats snapshot = stats();
-        std::string body;
-        AppendU64(&body, snapshot.point_queries);
-        AppendU64(&body, snapshot.point_batches);
-        AppendU64(&body, snapshot.frames);
-        AppendU64(&body, snapshot.connections);
-        AppendU64(&body, snapshot.label_hits);
-        AppendU64(&body, snapshot.label_misses);
-        AppendU64(&body, snapshot.reach_hits);
-        AppendU64(&body, snapshot.reach_misses);
-        return OkResponse(body);
+        const ServerStats snapshot = stats();
+        std::vector<NamedCounter> counters;
+        for (const auto& [name, field] : kStatsFields) {
+          counters.emplace_back(name, snapshot.*field);
+        }
+        return OkResponse(EncodeStatsBody(counters));
       }
       case MsgType::kDepends:
         break;  // handled by the fast-path batcher route, never here
@@ -536,8 +530,8 @@ class ProvenanceServer::Impl {
     return OkResponse(body);
   }
 
-  // kDependsMany, kVisibilitySweep and kQueryAcrossRuns: look up the
-  // header's view and index, answer with a bool vector.
+  // kDependsMany and kVisibilitySweep: look up the header's view and
+  // index, answer with a bool vector.
   std::string HandleQuery(const Request& request) {
     Result<QueryTarget> target = LookupTarget(request);
     if (!target.ok()) return ErrorResponse(target.status());
@@ -546,10 +540,7 @@ class ProvenanceServer::Impl {
     Result<std::vector<bool>> answers =
         request.type == MsgType::kDependsMany
             ? service_->DependsMany(view, index, request.pairs, request.mode)
-        : request.type == MsgType::kVisibilitySweep
-            ? service_->VisibilitySweep(view, index, request.mode)
-            : service_->QueryAcrossRuns(view, index, request.run_pairs,
-                                        request.mode);
+            : service_->VisibilitySweep(view, index, request.mode);
     if (!answers.ok()) return ErrorResponse(answers.status());
     std::string body;
     AppendBools(&body, *answers);
@@ -583,17 +574,10 @@ class ProvenanceServer::Impl {
     // The mapped index's store holds its mapping, so registering it
     // serves queries straight off the archive's pages — a cold open is the
     // whole point of the on-disk tier (bench/bench_mmap_serve.cc). Either
-    // format opens either way; the flag only picks the reply shape.
+    // format opens.
     Result<ProvenanceIndex> index = service_->OpenIndexFile(request.path);
     if (!index.ok()) return ErrorResponse(index.status());
-    if (request.merged_file) {
-      return MergeInfoResponse(std::move(index).value());
-    }
-    const int num_items = index->num_items();
-    std::string body;
-    AppendU64(&body, Register(std::move(index).value()));
-    AppendU64(&body, static_cast<uint64_t>(num_items));
-    return OkResponse(body);
+    return MergeInfoResponse(std::move(index).value());
   }
 
   std::string HandleCompactFiles(const Request& request)

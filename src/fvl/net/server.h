@@ -3,11 +3,12 @@
 //
 // One server wraps one ProvenanceService and exposes the full session
 // lifecycle over the wire protocol of net/wire.h: register-view /
-// begin-run / apply / snapshot / snapshot-delta / depends-many /
-// visibility-sweep / merge-runs / query-across-runs. Views, sessions and
-// indexes live server-side behind small integer ids, so queries ship ids
-// and answers — never labels or arenas. Indexes of any run count share one
-// registry: every index id answers on every query op.
+// begin-run / apply / snapshot / snapshot-delta / depends(-many) /
+// visibility-sweep / merge-runs / open-index-file / compact-files /
+// stats. Views, sessions and indexes live server-side behind small
+// integer ids, so queries ship ids and answers — never labels or arenas.
+// Indexes of any run count share one registry: every index id answers on
+// every query op, and every item is named by its flat id.
 //
 // Threading: one accept loop, one thread per connection, and one shared
 // *batcher* thread. Point dependency queries (MsgType::kDepends) are not
@@ -45,6 +46,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
+#include <utility>
 
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/status.h"
@@ -70,8 +73,8 @@ struct ServerStats {
   // restarts).
   uint64_t label_hits = 0;  // decoded-label cache hits
   uint64_t label_misses = 0;
-  // Always 0: there is no reachability memo. Kept so the fixed kStats body
-  // keeps its shape; it goes when kStats describes its own fields.
+  // Always 0: there is no reachability memo. Not sent by kStats; kept for
+  // in-process readers of the struct.
   uint64_t reach_hits = 0;
   uint64_t reach_misses = 0;  // same-run pairs the predicate evaluated
 
@@ -87,6 +90,20 @@ struct ServerStats {
     const uint64_t total = label_hits + label_misses;
     return total == 0 ? 0.0 : static_cast<double>(label_hits) / total;
   }
+};
+
+// The kStats reply names each counter (docs/SERVER.md): the server sends
+// these, and the client fills a ServerStats by name, skipping names it
+// does not know. reach_misses travels under what it counts.
+inline constexpr std::pair<std::string_view, uint64_t ServerStats::*>
+    kStatsFields[] = {
+        {"point_queries", &ServerStats::point_queries},
+        {"point_batches", &ServerStats::point_batches},
+        {"frames", &ServerStats::frames},
+        {"connections", &ServerStats::connections},
+        {"label_hits", &ServerStats::label_hits},
+        {"label_misses", &ServerStats::label_misses},
+        {"predicate_evaluations", &ServerStats::reach_misses},
 };
 
 class ProvenanceServer {

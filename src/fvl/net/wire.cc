@@ -80,6 +80,41 @@ bool DecodeBools(std::string_view blob, size_t* pos, std::vector<bool>* bits) {
   return true;
 }
 
+// --- Named counters --------------------------------------------------------
+
+std::string EncodeStatsBody(std::span<const NamedCounter> counters) {
+  std::string body;
+  AppendU64(&body, counters.size());
+  for (const auto& [name, value] : counters) {
+    AppendU64(&body, name.size());
+    body.append(name);
+    AppendU64(&body, value);
+  }
+  return body;
+}
+
+bool DecodeStatsBody(std::string_view body,
+                     std::vector<NamedCounter>* counters) {
+  size_t pos = 0;
+  uint64_t count = 0;
+  if (!ReadU64(body, &pos, &count)) return false;
+  // An entry is at least its two u64 fields.
+  if (count > (body.size() - pos) / 16) return false;
+  counters->clear();
+  counters->reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t length = 0, value = 0;
+    if (!ReadU64(body, &pos, &length) || length > body.size() - pos) {
+      return false;
+    }
+    std::string_view name = body.substr(pos, static_cast<size_t>(length));
+    pos += static_cast<size_t>(length);
+    if (!ReadU64(body, &pos, &value)) return false;
+    counters->emplace_back(name, value);
+  }
+  return pos == body.size();
+}
+
 // --- Views -----------------------------------------------------------------
 
 void AppendView(std::string* out, const View& view) {
@@ -200,8 +235,10 @@ void AppendPath(std::string* out, std::string_view path) {
 Result<Request> DecodeRequest(std::string_view payload) {
   if (payload.empty()) return Malformed("empty payload");
   uint8_t type_byte = static_cast<uint8_t>(payload[0]);
+  constexpr uint8_t kRetiredType = 11;  // see MsgType
   if (type_byte < static_cast<uint8_t>(MsgType::kPing) ||
-      type_byte > static_cast<uint8_t>(MsgType::kCompactFiles)) {
+      type_byte > static_cast<uint8_t>(MsgType::kCompactFiles) ||
+      type_byte == kRetiredType) {
     return Malformed("unknown message type");
   }
   Request request;
@@ -279,40 +316,11 @@ Result<Request> DecodeRequest(std::string_view payload) {
       }
       break;
     }
-    case MsgType::kQueryAcrossRuns: {
-      uint64_t count = 0;
-      if (!ReadQueryHeader(payload, &pos, &request) ||
-          !ReadU64(payload, &pos, &count)) {
-        return Malformed("bad query-across-runs body");
-      }
-      if (count > (payload.size() - pos) / 32) {
-        return Malformed("query-across-runs count exceeds payload");
-      }
-      request.run_pairs.reserve(static_cast<size_t>(count));
-      for (uint64_t q = 0; q < count; ++q) {
-        uint64_t fields[4];
-        for (uint64_t& field : fields) {
-          if (!ReadItemId(payload, &pos, &field)) {
-            return Malformed("bad query-across-runs pair");
-          }
-        }
-        request.run_pairs.push_back(
-            {RunItem{static_cast<int>(fields[0]), static_cast<int>(fields[1])},
-             RunItem{static_cast<int>(fields[2]),
-                     static_cast<int>(fields[3])}});
-      }
-      break;
-    }
-    case MsgType::kOpenIndexFile: {
-      if (pos >= payload.size()) return Malformed("bad open-index-file body");
-      uint8_t merged = static_cast<uint8_t>(payload[pos++]);
-      if (merged > 1) return Malformed("bad open-index-file kind");
-      request.merged_file = merged != 0;
+    case MsgType::kOpenIndexFile:
       if (!ReadPath(payload, &pos, &request.path)) {
         return Malformed("bad open-index-file path");
       }
       break;
-    }
     case MsgType::kCompactFiles: {
       uint64_t count = 0;
       if (!ReadPath(payload, &pos, &request.path) ||
@@ -446,26 +454,10 @@ std::string EncodeMergeRunsRequest(std::span<const uint64_t> index_ids) {
   return payload;
 }
 
-std::string EncodeQueryAcrossRunsRequest(
-    uint64_t view_id, uint64_t merged_id, ViewLabelMode mode,
-    std::span<const std::pair<RunItem, RunItem>> queries) {
-  std::string payload = WithType(MsgType::kQueryAcrossRuns);
-  AppendQueryHeader(&payload, view_id, merged_id, mode);
-  AppendU64(&payload, queries.size());
-  for (const auto& [a, b] : queries) {
-    AppendU64(&payload, static_cast<uint64_t>(a.run));
-    AppendU64(&payload, static_cast<uint64_t>(a.item));
-    AppendU64(&payload, static_cast<uint64_t>(b.run));
-    AppendU64(&payload, static_cast<uint64_t>(b.item));
-  }
-  return payload;
-}
-
 std::string EncodeStatsRequest() { return WithType(MsgType::kStats); }
 
-std::string EncodeOpenIndexFileRequest(std::string_view path, bool merged) {
+std::string EncodeOpenIndexFileRequest(std::string_view path) {
   std::string payload = WithType(MsgType::kOpenIndexFile);
-  payload.push_back(merged ? '\x01' : '\x00');
   AppendPath(&payload, path);
   return payload;
 }

@@ -46,7 +46,12 @@ inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 26;  // 64 MiB
 //   1 — initial framed protocol (kStats body: 4 u64 fields).
 //   2 — kStats body widened to 8 u64 fields (serving-cache counters).
 //   3 — on-disk tier ops added (kOpenIndexFile, kCompactFiles).
-inline constexpr uint64_t kProtocolVersion = 3;
+//   4 — one way to name an item and one reply per opened archive: type 11
+//       (queries over (run, item) pairs) retired in favour of flat ids
+//       through kDependsMany; kOpenIndexFile lost its `merged` byte and
+//       always replies {id, num_runs, total_items}; the kStats body names
+//       its counters.
+inline constexpr uint64_t kProtocolVersion = 4;
 
 enum class MsgType : uint8_t {
   kPing = 1,
@@ -59,7 +64,8 @@ enum class MsgType : uint8_t {
   kDependsMany = 8,
   kVisibilitySweep = 9,
   kMergeRuns = 10,
-  kQueryAcrossRuns = 11,
+  // 11 is retired ((run, item) queries before protocol 4) and never
+  // reused: the decoder rejects it like any unknown type.
   kStats = 12,
   // On-disk tier (docs/ARCHITECTURE.md): paths are resolved on the
   // *server's* filesystem — the client names an archive, the server maps
@@ -89,8 +95,8 @@ void AppendFrame(std::string* out, std::string_view payload);
 
 // --- Requests --------------------------------------------------------------
 
-// `u64 view | u64 index | u64 mode`: the header the four query ops
-// (kDepends, kDependsMany, kVisibilitySweep, kQueryAcrossRuns) start with.
+// `u64 view | u64 index | u64 mode`: the header the three query ops
+// (kDepends, kDependsMany, kVisibilitySweep) start with.
 struct QueryHeader {
   uint64_t view_id = 0;
   uint64_t index_id = 0;
@@ -111,13 +117,11 @@ struct Request : DependsRequest {
   uint64_t session_id = 0;
   uint64_t instance = 0;
   uint64_t production = 0;
-  std::vector<std::pair<int, int>> pairs;             // kDependsMany
-  std::vector<std::pair<RunItem, RunItem>> run_pairs;  // kQueryAcrossRuns
-  std::vector<uint64_t> index_ids;                    // kMergeRuns
-  View view;                                          // kRegisterView
-  bool merged_file = false;              // kOpenIndexFile: reply shape
-  std::string path;                      // kOpenIndexFile; kCompactFiles out
-  std::vector<std::string> input_paths;  // kCompactFiles
+  std::vector<std::pair<int, int>> pairs;  // kDependsMany
+  std::vector<uint64_t> index_ids;         // kMergeRuns
+  View view;                               // kRegisterView
+  std::string path;                        // kOpenIndexFile; kCompactFiles out
+  std::vector<std::string> input_paths;    // kCompactFiles
 };
 
 // Total decoder: kMalformedBlob on any violation (unknown type, truncated
@@ -127,7 +131,7 @@ struct Request : DependsRequest {
 
 // Allocation-free fast path for the hottest message. A point query is one
 // fixed-shape 41-byte payload; the general decoder routes it through the
-// Request bag (four vectors plus a View constructed and destroyed per
+// Request bag (three vectors plus a View constructed and destroyed per
 // frame), which is pure overhead at hundreds of thousands of frames per
 // second. The server and client hot loops use only this pair. It shares
 // its field reader and writer with DecodeRequest and EncodeDependsRequest,
@@ -156,16 +160,11 @@ std::string EncodeDependsManyRequest(
 std::string EncodeVisibilitySweepRequest(uint64_t view_id, uint64_t index_id,
                                          ViewLabelMode mode);
 std::string EncodeMergeRunsRequest(std::span<const uint64_t> index_ids);
-std::string EncodeQueryAcrossRunsRequest(
-    uint64_t view_id, uint64_t merged_id, ViewLabelMode mode,
-    std::span<const std::pair<RunItem, RunItem>> queries);
 std::string EncodeStatsRequest();
-// Body: `u8 merged | u64 len | path`. The path names a file on the
-// server's filesystem (the server maps it; the bytes never cross the
-// wire). Either archive format opens either way; `merged` only selects
-// the reply: {id, num_runs, total_items} when set, {id, num_items} when
-// not.
-std::string EncodeOpenIndexFileRequest(std::string_view path, bool merged);
+// Body: `u64 len | path`. The path names a file on the server's
+// filesystem (the server maps it; the bytes never cross the wire). Either
+// archive format opens; the reply is {id, num_runs, total_items}.
+std::string EncodeOpenIndexFileRequest(std::string_view path);
 // Body: `u64 out_len | out_path | u64 count | (u64 len | path)*`.
 std::string EncodeCompactFilesRequest(std::span<const std::string> input_paths,
                                       std::string_view output_path);
@@ -191,6 +190,14 @@ bool ReadU64(std::string_view blob, size_t* pos, uint64_t* value);
 // present before allocating.
 void AppendBools(std::string* out, const std::vector<bool>& bits);
 bool DecodeBools(std::string_view blob, size_t* pos, std::vector<bool>* bits);
+
+// kStats reply body: `u64 count | (u64 name_len | name | u64 value)*`, one
+// named counter per entry. DecodeStatsBody points the names into `body`
+// and fails on a truncated entry, a count or length the bytes cannot
+// hold, or trailing bytes.
+using NamedCounter = std::pair<std::string_view, uint64_t>;
+std::string EncodeStatsBody(std::span<const NamedCounter> counters);
+bool DecodeStatsBody(std::string_view body, std::vector<NamedCounter>* counters);
 
 // View payload: expandable flags plus the defined perceived-dependency
 // matrices, all bit-packed. DecodeView caps module counts and matrix

@@ -301,38 +301,6 @@ Result<std::vector<bool>> ProvenanceService::DependsMany(
   return answers;
 }
 
-Result<std::vector<bool>> ProvenanceService::QueryAcrossRuns(
-    ViewHandle handle, const ProvenanceIndex& index,
-    std::span<const std::pair<RunItem, RunItem>> queries, ViewLabelMode mode) {
-  // Map (run, item) addresses to flat ids up front; DependsMany then
-  // decodes each distinct flat id once regardless of which runs the batch
-  // touches.
-  std::vector<std::pair<int, int>> flat;
-  flat.reserve(queries.size());
-  auto flat_id = [&index](RunItem address, int* out) {
-    if (address.run < 0 || address.run >= index.num_runs() ||
-        address.item < 0 || address.item >= index.num_items(address.run)) {
-      return false;
-    }
-    *out = index.GlobalId(address.run, address.item);
-    return true;
-  };
-  for (const auto& [a, b] : queries) {
-    std::pair<int, int> ids;
-    if (!flat_id(a, &ids.first) || !flat_id(b, &ids.second)) {
-      return Status::Error(
-          ErrorCode::kInvalidArgument,
-          "query address (run " + std::to_string(a.run) + " item " +
-              std::to_string(a.item) + ", run " + std::to_string(b.run) +
-              " item " + std::to_string(b.item) +
-              ") out of range for an index of " +
-              std::to_string(index.num_runs()) + " runs");
-    }
-    flat.push_back(ids);
-  }
-  return DependsMany(handle, index, flat, mode);
-}
-
 bool ProvenanceService::LabelInBounds(const DataLabel& label) const {
   const Grammar& grammar = spec_->grammar;
   // Walks one side's path from the root, tracking the module each edge

@@ -83,15 +83,6 @@ class ViewHandle {
   uint64_t service_tag_ = 0;
 };
 
-// (run, local_item) address into a ProvenanceIndex — the item-id scheme of
-// multi-run artifacts (ProvenanceService::QueryAcrossRuns).
-struct RunItem {
-  int run = -1;
-  int item = -1;
-
-  friend bool operator==(RunItem, RunItem) = default;
-};
-
 class ProvenanceService
     : public std::enable_shared_from_this<ProvenanceService> {
  public:
@@ -196,16 +187,6 @@ class ProvenanceService
   // amortized O(1) per item, and leaves the serving cache untouched.
   [[nodiscard]] Result<std::vector<bool>> VisibilitySweep(
       ViewHandle handle, const ProvenanceIndex& index,
-      ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
-
-  // DependsMany with each side addressed as a (run, local_item) pair: the
-  // pairs are mapped to flat ids and answered exactly as DependsMany
-  // would (see bench/bench_merge_query.cc). kInvalidArgument if any
-  // address is out of range; an empty query span returns an empty vector
-  // rather than erroring.
-  [[nodiscard]] Result<std::vector<bool>> QueryAcrossRuns(
-      ViewHandle handle, const ProvenanceIndex& index,
-      std::span<const std::pair<RunItem, RunItem>> queries,
       ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
 
   // Memory-bounded merge of serialized indexes (FVLIDX3 or FVLMRG2 blobs,

@@ -158,25 +158,40 @@ TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
     const CompiledView& compiled =
         *fx.service->CompiledRegularView(view).value();
     for (size_t r = 0; r < snapshots.size(); ++r) {
+      const int run = static_cast<int>(r);
+      const int other = (run + 1) % mapped.num_runs();
       Rng rng(100 + r);
-      std::vector<std::pair<RunItem, RunItem>> addressed;
+      std::vector<std::pair<int, int>> flat;
       std::vector<std::pair<int, int>> local;
       for (int q = 0; q < 80; ++q) {
         int d1 = rng.NextInt(0, snapshots[r].num_items() - 1);
         int d2 = rng.NextInt(0, snapshots[r].num_items() - 1);
         local.push_back({d1, d2});
-        addressed.push_back({{static_cast<int>(r), d1},
-                             {static_cast<int>(r), d2}});
+        flat.push_back({mapped.GlobalId(run, d1), mapped.GlobalId(run, d2)});
+      }
+      // Pairs into the next run, which no same-run answer may leak into.
+      std::vector<std::pair<int, int>> cross;
+      for (const auto& [d1, d2] : local) {
+        cross.push_back({mapped.GlobalId(run, d1),
+                         mapped.GlobalId(other, d2 % mapped.num_items(other))});
       }
       ProvenanceOracle oracle(sessions[r]->run(), compiled);
       for (ViewLabelMode mode : kAllModes) {
         std::vector<bool> from_heap =
-            fx.service->QueryAcrossRuns(view, heap, addressed, mode).value();
+            fx.service->DependsMany(view, heap, flat, mode).value();
         std::vector<bool> from_map =
-            fx.service->QueryAcrossRuns(view, mapped, addressed, mode).value();
+            fx.service->DependsMany(view, mapped, flat, mode).value();
         ASSERT_EQ(from_heap, from_map)
             << "run " << r << " view " << view.id() << " mode "
             << static_cast<int>(mode);
+        EXPECT_EQ(from_map,
+                  fx.service->DependsMany(view, snapshots[r], local, mode)
+                      .value())
+            << "run " << r << " view " << view.id() << " mode "
+            << static_cast<int>(mode);
+        EXPECT_EQ(fx.service->DependsMany(view, mapped, cross, mode).value(),
+                  std::vector<bool>(cross.size(), false))
+            << "run " << r << " mode " << static_cast<int>(mode);
         for (size_t q = 0; q < local.size(); ++q) {
           auto [d1, d2] = local[q];
           if (!oracle.ItemVisible(d1) || !oracle.ItemVisible(d2)) continue;

@@ -323,8 +323,9 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusMerged) {
       parsed->Label(global);
     }
     if (parsed->num_runs() > 0 && parsed->num_items(0) > 1) {
-      std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {0, 1}}};
-      Result<std::vector<bool>> answers = service->QueryAcrossRuns(
+      std::vector<std::pair<int, int>> queries = {
+          {parsed->GlobalId(0, 0), parsed->GlobalId(0, 1)}};
+      Result<std::vector<bool>> answers = service->DependsMany(
           service->default_view(), *parsed, queries);
       if (!answers.ok()) {
         EXPECT_EQ(answers.code(), ErrorCode::kInvalidArgument);
@@ -354,14 +355,14 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusMerged) {
     ASSERT_EQ(single->num_runs(), 1);
     ASSERT_EQ(restored->num_items(r), single->num_items());
     std::vector<std::pair<int, int>> local;
-    std::vector<std::pair<RunItem, RunItem>> addressed;
+    std::vector<std::pair<int, int>> flat;
     for (int q = 0; q < 60; ++q) {
       const int d1 = rng.NextInt(0, single->num_items() - 1);
       const int d2 = rng.NextInt(0, single->num_items() - 1);
       local.push_back({d1, d2});
-      addressed.push_back({{r, d1}, {r, d2}});
+      flat.push_back({restored->GlobalId(r, d1), restored->GlobalId(r, d2)});
     }
-    EXPECT_EQ(service->QueryAcrossRuns(view, *restored, addressed).value(),
+    EXPECT_EQ(service->DependsMany(view, *restored, flat).value(),
               service->DependsMany(view, *single, local).value())
         << "run " << r;
   }

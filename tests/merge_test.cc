@@ -1,4 +1,4 @@
-// Multi-run index merging (ProvenanceIndex::Merge + QueryAcrossRuns):
+// Multi-run index merging (ProvenanceIndex::Merge + flat-id DependsMany):
 // a differential harness that checks, across randomized specifications,
 // runs, views, and label modes, that answers from a merged index are
 // bit-identical to per-run DependsMany answers and to the ground-truth
@@ -53,7 +53,8 @@ MergedRuns MakeRuns(const std::shared_ptr<ProvenanceService>& service,
 }
 
 // The differential core: per run, random same-run query pairs must get
-// the same answers through QueryAcrossRuns on the merged index, through
+// the same answers through DependsMany on the merged index (flat ids from
+// GlobalId), through
 // DependsMany on that run's own snapshot, and (whenever both items are
 // visible) from the ProvenanceOracle over the run.
 void CheckDifferential(ProvenanceService& service, const MergedRuns& runs,
@@ -64,18 +65,19 @@ void CheckDifferential(ProvenanceService& service, const MergedRuns& runs,
     const ProvenanceIndex& single = runs.snapshots[r];
     ASSERT_GT(single.num_items(), 0);
     Rng rng(seed + r);
+    const int run = static_cast<int>(r);
     std::vector<std::pair<int, int>> local;
-    std::vector<std::pair<RunItem, RunItem>> addressed;
+    std::vector<std::pair<int, int>> flat;
     for (int q = 0; q < queries_per_run; ++q) {
       int d1 = rng.NextInt(0, single.num_items() - 1);
       int d2 = rng.NextInt(0, single.num_items() - 1);
       local.push_back({d1, d2});
-      addressed.push_back({{static_cast<int>(r), d1},
-                           {static_cast<int>(r), d2}});
+      flat.push_back(
+          {runs.merged.GlobalId(run, d1), runs.merged.GlobalId(run, d2)});
     }
 
     Result<std::vector<bool>> merged_answers =
-        service.QueryAcrossRuns(view, runs.merged, addressed, mode);
+        service.DependsMany(view, runs.merged, flat, mode);
     ASSERT_TRUE(merged_answers.ok()) << merged_answers.status().ToString();
     Result<std::vector<bool>> single_answers =
         service.DependsMany(view, single, local, mode);
@@ -175,27 +177,29 @@ TEST(MergeDifferential, CrossRunPairsAreIndependent) {
   MergedRuns runs = MakeRuns(service, 3, 90, 77);
 
   Rng rng(123);
-  std::vector<std::pair<RunItem, RunItem>> queries;
+  std::vector<std::pair<int, int>> queries;
   for (int q = 0; q < 300; ++q) {
-    RunItem a{rng.NextInt(0, runs.merged.num_runs() - 1), 0};
-    RunItem b{rng.NextInt(0, runs.merged.num_runs() - 1), 0};
-    a.item = rng.NextInt(0, runs.merged.num_items(a.run) - 1);
-    b.item = rng.NextInt(0, runs.merged.num_items(b.run) - 1);
-    queries.push_back({a, b});
+    const int run_a = rng.NextInt(0, runs.merged.num_runs() - 1);
+    const int run_b = rng.NextInt(0, runs.merged.num_runs() - 1);
+    queries.push_back(
+        {runs.merged.GlobalId(
+             run_a, rng.NextInt(0, runs.merged.num_items(run_a) - 1)),
+         runs.merged.GlobalId(
+             run_b, rng.NextInt(0, runs.merged.num_items(run_b) - 1))});
   }
   std::vector<bool> answers =
-      service->QueryAcrossRuns(grey, runs.merged, queries).value();
+      service->DependsMany(grey, runs.merged, queries).value();
   int cross = 0, positives = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto [a, b] = queries[q];
-    if (a.run != b.run) {
+    auto [d1, d2] = queries[q];
+    if (runs.merged.RunOf(d1) != runs.merged.RunOf(d2)) {
       EXPECT_FALSE(answers[q]) << "cross-run query " << q;
       ++cross;
     } else {
       EXPECT_EQ(answers[q],
                 service
-                    ->Depends(grey, runs.merged.Label(a.run, a.item),
-                              runs.merged.Label(b.run, b.item))
+                    ->Depends(grey, runs.merged.Label(d1),
+                              runs.merged.Label(d2))
                     .value())
           << "query " << q;
       positives += answers[q];
@@ -203,14 +207,6 @@ TEST(MergeDifferential, CrossRunPairsAreIndependent) {
   }
   EXPECT_GT(cross, 50);      // the sample genuinely exercised both kinds
   EXPECT_GT(positives, 0);   // and some same-run pairs do depend
-
-  // The flat-id overload agrees with the (run, item) addressing.
-  std::vector<std::pair<int, int>> flat;
-  for (const auto& [a, b] : queries) {
-    flat.push_back({runs.merged.GlobalId(a.run, a.item),
-                    runs.merged.GlobalId(b.run, b.item)});
-  }
-  EXPECT_EQ(service->DependsMany(grey, runs.merged, flat).value(), answers);
 }
 
 TEST(MergeDifferential, VisibilitySweepMatchesPerRunSweeps) {
@@ -251,16 +247,14 @@ TEST(MergeSerialization, SelfDescribingRoundTrip) {
 
   // Queries run identically against the restored artifact.
   Rng rng(3);
-  std::vector<std::pair<RunItem, RunItem>> queries;
+  std::vector<std::pair<int, int>> queries;
   for (int q = 0; q < 100; ++q) {
-    RunItem a{rng.NextInt(0, 2), 0}, b{rng.NextInt(0, 2), 0};
-    a.item = rng.NextInt(0, restored->num_items(a.run) - 1);
-    b.item = rng.NextInt(0, restored->num_items(b.run) - 1);
-    queries.push_back({a, b});
+    queries.push_back({rng.NextInt(0, restored->total_items() - 1),
+                       rng.NextInt(0, restored->total_items() - 1)});
   }
   ViewHandle view = service->default_view();
-  EXPECT_EQ(service->QueryAcrossRuns(view, *restored, queries).value(),
-            service->QueryAcrossRuns(view, runs.merged, queries).value());
+  EXPECT_EQ(service->DependsMany(view, *restored, queries).value(),
+            service->DependsMany(view, runs.merged, queries).value());
 }
 
 // ----- Errors and edge cases. -----
@@ -284,10 +278,8 @@ TEST(MergeErrors, MismatchedSpecificationsRejected) {
   // A merged index of another specification is turned away by the service.
   std::vector<ProvenanceIndex> foreign(1, std::move(mixed[1]));
   ProvenanceIndex foreign_merged = ProvenanceIndex::Merge(foreign).value();
-  std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {0, 1}}};
-  EXPECT_EQ(paper
-                ->QueryAcrossRuns(paper->default_view(), foreign_merged,
-                                  queries)
+  std::vector<std::pair<int, int>> queries = {{0, 1}};
+  EXPECT_EQ(paper->DependsMany(paper->default_view(), foreign_merged, queries)
                 .code(),
             ErrorCode::kInvalidArgument);
   EXPECT_EQ(
@@ -303,9 +295,6 @@ TEST(MergeErrors, ForeignViewHandleReturnsNotFound) {
   MergedRuns runs = MakeRuns(a, 2, 60, 9);
 
   ViewHandle foreign = b->default_view();
-  std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {1, 0}}};
-  EXPECT_EQ(a->QueryAcrossRuns(foreign, runs.merged, queries).code(),
-            ErrorCode::kNotFound);
   std::vector<std::pair<int, int>> flat = {{0, 1}};
   EXPECT_EQ(a->DependsMany(foreign, runs.merged, flat).code(),
             ErrorCode::kNotFound);
@@ -320,19 +309,15 @@ TEST(MergeErrors, OutOfRangeAddressesRejected) {
   MergedRuns runs = MakeRuns(service, 2, 60, 13);
   ViewHandle view = service->default_view();
 
-  for (auto bad : std::vector<std::pair<RunItem, RunItem>>{
-           {{-1, 0}, {0, 0}},
-           {{2, 0}, {0, 0}},
-           {{0, -1}, {0, 0}},
-           {{0, 0}, {1, runs.merged.num_items(1)}}}) {
-    std::vector<std::pair<RunItem, RunItem>> queries = {bad};
-    EXPECT_EQ(service->QueryAcrossRuns(view, runs.merged, queries).code(),
-              ErrorCode::kInvalidArgument);
+  const int total = runs.merged.total_items();
+  for (std::pair<int, int> bad :
+       {std::pair{-1, 0}, std::pair{0, -1}, std::pair{0, total},
+        std::pair{total, 0}}) {
+    std::vector<std::pair<int, int>> queries = {{0, 1}, bad};
+    EXPECT_EQ(service->DependsMany(view, runs.merged, queries).code(),
+              ErrorCode::kInvalidArgument)
+        << bad.first << ", " << bad.second;
   }
-  std::vector<std::pair<int, int>> bad_flat = {
-      {0, runs.merged.total_items()}};
-  EXPECT_EQ(service->DependsMany(view, runs.merged, bad_flat).code(),
-            ErrorCode::kInvalidArgument);
 }
 
 TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
@@ -348,16 +333,11 @@ TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
 
   // Empty query spans return empty answers on both empty and non-empty
   // merged indexes.
-  std::vector<std::pair<RunItem, RunItem>> no_queries;
   std::vector<std::pair<int, int>> no_flat;
-  EXPECT_TRUE(
-      service->QueryAcrossRuns(view, *empty, no_queries).value().empty());
   EXPECT_TRUE(service->DependsMany(view, *empty, no_flat).value().empty());
   EXPECT_TRUE(service->VisibilitySweep(view, *empty).value().empty());
 
   MergedRuns runs = MakeRuns(service, 2, 60, 21);
-  EXPECT_TRUE(
-      service->QueryAcrossRuns(view, runs.merged, no_queries).value().empty());
   EXPECT_TRUE(
       service->DependsMany(view, runs.merged, no_flat).value().empty());
 
@@ -585,16 +565,14 @@ TEST(CompactStreamTest, BitIdenticalToMerge) {
             runs.merged.Serialize());
 
   Rng rng(77);
-  std::vector<std::pair<RunItem, RunItem>> queries;
+  std::vector<std::pair<int, int>> queries;
   for (int q = 0; q < 200; ++q) {
-    RunItem a{rng.NextInt(0, 3), 0}, b{rng.NextInt(0, 3), 0};
-    a.item = rng.NextInt(0, streamed.num_items(a.run) - 1);
-    b.item = rng.NextInt(0, streamed.num_items(b.run) - 1);
-    queries.push_back({a, b});
+    queries.push_back({rng.NextInt(0, streamed.total_items() - 1),
+                       rng.NextInt(0, streamed.total_items() - 1)});
   }
   ViewHandle view = service->default_view();
-  EXPECT_EQ(service->QueryAcrossRuns(view, streamed, queries).value(),
-            service->QueryAcrossRuns(view, runs.merged, queries).value());
+  EXPECT_EQ(service->DependsMany(view, streamed, queries).value(),
+            service->DependsMany(view, runs.merged, queries).value());
 }
 
 TEST(CompactStreamTest, HoldsAtMostOneInputStoreAtATime) {

@@ -14,6 +14,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,8 +39,6 @@ std::vector<std::string> ValidRequestPayloads() {
                                                           .seed = 8})
                   .view();
   std::vector<std::pair<int, int>> pairs = {{0, 1}, {7, 3}, {2, 2}};
-  std::vector<std::pair<RunItem, RunItem>> run_pairs = {
-      {{0, 4}, {1, 9}}, {{1, 0}, {0, 0}}};
   std::vector<uint64_t> ids = {1, 2, 3};
   return {
       EncodePingRequest(),
@@ -52,11 +51,8 @@ std::vector<std::string> ValidRequestPayloads() {
       EncodeDependsManyRequest(0, 1, ViewLabelMode::kDefault, pairs),
       EncodeVisibilitySweepRequest(0, 1, ViewLabelMode::kSpaceEfficient),
       EncodeMergeRunsRequest(ids),
-      EncodeQueryAcrossRunsRequest(0, 1, ViewLabelMode::kQueryEfficient,
-                                   run_pairs),
       EncodeStatsRequest(),
-      EncodeOpenIndexFileRequest("/tmp/archive.fvlidx", /*merged=*/false),
-      EncodeOpenIndexFileRequest("/tmp/archive.fvlmrg", /*merged=*/true),
+      EncodeOpenIndexFileRequest("/tmp/archive.fvlidx"),
       EncodeCompactFilesRequest(
           std::vector<std::string>{"/tmp/a.fvlidx", "/tmp/b.fvlmrg"},
           "/tmp/l1.fvlmrg"),
@@ -105,13 +101,8 @@ constexpr const char* kGoldenPayloads[] = {
     "0002000000000000000200000000000000",
     "09000000000000000001000000000000000000000000000000",
     "0a0300000000000000010000000000000002000000000000000300000000000000",
-    "0b00000000000000000100000000000000020000000000000002000000000000"
-    "0000000000000000000400000000000000010000000000000009000000000000"
-    "0001000000000000000000000000000000000000000000000000000000000000"
-    "00",
     "0c",
-    "0d0013000000000000002f746d702f617263686976652e66766c696478",
-    "0d0113000000000000002f746d702f617263686976652e66766c6d7267",
+    "0d13000000000000002f746d702f617263686976652e66766c696478",
     "0e0e000000000000002f746d702f6c312e66766c6d726702000000000000000d"
     "000000000000002f746d702f612e66766c6964780d000000000000002f746d70"
     "2f622e66766c6d7267",
@@ -405,6 +396,85 @@ TEST(NetProtocol, TrailingBytesRejected) {
   }
 }
 
+// ----- Protocol 4: the retired type and the named kStats body. -----
+
+static_assert(kProtocolVersion == 4);
+
+// The shape type 11 carried before protocol 4: a query header, a count
+// and one (run, item, run, item) pair.
+std::string RetiredTypeElevenPayload() {
+  std::string payload(1, '\x0b');
+  for (uint64_t field : {0, 1, 1, 1, 0, 4, 1, 9}) AppendU64(&payload, field);
+  return payload;
+}
+
+TEST(NetProtocol, RetiredTypeElevenIsUnknown) {
+  const std::string payload = RetiredTypeElevenPayload();
+  for (std::string_view bytes : {std::string_view(payload).substr(0, 1),
+                                 std::string_view(payload)}) {
+    Result<Request> request = DecodeRequest(bytes);
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.code(), ErrorCode::kMalformedBlob);
+    EXPECT_EQ(request.status().message(),
+              "malformed request: unknown message type");
+  }
+}
+
+TEST(NetProtocol, StatsBodyRoundTripsAndIsPinned) {
+  const std::vector<NamedCounter> counters = {
+      {"frames", 2}, {"", 0}, {"predicate_evaluations", ~uint64_t{0}}};
+  const std::string body = EncodeStatsBody(counters);
+  std::vector<NamedCounter> decoded;
+  ASSERT_TRUE(DecodeStatsBody(body, &decoded));
+  EXPECT_EQ(decoded, counters);
+
+  const std::vector<NamedCounter> one = {{"frames", 2}};
+  EXPECT_EQ(PinnedBytes(EncodeStatsBody(one)),
+            "01000000000000000600000000000000"
+            "6672616d65730200000000000000");
+  ASSERT_TRUE(DecodeStatsBody(EncodeStatsBody({}), &decoded));
+  EXPECT_TRUE(decoded.empty());
+
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    EXPECT_FALSE(DecodeStatsBody(std::string_view(body).substr(0, cut),
+                                 &decoded))
+        << "prefix " << cut;
+  }
+  EXPECT_FALSE(DecodeStatsBody(body + '\x00', &decoded));
+}
+
+TEST(NetProtocol, HostileStatsCountsRejected) {
+  std::vector<NamedCounter> decoded;
+  std::string count_attack;
+  AppendU64(&count_attack, uint64_t{1} << 60);
+  AppendU64(&count_attack, 0);
+  AppendU64(&count_attack, 0);
+  EXPECT_FALSE(DecodeStatsBody(count_attack, &decoded));
+
+  std::string length_attack;
+  AppendU64(&length_attack, 1);
+  AppendU64(&length_attack, ~uint64_t{0});
+  AppendU64(&length_attack, 0);
+  EXPECT_FALSE(DecodeStatsBody(length_attack, &decoded));
+
+  Rng rng(12);
+  const std::vector<NamedCounter> counters = {{"frames", 2},
+                                              {"label_hits", 40}};
+  const std::string body = EncodeStatsBody(counters);
+  for (int round = 0; round < 400; ++round) {
+    std::string mutant = body;
+    size_t at = static_cast<size_t>(
+        rng.NextInt(0, static_cast<int>(mutant.size()) - 1));
+    mutant[at] = static_cast<char>(rng.NextInt(0, 255));
+    if (DecodeStatsBody(mutant, &decoded)) {
+      for (const auto& [name, value] : decoded) {
+        EXPECT_GE(name.data(), mutant.data());
+        EXPECT_LE(name.data() + name.size(), mutant.data() + mutant.size());
+      }
+    }
+  }
+}
+
 // ----- Split reads: frame extraction is position-independent. -----
 
 TEST(NetProtocol, SplitReadsReassembleIdentically) {
@@ -487,6 +557,43 @@ TEST_F(LiveServerFuzz, MalformedPayloadsGetErrorFramesConnectionSurvives) {
   ExpectServerAlive();
 }
 
+TEST_F(LiveServerFuzz, RetiredTypeGetsAnErrorFrameConnectionSurvives) {
+  ProvenanceClient client =
+      ProvenanceClient::Connect(server_->port()).value();
+  Result<std::string> frame = client.RoundTripRaw(RetiredTypeElevenPayload());
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  Result<std::string_view> body = ParseResponse(*frame);
+  ASSERT_FALSE(body.ok());
+  EXPECT_EQ(body.code(), ErrorCode::kMalformedBlob);
+  Result<uint64_t> version = client.Ping();
+  ASSERT_TRUE(version.ok()) << version.status().message();
+  EXPECT_EQ(*version, 4u);
+}
+
+// The server names every counter it sends, and only those; the client
+// reads them back by name.
+TEST_F(LiveServerFuzz, StatsNameEveryCounter) {
+  ProvenanceClient client =
+      ProvenanceClient::Connect(server_->port()).value();
+  ASSERT_TRUE(client.Ping().ok());
+  Result<std::string> frame = client.RoundTripRaw(EncodeStatsRequest());
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  Result<std::string_view> body = ParseResponse(*frame);
+  ASSERT_TRUE(body.ok()) << body.status().message();
+  std::vector<NamedCounter> counters;
+  ASSERT_TRUE(DecodeStatsBody(*body, &counters));
+  std::vector<std::string_view> names;
+  for (const auto& [name, value] : counters) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string_view>{
+                       "point_queries", "point_batches", "frames",
+                       "connections", "label_hits", "label_misses",
+                       "predicate_evaluations"}));
+
+  ServerStats stats = client.Stats().value();
+  EXPECT_EQ(stats.connections, 1u);
+  EXPECT_EQ(stats.frames, 3u);  // ping, the raw stats request, this one
+}
+
 TEST_F(LiveServerFuzz, OversizeLengthClosesTheConnection) {
   Socket raw = TcpConnect(server_->port()).value();
   std::string stream;
@@ -528,6 +635,121 @@ TEST_F(LiveServerFuzz, RandomGarbageStreamsNeverKillTheServer) {
     }
   }
   ExpectServerAlive();
+}
+
+// ----- Replies the client must not trust. -----
+
+// A loopback peer that answers each request frame it reads with the next
+// canned response payload: a server that sends what no ProvenanceServer
+// would. It serves one connection and stops at the client's EOF.
+class CannedServer {
+ public:
+  explicit CannedServer(std::vector<std::string> replies)
+      : listener_(TcpListen(0).value()),
+        port_(LocalPort(listener_).value()),
+        thread_([this, replies = std::move(replies)] { Serve(replies); }) {}
+  ~CannedServer() {
+    listener_.ShutdownBoth();  // unblocks Accept if no client came
+    thread_.join();
+  }
+
+  int port() const { return port_; }
+
+ private:
+  void Serve(const std::vector<std::string>& replies) {
+    Result<Socket> connection = Accept(listener_);
+    if (!connection.ok()) return;
+    std::string buffer;
+    char chunk[4096];
+    for (const std::string& reply : replies) {
+      for (;;) {
+        size_t frame_size = 0;
+        std::string_view payload;
+        FrameStatus status = TryExtractFrame(buffer, &frame_size, &payload);
+        if (status == FrameStatus::kFrame) {
+          buffer.erase(0, frame_size);
+          break;
+        }
+        if (status == FrameStatus::kBad) return;
+        Result<ReadOutcome> outcome =
+            ReadSome(*connection, chunk, sizeof(chunk));
+        if (!outcome.ok() || outcome->eof) return;
+        buffer.append(chunk, outcome->n);
+      }
+      std::string framed;
+      AppendFrame(&framed, reply);
+      if (!WriteAll(*connection, framed).ok()) return;
+    }
+  }
+
+  Socket listener_;
+  int port_;
+  std::thread thread_;
+};
+
+std::string OkFields(std::initializer_list<uint64_t> fields) {
+  std::string body;
+  for (uint64_t field : fields) AppendU64(&body, field);
+  return OkResponse(body);
+}
+
+// Counts arrive as u64 and land in int fields: one above INT_MAX (or a
+// wrapped -1) is a malformed reply, not a negative count. INT_MAX itself
+// is accepted.
+TEST(ClientReplies, CountsAboveIntMaxAreMalformed) {
+  const uint64_t int_max = std::numeric_limits<int>::max();
+  const uint64_t too_big = int_max + 1;
+  CannedServer server({
+      OkFields({1, too_big, 0}),           // Snapshot: num_items
+      OkFields({1, 0, ~uint64_t{0}}),      // SnapshotDelta: frozen_items
+      OkFields({2, too_big, 5}),           // MergeRuns: num_runs
+      OkFields({3, 1, too_big}),           // OpenIndexFile: total_items
+      OkFields({4, 2, ~uint64_t{0}}),      // CompactFiles: total_items
+      OkFields({0, 0, 0, 0, too_big, 1}),  // Apply: first_item
+      OkFields({~uint64_t{0}, int_max, int_max}),  // Snapshot at the bound
+  });
+  ProvenanceClient client = ProvenanceClient::Connect(server.port()).value();
+  const std::vector<uint64_t> ids = {1, 2};
+  const std::vector<std::string> inputs = {"/tmp/a.fvlidx"};
+  EXPECT_EQ(client.Snapshot(1).code(), ErrorCode::kMalformedBlob);
+  EXPECT_EQ(client.SnapshotDelta(1).code(), ErrorCode::kMalformedBlob);
+  EXPECT_EQ(client.MergeRuns(ids).code(), ErrorCode::kMalformedBlob);
+  EXPECT_EQ(client.OpenIndexFile("/tmp/a.fvlidx").code(),
+            ErrorCode::kMalformedBlob);
+  EXPECT_EQ(client.CompactFiles(inputs, "/tmp/b.fvlmrg").code(),
+            ErrorCode::kMalformedBlob);
+  EXPECT_EQ(client.Apply(1, 0, 0).code(), ErrorCode::kMalformedBlob);
+  // The rejected replies were consumed whole: the stream stays aligned.
+  SnapshotInfo at_bound = client.Snapshot(1).value();
+  EXPECT_EQ(at_bound.index_id, ~uint64_t{0});
+  EXPECT_EQ(at_bound.num_items, std::numeric_limits<int>::max());
+  EXPECT_EQ(at_bound.frozen_items, std::numeric_limits<int>::max());
+}
+
+// A newer server may send counters this client does not know: they are
+// skipped, the known ones are read by name in any order, and a counter
+// the server did not send reads 0.
+TEST(ClientReplies, StatsSkipUnknownNamesAndDefaultMissingOnes) {
+  const std::vector<NamedCounter> sent = {{"frames", 7},
+                                          {"queue_wait_us", 99},
+                                          {"predicate_evaluations", 5},
+                                          {"point_queries", 3},
+                                          {"reach_hits", 11}};
+  std::string truncated = EncodeStatsBody(sent);
+  truncated.pop_back();
+  CannedServer server(
+      {OkResponse(EncodeStatsBody(sent)), OkResponse(truncated)});
+  ProvenanceClient client = ProvenanceClient::Connect(server.port()).value();
+  ServerStats stats = client.Stats().value();
+  EXPECT_EQ(stats.frames, 7u);
+  EXPECT_EQ(stats.reach_misses, 5u);
+  EXPECT_EQ(stats.point_queries, 3u);
+  EXPECT_EQ(stats.point_batches, 0u);
+  EXPECT_EQ(stats.connections, 0u);
+  EXPECT_EQ(stats.label_hits, 0u);
+  EXPECT_EQ(stats.label_misses, 0u);
+  EXPECT_EQ(stats.reach_hits, 0u);  // not a kStats name
+  EXPECT_EQ(client.Stats().code(), ErrorCode::kMalformedBlob);
 }
 
 }  // namespace

@@ -204,7 +204,15 @@ TEST(ServerDifferential, SyncCallRefusedWhilePipelinedAnswersUnread) {
   }
   EXPECT_EQ(client.Ping().value(), kProtocolVersion);
   // Had a refused call sent its frame, its stale reply would be read here.
-  EXPECT_EQ(client.Stats().value().point_queries, queries.size());
+  const ServerStats wire = client.Stats().value();
+  EXPECT_EQ(wire.point_queries, queries.size());
+  // kStats carries every named counter as the server holds it (no frame
+  // arrives between the two reads).
+  const ServerStats local = rig.server->stats();
+  for (const auto& [name, field] : kStatsFields) {
+    EXPECT_EQ(wire.*field, local.*field) << name;
+  }
+  EXPECT_EQ(wire.reach_misses, queries.size());  // predicate_evaluations
 }
 
 // The batcher answers every (view, index, mode) group with one
@@ -259,7 +267,10 @@ TEST(ServerBatcher, OutOfRangePointQueryFailsAlone) {
   }
 }
 
-TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
+// A merged index answers flat ids (GlobalId) over the wire exactly as in
+// process: same-run pairs as that run's own snapshot, cross-run pairs
+// false.
+TEST(ServerDifferential, MergeAndCrossRunQueriesMatchDirect) {
   TestRig rig = TestRig::Make();
   ProvenanceClient client =
       ProvenanceClient::Connect(rig.server->port()).value();
@@ -269,7 +280,7 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
   // Two runs, both replayed over the wire and directly.
   std::vector<uint64_t> wire_index_ids;
   std::vector<std::string> blobs;
-  std::vector<int> run_sizes;
+  std::vector<ProvenanceIndex> direct_runs;
   for (int seed : {21, 22}) {
     std::vector<std::pair<int, int>> ops =
         RecordOpSequence(*rig.service, /*target_items=*/200, seed);
@@ -283,8 +294,8 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
     wire_index_ids.push_back(snapshot.index_id);
     ProvenanceIndex direct_index = direct_session->Snapshot();
     ASSERT_EQ(snapshot.num_items, direct_index.num_items());
-    run_sizes.push_back(direct_index.num_items());
     blobs.push_back(direct_index.Serialize());
+    direct_runs.push_back(std::move(direct_index));
   }
 
   MergeInfo merged = client.MergeRuns(wire_index_ids).value();
@@ -293,25 +304,46 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
   ProvenanceIndex direct_merged = rig.service->MergeRunsStreamed(views).value();
   ASSERT_EQ(merged.total_items, direct_merged.total_items());
 
+  struct Address {
+    int run, item;
+  };
   Rng rng(7);
-  std::vector<std::pair<RunItem, RunItem>> queries;
+  std::vector<std::pair<Address, Address>> addresses;
+  std::vector<std::pair<int, int>> queries;
+  int cross = 0;
   for (int q = 0; q < 300; ++q) {
-    RunItem a{rng.NextInt(0, 1), 0};
-    RunItem b{rng.NextInt(0, 1), 0};
-    a.item = rng.NextInt(0, run_sizes[a.run] - 1);
-    b.item = rng.NextInt(0, run_sizes[b.run] - 1);
-    queries.push_back({a, b});
+    Address a{rng.NextInt(0, 1), 0};
+    Address b{rng.NextInt(0, 1), 0};
+    a.item = rng.NextInt(0, direct_runs[a.run].num_items() - 1);
+    b.item = rng.NextInt(0, direct_runs[b.run].num_items() - 1);
+    addresses.push_back({a, b});
+    queries.push_back({direct_merged.GlobalId(a.run, a.item),
+                       direct_merged.GlobalId(b.run, b.item)});
+    cross += a.run != b.run;
   }
+  EXPECT_GT(cross, 50);
   for (ViewLabelMode mode : kAllModes) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
     std::vector<bool> direct_answers =
-        rig.service
-            ->QueryAcrossRuns(direct_view, direct_merged, queries, mode)
+        rig.service->DependsMany(direct_view, direct_merged, queries, mode)
             .value();
     std::vector<bool> wire_answers =
-        client.QueryAcrossRuns(view_id, merged.merged_id, mode, queries)
-            .value();
-    ASSERT_EQ(wire_answers, direct_answers)
-        << "mode " << static_cast<int>(mode);
+        client.DependsMany(view_id, merged.merged_id, mode, queries).value();
+    ASSERT_EQ(wire_answers, direct_answers);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const auto& [a, b] = addresses[q];
+      if (a.run != b.run) {
+        EXPECT_FALSE(wire_answers[q]) << "cross-run query " << q;
+        continue;
+      }
+      const std::vector<std::pair<int, int>> local = {{a.item, b.item}};
+      EXPECT_EQ(wire_answers[q],
+                rig.service
+                    ->DependsMany(direct_view, direct_runs[a.run], local, mode)
+                    .value()
+                    .front())
+          << "query " << q;
+    }
   }
 }
 
@@ -504,14 +536,9 @@ TEST(ServerIds, EveryArtifactIdAnswersEveryQueryOp) {
     SCOPED_TRACE("artifact id " + std::to_string(id));
     const ViewLabelMode mode = ViewLabelMode::kDefault;
     // Flat-id pairs span every run of the artifact (cross-run pairs of the
-    // merge included); (run, item) pairs address run 0, the only run of a
-    // snapshot.
+    // merge included).
     std::vector<std::pair<int, int>> pairs =
         RandomQueries(direct->total_items(), 200, 40 + id);
-    std::vector<std::pair<RunItem, RunItem>> run_pairs;
-    for (const auto& [a, b] : RandomQueries(direct->num_items(0), 100, id)) {
-      run_pairs.push_back({RunItem{0, a}, RunItem{0, b}});
-    }
     std::vector<bool> want =
         m.rig.service->DependsMany(m.direct_view, *direct, pairs, mode).value();
 
@@ -527,10 +554,6 @@ TEST(ServerIds, EveryArtifactIdAnswersEveryQueryOp) {
     EXPECT_EQ(m.client.VisibilitySweep(m.view_id, id, mode).value(),
               m.rig.service->VisibilitySweep(m.direct_view, *direct, mode)
                   .value());
-    EXPECT_EQ(
-        m.client.QueryAcrossRuns(m.view_id, id, mode, run_pairs).value(),
-        m.rig.service->QueryAcrossRuns(m.direct_view, *direct, run_pairs, mode)
-            .value());
     const std::vector<uint64_t> merge_input = {id};
     MergeInfo remerged = m.client.MergeRuns(merge_input).value();
     EXPECT_EQ(remerged.num_runs, direct->num_runs());
@@ -547,8 +570,6 @@ TEST(ServerIds, EveryArtifactIdAnswersEveryQueryOp) {
   // An id no artifact holds is still kNotFound on every op.
   const uint64_t unknown = 999;
   const std::vector<std::pair<int, int>> pairs = {{0, 0}};
-  const std::vector<std::pair<RunItem, RunItem>> run_pairs = {
-      {RunItem{0, 0}, RunItem{0, 0}}};
   EXPECT_EQ(m.client.Depends(m.view_id, unknown, ViewLabelMode::kDefault, 0, 0)
                 .code(),
             ErrorCode::kNotFound);
@@ -559,11 +580,6 @@ TEST(ServerIds, EveryArtifactIdAnswersEveryQueryOp) {
             ErrorCode::kNotFound);
   EXPECT_EQ(m.client
                 .VisibilitySweep(m.view_id, unknown, ViewLabelMode::kDefault)
-                .code(),
-            ErrorCode::kNotFound);
-  EXPECT_EQ(m.client
-                .QueryAcrossRuns(m.view_id, unknown, ViewLabelMode::kDefault,
-                                 run_pairs)
                 .code(),
             ErrorCode::kNotFound);
   const std::vector<uint64_t> unknown_input = {unknown};
@@ -690,11 +706,13 @@ TEST(ServerDiskTier, CompactOverServedArchiveKeepsServing) {
                    .Serialize());
   }
 
-  OpenInfo served = client.OpenIndexFile(served_path).value();
+  MergeInfo served = client.OpenIndexFile(served_path).value();
+  EXPECT_EQ(served.num_runs, 1);
+  EXPECT_EQ(served.total_items, served_heap.num_items());
   MergeInfo compacted = client.CompactFiles(inputs, served_path).value();
   EXPECT_EQ(compacted.num_runs, 2);
   for (ViewLabelMode mode : kAllModes) {
-    EXPECT_EQ(client.VisibilitySweep(view_id, served.index_id, mode).value(),
+    EXPECT_EQ(client.VisibilitySweep(view_id, served.merged_id, mode).value(),
               rig.service->VisibilitySweep(direct_view, served_heap, mode)
                   .value())
         << "mode " << static_cast<int>(mode);
