@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -191,10 +192,15 @@ void Main(const BenchConfig& config) {
   // off the mapping instead of the heap snapshot. The two small runs are
   // also archived and compacted over the wire once, so the LSM path is
   // exercised end-to-end under the same process.
-  const std::string archive_dir = "/tmp";
+  // Every archive path this run creates, removed once the server stops.
+  std::vector<std::string> archives;
+  auto archive_name = [&](const std::string& name) {
+    archives.push_back("/tmp/fvl_ycsb_" + std::to_string(server->port()) +
+                       "_" + name);
+    return archives.back();
+  };
   auto archive_file = [&](const std::string& name, std::string_view blob) {
-    std::string path = archive_dir + "/fvl_ycsb_" +
-                       std::to_string(server->port()) + "_" + name;
+    std::string path = archive_name(name);
     FileHandle out = FileHandle::CreateTruncate(path).value();
     FVL_CHECK(out.WriteAll(blob).ok());
     FVL_CHECK(out.Close().ok());
@@ -213,11 +219,7 @@ void Main(const BenchConfig& config) {
       archive_file("run_a.fvlidx", run_blob(query_items / 8, 31)),
       archive_file("run_b.fvlidx", run_blob(query_items / 8, 32))};
   MergeInfo compacted =
-      setup
-          .CompactFiles(compact_inputs,
-                        archive_dir + "/fvl_ycsb_" +
-                            std::to_string(server->port()) + "_l1.fvlmrg")
-          .value();
+      setup.CompactFiles(compact_inputs, archive_name("l1.fvlmrg")).value();
   FVL_CHECK(compacted.num_runs == 2);
   std::vector<uint64_t> run_index_ids = {merge_run_a.index_id,
                                          merge_run_b.index_id};
@@ -338,6 +340,7 @@ void Main(const BenchConfig& config) {
   report.Write();
 
   server->Stop();
+  for (const std::string& path : archives) std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,28 +2,30 @@
 
 namespace fvl {
 
-std::optional<BoolMatrix> Decoder::Factor(PortSide side,
-                                          const EdgeLabel& edge) const {
-  if (edge.kind == EdgeLabel::Kind::kRecursion) {
-    return view_->Walk(side, edge.cycle, edge.start, edge.iteration);
+namespace {
+
+uint64_t Bit(int port) { return uint64_t{1} << port; }
+
+bool Has(uint64_t ports, int port) { return (ports >> port) & 1; }
+
+// The ports `ports` reach along path[from..]: down it through I factors
+// (kInputs, outermost edge first), or up it through O factors (kOutputs,
+// deepest edge first).
+uint64_t Along(const ViewLabel& view, PortSide side,
+               const std::vector<EdgeLabel>& path, size_t from,
+               uint64_t ports) {
+  for (size_t a = from; a < path.size() && ports != 0; ++a) {
+    const EdgeLabel& edge =
+        path[side == PortSide::kInputs ? a : path.size() - 1 - (a - from)];
+    ports = edge.kind == EdgeLabel::Kind::kRecursion
+                ? view.ReachWalk(side, edge.cycle, edge.start, edge.iteration,
+                                 ports)
+                : view.Reach(side, edge.production, edge.position, ports);
   }
-  return side == PortSide::kInputs ? view_->I(edge.production, edge.position)
-                                   : view_->O(edge.production, edge.position);
+  return ports;
 }
 
-std::optional<BoolMatrix> Decoder::Chain(PortSide side,
-                                         const std::vector<EdgeLabel>& path,
-                                         size_t from, int identity_dims) const {
-  if (from >= path.size()) return BoolMatrix::Identity(identity_dims);
-  std::optional<BoolMatrix> result = Factor(side, path[from]);
-  if (!result.has_value()) return std::nullopt;
-  for (size_t a = from + 1; a < path.size(); ++a) {
-    std::optional<BoolMatrix> factor = Factor(side, path[a]);
-    if (!factor.has_value()) return std::nullopt;
-    result = result->Multiply(*factor);
-  }
-  return result;
-}
+}  // namespace
 
 bool Decoder::Depends(const DataLabel& d1, const DataLabel& d2) const {
   // Case I: final outputs depend on everything downstream of nothing;
@@ -35,28 +37,29 @@ bool Decoder::Depends(const DataLabel& d1, const DataLabel& d2) const {
     return view_->StartMatrix().Get(d1.consumer->port, d2.producer->port);
   }
 
-  // Case III: initial input -> intermediate item.
+  // Case III: initial input -> intermediate item, pushed down l2.
   if (!d1.producer.has_value()) {
-    std::optional<BoolMatrix> chain = Chain(
-        PortSide::kInputs, d2.consumer->path, 0, view_->StartMatrix().rows());
-    if (!chain.has_value()) return false;  // d2 invisible in this view
-    return chain->Get(d1.consumer->port, d2.consumer->port);
+    return Has(Along(*view_, PortSide::kInputs, d2.consumer->path, 0,
+                     Bit(d1.consumer->port)),
+               d2.consumer->port);
   }
 
-  // Case IV: intermediate item -> final output.
+  // Case IV: intermediate item -> final output, pulled up l1.
   if (!d2.consumer.has_value()) {
-    std::optional<BoolMatrix> chain = Chain(
-        PortSide::kOutputs, d1.producer->path, 0, view_->StartMatrix().cols());
-    if (!chain.has_value()) return false;
-    return chain->Get(d2.producer->port, d1.producer->port);
+    return Has(Along(*view_, PortSide::kOutputs, d1.producer->path, 0,
+                     Bit(d1.producer->port)),
+               d2.producer->port);
   }
 
   // Main cases: both intermediate. l1 locates the producer port of d1 (the
-  // paper's o1), l2 the consumer port of d2 (the paper's i2).
+  // paper's o1), l2 the consumer port of d2 (the paper's i2). Each case
+  // pulls o1 up l1 to the fork, crosses it, and pushes down l2 to i2.
   const std::vector<EdgeLabel>& l1 = d1.producer->path;
   const std::vector<EdgeLabel>& l2 = d2.consumer->path;
-  const int x = d1.producer->port;
-  const int y = d2.consumer->port;
+  auto pull_o1 = [&](size_t from) {
+    return Along(*view_, PortSide::kOutputs, l1, from,
+                 Bit(d1.producer->port));
+  };
 
   size_t cp = 0;
   while (cp < l1.size() && cp < l2.size() && l1[cp] == l2[cp]) ++cp;
@@ -71,85 +74,57 @@ bool Decoder::Depends(const DataLabel& d1, const DataLabel& d2) const {
   const EdgeLabel& e2 = l2[cp];
   if (e1.kind != e2.kind) return false;
 
+  uint64_t ports = 0;  // at the fork, then pushed down l2[down..]
+  size_t down = cp + 1;
   if (e1.kind == EdgeLabel::Kind::kProduction) {
-    // Case 2a: fork below a module node.
-    if (e1.production != e2.production) return false;
-    const int i = e1.position;
-    const int j = e2.position;
-    if (i > j) return false;  // Z(k, i, j) is empty for i >= j
-    std::optional<BoolMatrix> z = view_->Z(e1.production, i, j);
-    if (!z.has_value()) return false;
-    std::optional<BoolMatrix> o =
-        Chain(PortSide::kOutputs, l1, cp + 1, z->rows());
-    std::optional<BoolMatrix> in =
-        Chain(PortSide::kInputs, l2, cp + 1, z->cols());
-    if (!o.has_value() || !in.has_value()) return false;
-    return o->Transpose().Multiply(*z).Multiply(*in).Get(x, y);
-  }
-
-  // Case 2b: fork below a recursive node.
-  if (e1.cycle != e2.cycle || e1.start != e2.start) return false;
-  const int s = e1.cycle;
-  const int t = e1.start;
-  const int i = e1.iteration;
-  const int j = e2.iteration;
-  const ProductionGraph& pg = view_->production_graph();
-
-  if (i < j) {
-    // d1 under iteration i, d2 under the deeper iteration j. Data must leave
-    // d1's branch, cross into the successor M_{i+1}, walk the cycle to M_j,
-    // then descend to d2.
-    if (cp + 1 == l1.size()) return false;  // o1 is a port of M_i itself
-    const EdgeLabel& branch = l1[cp + 1];
-    PgEdge successor = pg.CycleEdgeAt(s, t + i - 1);
+    // Case 2a: fork below a module node, crossed through Z (empty for
+    // i >= j).
+    if (e1.production != e2.production || e1.position > e2.position) {
+      return false;
+    }
+    ports = view_->ReachZ(e1.production, e1.position, e2.position,
+                          pull_o1(cp + 1));
+  } else {
+    // Case 2b: fork below a recursive node, with the §4.4.2 cycle
+    // bookkeeping — both the paper's i < j case and the symmetric i > j
+    // case (elided in the paper). The item in the shallower iteration
+    // m = min(i, j) lies in a branch of M_m's expansion, beside the
+    // successor member that iteration m + 1 descends from.
+    if (e1.cycle != e2.cycle || e1.start != e2.start) return false;
+    const int s = e1.cycle;
+    const int t = e1.start;
+    const int i = e1.iteration;
+    const int j = e2.iteration;
+    const bool deeper_d2 = i < j;
+    const std::vector<EdgeLabel>& shallow = deeper_d2 ? l1 : l2;
+    if (cp + 1 == shallow.size()) return false;  // a port of M_m itself
+    const EdgeLabel& branch = shallow[cp + 1];
+    PgEdge successor = view_->production_graph().CycleEdgeAt(
+        s, t + (deeper_d2 ? i : j) - 1);
     if (branch.kind != EdgeLabel::Kind::kProduction ||
         successor.production != branch.production) {
       return false;
     }
-    const int ip = branch.position;
-    const int jp = successor.position;
-    if (ip > jp) return false;  // branch after the successor: Z empty
-    std::optional<BoolMatrix> z = view_->Z(successor.production, ip, jp);
-    if (!z.has_value()) return false;
-    std::optional<BoolMatrix> o =
-        Chain(PortSide::kOutputs, l1, cp + 2, z->rows());
-    std::optional<BoolMatrix> walk =
-        view_->Walk(PortSide::kInputs, s, t + i, j - i);
-    if (!o.has_value() || !walk.has_value()) return false;
-    std::optional<BoolMatrix> in =
-        Chain(PortSide::kInputs, l2, cp + 1, walk->cols());
-    if (!in.has_value()) return false;
-    return o->Transpose()
-        .Multiply(*z)
-        .Multiply(*walk)
-        .Multiply(*in)
-        .Get(x, y);
+    // Z runs from d1's side of the fork to d2's; it is empty backwards.
+    const int from = deeper_d2 ? branch.position : successor.position;
+    const int to = deeper_d2 ? successor.position : branch.position;
+    if (from > to) return false;
+    if (deeper_d2) {
+      // Leave d1's branch into the successor M_{i+1}, then walk the cycle
+      // down to M_j.
+      ports = view_->ReachZ(successor.production, from, to, pull_o1(cp + 2));
+      ports = view_->ReachWalk(PortSide::kInputs, s, t + i, j - i, ports);
+    } else {
+      // Walk out through the enclosing iterations' outputs up to M_{j+1},
+      // then cross from the successor into d2's branch.
+      ports = view_->ReachWalk(PortSide::kOutputs, s, t + j, i - j,
+                               pull_o1(cp + 1));
+      ports = view_->ReachZ(successor.production, from, to, ports);
+      down = cp + 2;
+    }
   }
-
-  // i > j: d1 under the deeper iteration i, d2 under iteration j. Data flows
-  // outward through the enclosing iterations' outputs down to M_{j+1}, then
-  // from the successor into d2's branch.
-  if (cp + 1 == l2.size()) return false;  // i2 is a port of M_j itself
-  const EdgeLabel& branch = l2[cp + 1];
-  PgEdge successor = pg.CycleEdgeAt(s, t + j - 1);
-  if (branch.kind != EdgeLabel::Kind::kProduction ||
-      successor.production != branch.production) {
-    return false;
-  }
-  const int up = branch.position;
-  const int succ = successor.position;
-  if (succ > up) return false;  // branch before the successor: Z empty
-  std::optional<BoolMatrix> z = view_->Z(successor.production, succ, up);
-  if (!z.has_value()) return false;
-  std::optional<BoolMatrix> walk =
-      view_->Walk(PortSide::kOutputs, s, t + j, i - j);
-  if (!walk.has_value()) return false;
-  std::optional<BoolMatrix> o =
-      Chain(PortSide::kOutputs, l1, cp + 1, walk->cols());
-  std::optional<BoolMatrix> in =
-      Chain(PortSide::kInputs, l2, cp + 2, z->cols());
-  if (!o.has_value() || !in.has_value()) return false;
-  return walk->Multiply(*o).Transpose().Multiply(*z).Multiply(*in).Get(x, y);
+  return Has(Along(*view_, PortSide::kInputs, l2, down, ports),
+             d2.consumer->port);
 }
 
 MatrixFreeDecoder::MatrixFreeDecoder(const ProductionGraph* pg,

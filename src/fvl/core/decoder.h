@@ -1,23 +1,27 @@
 // The decoding predicate π (§4.4, Algorithm 2): decides, from two data
 // labels and one view label alone, whether d2 depends on d1 w.r.t. the view.
 //
-// Cases (paper numbering):
+// π carries a set of ports (a uint64_t, bit p = port p) instead of matrix
+// products: it pulls d1's producer port o1 up l1 through O factors (O · u),
+// crosses the fork, and pushes down l2 through I factors (u · I) to d2's
+// consumer port i2. Cases (paper numbering):
 //   I    d1 is a final output or d2 an initial input      -> false
 //   II   d1 initial, d2 final                             -> λ*(S)[x, y]
-//   III  d1 initial, d2 intermediate                      -> Π Inputs over l2
-//   IV   d1 intermediate, d2 final                        -> Π Outputs over l1
+//   III  d1 initial, d2 intermediate                      -> push x down l2
+//   IV   d1 intermediate, d2 final                        -> pull o1 up l1
 //   1    producer path of d1 equals / prefixes consumer path of d2 (or
 //        vice versa)                                      -> false
-//   2a   paths fork at a module node: Oᵀ · Z · I
-//   2b   paths fork at a recursive node: Oᵀ · Z · I' · I with the §4.4.2
-//        cycle bookkeeping — both the paper's i < j case and the symmetric
-//        i > j case (elided in the paper) are implemented.
+//   2a   paths fork at a module node: cross through Z
+//   2b   paths fork at a recursive node: cross through Z and a cycle walk
+//        with the §4.4.2 bookkeeping, the Inputs walk after Z for i < j and
+//        the Outputs walk before Z for i > j (a case the paper elides).
 //
-// Any undefined matrix lookup means one of the items is invisible in the
-// view; π conservatively returns false (use visibility.h to distinguish).
+// A step undefined in the view (an item is invisible in it) empties the
+// set, so π conservatively returns false (use visibility.h to distinguish).
+// On a Query-Efficient label π allocates nothing.
 //
 // Both labels must lie inside the grammar (ProvenanceService vets untrusted
-// ones with LabelInBounds); the matrices are read unchecked. π is defined
+// ones with LabelInBounds); matrix words are read unchecked. π is defined
 // over two labels of one run. For labels of two runs of one specification
 // the answer is unspecified, but the call returns: paths that fork where
 // the runs expanded a module differently answer false.
@@ -29,7 +33,6 @@
 #ifndef FVL_CORE_DECODER_H_
 #define FVL_CORE_DECODER_H_
 
-#include <optional>
 #include <vector>
 
 #include "fvl/core/data_label.h"
@@ -46,15 +49,6 @@ class Decoder {
   bool Depends(const DataLabel& d1, const DataLabel& d2) const;
 
  private:
-  // The I (kInputs) or O (kOutputs) matrix of one path edge: a production
-  // edge's own matrix, a recursion edge's cycle walk.
-  std::optional<BoolMatrix> Factor(PortSide side, const EdgeLabel& edge) const;
-  // The product of Factor over path[from..]; the identity of identity_dims
-  // when that range is empty, std::nullopt when a factor is undefined.
-  std::optional<BoolMatrix> Chain(PortSide side,
-                                  const std::vector<EdgeLabel>& path,
-                                  size_t from, int identity_dims) const;
-
   const ViewLabel* view_;
 };
 

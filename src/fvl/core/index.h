@@ -44,12 +44,11 @@ namespace fvl {
 // Provenance of N >= 0 runs of one specification, frozen into a single
 // position-independent artifact: a LabelStore with one group per run. A
 // snapshot is the one-run case (N = 1); Merge and CompactStream combine
-// indexes into many-run ones. Items are
-// addressed by flat id (the run's group base + local item, in arena order —
-// for one run the flat id *is* the item id) or as (run, item) pairs; the
-// grouped offset table maps between them, so cross-run batch sweeps walk
-// one contiguous arena. Copies share the frozen contents and one serving
-// cache.
+// indexes into many-run ones. Items are addressed by flat id (the run's
+// group base + local item, in arena order — for one run the flat id *is*
+// the item id; GlobalId maps a (run, item) pair to it), so cross-run batch
+// sweeps walk one contiguous arena. Copies share the frozen contents and
+// one serving cache.
 class ProvenanceIndex {
  public:
   ProvenanceIndex() = default;  // zero runs, zero items
@@ -85,16 +84,10 @@ class ProvenanceIndex {
   // decoding predicate is only defined over labels of one parse tree.
   int RunOf(int global) const { return store_.GroupOf(global); }
 
-  // Decodes the label of one item, by flat id or (run, item).
+  // Decodes the label of one item, by flat id.
   DataLabel Label(int global) const { return store_.DecodeLabel(global); }
-  DataLabel Label(int run, int item) const {
-    return Label(GlobalId(run, item));
-  }
   // Exact encoded size of one item's label.
   int64_t LabelBits(int global) const { return store_.LabelBits(global); }
-  int64_t LabelBits(int run, int item) const {
-    return LabelBits(GlobalId(run, item));
-  }
 
   // The snapshot-lifetime serving cache (core/serving_cache.h): decoded
   // labels keyed by flat ids, shared by copies of this index and freed

@@ -16,20 +16,6 @@ const char* ToString(ViewLabelMode mode) {
   return "?";
 }
 
-namespace {
-
-// The identity a walk along `side` starts from at edge t of cycle s: one row
-// and column per port of the cycle member the walk starts at.
-BoolMatrix WalkIdentity(const ProductionGraph& pg, PortSide side, int s,
-                        int t) {
-  const Module& first =
-      pg.grammar().module(pg.EdgeSource(pg.CycleEdgeAt(s, t)));
-  return BoolMatrix::Identity(side == PortSide::kInputs ? first.num_inputs
-                                                        : first.num_outputs);
-}
-
-}  // namespace
-
 WorkflowPortGraph ViewLabel::PortGraph(ProductionId k) const {
   const int overlay = overlay_index_[k];
   return WorkflowPortGraph(*grammar_, grammar_->production(k).rhs, full_,
@@ -71,63 +57,87 @@ bool ViewLabel::CycleFullyActive(int s) const {
   return true;
 }
 
-std::optional<BoolMatrix> ViewLabel::WalkStepwise(PortSide side, int s, int t,
-                                                  int iteration,
-                                                  int split_at,
-                                                  BoolMatrix* split) const {
-  BoolMatrix result = WalkIdentity(*pg_, side, s, t);
-  for (int a = 0; a < iteration - 1; ++a) {
-    if (a == split_at) *split = result;
+std::vector<BoolMatrix> ViewLabel::CyclePrefixes(PortSide side, int s,
+                                                 int t) const {
+  // [0] is the identity on the ports of the member the walk starts at.
+  const Module& first =
+      pg_->grammar().module(pg_->EdgeSource(pg_->CycleEdgeAt(s, t)));
+  std::vector<BoolMatrix> prefixes = {BoolMatrix::Identity(
+      side == PortSide::kInputs ? first.num_inputs : first.num_outputs)};
+  for (int a = 0; a < pg_->cycle(s).length(); ++a) {
     PgEdge edge = pg_->CycleEdgeAt(s, t + a);
-    std::optional<BoolMatrix> factor =
-        side == PortSide::kInputs ? I(edge.production, edge.position)
-                                  : O(edge.production, edge.position);
-    if (!factor.has_value()) return std::nullopt;
-    result = result.Multiply(*factor);
+    prefixes.push_back(prefixes.back().Multiply(
+        *(side == PortSide::kInputs ? I(edge.production, edge.position)
+                                    : O(edge.production, edge.position))));
   }
-  return result;
+  return prefixes;
 }
 
-std::optional<BoolMatrix> ViewLabel::Walk(PortSide side, int s, int t,
-                                          int iteration) const {
+uint64_t ViewLabel::Reach(PortSide side, ProductionId k, int pos,
+                          uint64_t ports) const {
+  // Along data flow: ports · I, or O · ports.
+  auto apply = [&](const BoolMatrix& factor) {
+    return side == PortSide::kInputs ? factor.Push(ports) : factor.Pull(ports);
+  };
+  if (materialized_ && active_[k]) {
+    return apply((side == PortSide::kInputs ? i_mats_ : o_mats_)[k][pos]);
+  }
+  std::optional<BoolMatrix> factor =
+      side == PortSide::kInputs ? I(k, pos) : O(k, pos);
+  return factor.has_value() ? apply(*factor) : 0;
+}
+
+uint64_t ViewLabel::ReachZ(ProductionId k, int i, int j,
+                           uint64_t ports) const {
+  if (materialized_ && active_[k]) {
+    const int members = grammar_->production(k).rhs.num_members();
+    return z_mats_[k][i * members + j].Push(ports);
+  }
+  std::optional<BoolMatrix> z = Z(k, i, j);
+  return z.has_value() ? z->Push(ports) : 0;
+}
+
+uint64_t ViewLabel::ReachWalk(PortSide side, int s, int t, int iteration,
+                              uint64_t ports) const {
   FVL_CHECK(iteration >= 1);
   // Callers pass unwrapped start offsets (e.g. t+i from Algorithm 2).
   const int l = pg_->cycle(s).length();
   t %= l;
-  const int64_t total = iteration - 1;
+  const int total = iteration - 1;
+  // The walk is X^(total / l) · P, X the full-cycle product and P the
+  // product of the first total % l factors: a push goes through the power
+  // first, a pull through P first.
+  auto through = [&](const BoolMatrix& power, const BoolMatrix& prefix) {
+    return side == PortSide::kInputs ? prefix.Push(power.Push(ports))
+                                     : power.Pull(prefix.Pull(ports));
+  };
   if (mode_ == ViewLabelMode::kQueryEfficient) {
     const WalkCache& cache = walk_caches_[static_cast<int>(side)][s][t];
     if (cache.powers.has_value()) {
-      return cache.powers->Power(total / l).Multiply(
-          cache.prefix[static_cast<size_t>(total % l)]);
+      return through(cache.powers->Power(total / l), cache.prefix[total % l]);
     }
   }
   if (total >= 2 * l && CycleFullyActive(s)) {
-    // Divide-and-conquer over the full-cycle product (Lemma 5's O(log i)).
-    // Also used by the space-efficient variant: the full-cycle product X
-    // costs one bounded batch of graph searches, after which powering is
-    // logarithmic in the iteration count instead of linear. One pass over
-    // the cycle yields both X and the product of its first total % l
-    // factors, so each factor is computed once.
-    BoolMatrix rest;
-    std::optional<BoolMatrix> x = WalkStepwise(
-        side, s, t, l + 1, static_cast<int>(total % l), &rest);
-    if (!x.has_value()) return std::nullopt;
-    return BoolMatrixPower(*x, total / l).Multiply(rest);
+    // Lemma 5's O(log i) without the cache: one pass over the cycle
+    // computes each factor once (for Space-Efficient labels, one bounded
+    // batch of graph searches), then X is powered by repeated squaring.
+    const std::vector<BoolMatrix> prefixes = CyclePrefixes(side, s, t);
+    return through(BoolMatrixPower(prefixes[l], total / l),
+                   prefixes[total % l]);
   }
-  return WalkStepwise(side, s, t, iteration);
+  // Factor a is cycle edge t + a; a pull takes the factors last first.
+  for (int a = 0; a < total && ports != 0; ++a) {
+    const int factor = side == PortSide::kInputs ? a : total - 1 - a;
+    PgEdge edge = pg_->CycleEdgeAt(s, t + factor);
+    ports = Reach(side, edge.production, edge.position, ports);
+  }
+  return ports;
 }
 
-bool ViewLabel::InputPortVisible(ProductionId k, int member, int port) const {
-  if (hidden_index_[k] < 0) return true;
-  const HiddenPorts& hidden = hidden_[hidden_index_[k]];
-  return !hidden.input_hidden[member][port];
-}
-
-bool ViewLabel::OutputPortVisible(ProductionId k, int member, int port) const {
-  if (hidden_index_[k] < 0) return true;
-  const HiddenPorts& hidden = hidden_[hidden_index_[k]];
-  return !hidden.output_hidden[member][port];
+bool ViewLabel::PortVisible(PortSide side, ProductionId k, int member,
+                            int port) const {
+  return hidden_index_[k] < 0 ||
+         !hidden_[hidden_index_[k]][static_cast<int>(side)][member][port];
 }
 
 int64_t ViewLabel::SizeBits() const {
@@ -195,19 +205,18 @@ ViewLabel ViewLabeler::Build(const std::vector<bool>& active,
       label.overlays_.push_back(*overlay);
 
       ViewLabel::HiddenPorts hidden;
+      auto& inputs = hidden[static_cast<int>(PortSide::kInputs)];
+      auto& outputs = hidden[static_cast<int>(PortSide::kOutputs)];
       const SimpleWorkflow& w = grammar_->production(k).rhs;
-      hidden.input_hidden.resize(w.num_members());
-      hidden.output_hidden.resize(w.num_members());
       for (int m = 0; m < w.num_members(); ++m) {
         const Module& module = grammar_->module(w.members[m]);
-        hidden.input_hidden[m].assign(module.num_inputs, false);
-        hidden.output_hidden[m].assign(module.num_outputs, false);
+        inputs.emplace_back(module.num_inputs);
+        outputs.emplace_back(module.num_outputs);
         for (int port = 0; port < module.num_inputs; ++port) {
-          hidden.input_hidden[m][port] = !grouped->InputPortVisible(k, m, port);
+          inputs[m][port] = !grouped->InputPortVisible(k, m, port);
         }
         for (int port = 0; port < module.num_outputs; ++port) {
-          hidden.output_hidden[m][port] =
-              !grouped->OutputPortVisible(k, m, port);
+          outputs[m][port] = !grouped->OutputPortVisible(k, m, port);
         }
       }
       label.hidden_index_[k] = static_cast<int>(label.hidden_.size());
@@ -254,25 +263,16 @@ ViewLabel ViewLabeler::Build(const std::vector<bool>& active,
 
   // Walk caches per (side, cycle, start edge).
   for (PortSide side : {PortSide::kInputs, PortSide::kOutputs}) {
-    const auto& factors =
-        side == PortSide::kInputs ? label.i_mats_ : label.o_mats_;
     auto& caches = label.walk_caches_[static_cast<int>(side)];
     caches.resize(pg_->num_cycles());
     for (int s = 0; s < pg_->num_cycles(); ++s) {
-      int l = pg_->cycle(s).length();
-      caches[s].resize(l);
+      caches[s].resize(pg_->cycle(s).length());
       if (!label.CycleFullyActive(s)) continue;
-      for (int t = 0; t < l; ++t) {
-        BoolMatrix acc = WalkIdentity(*pg_, side, s, t);
+      for (int t = 0; t < pg_->cycle(s).length(); ++t) {
         ViewLabel::WalkCache& cache = caches[s][t];
-        cache.prefix.push_back(acc);
-        for (int r = 0; r < l; ++r) {
-          PgEdge edge = pg_->CycleEdgeAt(s, t + r);
-          acc = acc.Multiply(factors[edge.production][edge.position]);
-          if (r + 1 < l) cache.prefix.push_back(acc);
-        }
-        // acc now holds the full-cycle product X.
-        cache.powers.emplace(acc);
+        cache.prefix = label.CyclePrefixes(side, s, t);
+        cache.powers.emplace(std::move(cache.prefix.back()));
+        cache.prefix.pop_back();
       }
     }
   }

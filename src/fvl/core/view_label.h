@@ -35,8 +35,8 @@ enum class ViewLabelMode { kSpaceEfficient, kDefault, kQueryEfficient };
 
 const char* ToString(ViewLabelMode mode);
 
-// Which side of a walk or chain: kInputs multiplies I matrices (the paper's
-// Inputs, Algorithm 1), kOutputs multiplies O matrices (its Outputs twin).
+// Which side of a port, path or walk: kInputs multiplies I matrices (the
+// paper's Inputs, Algorithm 1), kOutputs O matrices (its Outputs twin).
 enum class PortSide { kInputs, kOutputs };
 
 class ViewLabel {
@@ -55,15 +55,22 @@ class ViewLabel {
   std::optional<BoolMatrix> O(ProductionId k, int pos) const;
   std::optional<BoolMatrix> Z(ProductionId k, int i, int j) const;
 
-  // Algorithm 1 (kInputs) and its Outputs twin (kOutputs): the product of
-  // iteration-1 I (or O) matrices along cycle s starting at edge t.
-  // iteration is 1-based; an iteration of 1 yields the identity.
-  std::optional<BoolMatrix> Walk(PortSide side, int s, int t,
-                                 int iteration) const;
+  // The ports a set of ports (bit p = port p) reaches along data flow, read
+  // off stored matrices in place; 0 when undefined in this view.
+  //   Reach(kInputs):  lhs inputs -> member pos's inputs, ports · I(k, pos)
+  //   Reach(kOutputs): member pos's outputs -> lhs outputs, O(k, pos) · ports
+  //   ReachZ:          member i's outputs -> member j's inputs, ports · Z
+  //   ReachWalk:       ports · Walk (kInputs) or Walk · ports (kOutputs),
+  //                    Walk being Algorithm 1 or its Outputs twin: the
+  //                    product of iteration - 1 I (or O) matrices along
+  //                    cycle s from edge t (1-based; 1 is the identity).
+  uint64_t Reach(PortSide side, ProductionId k, int pos, uint64_t ports) const;
+  uint64_t ReachZ(ProductionId k, int i, int j, uint64_t ports) const;
+  uint64_t ReachWalk(PortSide side, int s, int t, int iteration,
+                     uint64_t ports) const;
 
-  // §5 port visibility (true for regular views).
-  bool InputPortVisible(ProductionId k, int member, int port) const;
-  bool OutputPortVisible(ProductionId k, int member, int port) const;
+  // §5 visibility of a member's port (true for regular views).
+  bool PortVisible(PortSide side, ProductionId k, int member, int port) const;
 
   // Exact storage accounting (bits) for the Fig.-19 comparison.
   int64_t SizeBits() const;
@@ -73,12 +80,10 @@ class ViewLabel {
 
   // Production k's port graph in this view (with its §5 overlay, if any).
   WorkflowPortGraph PortGraph(ProductionId k) const;
-  // The walk as a product of its iteration - 1 factors, one at a time.
-  // With `split`, also stores the product of the first `split_at` factors
-  // there (split_at < iteration - 1).
-  std::optional<BoolMatrix> WalkStepwise(PortSide side, int s, int t,
-                                         int iteration, int split_at = -1,
-                                         BoolMatrix* split = nullptr) const;
+  // [r] = the product of the first r factors of a walk along cycle s from
+  // edge t, for r = 0 .. l; [l] is the full-cycle product X. The cycle must
+  // be fully active.
+  std::vector<BoolMatrix> CyclePrefixes(PortSide side, int s, int t) const;
   bool CycleFullyActive(int s) const;
 
   ViewLabelMode mode_ = ViewLabelMode::kDefault;
@@ -103,12 +108,9 @@ class ViewLabel {
   std::array<std::vector<std::vector<WalkCache>>, 2> walk_caches_;
 
   // §5 hidden-port masks, sparse by production (-1 = nothing hidden).
-  struct HiddenPorts {
-    std::vector<std::vector<bool>> input_hidden;   // [member][port]
-    std::vector<std::vector<bool>> output_hidden;  // [member][port]
-  };
-  std::vector<int> hidden_index_;  // per production
-  std::vector<HiddenPorts> hidden_;
+  using HiddenPorts = std::array<std::vector<std::vector<bool>>, 2>;
+  std::vector<int> hidden_index_;     // per production
+  std::vector<HiddenPorts> hidden_;  // [side][member][port]
   // Overlays for on-demand computation in grouped space-efficient labels.
   std::vector<int> overlay_index_;  // per production
   std::vector<PortGraphOverlay> overlays_;

@@ -25,30 +25,24 @@ bool PathVisible(const std::vector<EdgeLabel>& path, const ViewLabel& view) {
   return true;
 }
 
+// One end of a label: its path is visible and, for a §5 grouped view, the
+// port it sits on (an output for the producer, an input for the consumer)
+// is a group-boundary port.
+bool EndVisible(PortSide side, const std::optional<PortLabel>& end,
+                const ViewLabel& view) {
+  if (!end.has_value()) return true;
+  const std::vector<EdgeLabel>& path = end->path;
+  return PathVisible(path, view) &&
+         (path.empty() || path.back().kind != EdgeLabel::Kind::kProduction ||
+          view.PortVisible(side, path.back().production,
+                           path.back().position, end->port));
+}
+
 }  // namespace
 
 bool IsItemVisible(const DataLabel& label, const ViewLabel& view) {
-  if (label.producer.has_value()) {
-    if (!PathVisible(label.producer->path, view)) return false;
-    const auto& path = label.producer->path;
-    if (!path.empty() && path.back().kind == EdgeLabel::Kind::kProduction) {
-      if (!view.OutputPortVisible(path.back().production, path.back().position,
-                                  label.producer->port)) {
-        return false;
-      }
-    }
-  }
-  if (label.consumer.has_value()) {
-    if (!PathVisible(label.consumer->path, view)) return false;
-    const auto& path = label.consumer->path;
-    if (!path.empty() && path.back().kind == EdgeLabel::Kind::kProduction) {
-      if (!view.InputPortVisible(path.back().production, path.back().position,
-                                 label.consumer->port)) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return EndVisible(PortSide::kOutputs, label.producer, view) &&
+         EndVisible(PortSide::kInputs, label.consumer, view);
 }
 
 }  // namespace fvl

@@ -4,6 +4,7 @@
 
 #include "fvl/core/label_store.h"
 #include "fvl/util/bitstream.h"
+#include "fvl/workflow/module.h"
 
 namespace fvl::net {
 namespace {
@@ -12,7 +13,6 @@ namespace {
 // inflate is bounded either by these or by the bytes actually present in
 // the payload (itself capped at kMaxFramePayload).
 constexpr uint64_t kMaxModules = uint64_t{1} << 16;
-constexpr uint64_t kMaxPorts = uint64_t{1} << 12;
 constexpr uint64_t kMaxItemId = std::numeric_limits<int>::max();
 
 Status Malformed(const char* what) {
@@ -162,7 +162,7 @@ bool DecodeView(std::string_view blob, size_t* pos, View* view) {
     if (module >= num_modules) return false;
     if (d > 0 && module <= previous_module) return false;  // sorted, unique
     previous_module = module;
-    if (rows > kMaxPorts || cols > kMaxPorts) return false;
+    if (rows > uint64_t{kMaxPorts} || cols > uint64_t{kMaxPorts}) return false;
     std::vector<bool> bits;
     if (!DecodeBools(blob, pos, &bits)) return false;
     if (bits.size() != rows * cols) return false;

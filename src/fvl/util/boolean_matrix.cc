@@ -66,6 +66,22 @@ BoolMatrix BoolMatrix::Multiply(const BoolMatrix& other) const {
   return result;
 }
 
+uint64_t BoolMatrix::Push(uint64_t rows) const {
+  FVL_DCHECK(cols_ <= kWordBits && (rows_ >= kWordBits || rows >> rows_ == 0));
+  if (cols_ == 0) return 0;  // no words to read
+  uint64_t out = 0;
+  for (; rows != 0; rows &= rows - 1) out |= bits_[std::countr_zero(rows)];
+  return out;
+}
+
+uint64_t BoolMatrix::Pull(uint64_t cols) const {
+  FVL_DCHECK(rows_ <= kWordBits && cols_ <= kWordBits);
+  if (cols_ == 0) return 0;
+  uint64_t out = 0;
+  for (int r = 0; r < rows_; ++r) out |= uint64_t{(bits_[r] & cols) != 0} << r;
+  return out;
+}
+
 BoolMatrix BoolMatrix::Transpose() const {
   BoolMatrix result(cols_, rows_);
   for (int r = 0; r < rows_; ++r) {

@@ -34,6 +34,13 @@ class BoolMatrix {
 
   // Boolean matrix product; requires cols() == other.rows().
   BoolMatrix Multiply(const BoolMatrix& other) const;
+  // Products with a set of indices held in one word (bit i = index i), read
+  // off the stored rows without building a matrix. Both need rows() and
+  // cols() <= 64.
+  //   Push: rows · M, the OR of the rows in `rows` (bits < rows() only).
+  //   Pull: M · cols, the rows whose word meets `cols`.
+  uint64_t Push(uint64_t rows) const;
+  uint64_t Pull(uint64_t cols) const;
   BoolMatrix Transpose() const;
   // Element-wise OR; requires equal dimensions.
   BoolMatrix Or(const BoolMatrix& other) const;

@@ -74,6 +74,12 @@ int64_t Grammar::Size() const {
 
 std::optional<std::string> Specification::Validate() const {
   if (auto error = grammar.Validate()) return error;
+  for (const Module& m : grammar.modules()) {
+    if (m.num_inputs > kMaxPorts || m.num_outputs > kMaxPorts) {
+      return "module " + m.name + " has more than " +
+             std::to_string(kMaxPorts) + " input or output ports";
+    }
+  }
   return deps.ValidateCoverage(grammar.modules(), grammar.AtomicModules());
 }
 

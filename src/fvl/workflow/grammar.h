@@ -74,7 +74,8 @@ struct Specification {
   Grammar grammar;
   DependencyAssignment deps;  // λ, defined for atomic modules
 
-  // Validates the grammar and λ-coverage of all atomic modules.
+  // Validates the grammar, the kMaxPorts limit on each module side and
+  // λ-coverage of all atomic modules.
   std::optional<std::string> Validate() const;
 };
 

@@ -16,6 +16,10 @@ using ProductionId = int;
 
 constexpr ModuleId kInvalidModule = -1;
 
+// Most input (and most output) ports of one module in a valid
+// specification: the decoder holds a set of one module's ports in a word.
+constexpr int kMaxPorts = 64;
+
 struct Module {
   std::string name;
   int num_inputs = 0;

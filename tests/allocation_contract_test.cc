@@ -1,8 +1,9 @@
-// Heap-allocation contracts of the label walks, checked by counting calls
-// to a replaced global operator new. A walk over every label of a store
-// (a span-cursor pass, VisibilitySweep, the decode check that opens an
-// archive) must allocate a number of times that does not grow with the
-// item count: it decodes into storage it reuses.
+// Heap-allocation contracts of the label walks and the predicate, checked
+// by counting calls to a replaced global operator new. A walk over every
+// label of a store (a span-cursor pass, VisibilitySweep, the decode check
+// that opens an archive) must allocate a number of times that does not grow
+// with the item count: it decodes into storage it reuses. A warm
+// Query-Efficient Decoder::Depends allocates nothing at all.
 //
 // The two stores are the same BioAID run frozen at about 2K and at 16K
 // items, so the small store's labels are the large store's first ones.
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -20,11 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "fvl/core/decoder.h"
 #include "fvl/core/index.h"
 #include "fvl/core/label_store.h"
 #include "fvl/core/visibility.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/blob_source.h"
+#include "fvl/util/random.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/view_generator.h"
 
@@ -219,6 +223,93 @@ TEST_F(AllocationContractTest, MapValidationAllocatesTheSameAtBothSizes) {
   });
   ASSERT_TRUE(parsed[0] && parsed[1]);
   EXPECT_EQ(small, large);
+}
+
+// π's cases, told apart by the shapes of the two labels (decoder.h's
+// numbering); 2b splits by which item sits in the deeper iteration.
+enum PiCase {
+  kCaseI,
+  kCaseII,
+  kCaseIII,
+  kCaseIV,
+  kCase1,
+  kCase2a,
+  kCase2bDeeperD2,  // i < j
+  kCase2bDeeperD1,  // i > j
+  kNumCases
+};
+
+PiCase CaseOf(const DataLabel& d1, const DataLabel& d2) {
+  if (!d1.consumer.has_value() || !d2.producer.has_value()) return kCaseI;
+  if (!d1.producer.has_value()) {
+    return d2.consumer.has_value() ? kCaseIII : kCaseII;
+  }
+  if (!d2.consumer.has_value()) return kCaseIV;
+  const std::vector<EdgeLabel>& l1 = d1.producer->path;
+  const std::vector<EdgeLabel>& l2 = d2.consumer->path;
+  size_t cp = 0;
+  while (cp < l1.size() && cp < l2.size() && l1[cp] == l2[cp]) ++cp;
+  if (cp == l1.size() || cp == l2.size()) return kCase1;
+  if (l1[cp].kind == EdgeLabel::Kind::kProduction) return kCase2a;
+  return l1[cp].iteration < l2[cp].iteration ? kCase2bDeeperD2
+                                             : kCase2bDeeperD1;
+}
+
+// Once warm, a Query-Efficient Depends reads the view label in place: a
+// second pass over a few thousand BioAID pairs allocates nothing. Every
+// case that reads the label is reached, each with a true answer, so each
+// crossing (Z, both walk directions) runs to its end.
+TEST_F(AllocationContractTest, WarmQueryEfficientDependsAllocatesNothing) {
+  CompiledView view = GenerateSafeView(workload_, ViewGeneratorOptions{});
+  ViewHandle handle = service_->RegisterView(view.view()).value();
+  Decoder pi(
+      service_->LabelOf(handle, ViewLabelMode::kQueryEfficient).value());
+  std::vector<DataLabel> labels;
+  for (int item = 0; item < large_.total_items(); ++item) {
+    labels.push_back(large_.Label(item));
+  }
+  // Random pairs, plus pairs through the run's few initial inputs and final
+  // outputs, which random pairs rarely draw (cases II to IV).
+  Rng rng(17);
+  auto random_item = [&] { return rng.NextInt(0, large_.total_items() - 1); };
+  std::vector<std::pair<int, int>> pairs;
+  for (int q = 0; q < 4000; ++q) {
+    pairs.emplace_back(random_item(), random_item());
+  }
+  std::vector<int> initial_inputs, final_outputs;
+  for (int item = 0; item < large_.total_items(); ++item) {
+    if (!labels[item].producer.has_value()) initial_inputs.push_back(item);
+    if (!labels[item].consumer.has_value()) final_outputs.push_back(item);
+  }
+  for (int a : initial_inputs) {
+    for (int b : final_outputs) pairs.emplace_back(a, b);
+    for (int q = 0; q < 50; ++q) pairs.emplace_back(a, random_item());
+  }
+  for (int b : final_outputs) {
+    for (int q = 0; q < 50; ++q) pairs.emplace_back(random_item(), b);
+  }
+
+  std::array<int, kNumCases> hits{}, trues{};
+  int expected_trues = 0;
+  for (const auto& [a, b] : pairs) {
+    const bool answer = pi.Depends(labels[a], labels[b]);
+    const PiCase c = CaseOf(labels[a], labels[b]);
+    ++hits[c];
+    trues[c] += answer;
+    expected_trues += answer;
+  }
+  int warm_trues = 0;
+  EXPECT_EQ(CountAllocations([&] {
+              for (const auto& [a, b] : pairs) {
+                warm_trues += pi.Depends(labels[a], labels[b]);
+              }
+            }),
+            0);
+  EXPECT_EQ(warm_trues, expected_trues);
+  for (PiCase c : {kCaseII, kCaseIII, kCaseIV, kCase2a, kCase2bDeeperD2,
+                   kCase2bDeeperD1}) {
+    EXPECT_GT(trues[c], 0) << "case " << c << " hits " << hits[c];
+  }
 }
 
 }  // namespace

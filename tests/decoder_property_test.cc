@@ -29,6 +29,9 @@ Workload MakeWorkloadByName(const std::string& name) {
     PaperExample ex = MakePaperExample();
     return Workload{"paper", std::move(ex.spec), {}};
   }
+  if (name == "twisted") {
+    return Workload{"twisted", testing::TwistedRingSpecification(), {}};
+  }
   SyntheticOptions options;
   options.seed = 7;
   if (name == "synthetic-small") {
@@ -161,7 +164,9 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{"synthetic-ring3", PerceivedDeps::kGreyBox, -1, 4},
         SweepParam{"synthetic-ring3", PerceivedDeps::kGreyBox, 4, 5},
         SweepParam{"synthetic-deep", PerceivedDeps::kGreyBox, -1, 6},
-        SweepParam{"synthetic-deep", PerceivedDeps::kWhiteBox, 3, 7}),
+        SweepParam{"synthetic-deep", PerceivedDeps::kWhiteBox, 3, 7},
+        SweepParam{"twisted", PerceivedDeps::kWhiteBox, -1, 1},
+        SweepParam{"twisted", PerceivedDeps::kGreyBox, -1, 2}),
     ParamName);
 
 }  // namespace

@@ -157,10 +157,10 @@ TEST(MergeDifferential, MergedLabelsAreBitIdenticalToPerRunSnapshots) {
     ASSERT_EQ(runs.merged.num_items(static_cast<int>(r)),
               runs.snapshots[r].num_items());
     for (int item = 0; item < runs.snapshots[r].num_items(); ++item) {
-      ASSERT_EQ(runs.merged.Label(static_cast<int>(r), item),
-                runs.snapshots[r].Label(item))
+      const int global = runs.merged.GlobalId(static_cast<int>(r), item);
+      ASSERT_EQ(runs.merged.Label(global), runs.snapshots[r].Label(item))
           << "run " << r << " item " << item;
-      ASSERT_EQ(runs.merged.LabelBits(static_cast<int>(r), item),
+      ASSERT_EQ(runs.merged.LabelBits(global),
                 runs.snapshots[r].LabelBits(item));
     }
   }
@@ -240,7 +240,8 @@ TEST(MergeSerialization, SelfDescribingRoundTrip) {
   for (int r = 0; r < restored->num_runs(); ++r) {
     ASSERT_EQ(restored->num_items(r), runs.merged.num_items(r));
     for (int item = 0; item < restored->num_items(r); ++item) {
-      ASSERT_EQ(restored->Label(r, item), runs.merged.Label(r, item));
+      ASSERT_EQ(restored->Label(restored->GlobalId(r, item)),
+                runs.merged.Label(runs.merged.GlobalId(r, item)));
     }
   }
   EXPECT_EQ(restored->Serialize(), blob);
@@ -776,7 +777,8 @@ TEST(MergeEdgeCases, ZeroItemRunsMergeCleanly) {
   EXPECT_EQ(merged.num_items(0), 0);
   ASSERT_EQ(merged.num_items(1), session->num_items());
   for (int item = 0; item < merged.num_items(1); ++item) {
-    ASSERT_EQ(merged.Label(1, item), snapshots[1].Label(item));
+    ASSERT_EQ(merged.Label(merged.GlobalId(1, item)),
+              snapshots[1].Label(item));
   }
   Result<ProvenanceIndex> restored =
       ProvenanceIndex::Deserialize(merged.Serialize());

@@ -40,6 +40,67 @@ TEST(ServiceErrors, InvalidSpecificationRejected) {
   EXPECT_EQ(service.code(), ErrorCode::kInvalidSpecification);
 }
 
+// S expands into three chained members of one atomic module with `ports`
+// inputs and outputs, whose λ maps input p to outputs p and p + 1 (mod
+// ports), so dependencies cross the top port.
+Specification WideSpecification(int ports) {
+  GrammarBuilder b;
+  ModuleId s = b.AddComposite("S", ports, ports);
+  ModuleId a = b.AddAtomic("a", ports, ports);
+  b.SetStart(s);
+  auto p = b.NewProduction(s);
+  const int members[] = {p.AddMember(a), p.AddMember(a), p.AddMember(a)};
+  for (int port = 0; port < ports; ++port) {
+    p.MapInput(port, members[0], port).MapOutput(port, members[2], port);
+    p.Edge(members[0], port, members[1], port);
+    p.Edge(members[1], port, members[2], port);
+  }
+  p.Build();
+  BoolMatrix deps(ports, ports);
+  for (int port = 0; port < ports; ++port) {
+    deps.Set(port, port);
+    deps.Set(port, (port + 1) % ports);
+  }
+  DependencyAssignment lambda(b.num_modules());
+  lambda.Set(a, std::move(deps));
+  return Specification{b.BuildGrammar(), std::move(lambda)};
+}
+
+// The predicate holds one module side's ports in a 64-bit word: 64 ports
+// are served, and answer as the oracle does; 65 are refused.
+TEST(ServiceErrors, ModulesWiderThanSixtyFourPortsRejected) {
+  Result<std::shared_ptr<ProvenanceService>> wide =
+      ProvenanceService::Create(WideSpecification(65));
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.code(), ErrorCode::kInvalidSpecification);
+  EXPECT_NE(wide.status().message().find("64"), std::string::npos);
+
+  auto service = ProvenanceService::Create(WideSpecification(64)).value();
+  auto session = service->GenerateLabeledRun(RunGeneratorOptions{});
+  ASSERT_EQ(session->num_items(), 4 * 64);
+  ProvenanceOracle oracle(
+      session->run(),
+      *service->CompiledRegularView(service->default_view()).value());
+  // Every pair in Query-Efficient mode; in the slower modes, every pair
+  // whose first item lies on or next to the top port.
+  for (ViewLabelMode mode :
+       {ViewLabelMode::kQueryEfficient, ViewLabelMode::kDefault,
+        ViewLabelMode::kSpaceEfficient}) {
+    for (int d1 = 0; d1 < session->num_items(); ++d1) {
+      const DataLabel label = session->Label(d1);
+      const int port = label.consumer.has_value() ? label.consumer->port
+                                                  : label.producer->port;
+      if (mode != ViewLabelMode::kQueryEfficient && port < 62) continue;
+      for (int d2 = 0; d2 < session->num_items(); ++d2) {
+        ASSERT_EQ(session->Depends(service->default_view(), d1, d2, mode)
+                      .value(),
+                  oracle.Depends(d1, d2))
+            << ToString(mode) << " d1=" << d1 << " d2=" << d2;
+      }
+    }
+  }
+}
+
 TEST(ServiceErrors, ImproperGrammarRejected) {
   // S -> [S] only: S is unproductive, so the grammar is not proper.
   GrammarBuilder b;

@@ -15,6 +15,7 @@
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/boolean_matrix.h"
 #include "fvl/util/check.h"
+#include "fvl/workflow/grammar_builder.h"
 
 namespace fvl::testing {
 
@@ -30,6 +31,50 @@ inline BoolMatrix Mat(const std::vector<std::string>& rows) {
     }
   }
   return m;
+}
+
+// A two-member recursion A -> B -> A whose walk factors do not commute. A
+// expands to [n, B, m]: n (λ lower triangular) feeds B, which feeds m (λ
+// upper triangular). B expands to [A] with both its inputs and its outputs
+// swapped. The atomic a and b end the recursion with complete λ. The cycles
+// of the library's workloads happen to commute, so a walk that takes its
+// factors in the wrong order answers correctly there, but not here.
+inline Specification TwistedRingSpecification() {
+  GrammarBuilder b;
+  ModuleId s = b.AddComposite("S", 2, 2);
+  ModuleId ring_a = b.AddComposite("A", 2, 2);
+  ModuleId ring_b = b.AddComposite("B", 2, 2);
+  ModuleId n = b.AddAtomic("n", 2, 2);
+  ModuleId m = b.AddAtomic("m", 2, 2);
+  ModuleId a = b.AddAtomic("a", 2, 2);
+  ModuleId end_b = b.AddAtomic("b", 2, 2);
+  b.SetStart(s);
+  // lhs -> [member], port p to port p, or to port 1 - p when `swap`.
+  auto single = [&](ModuleId lhs, ModuleId member, bool swap) {
+    auto p = b.NewProduction(lhs);
+    int x = p.AddMember(member);
+    for (int port = 0; port < 2; ++port) {
+      const int inner = swap ? 1 - port : port;
+      p.MapInput(port, x, inner).MapOutput(port, x, inner);
+    }
+    p.Build();
+  };
+  single(s, ring_a, false);
+  auto p = b.NewProduction(ring_a);
+  const int pn = p.AddMember(n), pb = p.AddMember(ring_b), pm = p.AddMember(m);
+  for (int port = 0; port < 2; ++port) {
+    p.MapInput(port, pn, port).MapOutput(port, pm, port);
+    p.Edge(pn, port, pb, port).Edge(pb, port, pm, port);
+  }
+  p.Build();
+  single(ring_a, a, false);
+  single(ring_b, ring_a, true);
+  single(ring_b, end_b, false);
+  b.SetDeps(n, Mat({"10", "11"}));
+  b.SetDeps(m, Mat({"11", "01"}));
+  b.SetCompleteDeps(a);
+  b.SetCompleteDeps(end_b);
+  return b.BuildSpecification();
 }
 
 // Expands every remaining frontier instance with its cheapest terminating

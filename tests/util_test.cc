@@ -102,6 +102,26 @@ TEST(BoolMatrix, OrAndSubset) {
   EXPECT_FALSE(a.Or(b).IsSubsetOf(a));
 }
 
+// Push ORs the rows in a set; Pull keeps the rows that meet a set.
+TEST(BoolMatrix, PushAndPullMatchTheProductWithAUnitVector) {
+  BoolMatrix a = Mat({"110", "001", "000"});
+  EXPECT_EQ(a.Push(0b001), 0b011u);
+  EXPECT_EQ(a.Push(0b011), 0b111u);
+  EXPECT_EQ(a.Push(0b100), 0u);
+  EXPECT_EQ(a.Pull(0b010), 0b001u);
+  EXPECT_EQ(a.Pull(0b101), 0b011u);
+  EXPECT_EQ(a.Pull(0), 0u);
+  // A 64-wide matrix uses every bit of the word.
+  BoolMatrix wide(64, 64);
+  wide.Set(63, 0);
+  wide.Set(0, 63);
+  EXPECT_EQ(wide.Push(uint64_t{1} << 63), 1u);
+  EXPECT_EQ(wide.Pull(uint64_t{1} << 63), 1u);
+  EXPECT_EQ(wide.Pull(1), uint64_t{1} << 63);
+  EXPECT_EQ(BoolMatrix(3, 0).Push(0b111), 0u);
+  EXPECT_EQ(BoolMatrix(3, 0).Pull(0b111), 0u);
+}
+
 TEST(BoolMatrix, RowColAnyAndCount) {
   BoolMatrix a = Mat({"010", "000"});
   EXPECT_TRUE(a.RowAny(0));
