@@ -32,8 +32,19 @@
 // snapshot_total_ms grows with the checkpoint count × run size;
 // reassemble_ms is the one-time FromDeltas cost of rebuilding the full
 // index from the deltas (bit-identical to Snapshot(), checked live).
+//
+// A third table measures what a live session costs: session_bytes_per_item
+// is the heap a server-style session holds (BeginRun, then one Apply per
+// step) per item of its run, read as the change in malloc's in-use bytes
+// (uordblks + hblkhd) over building and holding several sessions of the
+// same run. It counts the run, the labeler's frontier and the label store
+// together; the frozen index costs only the store's arena and offsets
+// (bytes_per_label).
+
+#include <malloc.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "fvl/service/provenance_service.h"
@@ -42,6 +53,12 @@ namespace fvl::bench {
 namespace {
 
 volatile long benchmark_sink = 0;
+
+// Bytes malloc has handed out and not had back, mmapped blocks included.
+double HeapInUseBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
 
 void Main(const BenchConfig& config) {
   // Opened up front: a bad --json path must fail before the run, not after.
@@ -186,8 +203,38 @@ void Main(const BenchConfig& config) {
       "full Snapshot() copies (O(run) each) vs SnapshotDelta (O(delta) "
       "each), plus the one-time FromDeltas reassembly (BioAID)");
 
+  // Session memory: about 128K held items per row, in sessions built the
+  // way a server builds them, from a run generated beforehand.
+  TablePrinter memory_table({"run_size", "sessions", "session_bytes_per_item"});
+  for (int size : {4000, 64000}) {
+    RunGeneratorOptions run_options;
+    run_options.target_items = size;
+    run_options.seed = size;
+    const Run run = GenerateRandomRun(service->grammar(), run_options);
+    const int sessions = 128000 / size;
+    std::vector<std::shared_ptr<ProvenanceSession>> held;
+    held.reserve(sessions);
+    const double before = HeapInUseBytes();
+    for (int i = 0; i < sessions; ++i) {
+      held.push_back(service->BeginRun());
+      for (int s = 0; s < run.num_steps(); ++s) {
+        FVL_CHECK(held.back()->Apply(run.step(s).instance,
+                                     run.step(s).production).ok());
+      }
+    }
+    const double per_item =
+        (HeapInUseBytes() - before) / sessions / run.num_items();
+    memory_table.AddRow({std::to_string(size),
+                         std::to_string(sessions),
+                         TablePrinter::Num(per_item, 1)});
+  }
+  memory_table.Print(
+      "live session memory: heap held per item by sessions built with "
+      "BeginRun + Apply (BioAID)");
+
   report.Add("query_throughput", table);
   report.Add("incremental_checkpointing", checkpoint_table);
+  report.Add("session_memory", memory_table);
   report.Write();
 }
 

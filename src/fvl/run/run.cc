@@ -10,19 +10,14 @@ Run::Run(const Grammar* grammar) : grammar_(grammar) {
   ModuleInstance root;
   root.id = 0;
   root.type = grammar_->start();
-  instances_.push_back(root);
-  expanded_.push_back(false);
-  frontier_.push_back(0);
-  frontier_position_.push_back(0);
+  AddInstance(root);  // composite (Grammar::Validate), so on the frontier
 
-  input_items_.emplace_back();
-  output_items_.emplace_back();
   for (int port = 0; port < start.num_inputs; ++port) {
     DataItem item;
     item.id = num_items();
     item.consumer_instance = 0;
     item.consumer_port = port;
-    input_items_[0].push_back(item.id);
+    InputSlot(0, port) = item.id;
     items_.push_back(item);
   }
   for (int port = 0; port < start.num_outputs; ++port) {
@@ -30,9 +25,22 @@ Run::Run(const Grammar* grammar) : grammar_(grammar) {
     item.id = num_items();
     item.producer_instance = 0;
     item.producer_port = port;
-    output_items_[0].push_back(item.id);
+    OutputSlot(0, port) = item.id;
     items_.push_back(item);
   }
+}
+
+void Run::AddInstance(ModuleInstance instance) {
+  const Module& module = grammar_->module(instance.type);
+  port_base_.push_back(static_cast<int>(ports_.size()));
+  ports_.resize(ports_.size() + module.num_inputs + module.num_outputs, -1);
+  expanded_.push_back(false);
+  frontier_position_.push_back(-1);
+  if (grammar_->is_composite(instance.type)) {
+    frontier_position_.back() = static_cast<int>(frontier_.size());
+    frontier_.push_back(instance.id);
+  }
+  instances_.push_back(instance);
 }
 
 const DerivationStep& Run::Apply(int instance, ProductionId production) {
@@ -57,16 +65,7 @@ const DerivationStep& Run::Apply(int instance, ProductionId production) {
     child.type = w.members[pos];
     child.creation_step = step.index;
     child.position = pos;
-    instances_.push_back(child);
-    expanded_.push_back(false);
-    frontier_position_.push_back(-1);
-    const Module& module = grammar_->module(child.type);
-    input_items_.emplace_back(module.num_inputs, -1);
-    output_items_.emplace_back(module.num_outputs, -1);
-    if (grammar_->is_composite(child.type)) {
-      frontier_position_[child.id] = static_cast<int>(frontier_.size());
-      frontier_.push_back(child.id);
-    }
+    AddInstance(child);
   }
 
   // New items, one per rhs data edge.
@@ -78,21 +77,21 @@ const DerivationStep& Run::Apply(int instance, ProductionId production) {
     item.consumer_instance = step.first_child + e.dst.member;
     item.consumer_port = e.dst.port;
     items_.push_back(item);
-    output_items_[item.producer_instance][item.producer_port] = item.id;
-    input_items_[item.consumer_instance][item.consumer_port] = item.id;
+    OutputSlot(item.producer_instance, item.producer_port) = item.id;
+    InputSlot(item.consumer_instance, item.consumer_port) = item.id;
   }
 
   // Rewire the expanded instance's adjacent items to the children (creation
   // records of those items are untouched).
   for (int x = 0; x < static_cast<int>(w.initial_inputs.size()); ++x) {
     const PortRef& target = w.initial_inputs[x];
-    int item_id = input_items_[instance][x];
-    input_items_[step.first_child + target.member][target.port] = item_id;
+    InputSlot(step.first_child + target.member, target.port) =
+        InputSlot(instance, x);
   }
   for (int y = 0; y < static_cast<int>(w.final_outputs.size()); ++y) {
     const PortRef& source = w.final_outputs[y];
-    int item_id = output_items_[instance][y];
-    output_items_[step.first_child + source.member][source.port] = item_id;
+    OutputSlot(step.first_child + source.member, source.port) =
+        OutputSlot(instance, y);
   }
 
   // Frontier maintenance (swap-remove).

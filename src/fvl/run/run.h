@@ -15,6 +15,7 @@
 #ifndef FVL_RUN_RUN_H_
 #define FVL_RUN_RUN_H_
 
+#include <span>
 #include <vector>
 
 #include "fvl/workflow/grammar.h"
@@ -72,12 +73,16 @@ class Run {
 
   // Item ids wired to the instance's ports at its creation time, in port
   // order. (For the start instance: the run's initial inputs / final
-  // outputs.)
-  const std::vector<int>& InputItems(int instance) const {
-    return input_items_[instance];
+  // outputs.) Views into the run's one port table: a later Apply may
+  // reallocate it.
+  std::span<const int> InputItems(int instance) const {
+    return {ports_.data() + port_base_[instance],
+            static_cast<size_t>(ModuleOf(instance).num_inputs)};
   }
-  const std::vector<int>& OutputItems(int instance) const {
-    return output_items_[instance];
+  std::span<const int> OutputItems(int instance) const {
+    const Module& module = ModuleOf(instance);
+    return {ports_.data() + port_base_[instance] + module.num_inputs,
+            static_cast<size_t>(module.num_outputs)};
   }
 
   bool IsExpanded(int instance) const { return expanded_[instance]; }
@@ -91,12 +96,26 @@ class Run {
   const DerivationStep& Apply(int instance, ProductionId production);
 
  private:
+  const Module& ModuleOf(int instance) const {
+    return grammar_->module(instances_[instance].type);
+  }
+  // Appends an instance with its ports unwired (-1).
+  void AddInstance(ModuleInstance instance);
+  int& InputSlot(int instance, int port) {
+    return ports_[port_base_[instance] + port];
+  }
+  int& OutputSlot(int instance, int port) {
+    return ports_[port_base_[instance] + ModuleOf(instance).num_inputs + port];
+  }
+
   const Grammar* grammar_;
   std::vector<ModuleInstance> instances_;
   std::vector<DataItem> items_;
   std::vector<DerivationStep> steps_;
-  std::vector<std::vector<int>> input_items_;
-  std::vector<std::vector<int>> output_items_;
+  // Every instance's input item ids then output item ids, in instance
+  // order; instance i's start at port_base_[i].
+  std::vector<int> ports_;
+  std::vector<int> port_base_;
   std::vector<bool> expanded_;
   std::vector<int> frontier_;
   std::vector<int> frontier_position_;  // per instance, -1 if not on frontier

@@ -304,7 +304,7 @@ Result<std::vector<bool>> ProvenanceService::DependsMany(
 bool ProvenanceService::LabelInBounds(const DataLabel& label) const {
   const Grammar& grammar = spec_->grammar;
   // Walks one side's path from the root, tracking the module each edge
-  // lands on (exactly how CompressedParseTree assigns paths), so every
+  // lands on (exactly how RunLabeler::OnApply extends paths), so every
   // field is validated against the grammar tables the decoder will index
   // with it — and the final port against the arity of the module that
   // created it, not the global maximum.

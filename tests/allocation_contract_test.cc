@@ -10,6 +10,11 @@
 // Whatever a walk allocates while its reused label grows to the deepest
 // path therefore happens identically at both sizes, and any allocation per
 // label shows as a difference of about 14K.
+//
+// Building a run holds to a contract of the same kind: a live session keeps
+// the same number of heap blocks at both sizes, because it keeps paths only
+// for the frontier and the run's tables are flat vectors; and a warm
+// RunLabeler::OnApply allocates only when one of those vectors grows.
 
 #include <gtest/gtest.h>
 
@@ -35,10 +40,16 @@
 namespace {
 
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_releases{0};
 
 [[gnu::noinline]] void* CountedAllocate(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
+}
+
+[[gnu::noinline]] void CountedRelease(void* p) {
+  if (p != nullptr) g_releases.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
 }
 
 }  // namespace
@@ -59,21 +70,23 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return CountedAllocate(size);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { CountedRelease(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
+  CountedRelease(p);
+}
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  CountedRelease(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
+  CountedRelease(p);
 }
 [[gnu::noinline]] void operator delete(void* p,
                                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedRelease(p);
 }
 [[gnu::noinline]] void operator delete[](void* p,
                                          const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedRelease(p);
 }
 
 namespace fvl {
@@ -87,6 +100,19 @@ int64_t CountAllocations(Fn&& fn) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
+// Heap blocks allocated and not yet released.
+int64_t LiveBlocks() {
+  return g_allocations.load(std::memory_order_relaxed) -
+         g_releases.load(std::memory_order_relaxed);
+}
+
+RunGeneratorOptions RunOptions(int items) {
+  RunGeneratorOptions options;
+  options.target_items = items;
+  options.seed = 5;
+  return options;
+}
+
 class AllocationContractTest : public ::testing::Test {
  protected:
   static constexpr int kSmallItems = 2000;
@@ -94,19 +120,20 @@ class AllocationContractTest : public ::testing::Test {
 
   AllocationContractTest()
       : workload_(MakeBioAid(2012)),
-        service_(ProvenanceService::Create(workload_.spec).value()) {
-    RunGeneratorOptions options;
-    options.target_items = kLargeItems;
-    options.seed = 5;
-    ::fvl::Run run = GenerateRandomRun(workload_.spec.grammar, options);
+        service_(ProvenanceService::Create(workload_.spec).value()),
+        run_(GenerateRandomRun(workload_.spec.grammar,
+                               RunOptions(kLargeItems))) {
     RunLabeler labeler = service_->MakeRunLabeler();
-    labeler.OnStart(run);
+    labeler.OnStart(run_);
     int step = 0;
     for (; labeler.num_labels() < kSmallItems; ++step) {
-      labeler.OnApply(run, run.step(step));
+      labeler.OnApply(run_, run_.step(step));
     }
+    small_steps_ = step;
     small_ = ProvenanceIndex(labeler.store());
-    for (; step < run.num_steps(); ++step) labeler.OnApply(run, run.step(step));
+    for (; step < run_.num_steps(); ++step) {
+      labeler.OnApply(run_, run_.step(step));
+    }
     large_ = ProvenanceIndex(labeler.store());
   }
 
@@ -120,6 +147,9 @@ class AllocationContractTest : public ::testing::Test {
 
   Workload workload_;
   std::shared_ptr<ProvenanceService> service_;
+  // The run behind both stores; its first small_steps_ steps make small_.
+  ::fvl::Run run_;
+  int small_steps_ = 0;
   ProvenanceIndex small_, large_;
 };
 
@@ -223,6 +253,47 @@ TEST_F(AllocationContractTest, MapValidationAllocatesTheSameAtBothSizes) {
   });
   ASSERT_TRUE(parsed[0] && parsed[1]);
   EXPECT_EQ(small, large);
+}
+
+// A session built step by step, as a server builds one, holds as many heap
+// blocks at 16K items as at 2K: the run's tables, the labeler's frontier
+// paths and the label store are each one block, whatever their length.
+// Per-instance blocks (a path or a port list each) would show as a
+// difference in the thousands.
+TEST_F(AllocationContractTest, SessionHoldsTheSameBlocksAtBothSizes) {
+  int64_t held[2] = {0, 0};
+  const int steps[2] = {small_steps_, run_.num_steps()};
+  for (int size = 0; size < 2; ++size) {
+    const int64_t before = LiveBlocks();
+    std::shared_ptr<ProvenanceSession> session = service_->BeginRun();
+    for (int s = 0; s < steps[size]; ++s) {
+      ASSERT_TRUE(
+          session->Apply(run_.step(s).instance, run_.step(s).production).ok());
+    }
+    held[size] = LiveBlocks() - before;
+  }
+  EXPECT_GT(held[0], 0);
+  EXPECT_LE(std::abs(held[1] - held[0]), 2)
+      << "blocks held at " << small_.total_items() << " items: " << held[0]
+      << ", at " << large_.total_items() << ": " << held[1];
+}
+
+// Once warm, RunLabeler::OnApply allocates only when one of the labeler's
+// or the store's vectors grows: O(log n) times over n items, not once per
+// instance. Growing from 2K to 16K items doubles each vector about three
+// times.
+TEST_F(AllocationContractTest, WarmOnApplyAllocatesOnlyToGrow) {
+  RunLabeler labeler = service_->MakeRunLabeler();
+  labeler.OnStart(run_);
+  for (int s = 0; s < small_steps_; ++s) labeler.OnApply(run_, run_.step(s));
+  const int64_t allocations = CountAllocations([&] {
+    for (int s = small_steps_; s < run_.num_steps(); ++s) {
+      labeler.OnApply(run_, run_.step(s));
+    }
+  });
+  EXPECT_LE(allocations, 40) << "over " << run_.num_steps() - small_steps_
+                             << " steps";
+  EXPECT_EQ(labeler.store().total_items(), large_.total_items());
 }
 
 // π's cases, told apart by the shapes of the two labels (decoder.h's

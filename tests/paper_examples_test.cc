@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <vector>
+
 #include "fvl/core/decoder.h"
 #include "fvl/core/run_labeler.h"
 #include "fvl/service/provenance_service.h"
@@ -229,49 +233,86 @@ TEST_F(PaperExampleTest, ImproperViewRejected) {
 
 // ----- Compressed parse tree and data labels (Figures 13/14, Example 15).
 
+// The compressed-parse-tree path of `instance` (Fig. 14), read off the
+// labels of the items adjacent to it at creation: an item's producer
+// (consumer) side carries the path of the instance that created it. Every
+// such side must carry the same path.
+std::vector<EdgeLabel> PathOf(const ::fvl::Run& run, const RunLabeler& labeler,
+                              int instance) {
+  std::vector<std::vector<EdgeLabel>> sides;
+  for (int item = 0; item < run.num_items(); ++item) {
+    const DataLabel label = labeler.Label(item);
+    if (run.item(item).producer_instance == instance) {
+      sides.push_back(label.producer->path);
+    }
+    if (run.item(item).consumer_instance == instance) {
+      sides.push_back(label.consumer->path);
+    }
+  }
+  EXPECT_FALSE(sides.empty()) << "no item adjacent to instance " << instance;
+  for (const std::vector<EdgeLabel>& side : sides) {
+    EXPECT_EQ(side, sides.front()) << "instance " << instance;
+  }
+  return sides.empty() ? std::vector<EdgeLabel>{} : sides.front();
+}
+
 TEST_F(PaperExampleTest, CompressedParseTreeShape) {
   Fig3Run fig3 = DeriveFig3();
-  const CompressedParseTree& tree = fig3.labeler.tree();
+  auto path_of = [&](int instance) {
+    return PathOf(fig3.run, fig3.labeler, instance);
+  };
+  auto extend = [](std::vector<EdgeLabel> path,
+                   std::initializer_list<EdgeLabel> edges) {
+    path.insert(path.end(), edges);
+    return path;
+  };
 
-  // S is not recursive: the root is the module node of S:1.
-  const ParseNode& root = tree.node(tree.root());
-  EXPECT_EQ(root.kind, ParseNode::Kind::kModule);
-  EXPECT_EQ(root.instance, fig3.run.start_instance());
-  EXPECT_TRUE(root.path.empty());
+  // S is not recursive: S:1 is the root, with the empty path.
+  EXPECT_TRUE(path_of(fig3.run.start_instance()).empty());
 
-  // A:1, B:1, A:2, B:2, A:3 are flattened under one recursive node.
-  int nA1 = tree.NodeOfInstance(fig3.A1);
-  int nA3 = tree.NodeOfInstance(fig3.A3);
-  int nB2 = tree.NodeOfInstance(fig3.B2);
-  EXPECT_EQ(tree.node(nA1).parent, tree.node(nA3).parent);
-  EXPECT_EQ(tree.node(nA1).parent, tree.node(nB2).parent);
-  const ParseNode& rec = tree.node(tree.node(nA1).parent);
-  EXPECT_EQ(rec.kind, ParseNode::Kind::kRecursive);
-  EXPECT_EQ(rec.cycle, 0);
-  EXPECT_EQ(rec.start, 0);
-  EXPECT_EQ(rec.num_children, 5);
+  // A:1, B:1, A:2, B:2, A:3 are flattened under one recursive node, the
+  // child (1,3) of the root: children 1..5 of cycle 0 unfolded from its
+  // edge 0.
+  const std::vector<EdgeLabel> rec = {EdgeLabel::Prod(ex_.p[0], 2)};
+  const int siblings[] = {fig3.A1, fig3.B1, fig3.A2, fig3.B2, fig3.A3};
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(path_of(siblings[i]), extend(rec, {EdgeLabel::Rec(0, 0, i + 1)}))
+        << "sibling " << i + 1;
+  }
+  // ... and it has no sixth child: no label reaches past iteration 5 of
+  // cycle 0.
+  int last_iteration = 0;
+  for (int item = 0; item < fig3.labeler.num_labels(); ++item) {
+    const DataLabel label = fig3.labeler.Label(item);
+    for (const auto& side : {label.producer, label.consumer}) {
+      if (!side.has_value()) continue;
+      for (const EdgeLabel& e : side->path) {
+        if (e.kind == EdgeLabel::Kind::kRecursion && e.cycle == 0) {
+          last_iteration = std::max(last_iteration, e.iteration);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(last_iteration, 5);
 
   // Edge-label paths (paper Figure 14, 1-based (1,3),(1,1,5),(3,2)).
-  EXPECT_EQ(tree.node(nA3).path,
-            (std::vector<EdgeLabel>{EdgeLabel::Prod(ex_.p[0], 2),
-                                    EdgeLabel::Rec(0, 0, 5)}));
-  int nC4 = tree.NodeOfInstance(fig3.C4);
-  EXPECT_EQ(tree.node(nC4).path,
-            (std::vector<EdgeLabel>{EdgeLabel::Prod(ex_.p[0], 2),
-                                    EdgeLabel::Rec(0, 0, 5),
-                                    EdgeLabel::Prod(ex_.p[2], 1)}));
+  const std::vector<EdgeLabel> a3 = extend(rec, {EdgeLabel::Rec(0, 0, 5)});
+  EXPECT_EQ(path_of(fig3.A3), a3);
+  const std::vector<EdgeLabel> c4 = extend(a3, {EdgeLabel::Prod(ex_.p[2], 1)});
+  EXPECT_EQ(path_of(fig3.C4), c4);
 
-  // D:1..D:3 under C:4's recursive child node, labels (2,1,i).
-  int nD1 = tree.NodeOfInstance(fig3.D1);
-  int nD3 = tree.NodeOfInstance(fig3.D3);
-  EXPECT_EQ(tree.node(nD1).parent, tree.node(nD3).parent);
-  const ParseNode& rec2 = tree.node(tree.node(nD1).parent);
-  EXPECT_EQ(rec2.kind, ParseNode::Kind::kRecursive);
-  EXPECT_EQ(rec2.cycle, 1);
-  EXPECT_EQ(tree.node(nD3).path.back(), EdgeLabel::Rec(1, 0, 3));
+  // D:1..D:3 under C:4's recursive child node (5,2), labels (2,1,i).
+  const std::vector<EdgeLabel> rec2 =
+      extend(c4, {EdgeLabel::Prod(ex_.p[4], 1)});
+  const int loop[] = {fig3.D1, fig3.D2, fig3.D3};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(path_of(loop[i]), extend(rec2, {EdgeLabel::Rec(1, 0, i + 1)}))
+        << "D:" << i + 1;
+  }
 
-  // Lemma 4: depth <= 2|Δ|.
-  EXPECT_LE(tree.max_depth(), 2 * 6);
+  // Lemma 4: depth <= 2|Δ|. D:3's children sit one edge below D:3.
+  EXPECT_EQ(fig3.labeler.max_depth(), static_cast<int>(rec2.size()) + 2);
+  EXPECT_LE(fig3.labeler.max_depth(), 2 * 6);
 }
 
 TEST_F(PaperExampleTest, Example15DataLabel) {

@@ -420,7 +420,7 @@ TEST(ServiceBatch, SnapshotRoundTripsWithoutACodec) {
 }
 
 // Walks a port-label path to the module that created the port, mirroring
-// how CompressedParseTree assigns paths (and how the service's untrusted-
+// how RunLabeler extends paths (and how the service's untrusted-
 // label boundary check resolves modules).
 ModuleId ModuleAtPathEnd(const ProvenanceService& service,
                          const std::vector<EdgeLabel>& path) {

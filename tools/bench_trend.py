@@ -20,6 +20,9 @@ Tracked metrics (direction matters):
                                           bench_fig21_multiview_space)
   index_bytes         lower is better    (bench_fig17_label_length,
                                           bench_fig21_multiview_space)
+  session_bytes_per_item
+                      lower is better    (bench_service_throughput, table
+                                          "session_memory")
 
 A tracked metric that the baseline row has but the current artifact lost is
 a hard failure (exit 2), not a silent skip: a bench rename or a dropped
@@ -56,13 +59,14 @@ TRACKED = {
     "index_bytes": False,
     "mapped_qps": True,    # bench_mmap_serve: warm mmap-served throughput
     "compact_ms": False,   # bench_mmap_serve: CompactFiles wall time
+    "session_bytes_per_item": False,  # bench_service_throughput
 }
 
 # Columns that identify a row's configuration across commits. Everything
 # else in a row is a measured value and would never reproduce exactly, so
 # it must not take part in row matching.
 ID_COLUMNS = {"runs", "total_items", "run_size", "checkpoints", "queries",
-              "mix", "dist", "threads", "num_views"}
+              "mix", "dist", "threads", "num_views", "sessions"}
 
 # Measured columns the gate deliberately does not track (too noisy, or
 # redundant with a tracked metric). Every column a bench emits must appear

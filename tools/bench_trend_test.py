@@ -131,6 +131,24 @@ class BenchTrendTest(unittest.TestCase):
         code, out = run_gate(current, baseline)
         self.assertEqual(code, 0, out)
 
+    def test_session_memory_growth_fails(self):
+        # session_bytes_per_item is lower-better: a session that holds more
+        # heap per item fails the gate, one that holds less passes.
+        baseline_row = {"run_size": 4000, "sessions": 32,
+                        "session_bytes_per_item": 70.0}
+        current, baseline = self.dirs(
+            [baseline_row],
+            [dict(baseline_row, session_bytes_per_item=210.0)])
+        code, out = run_gate(current, baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("REGRESSION", out)
+        self.assertIn("session_bytes_per_item", out)
+        current, baseline = self.dirs(
+            [baseline_row],
+            [dict(baseline_row, session_bytes_per_item=60.0)])
+        code, out = run_gate(current, baseline)
+        self.assertEqual(code, 0, out)
+
     def test_new_row_shape_is_not_a_regression(self):
         current, baseline = self.dirs(
             [{"mix": "a", "snapshot_delta_ms": 10.0}],
