@@ -20,8 +20,9 @@
 //     its label cache starts cold (the batch-decode path);
 //   * cached_qps / hit_rate — the same batch replayed against the
 //     snapshot's label cache, warmed by one priming pass: hot items skip
-//     decode and vetting. hit_rate is the label cache's hit fraction
-//     accumulated on this snapshot.
+//     decode, and every item skips vetting once its index is admitted.
+//     hit_rate is the label cache's hit fraction accumulated on this
+//     snapshot.
 //
 // A second table measures the incremental-checkpointing path of long
 // executions (§2.3): a run is replayed step by step and frozen at 10

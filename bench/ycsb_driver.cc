@@ -24,7 +24,8 @@
 // qps >= uniform qps at equal thread counts. The hit_rate column is the
 // snapshot label cache's hit fraction over the cell (from the in-process
 // ProvenanceServer::stats() before and after it): low for uniform keys,
-// high for zipfian, where hot items skip decode and vetting.
+// high for zipfian, where hot items skip decode (every item skips vetting
+// once its index is admitted).
 //
 // Latency: every point query's latency is measured from its window's
 // flush to its answer's arrival (closed-loop pipelined clients — later

@@ -20,11 +20,11 @@
 // set, so π conservatively returns false (use visibility.h to distinguish).
 // On a Query-Efficient label π allocates nothing.
 //
-// Both labels must lie inside the grammar (ProvenanceService vets untrusted
-// ones with LabelInBounds); matrix words are read unchecked. π is defined
-// over two labels of one run. For labels of two runs of one specification
-// the answer is unspecified, but the call returns: paths that fork where
-// the runs expanded a module differently answer false.
+// Both labels must lie inside the grammar (ProvenanceService vets them
+// until it admits their index); matrix words are read unchecked. π is
+// defined over two labels of one run. For labels of two runs of one
+// specification the answer is unspecified, but the call returns: paths
+// that fork where the runs expanded a module differently answer false.
 //
 // MatrixFreeDecoder is the §6.4 specialization for black-box views, where
 // every matrix is complete or empty and the predicate reduces to one

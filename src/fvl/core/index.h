@@ -90,11 +90,11 @@ class ProvenanceIndex {
   int64_t LabelBits(int global) const { return store_.LabelBits(global); }
 
   // The snapshot-lifetime serving cache (core/serving_cache.h): decoded
-  // labels keyed by flat ids, shared by copies of this index and freed
-  // with the last one — invalidation is the destructor. Null only for an
-  // index without items. The store is frozen, so entries never go stale;
-  // ProvenanceService::DependsMany is its only reader. A fresh index over
-  // the same store, ProvenanceIndex(index.store()), starts with a cold one.
+  // labels by flat id plus the admission record, shared by copies of this
+  // index and freed with the last one (invalidation is the destructor);
+  // null only for an index without items. The store is frozen, so entries
+  // never go stale. ProvenanceIndex(index.store()) is a fresh index over
+  // the same store with a cold, unadmitted cache.
   ServingCache* serving_cache() const { return cache_.get(); }
 
   // Stable little-endian binary format, self-describing (codec widths in

@@ -19,12 +19,11 @@ constexpr uint8_t kMaxFreq = 3;
 
 // The key's hash: its shard is hash % shards, its slot within the shard
 // (hash / shards) % slots per shard.
-uint64_t Hash(uint64_t service_tag, int item) {
-  uint64_t x = service_tag * 1099511628211ull ^ static_cast<uint32_t>(item);
+uint64_t Hash(int item) {
   // SplitMix64 finalizer: without it, consecutive items would differ only
   // in their low bits, so they would crowd shard (item % shards) and the
   // high bits used for slot selection would barely move.
-  x += 0x9e3779b97f4a7c15ull;
+  uint64_t x = static_cast<uint32_t>(item) + 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
@@ -53,9 +52,8 @@ int ServingCache::allocated_slots() const {
   return total;
 }
 
-bool ServingCache::LookupLabel(uint64_t service_tag, int item,
-                               DataLabel* out) const {
-  const uint64_t h = Hash(service_tag, item);
+bool ServingCache::LookupLabel(int item, DataLabel* out) const {
+  const uint64_t h = Hash(item);
   Shard& shard = *shards_[h % shards_.size()];
   MutexLock lock(&shard.mu);
   if (shard.slots.empty()) {  // never inserted into (or zero capacity)
@@ -63,7 +61,7 @@ bool ServingCache::LookupLabel(uint64_t service_tag, int item,
     return false;
   }
   Slot& slot = shard.slots[(h / shards_.size()) % slots_per_shard_];
-  if (slot.occupied && slot.service_tag == service_tag && slot.item == item) {
+  if (slot.occupied && slot.item == item) {
     *out = slot.label;
     if (slot.freq < kMaxFreq) ++slot.freq;
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -73,15 +71,14 @@ bool ServingCache::LookupLabel(uint64_t service_tag, int item,
   return false;
 }
 
-void ServingCache::InsertLabel(uint64_t service_tag, int item,
-                               const DataLabel& label) {
+void ServingCache::InsertLabel(int item, const DataLabel& label) {
   if (slots_per_shard_ == 0) return;
-  const uint64_t h = Hash(service_tag, item);
+  const uint64_t h = Hash(item);
   Shard& shard = *shards_[h % shards_.size()];
   MutexLock lock(&shard.mu);
   if (shard.slots.empty()) shard.slots.resize(slots_per_shard_);
   Slot& slot = shard.slots[(h / shards_.size()) % slots_per_shard_];
-  if (slot.occupied && slot.service_tag == service_tag && slot.item == item) {
+  if (slot.occupied && slot.item == item) {
     slot.label = label;
     if (slot.freq < kMaxFreq) ++slot.freq;
     return;
@@ -91,7 +88,6 @@ void ServingCache::InsertLabel(uint64_t service_tag, int item,
     return;
   }
   slot.occupied = true;
-  slot.service_tag = service_tag;
   slot.item = item;
   slot.label = label;
   slot.freq = 1;

@@ -1,29 +1,26 @@
 // ServingCache — the skew-aware serving layer owned by a frozen index.
 //
 // One bounded cache scoped to one immutable snapshot: decoded labels keyed
-// by (service tag, item id), so a hot item's label is decoded from the bit
-// arena once per snapshot instead of once per batch. Only point-query
-// batches (ProvenanceService::DependsMany) consult it. A visibility sweep
-// touches every item once, so it could hit at most capacity/N of the time
-// and would only evict the point-query hot set; sweeps decode through
-// their own cursor and leave the cache alone. The predicate runs in
-// constant time on two decoded labels, so there is no memo of its
-// answers: a memo could only save the decode, which this cache already
-// saves.
+// by item id, so a hot item's label is decoded from the bit arena once per
+// snapshot instead of once per batch. Only point-query batches
+// (ProvenanceService::DependsMany) consult it. A visibility sweep touches
+// every item once, so it could hit at most capacity/N of the time and
+// would only evict the point-query hot set; sweeps decode through their
+// own cursor and leave the cache alone. The predicate runs in constant
+// time on two decoded labels, so there is no memo of its answers: a memo
+// could only save the decode, which this cache already saves.
 //
 // Ownership is the whole invalidation story: the cache lives inside the
 // ProvenanceIndex it serves (shared by copies of that index) and dies
 // with the snapshot. The underlying store is frozen,
 // so entries can never go stale — there is no invalidate path at all.
 //
-// Correctness by construction (relied on by the differential tests):
-// labels enter the cache only after ProvenanceService::LabelInBounds
-// vetting, and the cache key carries the tag of the service that vetted
-// them — LabelInBounds walks the *service's* grammar, so a label vetted by
-// one service proves nothing to another even when both accept this
-// index's codec widths (CheckIndexCompatible compares widths only). A hit
-// is therefore exactly the label the querying service would have decoded
-// and accepted.
+// Correctness by construction (relied on by the differential tests): an
+// entry is the label the arena holds for its item, whichever service
+// decoded it. Until a service has vetted every label of the index against
+// its grammar and recorded its tag here (admission), it vets each label it
+// reads, hits included, since another service's grammar proves nothing
+// about its own.
 //
 // Layout and policy, in order of the constraints they serve:
 //
@@ -64,9 +61,6 @@ namespace fvl {
 struct ServingCacheStats {
   uint64_t label_hits = 0;
   uint64_t label_misses = 0;
-  // Always 0: there is no reachability memo. Kept for the in-process
-  // readers of the struct; kStats does not send it.
-  uint64_t reach_hits = 0;
   // Same-run pairs the predicate evaluated (cross-run pairs are answered
   // false without it); kStats sends it as predicate_evaluations.
   uint64_t reach_misses = 0;
@@ -94,17 +88,26 @@ class ServingCache {
   // an insert, 0 for a cache nothing was ever offered to.
   int allocated_slots() const;
 
-  // Copies the label `service_tag` vetted for `item` into *out and returns
-  // true on a hit; a hit also bumps the slot's frequency (capped), which is
-  // what makes the resident resistant to eviction by colliding cold keys.
+  // Copies the cached label of `item` into *out and returns true on a hit;
+  // a hit also bumps the slot's frequency (capped), which is what makes
+  // the resident resistant to eviction by colliding cold keys.
   // A shard with no slots yet answers a counted miss.
-  bool LookupLabel(uint64_t service_tag, int item, DataLabel* out) const;
-  // Offers a vetted label. An empty slot installs it and the same key
+  bool LookupLabel(int item, DataLabel* out) const;
+  // Offers a decoded label. An empty slot installs it and the same key
   // refreshes it. A slot holding a *different* key applies second chance:
   // the resident's frequency is decremented and the insert is refused
   // until the counter reaches zero, so a key must collide repeatedly
   // (i.e. actually be warm) to displace an established resident.
-  void InsertLabel(uint64_t service_tag, int item, const DataLabel& label);
+  void InsertLabel(int item, const DataLabel& label);
+
+  // Tag of the service that last admitted the index, 0 for none. The store
+  // is frozen, so the record guards no data: relaxed order suffices.
+  uint64_t admitted_by() const {
+    return admitted_by_.load(std::memory_order_relaxed);
+  }
+  void RecordAdmission(uint64_t service) {
+    admitted_by_.store(service, std::memory_order_relaxed);
+  }
 
   // Counts predicate evaluations (ServingCacheStats::reach_misses).
   void CountEvaluations(uint64_t pairs) {
@@ -115,7 +118,6 @@ class ServingCache {
 
  private:
   struct Slot {
-    uint64_t service_tag = 0;
     int32_t item = -1;
     DataLabel label;
     uint8_t freq = 0;
@@ -135,6 +137,7 @@ class ServingCache {
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evaluations_{0};
+  std::atomic<uint64_t> admitted_by_{0};
 };
 
 }  // namespace fvl

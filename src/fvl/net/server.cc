@@ -99,7 +99,6 @@ class ProvenanceServer::Impl {
       const ServingCacheStats s = cache->stats();
       stats.label_hits += s.label_hits;
       stats.label_misses += s.label_misses;
-      stats.reach_hits += s.reach_hits;
       stats.reach_misses += s.reach_misses;
     };
     for (const auto& [id, index] : artifacts_) add(index->serving_cache());

@@ -245,6 +245,7 @@ Result<std::vector<bool>> ProvenanceService::DependsMany(
   if (pending.empty()) return answers;
   // A pending pair means the index has items, so it carries a cache.
   ServingCache& cache = *index.serving_cache();
+  const bool vet = cache.admitted_by() != tag_;
 
   // Decode each item distinct among the pending queries once for the whole
   // batch — through the snapshot's label cache, so a hot item is decoded
@@ -258,16 +259,15 @@ Result<std::vector<bool>> ProvenanceService::DependsMany(
   std::unordered_map<int, DataLabel> sparse;
   LabelStore::SpanCursor cursor(store);
   // Cache-aware decode of one item through the batch's one cursor, so
-  // sequential ids amortize the span scan to O(1). Labels enter the cache
-  // only after LabelInBounds, keyed by this service's tag (vetting is
-  // grammar-specific, so another service's entries are misses here) — a
-  // hit is exactly a label this service would have decoded and accepted,
-  // and hits skip re-vetting. False on a label that fails vetting.
+  // sequential ids amortize the span scan to O(1). Until this service has
+  // admitted the index, every label read is vetted, hit or miss: an entry
+  // is the arena's label whichever service decoded it, and another
+  // service's vetting proves nothing here. False on a label that fails.
   auto fetch = [&](int item, DataLabel* out) {
-    if (cache.LookupLabel(tag_, item, out)) return true;
+    if (cache.LookupLabel(item, out)) return !vet || LabelInBounds(*out);
     cursor.DecodeAt(item, out);
-    if (!LabelInBounds(*out)) return false;
-    cache.InsertLabel(tag_, item, *out);
+    if (vet && !LabelInBounds(*out)) return false;
+    cache.InsertLabel(item, *out);
     return true;
   };
   if (dense) {
@@ -373,6 +373,12 @@ Status ProvenanceService::CheckIndexCompatible(
   return CheckCodecCompatible(index.codec(), "index");
 }
 
+ProvenanceIndex ProvenanceService::AdmittedIndex(LabelStore store) const {
+  ProvenanceIndex index(std::move(store));
+  if (ServingCache* cache = index.serving_cache()) cache->RecordAdmission(tag_);
+  return index;
+}
+
 template <typename Input>
 Status ProvenanceService::AppendVetted(CompactStream* stream, Input input,
                                        const char* noun, size_t i) const {
@@ -393,19 +399,22 @@ Result<std::vector<bool>> ProvenanceService::VisibilitySweep(
   Result<const ViewLabel*> label = LabelOf(handle, mode);
   if (!label.ok()) return label.status();
   const int num_items = index.total_items();
-  // Decode + bounds-check + visibility per item, walking the store in
-  // flat-id order through one span cursor (amortized O(1) per item) into
-  // one reused label, so the sweep allocates nothing per item. It
-  // bypasses the label cache: it touches each item once, so it could
+  // Decode + bounds-check (until admitted) + visibility per item, walking
+  // the store in flat-id order through one span cursor (amortized O(1) per
+  // item) into one reused label, so the sweep allocates nothing per item.
+  // It bypasses the label cache: it touches each item once, so it could
   // rarely hit, and its inserts would evict the point-query hot set.
+  ServingCache* cache = index.serving_cache();
+  const bool vet = cache != nullptr && cache->admitted_by() != tag_;
   std::vector<bool> visible(num_items, false);
   LabelStore::SpanCursor cursor(index.store());
   DataLabel item_label;
   for (int item = 0; item < num_items; ++item) {
     cursor.DecodeAt(item, &item_label);
-    if (!LabelInBounds(item_label)) return OutOfGrammarLabels();
+    if (vet && !LabelInBounds(item_label)) return OutOfGrammarLabels();
     visible[item] = IsItemVisible(item_label, **label);
   }
+  if (vet) cache->RecordAdmission(tag_);
   return visible;
 }
 
@@ -521,7 +530,7 @@ Result<bool> ProvenanceSession::Depends(ViewHandle view, int item1, int item2,
 ProvenanceIndex ProvenanceSession::Snapshot() const {
   // The session's live store already holds every label encoded; freezing is
   // a copy of the arena and offset tables, not a re-encode.
-  return ProvenanceIndex(labeler_.store());
+  return service_->AdmittedIndex(labeler_.store());
 }
 
 ProvenanceIndex ProvenanceSession::SnapshotDelta() {
@@ -531,7 +540,7 @@ ProvenanceIndex ProvenanceSession::SnapshotDelta() {
   // The live arena is append-only, so the labels since the last freeze are
   // one contiguous bit range at its end: extracting them costs O(delta),
   // which is what makes mid-run checkpointing of long executions viable.
-  return ProvenanceIndex(labeler_.FreezeDelta());
+  return service_->AdmittedIndex(labeler_.FreezeDelta());
 }
 
 }  // namespace fvl

@@ -157,9 +157,9 @@ class ProvenanceService
 
   // --- Queries ------------------------------------------------------------
 
-  // π(φr(d1), φr(d2), φv(U)) through the cached decoder. kInvalidArgument
-  // if either label fails vetting (LabelInBounds below). The answer for
-  // labels of two different runs is unspecified, but the call returns.
+  // π(φr(d1), φr(d2), φv(U)) through the cached decoder. Vets both labels
+  // on every call (LabelInBounds below): kInvalidArgument if either fails.
+  // For labels of two different runs the answer is unspecified; it returns.
   [[nodiscard]] Result<bool> Depends(ViewHandle handle, const DataLabel& d1,
                        const DataLabel& d2,
                        ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
@@ -172,8 +172,9 @@ class ProvenanceService
   // runs are false by definition — separate executions share no data flow
   // (and the predicate is only defined over labels of one parse tree) —
   // and are answered without decoding. Fails with kInvalidArgument if any
-  // item id is out of range or the index was built for a different
-  // specification (its codec disagrees with this service's grammar).
+  // item id is out of range, the index was built for a different
+  // specification (its codec disagrees with this service's grammar), or a
+  // label it reads fails LabelInBounds before this service admits the index.
   // Decoded labels go through the index's serving cache
   // (core/serving_cache.h), so a hot item decodes once per snapshot.
   [[nodiscard]] Result<std::vector<bool>> DependsMany(
@@ -184,7 +185,8 @@ class ProvenanceService
   // Visibility sweep (§5): per item of `index`, in flat-id order across
   // all its runs, whether it is visible in the view's projection of the
   // item's run. Decodes every item once through one span cursor, in
-  // amortized O(1) per item, and leaves the serving cache untouched.
+  // amortized O(1) per item, leaving the cache's entries untouched; on an
+  // index this service has not admitted it also vets each label, then admits.
   [[nodiscard]] Result<std::vector<bool>> VisibilitySweep(
       ViewHandle handle, const ProvenanceIndex& index,
       ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
@@ -241,6 +243,7 @@ class ProvenanceService
       const std::string& output_path) const;
 
  private:
+  friend class ProvenanceSession;  // snapshots come back admitted
   struct ViewEntry {
     // Exactly one of regular/grouped is set; the registry dedups regular
     // views against CompiledView::view().
@@ -272,6 +275,8 @@ class ProvenanceService
   [[nodiscard]] Status CheckCodecCompatible(const LabelCodec& codec,
                               const char* artifact) const;
   [[nodiscard]] Status CheckIndexCompatible(const ProvenanceIndex& index) const;
+  // An index over a store this service's labeler wrote, admitted as made.
+  ProvenanceIndex AdmittedIndex(LabelStore store) const;
   // Appends one CompactStream input (a blob or a mapped file), prefixing
   // errors with "<noun> <i>: ", and vets the stream's codec against this
   // service the moment an input pins it — the stream holds every later
@@ -306,7 +311,7 @@ class ProvenanceService
   std::vector<std::unique_ptr<ViewEntry>> views_ FVL_GUARDED_BY(mu_);
   ViewHandle default_view_;
   int64_t view_labelings_performed_ FVL_GUARDED_BY(mu_) = 0;
-  uint64_t tag_;  // process-unique issuer tag stamped into handles
+  uint64_t tag_;  // process-unique tag stamped into handles and admissions
 };
 
 // One run labeled online (Def. 10). Obtained from

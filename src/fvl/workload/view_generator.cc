@@ -149,7 +149,8 @@ CompiledView GenerateSafeView(const Workload& workload,
         CompiledView::Compile(grammar, std::move(view));
     if (compiled.ok()) return std::move(compiled).value();
   }
-  FVL_CHECK(false && "view sampling failed even with white-box dependencies");
+  internal::CheckFailed(__FILE__, __LINE__, "view sampling failed even with "
+                                            "white-box dependencies");
 }
 
 }  // namespace fvl

@@ -209,6 +209,19 @@ TEST_F(AllocationContractTest, VisibilitySweepAllocatesTheSameAtBothSizes) {
     sweep(index, &index == &small_ ? &small_visible : &large_visible);
   });
   EXPECT_EQ(small, large);
+  // A service's first sweep of an index also vets every label and admits
+  // the index, in the same pass.
+  const ProvenanceIndex fresh[2] = {ProvenanceIndex(small_.store()),
+                                    ProvenanceIndex(large_.store())};
+  int64_t admitting[2] = {0, 0};
+  for (int size = 0; size < 2; ++size) {
+    ASSERT_EQ(fresh[size].serving_cache()->admitted_by(), 0u);
+    admitting[size] = CountAllocations([&] {
+      sweep(fresh[size], size == 0 ? &small_visible : &large_visible);
+    });
+    EXPECT_NE(fresh[size].serving_cache()->admitted_by(), 0u);
+  }
+  EXPECT_EQ(admitting[0], admitting[1]);
   // The sweep's answers still match the one-label-at-a-time definition.
   const ViewLabel& label =
       *service_->LabelOf(handle, ViewLabelMode::kQueryEfficient).value();

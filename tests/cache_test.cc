@@ -20,6 +20,7 @@
 #include "fvl/core/serving_cache.h"
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/random.h"
+#include "fvl/workflow/grammar_builder.h"
 #include "fvl/workload/paper_example.h"
 #include "fvl/workload/synthetic.h"
 #include "fvl/workload/view_generator.h"
@@ -39,26 +40,28 @@ using testing::CacheLabelFor;
 TEST(ServingCache, InsertLookupAndCounters) {
   ServingCache cache(128);
   DataLabel out;
-  EXPECT_FALSE(cache.LookupLabel(1u, 7, &out));
-  cache.InsertLabel(1u, 7, CacheLabelFor(7));
-  ASSERT_TRUE(cache.LookupLabel(1u, 7, &out));
+  EXPECT_FALSE(cache.LookupLabel(7, &out));
+  cache.InsertLabel(7, CacheLabelFor(7));
+  ASSERT_TRUE(cache.LookupLabel(7, &out));
   EXPECT_EQ(out, CacheLabelFor(7));
-  cache.InsertLabel(1u, 7, CacheLabelFor(8));  // same key refreshes in place
-  ASSERT_TRUE(cache.LookupLabel(1u, 7, &out));
+  cache.InsertLabel(7, CacheLabelFor(8));  // same key refreshes in place
+  ASSERT_TRUE(cache.LookupLabel(7, &out));
   EXPECT_EQ(out, CacheLabelFor(8));
 
+  cache.CountEvaluations(5);
   const ServingCacheStats stats = cache.stats();
   EXPECT_EQ(stats.label_hits, 2u);
   EXPECT_EQ(stats.label_misses, 1u);
   EXPECT_DOUBLE_EQ(stats.LabelHitRate(), 2.0 / 3.0);
+  EXPECT_EQ(stats.reach_misses, 5u);
 }
 
 TEST(ServingCache, ZeroCapacityNeverHitsAndNeverCrashes) {
   ServingCache cache(0);
   EXPECT_EQ(cache.capacity(), 0);
-  cache.InsertLabel(1u, 1, CacheLabelFor(1));
+  cache.InsertLabel(1, CacheLabelFor(1));
   DataLabel out;
-  EXPECT_FALSE(cache.LookupLabel(1u, 1, &out));
+  EXPECT_FALSE(cache.LookupLabel(1, &out));
   EXPECT_EQ(cache.allocated_slots(), 0);
 }
 
@@ -75,7 +78,7 @@ TEST(ServingCache, LookupBeforeAnyInsertIsACountedMiss) {
   ServingCache cache(8192);
   DataLabel out = CacheLabelFor(-1);
   for (int item = 0; item < 100; ++item) {
-    EXPECT_FALSE(cache.LookupLabel(1u, item, &out));
+    EXPECT_FALSE(cache.LookupLabel(item, &out));
   }
   EXPECT_EQ(out, CacheLabelFor(-1));
   EXPECT_EQ(cache.allocated_slots(), 0);  // lookups never allocate
@@ -87,17 +90,17 @@ TEST(ServingCache, LookupBeforeAnyInsertIsACountedMiss) {
 TEST(ServingCache, FirstInsertAllocatesOnlyItsOwnShard) {
   ServingCache cache(8192);  // 16 shards of 512 slots
   const int shard_slots = cache.capacity() / 16;
-  cache.InsertLabel(1u, 42, CacheLabelFor(42));
+  cache.InsertLabel(42, CacheLabelFor(42));
   EXPECT_EQ(cache.allocated_slots(), shard_slots);
   DataLabel out;
-  ASSERT_TRUE(cache.LookupLabel(1u, 42, &out));
+  ASSERT_TRUE(cache.LookupLabel(42, &out));
   EXPECT_EQ(out, CacheLabelFor(42));
   // Re-inserting into the same shard allocates nothing more.
-  cache.InsertLabel(1u, 42, CacheLabelFor(42));
+  cache.InsertLabel(42, CacheLabelFor(42));
   EXPECT_EQ(cache.allocated_slots(), shard_slots);
   // Enough distinct keys reach every shard, and the total stops at capacity.
   for (int item = 0; item < 1000; ++item) {
-    cache.InsertLabel(1u, item, CacheLabelFor(item));
+    cache.InsertLabel(item, CacheLabelFor(item));
   }
   EXPECT_EQ(cache.allocated_slots(), cache.capacity());
 }
@@ -107,22 +110,22 @@ TEST(ServingCache, AdmissionProtectsHotResidents) {
   // policy directly observable.
   ServingCache cache(1);
   ASSERT_EQ(cache.capacity(), 1);
-  cache.InsertLabel(1u, 1, CacheLabelFor(1));
+  cache.InsertLabel(1, CacheLabelFor(1));
   DataLabel out;
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.LookupLabel(1u, 1, &out));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(cache.LookupLabel(1, &out));
 
   // A one-shot cold key cannot displace the hot resident.
-  cache.InsertLabel(1u, 2, CacheLabelFor(2));
-  ASSERT_TRUE(cache.LookupLabel(1u, 1, &out));
+  cache.InsertLabel(2, CacheLabelFor(2));
+  ASSERT_TRUE(cache.LookupLabel(1, &out));
   EXPECT_EQ(out, CacheLabelFor(1));
-  EXPECT_FALSE(cache.LookupLabel(1u, 2, &out));
+  EXPECT_FALSE(cache.LookupLabel(2, &out));
 
   // A key that keeps colliding (i.e. is actually warm) eventually wins:
   // frequency is capped, so boundedly many repeats drain the resident.
-  for (int i = 0; i < 8; ++i) cache.InsertLabel(1u, 2, CacheLabelFor(2));
-  ASSERT_TRUE(cache.LookupLabel(1u, 2, &out));
+  for (int i = 0; i < 8; ++i) cache.InsertLabel(2, CacheLabelFor(2));
+  ASSERT_TRUE(cache.LookupLabel(2, &out));
   EXPECT_EQ(out, CacheLabelFor(2));
-  EXPECT_FALSE(cache.LookupLabel(1u, 1, &out));
+  EXPECT_FALSE(cache.LookupLabel(1, &out));
 }
 
 TEST(ServingCache, ConcurrentHammerKeepsKeyValueInvariant) {
@@ -141,11 +144,11 @@ TEST(ServingCache, ConcurrentHammerKeepsKeyValueInvariant) {
       for (int i = 0; i < kOps; ++i) {
         const int item = rng.NextInt(0, 255);
         DataLabel label;
-        if (cache.LookupLabel(1u, item, &label)) {
+        if (cache.LookupLabel(item, &label)) {
           ASSERT_EQ(label, CacheLabelFor(item));
           ++hits;
         } else {
-          cache.InsertLabel(1u, item, CacheLabelFor(item));
+          cache.InsertLabel(item, CacheLabelFor(item));
         }
       }
       total_hits.fetch_add(hits);
@@ -159,28 +162,6 @@ TEST(ServingCache, ConcurrentHammerKeepsKeyValueInvariant) {
             static_cast<uint64_t>(kThreads) * kOps);
 }
 
-TEST(ServingCache, LabelKeysCarryTheVettingServiceTag) {
-  ServingCache cache(256);
-  DataLabel label;
-  EXPECT_FALSE(cache.LookupLabel(7u, 3, &label));
-
-  cache.InsertLabel(7u, 3, CacheLabelFor(3));
-  ASSERT_TRUE(cache.LookupLabel(7u, 3, &label));
-  EXPECT_EQ(label, CacheLabelFor(3));
-  // The vetting service's tag is part of the label key: another service
-  // looking up the same item misses — LabelInBounds vetting is grammar-
-  // specific and must never leak across services sharing an index.
-  EXPECT_FALSE(cache.LookupLabel(8u, 3, &label));
-  EXPECT_FALSE(cache.LookupLabel(7u, 4, &label));
-
-  cache.CountEvaluations(5);
-  const ServingCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.label_hits, 1u);
-  EXPECT_EQ(stats.label_misses, 3u);
-  EXPECT_EQ(stats.reach_hits, 0u);
-  EXPECT_EQ(stats.reach_misses, 5u);
-}
-
 TEST(ServingCache, EmptySnapshotsCarryNoCache) {
   ProvenanceIndex empty;
   EXPECT_EQ(empty.serving_cache(), nullptr);
@@ -189,7 +170,10 @@ TEST(ServingCache, EmptySnapshotsCarryNoCache) {
   auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   auto session = service->GenerateLabeledRun(
       RunGeneratorOptions{.target_items = 40, .seed = 1});
-  ASSERT_GT(session->SnapshotDelta().num_items(), 0);
+  const ProvenanceIndex delta = session->SnapshotDelta();
+  ASSERT_GT(delta.num_items(), 0);
+  // Its labeler wrote only in-grammar labels, so it comes back admitted.
+  EXPECT_NE(delta.serving_cache()->admitted_by(), 0u);
   const ProvenanceIndex no_items = session->SnapshotDelta();
   EXPECT_EQ(no_items.num_items(), 0);
   EXPECT_EQ(no_items.serving_cache(), nullptr);
@@ -320,59 +304,102 @@ TEST(CacheDifferential, CrossRunPairsNeverReachTheCache) {
   EXPECT_EQ(answers, std::vector<bool>(cross.size(), false));
   const ServingCacheStats stats = merged.serving_cache()->stats();
   EXPECT_EQ(stats.label_hits + stats.label_misses, 0u);
-  EXPECT_EQ(stats.reach_hits + stats.reach_misses, 0u);
+  EXPECT_EQ(stats.reach_misses, 0u);
 }
 
-TEST(CacheDifferential, LabelEntriesDoNotLeakAcrossServices) {
-  // Two services over one snapshot: CheckIndexCompatible compares only the
-  // codec widths, so a second service — whose grammar may differ
-  // structurally while the widths coincide — must never consume labels
-  // vetted by the first (LabelInBounds walks the vetting service's
-  // grammar). The label cache keys on the vetting service's tag, so B's
-  // first pass misses every entry A warmed, decodes, and re-vets itself.
-  PaperExample ex = MakePaperExample();
-  auto service_a = ProvenanceService::Create(ex.spec).value();
-  auto service_b = ProvenanceService::Create(ex.spec).value();
+// S -> [m, n] with S: 1 -> 2. With `m_outputs` = 2, m's outputs are S's
+// first output and n's input; with 1, m feeds n, whose two outputs are S's.
+// Either way the grammar has one production of two members and at most two
+// ports per module, so the two grammars' label codecs agree.
+Specification TwoStageSpec(int m_outputs) {
+  GrammarBuilder b;
+  const ModuleId s = b.AddComposite("S", 1, 2);
+  const ModuleId m = b.AddAtomic("m", 1, m_outputs);
+  const ModuleId n = b.AddAtomic("n", 1, 3 - m_outputs);
+  b.SetStart(s);
+  auto p = b.NewProduction(s);
+  const int pm = p.AddMember(m), pn = p.AddMember(n);
+  p.MapInput(0, pm, 0).Edge(pm, m_outputs - 1, pn, 0);
+  if (m_outputs == 2) {
+    p.MapOutput(0, pm, 0).MapOutput(1, pn, 0);
+  } else {
+    p.MapOutput(0, pn, 0).MapOutput(1, pn, 1);
+  }
+  p.Build();
+  b.SetCompleteDeps(m);
+  b.SetCompleteDeps(n);
+  return b.BuildSpecification();
+}
 
-  RunGeneratorOptions options;
-  options.target_items = 120;
-  options.seed = 17;
-  auto session = service_a->GenerateLabeledRun(options);
-  ProvenanceIndex index = session->Snapshot();
-  ASSERT_NE(index.serving_cache(), nullptr);
-  const auto queries = RandomQueries(index.num_items(), 200, 29);
+TEST(CacheDifferential, VettingDoesNotLeakAcrossServices) {
+  // Entries are keyed by item alone: an entry is the label the arena holds,
+  // whichever service decoded it. Whether those labels fit a grammar is
+  // what differs between services, and CheckIndexCompatible compares only
+  // codec widths. B's module m has one output where A's has two, so B
+  // accepts the codec of A's index, but one of its labels names m's second
+  // output. A's snapshot comes admitted by A, and A warms the cache; B
+  // still vets every label it reads, hits included, so a batch naming that
+  // label is refused, and B's sweep refuses the whole index. C, with A's
+  // own grammar, admits the index by sweeping it and then hits A's entries.
+  auto service_a = ProvenanceService::Create(TwoStageSpec(2)).value();
+  auto service_b = ProvenanceService::Create(TwoStageSpec(1)).value();
+  auto service_c = ProvenanceService::Create(TwoStageSpec(2)).value();
+  ASSERT_EQ(LabelCodec(service_b->production_graph()),
+            LabelCodec(service_a->production_graph()));
 
-  // Warm A's label entries with one mode, then prove they are resident by
-  // querying a second mode (labels are mode-independent, so they hit).
-  const std::vector<bool> expected =
+  ProvenanceIndex index =
       service_a
-          ->DependsMany(service_a->default_view(), index, queries,
-                        ViewLabelMode::kDefault)
-          .value();
-  service_a
-      ->DependsMany(service_a->default_view(), index, queries,
-                    ViewLabelMode::kQueryEfficient)
-      .value();
-  const ServingCacheStats warmed = index.serving_cache()->stats();
-  EXPECT_GT(warmed.label_hits, 0u);
+          ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 4,
+                                                   .seed = 1})
+          ->Snapshot();
+  const int n = index.num_items();
+  ASSERT_EQ(n, 4);
+  int victim = -1;  // m's second output, the one label B's m lacks
+  for (int item = 0; item < n; ++item) {
+    const DataLabel label = index.Label(item);
+    if (label.producer.has_value() && label.producer->port == 1) {
+      victim = item;
+    }
+  }
+  ASSERT_GE(victim, 0);
+  std::vector<std::pair<int, int>> all, clean;
+  for (int d1 = 0; d1 < n; ++d1) {
+    for (int d2 = 0; d2 < n; ++d2) {
+      all.push_back({d1, d2});
+      if (d1 != victim && d2 != victim) clean.push_back({d1, d2});
+    }
+  }
 
-  // B answers identically (same grammar here) but from its own decode and
-  // vetting pass: not one label hit against A's entries.
-  EXPECT_EQ(service_b
-                ->DependsMany(service_b->default_view(), index, queries,
-                              ViewLabelMode::kDefault)
-                .value(),
-            expected);
-  const ServingCacheStats after_b = index.serving_cache()->stats();
-  EXPECT_EQ(after_b.label_hits, warmed.label_hits);
-  EXPECT_GT(after_b.label_misses, warmed.label_misses);
+  const uint64_t admitted_by_a = index.serving_cache()->admitted_by();
+  ASSERT_NE(admitted_by_a, 0u);
+  const std::vector<bool> expected =
+      service_a->DependsMany(service_a->default_view(), index, all).value();
+  EXPECT_EQ(index.serving_cache()->stats().label_misses,
+            static_cast<uint64_t>(n));
 
-  // B's own entries are ordinary cache citizens: its second mode hits them.
-  service_b
-      ->DependsMany(service_b->default_view(), index, queries,
-                    ViewLabelMode::kQueryEfficient)
-      .value();
-  EXPECT_GT(index.serving_cache()->stats().label_hits, after_b.label_hits);
+  const ServingCacheStats before_b = index.serving_cache()->stats();
+  Result<std::vector<bool>> refused =
+      service_b->DependsMany(service_b->default_view(), index, all);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(refused.status().message(),
+            "index label fields are out of range for this service's grammar");
+  EXPECT_GT(index.serving_cache()->stats().label_hits, before_b.label_hits);
+  EXPECT_TRUE(
+      service_b->DependsMany(service_b->default_view(), index, clean).ok());
+  EXPECT_EQ(service_b->VisibilitySweep(service_b->default_view(), index)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(index.serving_cache()->admitted_by(), admitted_by_a);
+
+  ASSERT_TRUE(service_c->VisibilitySweep(service_c->default_view(), index)
+                  .ok());
+  EXPECT_NE(index.serving_cache()->admitted_by(), admitted_by_a);
+  const ServingCacheStats before_c = index.serving_cache()->stats();
+  EXPECT_EQ(
+      service_c->DependsMany(service_c->default_view(), index, all).value(),
+      expected);
+  EXPECT_GT(index.serving_cache()->stats().label_hits, before_c.label_hits);
 }
 
 TEST(CacheDifferential, OutOfRangeFailsColdAndWarm) {
@@ -423,13 +450,11 @@ void CheckCostContract(ProvenanceService& service, ViewHandle view,
                   (before.label_hits + before.label_misses),
               distinct.size())
         << pass;
-    EXPECT_EQ(after.reach_hits, 0u) << pass;
 
     ASSERT_TRUE(service.VisibilitySweep(view, index).ok());
     const ServingCacheStats swept = cache.stats();
     EXPECT_EQ(swept.label_hits, after.label_hits) << pass;
     EXPECT_EQ(swept.label_misses, after.label_misses) << pass;
-    EXPECT_EQ(swept.reach_hits, after.reach_hits) << pass;
     EXPECT_EQ(swept.reach_misses, after.reach_misses) << pass;
   }
 }

@@ -19,6 +19,7 @@
 #include <latch>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -273,6 +274,73 @@ TEST(ConcurrencyStress, ServingCacheShardsStayCoherentUnderQueryStorm) {
   EXPECT_GT(index.serving_cache()->stats().label_hits, 0u);
 }
 
+TEST(ConcurrencyStress, SweepsAdmitWhileBatchesVetOneIndex) {
+  // Threads of two services share one index neither has admitted. Each
+  // thread alternates a sweep, which vets every label and records its
+  // service's admission, with a batch, which vets what it reads until its
+  // own service's admission is recorded. The two services keep overwriting
+  // the record while the other's batches read it and the shared label
+  // cache; batches are dense (one ascending walk) or sparse (the first 64
+  // queries). Every answer must equal the reference, and TSan checks the
+  // record and the cache.
+  Workload bio = MakeBioAid(2012);
+  auto service_a = ProvenanceService::Create(bio.spec).value();
+  auto service_b = ProvenanceService::Create(std::move(bio.spec)).value();
+  const ProvenanceIndex snapshot =
+      service_a
+          ->GenerateLabeledRun(
+              RunGeneratorOptions{.target_items = 400, .seed = 8})
+          ->Snapshot();
+  const ProvenanceIndex index(snapshot.store());  // not admitted by anyone
+  const int num_items = index.num_items();
+  Rng rng(300);
+  std::vector<std::pair<int, int>> queries;  // dense; its first 64: sparse
+  for (int q = 0; q < num_items / 2; ++q) {
+    queries.push_back(
+        {rng.NextInt(0, num_items - 1), rng.NextInt(0, num_items - 1)});
+  }
+  ASSERT_LT(64 * 4, num_items);
+  const std::vector<bool> expected = testing::ReferenceDepends(
+      *service_a, service_a->default_view(), snapshot, queries,
+      ViewLabelMode::kDefault);
+  const std::vector<bool> visible =
+      service_a->VisibilitySweep(service_a->default_view(), snapshot)
+          .value();
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ProvenanceService& service = t % 2 == 0 ? *service_a : *service_b;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < 20; ++round) {
+        if ((round + t / 2) % 3 == 0) {
+          Result<std::vector<bool>> swept =
+              service.VisibilitySweep(service.default_view(), index);
+          if (!swept.ok() || *swept != visible) failed.store(true);
+          continue;
+        }
+        const size_t size = (round + t) % 2 == 0 ? queries.size() : 64;
+        Result<std::vector<bool>> answers = service.DependsMany(
+            service.default_view(), index, std::span(queries).first(size),
+            ViewLabelMode::kDefault);
+        if (!answers.ok() ||
+            *answers != std::vector<bool>(expected.begin(),
+                                          expected.begin() + size)) {
+          failed.store(true);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_NE(index.serving_cache()->admitted_by(), 0u);
+  EXPECT_GT(index.serving_cache()->stats().label_hits, 0u);
+}
+
 TEST(ConcurrencyStress, FreshCacheFirstInsertsRaceLookups) {
   // Every shard of a fresh cache is allocated by whichever thread's insert
   // reaches it first, while other threads look up into the same shard. A
@@ -295,10 +363,10 @@ TEST(ConcurrencyStress, FreshCacheFirstInsertsRaceLookups) {
         for (int i = 0; i < kOps; ++i) {
           const int item = rng.NextInt(0, 9999);
           DataLabel label;
-          if (cache.LookupLabel(1u, item, &label)) {
+          if (cache.LookupLabel(item, &label)) {
             if (label != testing::CacheLabelFor(item)) failed.store(true);
           } else {
-            cache.InsertLabel(1u, item, testing::CacheLabelFor(item));
+            cache.InsertLabel(item, testing::CacheLabelFor(item));
           }
         }
       });

@@ -485,10 +485,16 @@ TEST(ServiceHardening, PerModulePortBoundsEnforced) {
   EXPECT_EQ(service->VisibilitySweep(service->default_view(), index).code(),
             ErrorCode::kInvalidArgument);
 
-  // Queries that never touch the tampered item still answer.
+  // The refused sweep admits nothing, so later batches still vet every
+  // label they read: queries that never touch the tampered item answer,
+  // and the tampered item is refused again.
+  EXPECT_EQ(index.serving_cache()->admitted_by(), 0u);
   std::vector<std::pair<int, int>> clean = {{0, 1}};
   EXPECT_TRUE(
       service->DependsMany(service->default_view(), index, clean).ok());
+  EXPECT_EQ(
+      service->DependsMany(service->default_view(), index, queries).code(),
+      ErrorCode::kInvalidArgument);
 }
 
 TEST(ServiceHardening, InconsistentPathsRejected) {
