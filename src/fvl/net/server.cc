@@ -90,6 +90,8 @@ class ProvenanceServer::Impl {
     stats.point_batches = point_batches_.load(std::memory_order_relaxed);
     stats.frames = frames_.load(std::memory_order_relaxed);
     stats.connections = connections_accepted_.load(std::memory_order_relaxed);
+    stats.reads_spun = reads_spun_.load(std::memory_order_relaxed);
+    stats.reads_parked = reads_parked_.load(std::memory_order_relaxed);
     // Cache counters live on the indexes, not the server: sum them over
     // the registered artifacts. state_mu_ only guards the map walk — the
     // counters themselves are relaxed atomics, safe to read live.
@@ -218,7 +220,10 @@ class ProvenanceServer::Impl {
       if (status == FrameStatus::kNeedMore) {
         Result<ReadOutcome> outcome =
             ReadSome(conn->socket, chunk, sizeof(chunk));
-        if (!outcome.ok() || outcome->eof) break;
+        if (!outcome.ok()) break;
+        (outcome->parked ? reads_parked_ : reads_spun_)
+            .fetch_add(1, std::memory_order_relaxed);
+        if (outcome->eof) break;
         buffer.append(chunk, outcome->n);
         continue;
       }
@@ -681,6 +686,8 @@ class ProvenanceServer::Impl {
   std::atomic<uint64_t> point_batches_{0};
   std::atomic<uint64_t> frames_{0};
   std::atomic<uint64_t> connections_accepted_{0};
+  std::atomic<uint64_t> reads_spun_{0};
+  std::atomic<uint64_t> reads_parked_{0};
 };
 
 ProvenanceServer::ProvenanceServer(std::unique_ptr<Impl> impl)

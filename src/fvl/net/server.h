@@ -66,6 +66,10 @@ struct ServerStats {
   uint64_t point_batches = 0;  // DependsMany decode passes serving them
   uint64_t frames = 0;         // request frames processed
   uint64_t connections = 0;    // connections accepted
+  // Blocking reads on connection threads (net/socket.h ReadSome): those
+  // answered while spinning, and those that parked in recv.
+  uint64_t reads_spun = 0;
+  uint64_t reads_parked = 0;
 
   // Serving-cache counters, summed over every index currently registered
   // with the server (each snapshot owns its cache — core/serving_cache.h —
@@ -104,6 +108,8 @@ inline constexpr std::pair<std::string_view, uint64_t ServerStats::*>
         {"label_hits", &ServerStats::label_hits},
         {"label_misses", &ServerStats::label_misses},
         {"predicate_evaluations", &ServerStats::reach_misses},
+        {"reads_spun", &ServerStats::reads_spun},
+        {"reads_parked", &ServerStats::reads_parked},
 };
 
 class ProvenanceServer {

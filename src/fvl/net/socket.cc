@@ -6,7 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace fvl::net {
@@ -21,6 +23,34 @@ void SetNoDelay(int fd) {
   int one = 1;
   // Best-effort: a socket without NODELAY is slower, not wrong.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+// Tells the CPU this is a spin-wait loop: an SMT sibling gets the core's
+// resources while the loop polls.
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// One recv(2), retried on EINTR. With MSG_DONTWAIT and nothing ready it
+// reports would_block. A reset peer is indistinguishable from a closed one
+// for our callers: the conversation is over either way.
+Result<ReadOutcome> Receive(int fd, char* buf, size_t capacity, int flags) {
+  for (;;) {
+    ssize_t n = ::recv(fd, buf, capacity, flags);
+    if (n > 0) return ReadOutcome{.n = static_cast<size_t>(n)};
+    if (n == 0) return ReadOutcome{.eof = true};
+    if (errno == EINTR) continue;
+    if ((flags & MSG_DONTWAIT) != 0 &&
+        (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return ReadOutcome{.would_block = true};
+    }
+    if (errno == ECONNRESET) return ReadOutcome{.eof = true};
+    return Unavailable("recv");
+  }
 }
 
 sockaddr_in LoopbackAddress(int port) {
@@ -117,22 +147,26 @@ Status WriteAll(const Socket& socket, std::string_view bytes) {
   return Status::Ok();
 }
 
-Result<ReadOutcome> ReadSome(const Socket& socket, char* buf, size_t capacity,
+Result<ReadOutcome> ReadSome(Socket& socket, char* buf, size_t capacity,
                              bool non_blocking) {
-  for (;;) {
-    ssize_t n = ::recv(socket.fd(), buf, capacity,
-                       non_blocking ? MSG_DONTWAIT : 0);
-    if (n > 0) return ReadOutcome{static_cast<size_t>(n), false, false};
-    if (n == 0) return ReadOutcome{0, true, false};
-    if (errno == EINTR) continue;
-    if (non_blocking && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return ReadOutcome{0, false, true};
-    }
-    // A reset peer is indistinguishable from a closed one for our callers:
-    // the conversation is over either way.
-    if (errno == ECONNRESET) return ReadOutcome{0, true, false};
-    return Unavailable("recv");
+  if (non_blocking) return Receive(socket.fd(), buf, capacity, MSG_DONTWAIT);
+  const auto start = std::chrono::steady_clock::now();
+  if (socket.fast_reads_ == kFastReadsToSpin) {
+    const auto deadline = start + kSpinBudget;
+    do {
+      Result<ReadOutcome> polled =
+          Receive(socket.fd(), buf, capacity, MSG_DONTWAIT);
+      if (!polled.ok() || !polled->would_block) return polled;
+      CpuRelax();
+    } while (std::chrono::steady_clock::now() < deadline);
   }
+  Result<ReadOutcome> outcome = Receive(socket.fd(), buf, capacity, 0);
+  socket.fast_reads_ =
+      std::chrono::steady_clock::now() - start <= kSpinBudget
+          ? std::min(socket.fast_reads_ + 1, kFastReadsToSpin)
+          : 0;
+  if (outcome.ok()) outcome->parked = true;
+  return outcome;
 }
 
 }  // namespace fvl::net

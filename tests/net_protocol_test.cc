@@ -8,8 +8,10 @@
 // -or-close contract plus server survival.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -511,6 +513,162 @@ TEST(NetProtocol, SplitReadsReassembleIdentically) {
   }
 }
 
+// ----- Blocking reads: spin, then park. -----
+
+// A connected loopback pair: tests read from `reader` and drive `peer`.
+struct LoopbackPair {
+  Socket reader;
+  Socket peer;
+
+  static LoopbackPair Make() {
+    Socket listener = TcpListen(0).value();
+    Socket reader = TcpConnect(LocalPort(listener).value()).value();
+    Socket peer = Accept(listener).value();
+    return {std::move(reader), std::move(peer)};
+  }
+};
+
+// Far longer than kSpinBudget on any host: a read that waits this long
+// has spent its spin and parked.
+constexpr std::chrono::milliseconds kLongWait{50};
+
+// Runs `act` on another thread after kLongWait, while the caller reads.
+class Later {
+ public:
+  template <typename Act>
+  explicit Later(Act act)
+      : thread_([act = std::move(act)] {
+          std::this_thread::sleep_for(kLongWait);
+          act();
+        }) {}
+  ~Later() { thread_.join(); }
+
+ private:
+  std::thread thread_;
+};
+
+// One blocking read of a byte the peer sends only after kLongWait: after
+// it, the reader's next blocking read parks at once.
+void ReadLateByte(LoopbackPair& pair) {
+  Later send([&pair] { EXPECT_TRUE(WriteAll(pair.peer, "x").ok()); });
+  char byte = 0;
+  Result<ReadOutcome> outcome = ReadSome(pair.reader, &byte, 1);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+  EXPECT_EQ(outcome->n, 1u);
+  EXPECT_EQ(byte, 'x');
+  EXPECT_TRUE(outcome->parked);
+}
+
+// Reads what the peer already sent: `want` bytes, or EOF when it is empty.
+Result<ReadOutcome> ReadReady(LoopbackPair& pair, std::string_view want) {
+  char buf[16];
+  Result<ReadOutcome> outcome = ReadSome(pair.reader, buf, sizeof(buf));
+  if (outcome.ok()) {
+    EXPECT_EQ(std::string_view(buf, outcome->n), want);
+  }
+  return outcome;
+}
+
+TEST(BlockingReads, ReplyWithinTheBudgetIsReturnedWithoutParking) {
+  LoopbackPair pair = LoopbackPair::Make();
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(WriteAll(pair.peer, "ping").ok());
+    Result<ReadOutcome> outcome = ReadReady(pair, "ping");
+    ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+    EXPECT_FALSE(outcome->parked) << round;
+    EXPECT_FALSE(outcome->eof);
+  }
+}
+
+TEST(BlockingReads, LateReplyArrivesAndTheNextReadsParkAtOnce) {
+  LoopbackPair pair = LoopbackPair::Make();
+  ReadLateByte(pair);
+  // The next kFastReadsToSpin reads park at once, though their bytes are
+  // already there.
+  for (int read = 0; read < kFastReadsToSpin; ++read) {
+    ASSERT_TRUE(WriteAll(pair.peer, "ab").ok());
+    Result<ReadOutcome> next = ReadReady(pair, "ab");
+    ASSERT_TRUE(next.ok());
+    EXPECT_TRUE(next->parked) << read;
+  }
+  // Those reads were answered within the budget, so spinning resumes.
+  // Retried because a read preempted between its clock reads overruns it.
+  bool resumed = false;
+  for (int round = 0; round < 10 && !resumed; ++round) {
+    ASSERT_TRUE(WriteAll(pair.peer, "cd").ok());
+    Result<ReadOutcome> outcome = ReadReady(pair, "cd");
+    ASSERT_TRUE(outcome.ok());
+    resumed = !outcome->parked;
+  }
+  EXPECT_TRUE(resumed);
+}
+
+// The way a conversation ends reads the same whether the reader is
+// spinning or parked: the spinning reader meets it on its first poll, the
+// parked one is woken by it.
+void ExpectSameEndSpinningOrParked(void (*end)(LoopbackPair&)) {
+  LoopbackPair spinning = LoopbackPair::Make();
+  end(spinning);
+  Result<ReadOutcome> spun = ReadReady(spinning, "");
+
+  LoopbackPair parked = LoopbackPair::Make();
+  ReadLateByte(parked);
+  Result<ReadOutcome> woken = [&parked, end] {
+    Later act([&parked, end] { end(parked); });
+    return ReadReady(parked, "");
+  }();
+
+  ASSERT_EQ(spun.ok(), woken.ok());
+  ASSERT_TRUE(spun.ok()) << spun.status().message();
+  EXPECT_FALSE(spun->parked);
+  EXPECT_TRUE(woken->parked);
+  for (const Result<ReadOutcome>* outcome : {&spun, &woken}) {
+    EXPECT_EQ((*outcome)->n, 0u);
+    EXPECT_TRUE((*outcome)->eof);
+    EXPECT_FALSE((*outcome)->would_block);
+  }
+}
+
+TEST(BlockingReads, PeerCloseIsEofSpinningOrParked) {
+  ExpectSameEndSpinningOrParked([](LoopbackPair& pair) { pair.peer.Close(); });
+}
+
+TEST(BlockingReads, ShutdownReadIsEofSpinningOrParked) {
+  ExpectSameEndSpinningOrParked(
+      [](LoopbackPair& pair) { pair.reader.ShutdownRead(); });
+}
+
+TEST(BlockingReads, PeerResetIsEofSpinningOrParked) {
+  ExpectSameEndSpinningOrParked([](LoopbackPair& pair) {
+    // A zero linger turns close() into a reset (RST).
+    linger abort{.l_onoff = 1, .l_linger = 0};
+    ASSERT_EQ(::setsockopt(pair.peer.fd(), SOL_SOCKET, SO_LINGER, &abort,
+                           sizeof(abort)),
+              0);
+    pair.peer.Close();
+  });
+}
+
+TEST(BlockingReads, NonBlockingReadNeverSpinsOrParks) {
+  LoopbackPair pair = LoopbackPair::Make();
+  char buf[16];
+  Result<ReadOutcome> empty = ReadSome(pair.reader, buf, sizeof(buf),
+                                       /*non_blocking=*/true);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->would_block);
+  EXPECT_FALSE(empty->parked);
+  ASSERT_TRUE(WriteAll(pair.peer, "q").ok());
+  for (;;) {
+    Result<ReadOutcome> data = ReadSome(pair.reader, buf, sizeof(buf),
+                                        /*non_blocking=*/true);
+    ASSERT_TRUE(data.ok());
+    EXPECT_FALSE(data->parked);
+    if (data->would_block) continue;
+    EXPECT_EQ(data->n, 1u);
+    break;
+  }
+}
+
 // ----- Live server: hostility over a real socket. -----
 
 class LiveServerFuzz : public ::testing::Test {
@@ -587,11 +745,32 @@ TEST_F(LiveServerFuzz, StatsNameEveryCounter) {
   EXPECT_EQ(names, (std::vector<std::string_view>{
                        "point_queries", "point_batches", "frames",
                        "connections", "label_hits", "label_misses",
-                       "predicate_evaluations"}));
+                       "predicate_evaluations", "reads_spun",
+                       "reads_parked"}));
 
   ServerStats stats = client.Stats().value();
   EXPECT_EQ(stats.connections, 1u);
   EXPECT_EQ(stats.frames, 3u);  // ping, the raw stats request, this one
+}
+
+// Stop() drains and joins while every connection thread is in a blocking
+// read: some still spinning after the ping they just answered, some
+// parked. Each client then reads a clean end of conversation.
+TEST_F(LiveServerFuzz, StopJoinsIdleSpinningConnections) {
+  std::vector<ProvenanceClient> clients;
+  for (int c = 0; c < 6; ++c) {
+    clients.push_back(ProvenanceClient::Connect(server_->port()).value());
+  }
+  for (ProvenanceClient& client : clients) {
+    ASSERT_EQ(client.Ping().value(), kProtocolVersion);
+  }
+  server_->Stop();
+  for (ProvenanceClient& client : clients) {
+    EXPECT_EQ(client.Ping().code(), ErrorCode::kUnavailable);
+  }
+  const ServerStats stats = server_->stats();
+  // Each connection read its ping, then the shutdown's eof.
+  EXPECT_EQ(stats.reads_spun + stats.reads_parked, 2 * clients.size());
 }
 
 TEST_F(LiveServerFuzz, OversizeLengthClosesTheConnection) {

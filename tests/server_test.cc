@@ -215,6 +215,35 @@ TEST(ServerDifferential, SyncCallRefusedWhilePipelinedAnswersUnread) {
   EXPECT_EQ(wire.reach_misses, queries.size());  // predicate_evaluations
 }
 
+// Every blocking read of a connection thread is counted once, as spun or
+// parked: N synchronous kApply round trips raise the sum by at least N,
+// and kStats carries both counters by name.
+TEST(ServerStatsWire, EveryApplyReadIsSpunOrParked) {
+  TestRig rig = TestRig::Make();
+  std::vector<std::pair<int, int>> ops =
+      RecordOpSequence(*rig.service, /*target_items=*/200, /*seed=*/5);
+  ProvenanceClient client =
+      ProvenanceClient::Connect(rig.server->port()).value();
+  uint64_t session_id = client.BeginRun().value();
+  const ServerStats before = client.Stats().value();
+  for (const auto& [instance, production] : ops) {
+    ASSERT_TRUE(client.Apply(session_id, instance, production).ok());
+  }
+  const ServerStats after = client.Stats().value();
+  EXPECT_GE(after.reads_spun + after.reads_parked,
+            before.reads_spun + before.reads_parked + ops.size());
+
+  Result<std::string> frame = client.RoundTripRaw(EncodeStatsRequest());
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  std::vector<NamedCounter> counters;
+  ASSERT_TRUE(DecodeStatsBody(ParseResponse(*frame).value(), &counters));
+  int named = 0;
+  for (const auto& [name, value] : counters) {
+    named += name == "reads_spun" || name == "reads_parked";
+  }
+  EXPECT_EQ(named, 2);
+}
+
 // The batcher answers every (view, index, mode) group with one
 // DependsMany, yet an out-of-range query must fail alone: it gets an
 // error frame carrying the service's own message, and the queries that
@@ -765,7 +794,7 @@ bool ConnectLoopback(const Socket& socket, int port) {
 
 // Sends one kPing and reads until its whole answer frame has arrived;
 // false if the receive timeout or EOF comes first.
-bool PingAnswered(const Socket& socket) {
+bool PingAnswered(Socket& socket) {
   std::string ping;
   AppendFrame(&ping, EncodePingRequest());
   if (!WriteAll(socket, ping).ok()) return false;
